@@ -155,6 +155,16 @@ const LEGACY_OVERHEAD: [(&str, [f64; 3]); 2] = [
     ("wavefront", [3.12, 3.78, 4.87]),
 ];
 
+/// How much faster today's sequential interpreter fires than the one
+/// [`LEGACY_OVERHEAD`] was measured against: its firing path stopped
+/// allocating (DESIGN.md §16), which made `matmul` n=5 at O0 2.2–2.6x
+/// faster over five alternating same-host pairs of runs on a 2-core
+/// x86-64 box. The legacy ratios keep that older denominator, so a
+/// check of today's deterministic ratio against the legacy protocol's
+/// *time* scales them by this factor; the table prints them as
+/// recorded.
+const SEQ_SPEEDUP_SINCE_LEGACY: f64 = 2.3;
+
 /// E21: protocol overhead of the decoordinated backends, re-tabling
 /// E16's workloads as honest overhead curves.
 ///
@@ -225,18 +235,20 @@ pub fn e21() -> String {
                 // The decoordination claim, with margin for a noisy
                 // shared host: removing the coordinator entirely
                 // (relaxed) must beat the old protocol's 1-worker
-                // overhead by >= 15%; the deterministic backend, which
-                // keeps the canonical-order merge, must at least not
-                // grossly regress the old ratio.
+                // overhead by >= 15%, even against today's faster
+                // interpreter; the deterministic backend, which keeps
+                // the canonical-order merge, must at least not grossly
+                // regress the old protocol's time.
                 assert!(
                     rel_ratio < 0.85 * legacy[0],
                     "{name}: relaxed 1-worker ratio {rel_ratio:.2} not below 0.85 x legacy {:.2}",
                     legacy[0]
                 );
+                let legacy_now = legacy[0] * SEQ_SPEEDUP_SINCE_LEGACY;
                 assert!(
-                    det_ratio < 1.75 * legacy[0],
-                    "{name}: det 1-worker ratio {det_ratio:.2} above 1.75 x legacy {:.2}",
-                    legacy[0]
+                    det_ratio < 1.75 * legacy_now,
+                    "{name}: det 1-worker ratio {det_ratio:.2} above 1.75 x legacy {legacy_now:.2} \
+                     (in today's sequential units)"
                 );
             }
             let (det_col, rel_col) = if norm {

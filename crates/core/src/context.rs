@@ -12,11 +12,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use crate::graph::{CodeBlockId, Dest};
+use crate::graph::{CodeBlockId, InstrId};
 use crate::tag::{Ctx, Iter};
 
 /// Why a context exists, and how to leave it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ContextKind {
     /// The top-level program invocation.
     Root,
@@ -29,13 +29,14 @@ pub enum ContextKind {
     Call {
         /// The caller's code block (where results return to).
         ret_block: CodeBlockId,
-        /// The caller-side destinations of the result value.
-        dests: Vec<Dest>,
+        /// The caller's `Apply` instruction: the result goes to its
+        /// destinations.
+        ret_instr: InstrId,
     },
 }
 
 /// Everything the machine must remember about one context.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContextRecord {
     /// The invoking context.
     pub parent: Ctx,
@@ -135,22 +136,25 @@ impl ContextManager {
     }
 
     /// Allocates a fresh procedure-call context: the callee runs in it,
-    /// and its `Return` sends the result to `dests` in `ret_block` at
-    /// `(parent, iter)`.
+    /// and its `Return` sends the result to the destinations of the
+    /// `Apply` at `ret_instr` in `ret_block`, at `(parent, iter)`.
     pub fn enter_call(
         &mut self,
         parent: Ctx,
         iter: Iter,
         ret_block: CodeBlockId,
         callee: CodeBlockId,
-        dests: Vec<Dest>,
+        ret_instr: InstrId,
     ) -> Ctx {
         let c = Ctx(self.records.len() as u32);
         self.records.push(ContextRecord {
             parent,
             parent_iter: iter,
             block: callee,
-            kind: ContextKind::Call { ret_block, dests },
+            kind: ContextKind::Call {
+                ret_block,
+                ret_instr,
+            },
         });
         c
     }
@@ -162,7 +166,7 @@ impl ContextManager {
 /// the parallel backends' [`WorkerCtx`] (a lease over [`SharedContexts`]),
 /// so `D`/`Apply` execute identically on either engine.
 pub(crate) trait ContextOps {
-    /// The record for `ctx` (owned), or `None` for a never-allocated id.
+    /// The record for `ctx`, or `None` for a never-allocated id.
     fn resolve(&self, ctx: Ctx) -> Option<ContextRecord>;
     /// Enters (or joins) a loop activation; memoized per `(parent, iter,
     /// loop_id)`.
@@ -174,13 +178,13 @@ pub(crate) trait ContextOps {
         iter: Iter,
         ret_block: CodeBlockId,
         callee: CodeBlockId,
-        dests: Vec<Dest>,
+        ret_instr: InstrId,
     ) -> Ctx;
 }
 
 impl ContextOps for ContextManager {
     fn resolve(&self, ctx: Ctx) -> Option<ContextRecord> {
-        self.record(ctx).cloned()
+        self.record(ctx).copied()
     }
 
     fn enter_loop(&mut self, parent: Ctx, iter: Iter, loop_id: u32, block: CodeBlockId) -> Ctx {
@@ -193,9 +197,9 @@ impl ContextOps for ContextManager {
         iter: Iter,
         ret_block: CodeBlockId,
         callee: CodeBlockId,
-        dests: Vec<Dest>,
+        ret_instr: InstrId,
     ) -> Ctx {
-        ContextManager::enter_call(self, parent, iter, ret_block, callee, dests)
+        ContextManager::enter_call(self, parent, iter, ret_block, callee, ret_instr)
     }
 }
 
@@ -306,7 +310,7 @@ impl SharedContexts {
         chunks
             .get(ctx.0 as usize / CTX_CHUNK)
             .and_then(|c| c[ctx.0 as usize % CTX_CHUNK].get())
-            .cloned()
+            .copied()
     }
 
     /// Semantic allocation count — equals `ContextManager::allocated()`
@@ -413,7 +417,7 @@ impl ContextOps for WorkerCtx<'_> {
         iter: Iter,
         ret_block: CodeBlockId,
         callee: CodeBlockId,
-        dests: Vec<Dest>,
+        ret_instr: InstrId,
     ) -> Ctx {
         let c = self.take_id();
         self.shared.put(
@@ -422,7 +426,10 @@ impl ContextOps for WorkerCtx<'_> {
                 parent,
                 parent_iter: iter,
                 block: callee,
-                kind: ContextKind::Call { ret_block, dests },
+                kind: ContextKind::Call {
+                    ret_block,
+                    ret_instr,
+                },
             },
         );
         self.shared.allocated.fetch_add(1, Ordering::Relaxed);
@@ -433,8 +440,6 @@ impl ContextOps for WorkerCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::DestBranch;
-    use crate::tag::Port;
 
     #[test]
     fn root_exists() {
@@ -472,20 +477,15 @@ mod tests {
     #[test]
     fn calls_are_never_shared() {
         let mut cm = ContextManager::new(CodeBlockId(0));
-        let d = vec![Dest {
-            instr: crate::graph::InstrId(4),
-            port: Port(0),
-            when: DestBranch::Always,
-        }];
-        let a = cm.enter_call(Ctx(0), Iter(1), CodeBlockId(0), CodeBlockId(1), d.clone());
-        let b = cm.enter_call(Ctx(0), Iter(1), CodeBlockId(0), CodeBlockId(1), d);
+        let a = cm.enter_call(Ctx(0), Iter(1), CodeBlockId(0), CodeBlockId(1), InstrId(4));
+        let b = cm.enter_call(Ctx(0), Iter(1), CodeBlockId(0), CodeBlockId(1), InstrId(4));
         assert_ne!(a, b, "each Apply firing is a fresh activation");
-        match &cm.record(a).unwrap().kind {
-            ContextKind::Call { ret_block, dests } => {
-                assert_eq!(*ret_block, CodeBlockId(0));
-                assert_eq!(dests.len(), 1);
+        assert_eq!(
+            cm.record(a).unwrap().kind,
+            ContextKind::Call {
+                ret_block: CodeBlockId(0),
+                ret_instr: InstrId(4),
             }
-            other => panic!("wrong kind {other:?}"),
-        }
+        );
     }
 }

@@ -16,9 +16,9 @@ use ttda_sim::Cycle;
 use ttda_trace::{PresenceState, SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
-use crate::exec::{execute, StructAction};
+use crate::exec::{continuation, dangling, deliver, execute, Enabled, StructAction};
 use crate::graph::{Instruction, Program};
-use crate::matching::{MatchingStore, Operands};
+use crate::matching::MatchingStore;
 use crate::sched::{env_sched, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
@@ -399,9 +399,12 @@ impl<'p> Emulator<'p> {
         let mut wave = Wave::new();
         for job in jobs {
             let (block_id, inputs) = (&job.block, &job.inputs);
-            let block = self.program.block(*block_id).ok_or(ExecError::BadTarget {
-                activity: block_id.to_string(),
-            })?;
+            let block = self
+                .program
+                .block(*block_id)
+                .ok_or_else(|| ExecError::BadTarget {
+                    activity: block_id.to_string(),
+                })?;
             if inputs.len() != block.params.len() {
                 return Err(ExecError::InputArity {
                     expected: block.params.len(),
@@ -424,6 +427,9 @@ impl<'p> Emulator<'p> {
             }
         }
 
+        // The next wave's storage is reused wave after wave, so a
+        // steady-state firing emits without allocating.
+        let mut next = Wave::new();
         let mut profile = Vec::new();
         let mut held: Vec<Token> = Vec::new();
         let mut peak_deferred = 0usize;
@@ -494,12 +500,11 @@ impl<'p> Emulator<'p> {
                 wave.sort_by_criticality(crit);
             }
 
-            let mut next = Wave::new();
             let mut fired = 0usize;
             for i in 0..wave.len() {
-                if let Some(operands) = self.absorb(wave.token(i))? {
+                if let Some((tag, ops, instr)) = self.absorb(wave.token(i))? {
                     fired += 1;
-                    self.fire(operands.0, operands.1, &mut next)?;
+                    self.fire(tag, &ops, instr, &mut next)?;
                     if self.instructions > fuel {
                         return Err(ExecError::OutOfFuel);
                     }
@@ -514,7 +519,8 @@ impl<'p> Emulator<'p> {
                 });
                 self.now = self.now.saturating_add(Cycle(1));
             }
-            wave = next;
+            std::mem::swap(&mut wave, &mut next);
+            next.clear();
         }
 
         let stranded = self.waiting.len() + self.stranded_readers();
@@ -554,18 +560,9 @@ impl<'p> Emulator<'p> {
             .sum()
     }
 
-    fn lookup(&self, tag: ActivityName) -> Result<&Instruction, ExecError> {
-        self.program
-            .block(tag.c)
-            .and_then(|b| b.instr(tag.s))
-            .ok_or_else(|| ExecError::BadTarget {
-                activity: tag.to_string(),
-            })
-    }
-
     /// The waiting–matching section: inserts a token; returns the full
-    /// operand set when the instruction becomes enabled.
-    fn absorb(&mut self, token: Token) -> Result<Option<(ActivityName, Operands)>, ExecError> {
+    /// operand set and the instruction when it becomes enabled.
+    fn absorb(&mut self, token: Token) -> Result<Option<Enabled<'p>>, ExecError> {
         let r = crate::exec::absorb(self.program, &mut self.waiting, token)?;
         self.peak_matching = self.peak_matching.max(self.waiting.len());
         if self.sink.is_some() {
@@ -582,11 +579,18 @@ impl<'p> Emulator<'p> {
 
     /// The instruction-fetch + ALU + output sections: executes one
     /// enabled instruction via the shared semantics in [`crate::exec`],
-    /// applying I-structure actions inline.
-    fn fire(&mut self, tag: ActivityName, ops: Operands, out: &mut Wave) -> Result<(), ExecError> {
-        let instr = self.lookup(tag)?.clone();
+    /// emitting straight into the next wave and applying I-structure
+    /// actions inline.
+    fn fire(
+        &mut self,
+        tag: ActivityName,
+        ops: &[Value],
+        instr: &Instruction,
+        out: &mut Wave,
+    ) -> Result<(), ExecError> {
         self.instructions += 1;
-        let eff = execute(self.program, &mut self.ctx, tag, &instr, &ops)?;
+        let out_before = out.len();
+        let eff = execute(self.program, &mut self.ctx, tag, instr, ops, out)?;
         if eff.is_alu {
             self.alu_ops += 1;
         }
@@ -600,35 +604,32 @@ impl<'p> Emulator<'p> {
                 s.borrow_mut().record(now, ev);
             }
         };
-        let out_before = out.len();
         trace(&TraceEvent::MatchFire {
             pe: 0,
             alu: eff.is_alu,
             busy: 0,
         });
-        out.extend_tokens(eff.tokens);
         if let Some((slot, v)) = eff.output {
             self.outputs.insert(slot, v);
         }
         match eff.action {
             None => {}
-            Some(StructAction::Alloc { len, dests }) => {
+            Some(StructAction::Alloc { tag, len }) => {
                 let id = self.structures.len() as u32;
                 self.structures.push(IStructure::new(len));
                 let p = Value::Ptr(StructRef {
                     id,
                     len: len as u32,
                 });
-                for (rtag, port) in dests {
-                    out.push(rtag, port, p);
-                }
+                deliver(self.program, tag, p, out);
             }
-            Some(StructAction::Fetch { ptr, idx, dests }) => {
+            Some(StructAction::Fetch { tag, ptr, idx }) => {
                 let mut immediate = 0u64;
                 let mut deferred = 0u64;
                 let traced = sink.is_some();
+                let program = self.program;
                 let store = self.store_mut(tag, ptr)?;
-                for (rtag, port) in dests {
+                for (rtag, port) in continuation(program, tag) {
                     let before = if traced {
                         store.presence(Addr(idx))?
                     } else {
@@ -669,10 +670,10 @@ impl<'p> Emulator<'p> {
                 self.istore_deferred += deferred;
             }
             Some(StructAction::Store {
+                tag,
                 ptr,
                 idx,
                 value,
-                dests,
             }) => {
                 let traced = sink.is_some();
                 let store = self.store_mut(tag, ptr)?;
@@ -701,9 +702,7 @@ impl<'p> Emulator<'p> {
                         });
                     }
                 }
-                for (rtag, port) in dests {
-                    out.push(rtag, port, Value::Unit);
-                }
+                deliver(self.program, tag, Value::Unit, out);
             }
         }
         if sink.is_some() {
@@ -721,9 +720,7 @@ impl<'p> Emulator<'p> {
     ) -> Result<&mut IStructure<Value, (ActivityName, Port)>, ExecError> {
         self.structures
             .get_mut(ptr.id as usize)
-            .ok_or(ExecError::BadTarget {
-                activity: format!("{tag} (dangling {ptr:?})"),
-            })
+            .ok_or_else(|| dangling(tag, ptr))
     }
 }
 

@@ -43,6 +43,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Firing paths must not build error values they throw away.
+#![warn(clippy::or_fun_call)]
 
 mod builder;
 mod context;

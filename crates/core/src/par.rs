@@ -91,8 +91,8 @@ use ttda_trace::{EventBuffer, PresenceState, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
-use crate::exec::{absorb, execute, Continuation, StructAction};
-use crate::graph::Program;
+use crate::exec::{absorb, continuation, dangling, deliver, execute, Emit, StructAction};
+use crate::graph::{Instruction, Program};
 use crate::matching::{MatchingStore, Operands};
 use crate::sched::{CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
@@ -122,12 +122,10 @@ pub(crate) fn worker_of(tag: ActivityName, workers: usize) -> usize {
 }
 
 /// A structure operation routed to the shard that owns the structure.
-pub(crate) struct StructOp {
+struct StructOp {
     /// Wave index of the firing that requested the operation.
-    pub(crate) index: u32,
-    /// The firing's activity name (for error rendering).
-    pub(crate) tag: ActivityName,
-    pub(crate) action: StructAction,
+    index: u32,
+    action: StructAction,
 }
 
 /// Work sent from the coordinator to one worker.
@@ -153,16 +151,17 @@ struct FireOut {
     is_alu: bool,
     tokens: Vec<Token>,
     output: Option<(u32, Value)>,
-    /// An `IAlloc` request: the coordinator assigns the id (dense, in
-    /// firing order) and builds the pointer tokens.
-    alloc: Option<(usize, Continuation)>,
+    /// An `IAlloc` request `(len, firing)`: the coordinator assigns the
+    /// id (dense, in firing order) and builds the pointer tokens.
+    alloc: Option<(usize, ActivityName)>,
 }
 
 /// An enabled firing awaiting execution (by its owner or by a thief).
-struct Ready {
+struct Ready<'p> {
     index: u32,
     tag: ActivityName,
     operands: Operands,
+    instr: &'p Instruction,
 }
 
 struct WaveReply {
@@ -178,10 +177,10 @@ struct WaveReply {
 }
 
 /// Tokens and trace events produced by one structure operation.
-pub(crate) struct OpOut {
-    pub(crate) index: u32,
-    pub(crate) tokens: Vec<Token>,
-    pub(crate) traces: EventBuffer,
+struct OpOut {
+    index: u32,
+    tokens: Vec<Token>,
+    traces: EventBuffer,
 }
 
 struct StructReply {
@@ -189,9 +188,7 @@ struct StructReply {
     err: Option<(u32, ExecError)>,
     /// Deferred reads outstanding in this worker's shard after the ops.
     deferred_outstanding: usize,
-    immediate: u64,
-    deferred: u64,
-    writes: u64,
+    counts: IsCounts,
 }
 
 enum Reply {
@@ -203,10 +200,10 @@ enum Reply {
 const DRAIN_BATCH: usize = 8;
 
 /// State shared by all workers for intra-wave work stealing.
-struct StealPool {
+struct StealPool<'p> {
     /// Per-worker ready queues. Owners push their whole enabled set and
     /// pop from the front; thieves split off the back half.
-    queues: Vec<Mutex<VecDeque<Ready>>>,
+    queues: Vec<Mutex<VecDeque<Ready<'p>>>>,
     /// Advisory per-queue lengths for victim selection.
     loads: Vec<AtomicUsize>,
     /// Workers that have finished absorbing this wave.
@@ -217,7 +214,7 @@ struct StealPool {
     executed: AtomicUsize,
 }
 
-impl StealPool {
+impl StealPool<'_> {
     fn new(threads: usize) -> Self {
         StealPool {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -256,9 +253,11 @@ pub(crate) fn submit(
     let mut wave: Vec<Token> = Vec::new();
     for job in jobs {
         let (block_id, inputs) = (&job.block, &job.inputs);
-        let block = program.block(*block_id).ok_or(ExecError::BadTarget {
-            activity: block_id.to_string(),
-        })?;
+        let block = program
+            .block(*block_id)
+            .ok_or_else(|| ExecError::BadTarget {
+                activity: block_id.to_string(),
+            })?;
         if inputs.len() != block.params.len() {
             return Err(ExecError::InputArity {
                 expected: block.params.len(),
@@ -316,6 +315,7 @@ pub(crate) fn submit(
         // workers cannot deadlock the scope's implicit join.
         drop(ops_txs);
         let d = Driver {
+            program,
             ctxs: &ctxs,
             pool: &pool,
             fuel,
@@ -331,8 +331,9 @@ pub(crate) fn submit(
 
 /// Coordinator-side handles for one run.
 struct Driver<'a> {
+    program: &'a Program,
     ctxs: &'a SharedContexts,
-    pool: &'a StealPool,
+    pool: &'a StealPool<'a>,
     fuel: u64,
     /// `Some` under [`SchedPolicy::Crit`]: the wave is stably reordered
     /// by descending criticality *before* wave indices are assigned.
@@ -449,7 +450,7 @@ fn drive(
                 fuel_idx = Some(i as u32);
             }
             let mut alloc_tokens: Vec<Token> = Vec::new();
-            if let Some((len, dests)) = fired.alloc.take() {
+            if let Some((len, tag)) = fired.alloc.take() {
                 let id = next_struct_id;
                 next_struct_id += 1;
                 creates[shard_of(id, threads)].push((id, len));
@@ -457,9 +458,7 @@ fn drive(
                     id,
                     len: len as u32,
                 });
-                for (rtag, port) in dests {
-                    alloc_tokens.push(Token::new(rtag, port, p));
-                }
+                deliver(d.program, tag, p, &mut alloc_tokens);
             }
             merged.push((delta, Some(slots.len())));
             slots.push(Slot {
@@ -498,9 +497,9 @@ fn drive(
                     }
                 }
                 deferred_by_worker[w] = rep.deferred_outstanding;
-                istore_immediate += rep.immediate;
-                istore_deferred += rep.deferred;
-                istore_writes += rep.writes;
+                istore_immediate += rep.counts.immediate;
+                istore_deferred += rep.counts.deferred;
+                istore_writes += rep.counts.writes;
             }
         }
 
@@ -623,7 +622,7 @@ fn drive(
 struct WorkerHandle<'a> {
     program: &'a Program,
     ctxs: &'a SharedContexts,
-    pool: &'a StealPool,
+    pool: &'a StealPool<'a>,
     me: usize,
     threads: usize,
     traced: bool,
@@ -660,7 +659,9 @@ fn worker(h: WorkerHandle<'_>) {
                 }
                 ops.retain(|o| o.index < cut);
                 ops.sort_unstable_by_key(|o| o.index);
-                Reply::Struct(apply_struct_ops(&mut shard, now, creates, ops, h.traced))
+                Reply::Struct(apply_struct_ops(
+                    h.program, &mut shard, now, creates, ops, h.traced,
+                ))
             }
         };
         if h.replies.send(reply).is_err() {
@@ -698,11 +699,12 @@ fn run_wave(
         match absorb(h.program, waiting, token) {
             Ok(absorbed) => {
                 deltas.push((index, waiting.len() as isize - before));
-                if let Some((tag, operands)) = absorbed {
+                if let Some((tag, operands, instr)) = absorbed {
                     ready.push(Ready {
                         index,
                         tag,
                         operands,
+                        instr,
                     });
                 }
             }
@@ -819,32 +821,27 @@ fn exec_one(h: &WorkerHandle<'_>, wctx: &mut WorkerCtx<'_>, r: Ready, exec: &mut
         index,
         tag,
         operands,
+        instr,
     } = r;
-    let instr = h
-        .program
-        .block(tag.c)
-        .and_then(|b| b.instr(tag.s))
-        .expect("absorb resolved the instruction");
-    match execute(h.program, wctx, tag, instr, &operands) {
-        Ok(mut eff) => {
+    // The index-ordered merge needs each firing's tokens on their own.
+    let mut tokens = Vec::new();
+    match execute(h.program, wctx, tag, instr, &operands, &mut tokens) {
+        Ok(eff) => {
             let mut alloc = None;
-            match eff.action.take() {
+            match eff.action {
                 None => {}
-                Some(StructAction::Alloc { len, dests }) => alloc = Some((len, dests)),
-                Some(action @ StructAction::Fetch { .. })
-                | Some(action @ StructAction::Store { .. }) => {
-                    let ptr = match &action {
-                        StructAction::Fetch { ptr, .. } | StructAction::Store { ptr, .. } => *ptr,
-                        StructAction::Alloc { .. } => unreachable!(),
-                    };
-                    exec.opbufs[shard_of(ptr.id, h.threads)].push(StructOp { index, tag, action });
+                Some(StructAction::Alloc { tag, len }) => alloc = Some((len, tag)),
+                Some(
+                    action @ (StructAction::Fetch { ptr, .. } | StructAction::Store { ptr, .. }),
+                ) => {
+                    exec.opbufs[shard_of(ptr.id, h.threads)].push(StructOp { index, action });
                 }
             }
             exec.fires.push((
                 index,
                 FireOut {
                     is_alu: eff.is_alu,
-                    tokens: eff.tokens,
+                    tokens,
                     output: eff.output,
                     alloc,
                 },
@@ -858,17 +855,12 @@ fn exec_one(h: &WorkerHandle<'_>, wctx: &mut WorkerCtx<'_>, r: Ready, exec: &mut
     }
 }
 
-pub(crate) fn dangling(tag: ActivityName, ptr: StructRef) -> ExecError {
-    ExecError::BadTarget {
-        activity: format!("{tag} (dangling {ptr:?})"),
-    }
-}
-
 /// Worker side of the structure phase: register this wave's allocations
 /// owned by the shard, then apply fetches/stores in wave order,
 /// mirroring the sequential backend's inline handling (including its
 /// trace event order, buffered for coordinator replay).
 fn apply_struct_ops(
+    program: &Program,
     shard: &mut IStructureShard<Value, (ActivityName, Port)>,
     now: Cycle,
     creates: Vec<(u32, usize)>,
@@ -880,22 +872,18 @@ fn apply_struct_ops(
     }
     let mut outs = Vec::with_capacity(ops.len());
     let mut err = None;
-    let mut immediate = 0u64;
-    let mut deferred = 0u64;
-    let mut writes = 0u64;
-    for op in ops {
-        match apply_one(
-            shard,
-            op,
-            now,
-            traced,
-            &mut immediate,
-            &mut deferred,
-            &mut writes,
-        ) {
-            Ok(out) => outs.push(out),
-            Err((i, e)) => {
-                err = Some((i, e));
+    let mut counts = IsCounts::default();
+    for StructOp { index, action } in ops {
+        let mut out = OpOut {
+            index,
+            tokens: Vec::new(),
+            traces: EventBuffer::new(),
+        };
+        let (tokens, traces) = (&mut out.tokens, traced.then_some(&mut out.traces));
+        match apply_one(program, shard, action, now, &mut counts, tokens, traces) {
+            Ok(()) => outs.push(out),
+            Err(e) => {
+                err = Some((index, e));
                 break;
             }
         }
@@ -904,97 +892,85 @@ fn apply_struct_ops(
         outs,
         err,
         deferred_outstanding: shard.deferred_outstanding(),
-        immediate,
-        deferred,
-        writes,
+        counts,
     }
 }
 
+/// I-structure reads satisfied at once, reads deferred, and writes.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IsCounts {
+    pub(crate) immediate: u64,
+    pub(crate) deferred: u64,
+    pub(crate) writes: u64,
+}
+
 /// Applies one fetch/store to its owning shard, mirroring the
-/// sequential backend's inline handling — tokens and trace events come
-/// back in the exact sequential order. Shared with the relaxed backend
-/// (which passes `index = 0`: it has no wave order to preserve).
+/// sequential backend's inline handling — tokens go to `out` and trace
+/// events to `traces` (when tracing) in the exact sequential order.
+/// Shared with the relaxed backend.
 pub(crate) fn apply_one(
+    program: &Program,
     shard: &mut IStructureShard<Value, (ActivityName, Port)>,
-    op: StructOp,
+    action: StructAction,
     now: Cycle,
-    traced: bool,
-    immediate: &mut u64,
-    deferred: &mut u64,
-    writes: &mut u64,
-) -> Result<OpOut, (u32, ExecError)> {
-    let StructOp { index, tag, action } = op;
-    let mut out = OpOut {
-        index,
-        tokens: Vec::new(),
-        traces: EventBuffer::new(),
+    counts: &mut IsCounts,
+    out: &mut impl Emit,
+    mut traces: Option<&mut EventBuffer>,
+) -> Result<(), ExecError> {
+    let traced = traces.is_some();
+    let mut note = |ev: TraceEvent| {
+        if let Some(t) = traces.as_deref_mut() {
+            t.push(now, ev);
+        }
     };
-    let fail = |e: ExecError| (index, e);
     match action {
         StructAction::Alloc { .. } => {
-            unreachable!("allocations are resolved on the coordinator")
+            unreachable!("allocations are resolved by the firing worker or the coordinator")
         }
-        StructAction::Fetch { ptr, idx, dests } => {
-            for (rtag, port) in dests {
+        StructAction::Fetch { tag, ptr, idx } => {
+            for (rtag, port) in continuation(program, tag) {
                 let before = if traced {
                     shard
                         .store(ptr.id)
-                        .ok_or_else(|| fail(dangling(tag, ptr)))?
-                        .presence(Addr(idx))
-                        .map_err(|e| fail(e.into()))?
+                        .ok_or_else(|| dangling(tag, ptr))?
+                        .presence(Addr(idx))?
                 } else {
                     Presence::Empty
                 };
                 let outcome = shard
                     .read(ptr.id, Addr(idx), (rtag, port))
-                    .ok_or_else(|| fail(dangling(tag, ptr)))?
-                    .map_err(|e| fail(e.into()))?;
+                    .ok_or_else(|| dangling(tag, ptr))??;
                 match outcome {
                     ReadOutcome::Value(v) => {
-                        *immediate += 1;
-                        out.tokens.push(Token::new(rtag, port, v));
-                        if traced {
-                            out.traces.push(
-                                now,
-                                TraceEvent::IStoreRead {
-                                    module: ptr.id,
-                                    immediate: true,
-                                },
-                            );
-                        }
+                        counts.immediate += 1;
+                        out.emit(rtag, port, v);
+                        note(TraceEvent::IStoreRead {
+                            module: ptr.id,
+                            immediate: true,
+                        });
                     }
                     ReadOutcome::Deferred => {
-                        *deferred += 1;
+                        counts.deferred += 1;
                         if traced {
-                            out.traces.push(
-                                now,
-                                TraceEvent::IStoreRead {
-                                    module: ptr.id,
-                                    immediate: false,
-                                },
-                            );
+                            note(TraceEvent::IStoreRead {
+                                module: ptr.id,
+                                immediate: false,
+                            });
                             let depth = shard
                                 .store(ptr.id)
                                 .expect("structure present")
-                                .deferred_count(Addr(idx))
-                                .map_err(|e| fail(e.into()))?
+                                .deferred_count(Addr(idx))?
                                 as u64;
-                            out.traces.push(
-                                now,
-                                TraceEvent::DeferEnqueue {
-                                    module: ptr.id,
-                                    depth,
-                                },
-                            );
+                            note(TraceEvent::DeferEnqueue {
+                                module: ptr.id,
+                                depth,
+                            });
                             if before != Presence::Deferred {
-                                out.traces.push(
-                                    now,
-                                    TraceEvent::Presence {
-                                        module: ptr.id,
-                                        from: before.as_trace(),
-                                        to: PresenceState::Deferred,
-                                    },
-                                );
+                                note(TraceEvent::Presence {
+                                    module: ptr.id,
+                                    from: before.as_trace(),
+                                    to: PresenceState::Deferred,
+                                });
                             }
                         }
                     }
@@ -1002,55 +978,41 @@ pub(crate) fn apply_one(
             }
         }
         StructAction::Store {
+            tag,
             ptr,
             idx,
             value,
-            dests,
         } => {
             let before = if traced {
                 shard
                     .store(ptr.id)
-                    .ok_or_else(|| fail(dangling(tag, ptr)))?
-                    .presence(Addr(idx))
-                    .map_err(|e| fail(e.into()))?
+                    .ok_or_else(|| dangling(tag, ptr))?
+                    .presence(Addr(idx))?
             } else {
                 Presence::Empty
             };
-            // Released readers stream straight into the reply's token
-            // buffer (the packed store's zero-allocation release path).
-            let tokens = &mut out.tokens;
+            // Released readers stream straight to `out` (the packed
+            // store's zero-allocation release path).
             let released = shard
                 .write_with(ptr.id, Addr(idx), value, |(rtag, port)| {
-                    tokens.push(Token::new(rtag, port, value));
+                    out.emit(rtag, port, value);
                 })
-                .ok_or_else(|| fail(dangling(tag, ptr)))?
-                .map_err(|e| fail(e.into()))?;
-            *writes += 1;
-            if traced {
-                out.traces
-                    .push(now, TraceEvent::IStoreWrite { module: ptr.id });
-                out.traces.push(
-                    now,
-                    TraceEvent::Presence {
-                        module: ptr.id,
-                        from: before.as_trace(),
-                        to: PresenceState::Present,
-                    },
-                );
-                if released > 0 {
-                    out.traces.push(
-                        now,
-                        TraceEvent::DeferRelease {
-                            module: ptr.id,
-                            released: released as u64,
-                        },
-                    );
-                }
+                .ok_or_else(|| dangling(tag, ptr))??;
+            counts.writes += 1;
+            note(TraceEvent::IStoreWrite { module: ptr.id });
+            note(TraceEvent::Presence {
+                module: ptr.id,
+                from: before.as_trace(),
+                to: PresenceState::Present,
+            });
+            if released > 0 {
+                note(TraceEvent::DeferRelease {
+                    module: ptr.id,
+                    released: released as u64,
+                });
             }
-            for (rtag, port) in dests {
-                out.tokens.push(Token::new(rtag, port, Value::Unit));
-            }
+            deliver(program, tag, Value::Unit, out);
         }
     }
-    Ok(out)
+    Ok(())
 }

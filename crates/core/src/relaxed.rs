@@ -49,8 +49,10 @@
 //! therefore flush, per batch cycle, **ops to every peer first, tokens
 //! second**, and dispatch a firing's own op before routing its tokens.
 //! Each hop is an mpsc send, and sends ordered by happens-before
-//! enqueue in that order at the receiver, so the create/store is always
-//! applied before the dependent fetch arrives.
+//! enqueue in that order at the receiver, so the create is always
+//! applied before the dependent fetch arrives. A store's completion
+//! signal is sent by the owning shard only once the store is applied,
+//! so nothing it unlocks can overtake the store.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -64,10 +66,10 @@ use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
-use crate::exec::{absorb, execute, StructAction};
+use crate::exec::{absorb, deliver, execute, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
-use crate::par::{apply_one, worker_of, StructOp};
+use crate::par::{apply_one, worker_of, IsCounts};
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
@@ -98,7 +100,7 @@ enum Msg {
 /// or apply a fetch/store.
 enum ShardOp {
     Create { id: u32, len: usize },
-    Op(StructOp),
+    Op(StructAction),
 }
 
 /// State shared by all workers of one relaxed run.
@@ -146,9 +148,7 @@ struct WorkerOut {
     /// Peak and final deferred-reader counts of this worker's shard.
     peak_deferred: usize,
     deferred_outstanding: usize,
-    istore_immediate: u64,
-    istore_deferred: u64,
-    istore_writes: u64,
+    istore: IsCounts,
     traces: EventBuffer,
 }
 
@@ -170,9 +170,11 @@ pub(crate) fn submit(
     let mut seeds: Vec<Vec<Token>> = (0..threads).map(|_| Vec::new()).collect();
     let mut nseeds = 0usize;
     for job in jobs {
-        let block = program.block(job.block).ok_or(ExecError::BadTarget {
-            activity: job.block.to_string(),
-        })?;
+        let block = program
+            .block(job.block)
+            .ok_or_else(|| ExecError::BadTarget {
+                activity: job.block.to_string(),
+            })?;
         if job.inputs.len() != block.params.len() {
             return Err(ExecError::InputArity {
                 expected: block.params.len(),
@@ -269,9 +271,9 @@ pub(crate) fn submit(
         result.alu_ops += o.alu_ops;
         result.peak_matching += o.peak_matching;
         result.peak_deferred += o.peak_deferred;
-        result.istore_immediate += o.istore_immediate;
-        result.istore_deferred += o.istore_deferred;
-        result.istore_writes += o.istore_writes;
+        result.istore_immediate += o.istore.immediate;
+        result.istore_deferred += o.istore.deferred;
+        result.istore_writes += o.istore.writes;
         if let Some(s) = &sink {
             o.traces.replay_into(s);
         }
@@ -299,6 +301,9 @@ struct Worker<'a, 'p> {
     /// at priority 0); a criticality-bucketed priority queue under
     /// [`SchedPolicy::Crit`].
     local: BucketQueue<Token>,
+    /// Tokens of the firing or structure op in progress, routed before
+    /// the next one emits (the storage is reused).
+    scratch: Vec<Token>,
     /// Outbound batches, one slot per peer (own slots stay empty — own
     /// work is dispatched inline).
     obufs: Vec<Vec<ShardOp>>,
@@ -321,6 +326,7 @@ fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<M
         struct_next: 0,
         struct_end: 0,
         local: BucketQueue::new(),
+        scratch: Vec::new(),
         obufs: (0..threads).map(|_| Vec::new()).collect(),
         tbufs: (0..threads).map(|_| Vec::new()).collect(),
         peers,
@@ -331,9 +337,7 @@ fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<M
             stranded: 0,
             peak_deferred: 0,
             deferred_outstanding: 0,
-            istore_immediate: 0,
-            istore_deferred: 0,
-            istore_writes: 0,
+            istore: IsCounts::default(),
             traces: EventBuffer::new(),
         },
     };
@@ -398,24 +402,27 @@ impl Worker<'_, '_> {
         }
     }
 
+    /// Routes and empties [`Worker::scratch`], keeping its storage.
+    fn route_scratch(&mut self) {
+        let mut tokens = std::mem::take(&mut self.scratch);
+        for t in tokens.drain(..) {
+            self.route(t);
+        }
+        self.scratch = tokens;
+    }
+
     /// Dispatches a structure op to its owning shard — inline when this
     /// worker owns the structure, batched otherwise.
-    fn dispatch_op(&mut self, tag: ActivityName, action: StructAction) {
-        let ptr_id = match &action {
-            StructAction::Fetch { ptr, .. } | StructAction::Store { ptr, .. } => ptr.id,
-            StructAction::Alloc { .. } => unreachable!("allocations are resolved by the firer"),
+    fn dispatch_op(&mut self, action: StructAction) {
+        let (StructAction::Fetch { ptr, .. } | StructAction::Store { ptr, .. }) = action else {
+            unreachable!("allocations are resolved by the firer");
         };
-        let op = StructOp {
-            index: 0,
-            tag,
-            action,
-        };
-        let owner = shard_of(ptr_id, self.shared.threads);
+        let owner = shard_of(ptr.id, self.shared.threads);
         if owner == self.me {
-            self.apply_op(op);
+            self.apply_op(action);
         } else {
             self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            self.obufs[owner].push(ShardOp::Op(op));
+            self.obufs[owner].push(ShardOp::Op(action));
         }
     }
 
@@ -431,31 +438,30 @@ impl Worker<'_, '_> {
     }
 
     /// Applies one fetch/store against the local shard, routing any
-    /// produced tokens (fetched values, released readers).
-    fn apply_op(&mut self, op: StructOp) {
+    /// produced tokens (fetched values, released readers, the store's
+    /// completion signal).
+    fn apply_op(&mut self, action: StructAction) {
         let res = apply_one(
+            self.shared.program,
             &mut self.shard,
-            op,
+            action,
             Cycle::ZERO,
-            self.shared.traced,
-            &mut self.out.istore_immediate,
-            &mut self.out.istore_deferred,
-            &mut self.out.istore_writes,
+            &mut self.out.istore,
+            &mut self.scratch,
+            self.shared.traced.then_some(&mut self.out.traces),
         );
         match res {
-            Ok(out) => {
-                for (c, ev) in out.traces.events() {
-                    self.out.traces.push(*c, *ev);
-                }
-                for t in out.tokens {
-                    self.route(t);
-                }
+            Ok(()) => {
+                self.route_scratch();
                 self.out.peak_deferred = self
                     .out
                     .peak_deferred
                     .max(self.shard.deferred_outstanding());
             }
-            Err((_, e)) => self.shared.fail(e),
+            Err(e) => {
+                self.scratch.clear();
+                self.shared.fail(e);
+            }
         }
     }
 
@@ -486,7 +492,7 @@ impl Worker<'_, '_> {
             }
         };
         self.out.peak_matching = self.out.peak_matching.max(self.waiting.len());
-        let Some((tag, operands)) = enabled else {
+        let Some((tag, operands, instr)) = enabled else {
             let occupancy = self.waiting.len() as u64;
             self.trace(TraceEvent::MatchWait {
                 pe: self.me as u32,
@@ -494,13 +500,15 @@ impl Worker<'_, '_> {
             });
             return;
         };
-        let instr = self
-            .shared
-            .program
-            .block(tag.c)
-            .and_then(|b| b.instr(tag.s))
-            .expect("absorb resolved the instruction");
-        let mut eff = match execute(self.shared.program, &mut self.wctx, tag, instr, &operands) {
+        let program = self.shared.program;
+        let eff = match execute(
+            program,
+            &mut self.wctx,
+            tag,
+            instr,
+            &operands,
+            &mut self.scratch,
+        ) {
             Ok(eff) => eff,
             Err(e) => {
                 self.shared.fail(e);
@@ -509,6 +517,7 @@ impl Worker<'_, '_> {
         };
         let fired = self.shared.fired.fetch_add(1, Ordering::SeqCst) + 1;
         if fired > self.shared.fuel {
+            self.scratch.clear();
             self.shared.fail(ExecError::OutOfFuel);
             return;
         }
@@ -520,55 +529,27 @@ impl Worker<'_, '_> {
             alu: eff.is_alu,
             busy: 0,
         });
-        if let Some((slot, v)) = eff.output.take() {
+        if let Some((slot, v)) = eff.output {
             self.out.outputs.insert(slot, v);
         }
         // Dispatch the structure op *before* routing any token of this
         // firing: a consumer reached through a token may issue a
         // dependent op, and the dependency must already be in the
         // owner's queue (see the module docs on causality).
-        match eff.action.take() {
+        match eff.action {
             None => {}
-            Some(StructAction::Alloc { len, dests }) => {
+            Some(StructAction::Alloc { tag, len }) => {
                 let id = self.take_struct_id();
                 self.dispatch_create(id, len);
                 let p = Value::Ptr(StructRef {
                     id,
                     len: len as u32,
                 });
-                for (rtag, port) in dests {
-                    self.route(Token::new(rtag, port, p));
-                }
+                deliver(program, tag, p, &mut self.scratch);
             }
-            Some(StructAction::Fetch { ptr, idx, dests }) => {
-                self.dispatch_op(tag, StructAction::Fetch { ptr, idx, dests });
-            }
-            Some(StructAction::Store {
-                ptr,
-                idx,
-                value,
-                dests,
-            }) => {
-                // The completion signal is emitted here, by the firer:
-                // the op is flushed before the token, so a fetch the
-                // signal unlocks cannot overtake the store.
-                self.dispatch_op(
-                    tag,
-                    StructAction::Store {
-                        ptr,
-                        idx,
-                        value,
-                        dests: Vec::new(),
-                    },
-                );
-                for (rtag, port) in dests {
-                    self.route(Token::new(rtag, port, Value::Unit));
-                }
-            }
+            Some(action) => self.dispatch_op(action),
         }
-        for t in std::mem::take(&mut eff.tokens) {
-            self.route(t);
-        }
+        self.route_scratch();
     }
 
     /// Flushes outbound batches: ops to every peer first, then tokens —

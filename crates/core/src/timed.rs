@@ -23,7 +23,7 @@ use ttda_sim::{Cycle, EventQueue};
 use ttda_trace::{PresenceState, SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
-use crate::exec::{absorb, execute, Continuation, StructAction};
+use crate::exec::{absorb, continuation, deliver, execute, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
 use crate::sched::{env_sched, BucketQueue, CritMap, SchedPolicy};
@@ -427,6 +427,9 @@ impl<T: Topology> TimedMachine<T> {
         let mut next_struct: u32 = 0;
         let mut outputs = HashMap::new();
         let mut q: EventQueue<Ev> = EventQueue::new();
+        // Every firing and structure reply emits into this one buffer,
+        // which is routed and drained before the next emits.
+        let mut scratch: Vec<Token> = Vec::new();
 
         let mut instructions: u64 = 0;
         let mut alu_ops: u64 = 0;
@@ -444,9 +447,12 @@ impl<T: Topology> TimedMachine<T> {
         // fresh root context.
         for job in jobs {
             let (block_id, inputs) = (&job.block, &job.inputs);
-            let block = self.program.block(*block_id).ok_or(ExecError::BadTarget {
-                activity: block_id.to_string(),
-            })?;
+            let block = self
+                .program
+                .block(*block_id)
+                .ok_or_else(|| ExecError::BadTarget {
+                    activity: block_id.to_string(),
+                })?;
             if inputs.len() != block.params.len() {
                 return Err(ExecError::InputArity {
                     expected: block.params.len(),
@@ -512,23 +518,15 @@ impl<T: Topology> TimedMachine<T> {
                             );
                         }
                     }
-                    if let Some((tag, ops)) = enabled {
-                        let instr = self
-                            .program
-                            .block(tag.c)
-                            .and_then(|b| b.instr(tag.s))
-                            .ok_or_else(|| ExecError::BadTarget {
-                                activity: tag.to_string(),
-                            })?
-                            .clone();
+                    if let Some((tag, ops, instr)) = enabled {
                         instructions += 1;
-                        let eff = execute(&self.program, &mut ctx, tag, &instr, &ops)?;
+                        let eff = execute(&self.program, &mut ctx, tag, instr, &ops, &mut scratch)?;
                         busy += cfg.alu_time;
                         if eff.is_alu {
                             alu_ops += 1;
                             pes[pe].alu_busy += cfg.alu_time;
                         }
-                        let emit_count = eff.tokens.len() as u64;
+                        let emit_count = scratch.len() as u64;
                         busy += cfg.output_time.saturating_mul(emit_count);
                         let done = now + busy;
                         trace(
@@ -539,24 +537,13 @@ impl<T: Topology> TimedMachine<T> {
                                 busy: busy.as_u64(),
                             },
                         );
-
-                        for t in eff.tokens {
-                            let dest = self.pe_of(t.tag);
-                            trace(done, &TraceEvent::TokenEmit { pe: dest as u32 });
-                            if dest == pe {
-                                q.push(done + cfg.local_delay, Ev::Deliver { pe: dest, token: t });
-                            } else {
-                                tokens_remote += 1;
-                                let arrive = self.fabric.send(done, NodeId(pe), NodeId(dest));
-                                q.push(arrive, Ev::Deliver { pe: dest, token: t });
-                            }
-                        }
+                        self.route_all(&mut q, done, pe, &mut scratch, &mut tokens_remote);
                         if let Some((slot, v)) = eff.output {
                             outputs.insert(slot, v);
                         }
                         if let Some(action) = eff.action {
                             match action {
-                                StructAction::Alloc { len, dests } => {
+                                StructAction::Alloc { tag, len } => {
                                     // Allocation is a controller (d=2) job
                                     // at the firing PE.
                                     let ptr = Value::Ptr(StructRef {
@@ -564,12 +551,12 @@ impl<T: Topology> TimedMachine<T> {
                                         len: len as u32,
                                     });
                                     next_struct += 1;
-                                    self.route_value(
+                                    deliver(&self.program, tag, ptr, &mut scratch);
+                                    self.route_all(
                                         &mut q,
                                         done,
                                         pe,
-                                        ptr,
-                                        &dests,
+                                        &mut scratch,
                                         &mut tokens_remote,
                                     );
                                 }
@@ -600,7 +587,7 @@ impl<T: Topology> TimedMachine<T> {
                     }
                 }
                 Ev::IsOp { module, action } => match action {
-                    StructAction::Fetch { ptr, idx, dests } => {
+                    StructAction::Fetch { tag, ptr, idx } => {
                         let (local, size) = self.local_slot(ptr, idx);
                         let m = &mut modules[module];
                         let start = now.max(m.port_free);
@@ -628,10 +615,11 @@ impl<T: Topology> TimedMachine<T> {
                                     immediate: true,
                                 },
                             );
-                            self.route_value(&mut q, done, module, v, &dests, &mut tokens_remote);
+                            deliver(&self.program, tag, v, &mut scratch);
+                            self.route_all(&mut q, done, module, &mut scratch, &mut tokens_remote);
                         } else {
                             is_deferred += 1;
-                            for reader in dests {
+                            for reader in continuation(&self.program, tag) {
                                 m.store
                                     .read(ptr.id, local, reader)
                                     .expect("just ensured")
@@ -672,10 +660,10 @@ impl<T: Topology> TimedMachine<T> {
                         }
                     }
                     StructAction::Store {
+                        tag,
                         ptr,
                         idx,
                         value,
-                        dests,
                     } => {
                         let (local, size) = self.local_slot(ptr, idx);
                         let m = &mut modules[module];
@@ -729,27 +717,14 @@ impl<T: Topology> TimedMachine<T> {
                         // Released readers stream straight to the router
                         // (the packed store's zero-allocation release).
                         m.store
-                            .write_with(ptr.id, local, value, |(tag, port)| {
-                                self.route_one(
-                                    &mut q,
-                                    done,
-                                    module,
-                                    value,
-                                    tag,
-                                    port,
-                                    &mut tokens_remote,
-                                );
+                            .write_with(ptr.id, local, value, |(rtag, port)| {
+                                let token = Token::new(rtag, port, value);
+                                self.route_one(&mut q, done, module, token, &mut tokens_remote);
                             })
                             .expect("just ensured")
                             .map_err(|e| globalize(e, ptr, idx))?;
-                        self.route_value(
-                            &mut q,
-                            done,
-                            module,
-                            Value::Unit,
-                            &dests,
-                            &mut tokens_remote,
-                        );
+                        deliver(&self.program, tag, Value::Unit, &mut scratch);
+                        self.route_all(&mut q, done, module, &mut scratch, &mut tokens_remote);
                     }
                     StructAction::Alloc { .. } => unreachable!("alloc handled at the PE"),
                 },
@@ -797,37 +772,33 @@ impl<T: Topology> TimedMachine<T> {
         })
     }
 
-    /// Routes `value` from `from` to each continuation slot.
-    fn route_value(
+    /// Routes every token of `tokens` from `from`, in order, leaving
+    /// `tokens` empty with its storage kept.
+    fn route_all(
         &mut self,
         q: &mut EventQueue<Ev>,
         at: Cycle,
         from: usize,
-        value: Value,
-        dests: &Continuation,
+        tokens: &mut Vec<Token>,
         tokens_remote: &mut u64,
     ) {
-        for &(tag, port) in dests {
-            self.route_one(q, at, from, value, tag, port, tokens_remote);
+        for token in tokens.drain(..) {
+            self.route_one(q, at, from, token, tokens_remote);
         }
     }
 
-    /// Routes a single token — the streaming unit [`route_value`]
-    /// iterates, and the zero-allocation release path of the packed
-    /// store invokes directly per released reader.
-    #[allow(clippy::too_many_arguments)]
+    /// Routes a single token — the unit [`Self::route_all`] iterates,
+    /// and the zero-allocation release path of the packed store invokes
+    /// directly per released reader.
     fn route_one(
         &mut self,
         q: &mut EventQueue<Ev>,
         at: Cycle,
         from: usize,
-        value: Value,
-        tag: ActivityName,
-        port: Port,
+        token: Token,
         tokens_remote: &mut u64,
     ) {
-        let pe = self.pe_of(tag);
-        let token = Token::new(tag, port, value);
+        let pe = self.pe_of(token.tag);
         if let Some(s) = &self.sink {
             s.borrow_mut()
                 .record(at, &TraceEvent::TokenEmit { pe: pe as u32 });

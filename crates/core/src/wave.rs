@@ -16,6 +16,7 @@
 
 use std::cmp::Reverse;
 
+use crate::exec::Emit;
 use crate::sched::CritMap;
 use crate::tag::{ActivityName, Port, Token};
 use crate::value::Value;
@@ -49,6 +50,13 @@ impl Wave {
         self.tags.push(tag);
         self.ports.push(port);
         self.values.push(value);
+    }
+
+    /// Empties the wave, keeping its storage for the next one.
+    pub(crate) fn clear(&mut self) {
+        self.tags.clear();
+        self.ports.clear();
+        self.values.clear();
     }
 
     /// Appends an interchange [`Token`].
@@ -120,6 +128,12 @@ impl Wave {
         self.tags = order.iter().map(|&i| self.tags[i as usize]).collect();
         self.ports = order.iter().map(|&i| self.ports[i as usize]).collect();
         self.values = order.iter().map(|&i| self.values[i as usize]).collect();
+    }
+}
+
+impl Emit for Wave {
+    fn emit(&mut self, tag: ActivityName, port: Port, value: Value) {
+        self.push(tag, port, value);
     }
 }
 

@@ -352,3 +352,103 @@ fn loop_bound_forces_the_sequential_backend() {
         );
     }
 }
+
+/// `g(x) = if x < 1 then 1 else { r = g(x - 1); r * 2 + r }` (so
+/// `g(x) = 3^x`), called once per iteration of a loop in `main` that
+/// keeps two sums of the call's result. Both the recursive call's and
+/// the loop's call result fan out to two consumers, and the loop calls
+/// from iterations 1..=n, so the `Return` must find the caller's
+/// `Apply` and restore the caller's iteration.
+fn call_fanout_program() -> ttda::core::Program {
+    use ttda::core::{AluOp, CmpOp, CodeBlockId, GraphBuilder, OpCode};
+
+    let mut g = GraphBuilder::new("main");
+    let callee = g.begin_block("g");
+    let x = g.param();
+    let base = g.instr_lit(OpCode::Cmp(CmpOp::Lt), 1, Value::Int(1));
+    g.wire(x, base, 0);
+    let sw = g.instr(OpCode::Switch);
+    g.wire(x, sw, 0).wire(base, sw, 1);
+    let one = g.lit(Value::Int(1));
+    let ret_base = g.instr(OpCode::Return);
+    g.wire_true(sw, one, 0).wire(one, ret_base, 0);
+    let dec = g.instr_lit(OpCode::Alu(AluOp::Sub), 1, Value::Int(1));
+    g.wire_false(sw, dec, 0);
+    let rec = g.instr(OpCode::Apply { callee, argc: 1 });
+    let twice = g.instr_lit(OpCode::Alu(AluOp::Mul), 1, Value::Int(2));
+    let sum = g.instr(OpCode::Alu(AluOp::Add));
+    let ret = g.instr(OpCode::Return);
+    g.wire(dec, rec, 0).wire(rec, twice, 0).wire(rec, sum, 1);
+    g.wire(twice, sum, 0).wire(sum, ret, 0);
+
+    g.select_block(CodeBlockId(0));
+    let n = g.param();
+    let zero_a = g.lit(Value::Int(0));
+    let zero_b = g.lit(Value::Int(0));
+    let first = g.lit(Value::Int(1));
+    g.wire(n, zero_a, 0).wire(n, zero_b, 0).wire(n, first, 0);
+    let exits = g
+        .dataflow_loop(
+            &[zero_a, zero_b, first, n],
+            |g, tops| {
+                let c = g.instr(OpCode::Cmp(CmpOp::Le));
+                g.wire(tops[2], c, 0).wire(tops[3], c, 1);
+                c
+            },
+            |g, vars| {
+                let call = g.instr(OpCode::Apply { callee, argc: 1 });
+                g.wire(vars[2], call, 0);
+                let a = g.instr(OpCode::Alu(AluOp::Add));
+                g.wire(vars[0], a, 0).wire(call, a, 1);
+                let dbl = g.instr_lit(OpCode::Alu(AluOp::Mul), 1, Value::Int(2));
+                g.wire(call, dbl, 0);
+                let b = g.instr(OpCode::Alu(AluOp::Add));
+                g.wire(vars[1], b, 0).wire(dbl, b, 1);
+                let next = g.instr_lit(OpCode::Alu(AluOp::Add), 1, Value::Int(1));
+                g.wire(vars[2], next, 0);
+                vec![a, b, next, vars[3]]
+            },
+        )
+        .expect("loop builds");
+    let (out_a, out_b) = (g.output(0), g.output(1));
+    g.wire(exits[0], out_a, 0).wire(exits[1], out_b, 0);
+    g.finish_program().expect("program builds")
+}
+
+#[test]
+fn call_linkage_agrees_across_engines() {
+    use ttda::core::RunMode;
+
+    let p = call_fanout_program();
+    let n = 5i64;
+    let sum: i64 = (1..=n as u32).map(|i| 3i64.pow(i)).sum();
+    let want = [Value::Int(sum), Value::Int(2 * sum)];
+    let inputs = [Value::Int(n)];
+    let check = |engine: &str, outs: &std::collections::HashMap<u32, Value>| {
+        assert_eq!([outs[&0], outs[&1]], want, "{engine}");
+    };
+
+    let seq = Emulator::new(&p)
+        .with_mode(RunMode::Sequential)
+        .run(&inputs)
+        .expect("sequential runs");
+    check("sequential", &seq.outputs);
+    let det = Emulator::new(&p)
+        .with_threads(4)
+        .with_mode(RunMode::Deterministic)
+        .run(&inputs)
+        .expect("deterministic runs");
+    assert_eq!(det, seq, "deterministic x4 diverged from sequential");
+    let relaxed = Emulator::new(&p)
+        .with_threads(2)
+        .relaxed()
+        .run(&inputs)
+        .expect("relaxed runs");
+    check("relaxed x2", &relaxed.outputs);
+    assert_eq!(relaxed.contexts, seq.contexts, "relaxed x2 contexts");
+    let timed = TimedMachine::ideal(p, 4, Cycle(3), TimedConfig::default())
+        .run(&inputs)
+        .expect("timed runs");
+    check("timed", &timed.outputs);
+    assert_eq!(timed.stats.contexts, seq.contexts, "timed contexts");
+}
