@@ -155,16 +155,6 @@ const LEGACY_OVERHEAD: [(&str, [f64; 3]); 2] = [
     ("wavefront", [3.12, 3.78, 4.87]),
 ];
 
-/// How much faster today's sequential interpreter fires than the one
-/// [`LEGACY_OVERHEAD`] was measured against: its firing path stopped
-/// allocating (DESIGN.md §16), which made `matmul` n=5 at O0 2.2–2.6x
-/// faster over five alternating same-host pairs of runs on a 2-core
-/// x86-64 box. The legacy ratios keep that older denominator, so a
-/// check of today's deterministic ratio against the legacy protocol's
-/// *time* scales them by this factor; the table prints them as
-/// recorded.
-const SEQ_SPEEDUP_SINCE_LEGACY: f64 = 2.3;
-
 /// E21: protocol overhead of the decoordinated backends, re-tabling
 /// E16's workloads as honest overhead curves.
 ///
@@ -180,9 +170,12 @@ const SEQ_SPEEDUP_SINCE_LEGACY: f64 = 2.3;
 /// as constants before the rewrite. The claim under test: cutting the
 /// coordinator out of the steady state is where the overhead goes —
 /// the relaxed backend, which removes it entirely, must beat the old
-/// protocol's 1-worker ratio by at least 15%, and on this container it
-/// in fact sits near 1.0 (at times *below* — it also skips the wave
-/// bookkeeping the sequential interpreter pays for).
+/// protocol's 1-worker ratio by at least 15%. Since the sequential
+/// firing path stopped allocating (DESIGN.md §16) the relaxed backend
+/// costs about 1.2–2x the sequential interpreter at one worker, where
+/// it used to sit near 1.0; the legacy ratios keep the older, slower
+/// sequential denominator, so both 1-worker checks have less headroom
+/// than when they were written.
 pub fn e21() -> String {
     let mut out = section(
         "e21",
@@ -235,20 +228,18 @@ pub fn e21() -> String {
                 // The decoordination claim, with margin for a noisy
                 // shared host: removing the coordinator entirely
                 // (relaxed) must beat the old protocol's 1-worker
-                // overhead by >= 15%, even against today's faster
-                // interpreter; the deterministic backend, which keeps
-                // the canonical-order merge, must at least not grossly
-                // regress the old protocol's time.
+                // overhead by >= 15%; the deterministic backend, which
+                // keeps the canonical-order merge, must at least not
+                // grossly regress the old ratio.
                 assert!(
                     rel_ratio < 0.85 * legacy[0],
                     "{name}: relaxed 1-worker ratio {rel_ratio:.2} not below 0.85 x legacy {:.2}",
                     legacy[0]
                 );
-                let legacy_now = legacy[0] * SEQ_SPEEDUP_SINCE_LEGACY;
                 assert!(
-                    det_ratio < 1.75 * legacy_now,
-                    "{name}: det 1-worker ratio {det_ratio:.2} above 1.75 x legacy {legacy_now:.2} \
-                     (in today's sequential units)"
+                    det_ratio < 1.75 * legacy[0],
+                    "{name}: det 1-worker ratio {det_ratio:.2} above 1.75 x legacy {:.2}",
+                    legacy[0]
                 );
             }
             let (det_col, rel_col) = if norm {
