@@ -1,4 +1,5 @@
-//! Criterion bench behind Experiment E21: the parallel wave backends.
+//! Criterion bench behind Experiment E21: the sequential interpreter
+//! against the relaxed parallel backend.
 //! The bodies live in `ttda_bench::suites` so the `experiments
 //! quickbench` subcommand can run the same targets.
 

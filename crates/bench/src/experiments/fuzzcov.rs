@@ -19,7 +19,7 @@ const SEEDS_PER_FAMILY: u64 = 6;
 /// The paper's central claim is schedule-independence: a split-phase
 /// token machine gives the same answer under any interleaving of token
 /// traffic (§2.2–2.3). The fuzzer operationalizes that as an oracle —
-/// sequential emulator, parallel wave backend at 2/4/8 host threads,
+/// sequential emulator, relaxed parallel backend at 2/4/8 host threads,
 /// timed machine and optimizing compiler must all agree on adversarial
 /// workloads (hot-key Zipf skew, deferral cascades, deep tag recursion,
 /// fan-out storms, merged tenants, raw store op-sequences). This table

@@ -1,34 +1,18 @@
 //! E16/E21: host-thread scaling and protocol overhead of the parallel
-//! emulation backends.
+//! emulation backend.
 
 use std::time::Instant;
 
 use ttda_core::{EmuResult, Emulator, Program, RunMode, Value};
 use ttda_sim::table::Table;
+use ttda_workloads::fuzz::oracle::confluent_mismatch;
 use ttda_workloads::{id, reference};
 
 use super::section;
 
-/// Runs `p` under `threads` workers `reps` times; returns the (identical)
-/// result and the best wall-clock seconds observed.
-fn best_of(p: &Program, threads: usize, inputs: &[Value], reps: u32) -> (EmuResult, f64) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = Emulator::new(p)
-            .with_threads(threads)
-            .run(inputs)
-            .expect("runs");
-        best = best.min(t0.elapsed().as_secs_f64());
-        result = Some(r);
-    }
-    (result.expect("reps >= 1"), best)
-}
-
-/// Like [`best_of`] but with the run mode pinned explicitly, so the
-/// measurement is immune to `TTDA_THREADS` / `TTDA_RELAXED` defaults.
-fn best_of_mode(
+/// Runs `p` under `threads` workers in `mode` `reps` times; returns the
+/// last result and the best wall-clock seconds observed.
+fn best_of(
     p: &Program,
     threads: usize,
     mode: RunMode,
@@ -50,19 +34,38 @@ fn best_of_mode(
     (result.expect("reps >= 1"), best)
 }
 
+/// The E16/E21 workloads: Id source, inputs and the checksum answer.
+fn cases() -> [(&'static str, &'static str, Vec<Value>, Value); 2] {
+    [
+        (
+            "matmul",
+            id::matmul(),
+            vec![Value::Int(5)],
+            Value::Int(reference::matmul_checksum(5)),
+        ),
+        (
+            "wavefront",
+            id::wavefront(),
+            vec![Value::Int(12)],
+            Value::Int(reference::wavefront_corner(12)),
+        ),
+    ]
+}
+
 /// E16: speedup vs worker count on the largest Id-compiled workloads.
 ///
 /// The paper's Fig 3-1 development plan rests on an *emulation facility*
 /// of "32 to 128 processors" precisely because a useful dataflow
 /// emulator must itself run in parallel. This experiment drives the
-/// emulator's sharded-wave backend (`Emulator::with_threads`) across
-/// worker counts and checks the two properties that make such a facility
-/// trustworthy: every run is **bit-identical** to the sequential
-/// emulator (results, statistics, parallelism profile — asserted on the
-/// full [`EmuResult`]), and wall-clock time falls as workers are added
-/// *when the host has cores to give them*. On a single-core host the
-/// table still regenerates, honestly showing overhead instead of
-/// speedup; determinism is asserted regardless.
+/// emulator's parallel backend ([`RunMode::Relaxed`]) across worker
+/// counts and checks the two properties that make such a facility
+/// trustworthy: every run keeps exact dataflow semantics — outputs and
+/// the confluent counters (instructions, ALU ops, contexts, structure
+/// writes, total reads) equal the sequential emulator's — and wall-clock
+/// time falls as workers are added *when the host has cores to give
+/// them*. On a small host the table still regenerates, honestly showing
+/// overhead instead of speedup; confluence is asserted regardless. The
+/// parallelism profile itself comes from the sequential interpreter.
 pub fn e16() -> String {
     let mut out = section(
         "e16",
@@ -80,38 +83,22 @@ pub fn e16() -> String {
         out.push_str(&format!("host cores available: {host}\n\n"));
     }
 
-    let cases: [(&str, &str, Vec<Value>, Value); 2] = [
-        (
-            "matmul",
-            id::matmul(),
-            vec![Value::Int(5)],
-            Value::Int(reference::matmul_checksum(5)),
-        ),
-        (
-            "wavefront",
-            id::wavefront(),
-            vec![Value::Int(12)],
-            Value::Int(reference::wavefront_corner(12)),
-        ),
-    ];
-
     let mut t = Table::new(&[
         "workload",
         "threads",
         "best wall",
-        "speedup vs 1",
-        "identical to sequential",
+        "speedup vs seq",
+        "confluent with sequential",
     ]);
-    for (name, src, inputs, expected) in cases {
+    for (name, src, inputs, expected) in cases() {
         let p = ttda_idc::compile(src).expect("compiles");
-        let (seq, base) = best_of(&p, 1, &inputs, 3);
+        let (seq, base) = best_of(&p, 1, RunMode::Sequential, &inputs, 3);
         assert_eq!(seq.outputs[&0], expected, "{name} sequential answer");
         for threads in [1usize, 2, 4, 8] {
-            let (r, secs) = best_of(&p, threads, &inputs, 3);
-            // The whole result — outputs, instruction counts, peak
-            // matching-store occupancy, wave-by-wave profile — must be
-            // byte-identical to the sequential emulator's.
-            assert_eq!(r, seq, "{name} at {threads} threads diverged");
+            let (r, secs) = best_of(&p, threads, RunMode::Relaxed, &inputs, 3);
+            if let Some(why) = confluent_mismatch(&seq, &r) {
+                panic!("{name} relaxed at {threads} threads: {why}");
+            }
             let (wall, speedup) = if norm {
                 ("(normalized)".to_string(), "(normalized)".to_string())
             } else {
@@ -131,13 +118,15 @@ pub fn e16() -> String {
     }
     out.push_str(&t.to_string());
     out.push_str(
-        "\nShape check: every row's result is asserted bit-identical to the sequential\n\
-         emulator — the parallel backend shards the waiting-matching store and\n\
-         I-structure storage by activity-name hash but merges each wave in canonical\n\
-         firing order, so host parallelism is invisible in everything except wall\n\
-         time. Speedup columns are meaningful only when the host grants the worker\n\
-         threads real cores; on a single-core host they honestly report the\n\
-         sharding + merge overhead instead.\n",
+        "\nShape check: every row runs the relaxed parallel backend and is asserted\n\
+         output-equal to the sequential emulator with identical confluent counters\n\
+         (instructions, ALU ops, contexts, structure writes, total reads) — the\n\
+         backend shards the waiting-matching store and I-structure storage by\n\
+         activity-name hash and lets tokens flow between workers with no wave\n\
+         barrier, so only schedule-dependent figures (wave count, occupancy peaks)\n\
+         may differ. Speedup columns are meaningful only when the host grants the\n\
+         worker threads real cores; on a small host they honestly report the\n\
+         sharding and channel overhead instead.\n",
     );
     out
 }
@@ -155,61 +144,39 @@ const LEGACY_OVERHEAD: [(&str, [f64; 3]); 2] = [
     ("wavefront", [3.12, 3.78, 4.87]),
 ];
 
-/// E21: protocol overhead of the decoordinated backends, re-tabling
-/// E16's workloads as honest overhead curves.
+/// E21: protocol overhead of the parallel backend, re-tabling E16's
+/// workloads as honest overhead curves.
 ///
-/// E16 reports speedup-vs-threads, which on a single-core host degrades
-/// into noise around 1.0 with the overhead hidden in the baseline. This
-/// experiment measures what the parallel protocols *cost*: wall clock
-/// at each worker count over the same-run sequential interpreter
-/// (lower is better; 1.0 means the backend is free). Three arms per
-/// workload — the deterministic backend (leased id ranges, batched
-/// shard traffic, work stealing, canonical-order merge), the relaxed
-/// backend (no coordinator at all, outputs equal but merge order
-/// unspecified), and the pre-decoordination protocol's ratios recorded
-/// as constants before the rewrite. The claim under test: cutting the
-/// coordinator out of the steady state is where the overhead goes —
-/// the relaxed backend, which removes it entirely, must beat the old
-/// protocol's 1-worker ratio by at least 15%. Since the sequential
+/// E16 reports speedup against the sequential interpreter, which on a
+/// small host hides the overhead in the baseline. This experiment
+/// measures what the parallel protocol *costs*: wall clock at each
+/// worker count over the same-run sequential interpreter (lower is
+/// better; 1.0 means the backend is free). Two arms per workload — the
+/// relaxed backend (no coordinator at all, outputs equal but firing
+/// order unspecified), and the pre-decoordination protocol's ratios
+/// recorded as constants before it was rewritten. The claim under test:
+/// cutting the coordinator out of the steady state is where the overhead
+/// goes — the relaxed backend, which removes it entirely, must beat the
+/// old protocol's 1-worker ratio by at least 15%. Since the sequential
 /// firing path stopped allocating (DESIGN.md §16) the relaxed backend
-/// costs about 1.2–2x the sequential interpreter at one worker, where
-/// it used to sit near 1.0; the legacy ratios keep the older, slower
-/// sequential denominator, so both 1-worker checks have less headroom
-/// than when they were written.
+/// costs about 1.2–2x the sequential interpreter at one worker, where it
+/// used to sit near 1.0; the legacy ratios keep the older, slower
+/// sequential denominator, so the 1-worker check has less headroom than
+/// when it was written.
 pub fn e21() -> String {
     let mut out = section(
         "e21",
-        "Coordinator overhead of the parallel backends",
+        "Coordinator overhead of the parallel backend",
         "\"the processors in the dataflow machine do not execute any synchronization \
          or scheduling code\" (§4): whatever coordination the *emulator* adds on top \
          of pure firing work is overhead the architecture exists to avoid, so the \
          backend must shed it",
     );
     let norm = crate::normalized();
-    let cases: [(&str, &str, Vec<Value>, Value); 2] = [
-        (
-            "matmul",
-            id::matmul(),
-            vec![Value::Int(5)],
-            Value::Int(reference::matmul_checksum(5)),
-        ),
-        (
-            "wavefront",
-            id::wavefront(),
-            vec![Value::Int(12)],
-            Value::Int(reference::wavefront_corner(12)),
-        ),
-    ];
-    let mut t = Table::new(&[
-        "workload",
-        "threads",
-        "det ratio",
-        "legacy ratio",
-        "relaxed ratio",
-    ]);
-    for (name, src, inputs, expected) in cases {
+    let mut t = Table::new(&["workload", "threads", "legacy ratio", "relaxed ratio"]);
+    for (name, src, inputs, expected) in cases() {
         let p = ttda_idc::compile(src).expect("compiles");
-        let (seq, base) = best_of_mode(&p, 1, RunMode::Sequential, &inputs, 5);
+        let (seq, base) = best_of(&p, 1, RunMode::Sequential, &inputs, 5);
         assert_eq!(seq.outputs[&0], expected, "{name} sequential answer");
         let legacy = LEGACY_OVERHEAD
             .iter()
@@ -217,40 +184,29 @@ pub fn e21() -> String {
             .map(|(_, r)| r)
             .expect("legacy constants cover every case");
         for (k, threads) in [1usize, 2, 4].into_iter().enumerate() {
-            let (det, det_secs) = best_of_mode(&p, threads, RunMode::Deterministic, &inputs, 5);
-            assert_eq!(det, seq, "{name} det at {threads} threads diverged");
-            let (rel, rel_secs) = best_of_mode(&p, threads, RunMode::Relaxed, &inputs, 5);
-            assert_eq!(rel.outputs, seq.outputs, "{name} relaxed outputs");
-            assert_eq!(rel.instructions, seq.instructions, "{name} relaxed firings");
-            let det_ratio = det_secs / base;
+            let (rel, rel_secs) = best_of(&p, threads, RunMode::Relaxed, &inputs, 5);
+            if let Some(why) = confluent_mismatch(&seq, &rel) {
+                panic!("{name} relaxed at {threads} threads: {why}");
+            }
             let rel_ratio = rel_secs / base;
             if !norm && threads == 1 {
                 // The decoordination claim, with margin for a noisy
-                // shared host: removing the coordinator entirely
-                // (relaxed) must beat the old protocol's 1-worker
-                // overhead by >= 15%; the deterministic backend, which
-                // keeps the canonical-order merge, must at least not
-                // grossly regress the old ratio.
+                // shared host: removing the coordinator entirely must
+                // beat the old protocol's 1-worker overhead by >= 15%.
                 assert!(
                     rel_ratio < 0.85 * legacy[0],
                     "{name}: relaxed 1-worker ratio {rel_ratio:.2} not below 0.85 x legacy {:.2}",
                     legacy[0]
                 );
-                assert!(
-                    det_ratio < 1.75 * legacy[0],
-                    "{name}: det 1-worker ratio {det_ratio:.2} above 1.75 x legacy {:.2}",
-                    legacy[0]
-                );
             }
-            let (det_col, rel_col) = if norm {
-                ("(normalized)".to_string(), "(normalized)".to_string())
+            let rel_col = if norm {
+                "(normalized)".to_string()
             } else {
-                (format!("{det_ratio:.2}x"), format!("{rel_ratio:.2}x"))
+                format!("{rel_ratio:.2}x")
             };
             t.row_owned(vec![
                 name.into(),
                 threads.to_string(),
-                det_col,
                 format!("{:.2}x", legacy[k]),
                 rel_col,
             ]);
@@ -260,12 +216,14 @@ pub fn e21() -> String {
     out.push_str(
         "\nShape check: ratios are wall clock over the same-run sequential interpreter\n\
          (lower is better; the legacy column is the pre-decoordination protocol\n\
-         measured on the reference container before the rewrite). On a single-core\n\
-         host the deterministic columns honestly show the remaining price of the\n\
-         bit-identical merge, while the relaxed backend — no coordinator, no wave\n\
-         barrier, no index-ordered merge — runs within noise of the sequential\n\
-         interpreter at one worker. Outputs are asserted bit-identical (det) or\n\
-         output-equal with confluent firing counts (relaxed) on every row.\n",
+         measured on the reference container before the rewrite). At one worker the\n\
+         relaxed backend — no coordinator, no wave barrier, no ordered merge — costs\n\
+         about 1.2-2x the allocation-free sequential interpreter, under the legacy\n\
+         protocol's 2.7-3.1x by more than the 15% the check requires. Each added\n\
+         worker costs more than it returns on a 2-core host (about 2.7-3.8x at 2\n\
+         workers, 5-6.5x at 4): shard channels and the sleep-and-poll quiescence\n\
+         check are paid per worker, and the firing work is too fine-grained to hide\n\
+         them. Every row is asserted output-equal with confluent counters.\n",
     );
     out
 }
@@ -273,6 +231,7 @@ pub fn e21() -> String {
 #[cfg(test)]
 mod tests {
     use ttda_core::{Emulator, Value};
+    use ttda_workloads::fuzz::oracle::confluent_mismatch;
     use ttda_workloads::{id, reference};
 
     #[test]
@@ -296,7 +255,7 @@ mod tests {
                     .with_threads(threads)
                     .run(&inputs)
                     .unwrap();
-                assert_eq!(par, seq, "threads={threads}");
+                assert_eq!(confluent_mismatch(&seq, &par), None, "threads={threads}");
             }
         }
     }
@@ -318,7 +277,7 @@ mod tests {
                 .with_threads(threads)
                 .submit(&jobs)
                 .unwrap();
-            assert_eq!(par, seq, "threads={threads}");
+            assert_eq!(confluent_mismatch(&seq, &par), None, "threads={threads}");
         }
     }
 }

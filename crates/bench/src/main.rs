@@ -4,7 +4,6 @@
 //! ```text
 //! cargo run --release -p ttda-bench --bin experiments -- all
 //! cargo run --release -p ttda-bench --bin experiments -- e7 e12
-//! cargo run --release -p ttda-bench --bin experiments -- e16 --threads 4
 //! cargo run --release -p ttda-bench --bin experiments -- trace producer-consumer
 //! cargo run --release -p ttda-bench --bin experiments -- trace all --out target/traces
 //! cargo run --release -p ttda-bench --bin experiments -- all --normalize
@@ -16,12 +15,6 @@
 //! cargo run --release -p ttda-bench --bin experiments -- fuzz --seed 1 --iters 500
 //! cargo run --release -p ttda-bench --bin experiments -- fuzz --budget-ms 60000 --out target/fuzz-divergence.txt
 //! ```
-//!
-//! `--threads N` selects how many host worker threads every emulator run
-//! uses (`0` = one per core); it applies to both subcommands by setting
-//! `TTDA_THREADS`, which `Emulator::new` reads. Explicit
-//! `with_threads(…)` calls inside an experiment (e16's sweep) still
-//! override it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,8 +30,8 @@ use ttda_bench::{run_experiment, suites, EXPERIMENT_IDS};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: experiments <id>... | all [--threads N] [--normalize]\n       ids: {}\n\
-         \n       experiments trace <scenario>... | all [--out DIR] [--threads N]\n       scenarios: {}\n\
+        "usage: experiments <id>... | all [--normalize]\n       ids: {}\n\
+         \n       experiments trace <scenario>... | all [--out DIR]\n       scenarios: {}\n\
          \n       experiments quickbench [--suites matching,istore,service,par,opt,sched,endtoend] [--out FILE] [--check BASELINE]\n\
          \n                              [--istore-out FILE] [--istore-check BASELINE]\n\
          \n                              [--service-out FILE] [--service-check BASELINE]\n\
@@ -48,7 +41,6 @@ fn usage() -> ExitCode {
          \n       experiments opt [--out DIR] [--workloads W,X]\n\
          \n       experiments serve [--load L] [--requests N] [--seed S] [--quota Q] [--high-water H]\n\
          \n       experiments fuzz [--seed S] [--iters N] [--budget-ms MS] [--families F,G] [--out FILE]\n\
-         \n       --threads N: emulator host worker threads (0 = one per core)\n\
          \n       --normalize: replace host-dependent numbers with placeholders (stable output)",
         EXPERIMENT_IDS.join(", "),
         TRACE_SCENARIOS.join(", ")
@@ -218,22 +210,21 @@ fn quickbench_main(args: &[String]) -> ExitCode {
         );
         t
     });
-    // The parallel-backend comparison: sequential vs forced-
-    // deterministic vs relaxed on one workload, same process. The gated
-    // number is the 1-worker overhead *ratio*, immune to host drift.
+    // The parallel-backend comparison: sequential vs relaxed at 1/2/4
+    // workers on one workload, same process. The gated number is the
+    // 1-worker overhead *ratio*, immune to host drift.
     let par_throughput = run_par.then(|| {
         println!("-- sequential-vs-parallel backend throughput (E21 kernel)");
         let t = suites::par_throughput(5);
         println!(
-            "seq {:>10.0} firings/s   det1 {:>10.0}   det8 {:>10.0}   relaxed1 {:>10.0}",
+            "seq {:>10.0} firings/s   relaxed1 {:>10.0}   relaxed2 {:>10.0}   relaxed4 {:>10.0}",
             t.seq_firings_per_sec,
-            t.det1_firings_per_sec,
-            t.det8_firings_per_sec,
             t.relaxed1_firings_per_sec,
+            t.relaxed2_firings_per_sec,
+            t.relaxed4_firings_per_sec,
         );
         println!(
-            "det 1-worker overhead ratio {:.2}   relaxed 1-worker ratio {:.2}",
-            t.overhead_ratio_1w(),
+            "relaxed 1-worker overhead ratio {:.2}",
             t.relaxed_ratio_1w()
         );
         t
@@ -649,25 +640,8 @@ fn trace_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Strips `--threads N` from `args`, exporting it as `TTDA_THREADS` for
-/// every emulator constructed anywhere below. Returns `None` (after
-/// printing usage) on a malformed value.
-fn take_threads_flag(args: &mut Vec<String>) -> Option<()> {
-    while let Some(pos) = args.iter().position(|a| a == "--threads") {
-        if pos + 1 >= args.len() || args[pos + 1].parse::<usize>().is_err() {
-            return None;
-        }
-        std::env::set_var("TTDA_THREADS", &args[pos + 1]);
-        args.drain(pos..pos + 2);
-    }
-    Some(())
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if take_threads_flag(&mut args).is_none() {
-        return usage();
-    }
     while let Some(pos) = args.iter().position(|a| a == "--normalize") {
         ttda_bench::set_normalize(true);
         args.remove(pos);

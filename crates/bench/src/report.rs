@@ -42,7 +42,7 @@ pub const ISTORE_SCHEMA: &str = "ttda-bench/istore/v1";
 pub const SERVICE_SCHEMA: &str = "ttda-bench/service/v1";
 
 /// Identifies the par-report shape.
-pub const PAR_SCHEMA: &str = "ttda-bench/par/v1";
+pub const PAR_SCHEMA: &str = "ttda-bench/par/v2";
 
 /// Identifies the opt-report shape.
 pub const OPT_SCHEMA: &str = "ttda-bench/opt/v1";
@@ -333,28 +333,16 @@ impl ParReport {
             th.seq_firings_per_sec
         ));
         out.push_str(&format!(
-            "    \"det1_firings_per_sec\": {:.0},\n",
-            th.det1_firings_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"det2_firings_per_sec\": {:.0},\n",
-            th.det2_firings_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"det4_firings_per_sec\": {:.0},\n",
-            th.det4_firings_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"det8_firings_per_sec\": {:.0},\n",
-            th.det8_firings_per_sec
-        ));
-        out.push_str(&format!(
             "    \"relaxed1_firings_per_sec\": {:.0},\n",
             th.relaxed1_firings_per_sec
         ));
         out.push_str(&format!(
-            "    \"overhead_ratio_1w\": {:.3},\n",
-            th.overhead_ratio_1w()
+            "    \"relaxed2_firings_per_sec\": {:.0},\n",
+            th.relaxed2_firings_per_sec
+        ));
+        out.push_str(&format!(
+            "    \"relaxed4_firings_per_sec\": {:.0},\n",
+            th.relaxed4_firings_per_sec
         ));
         out.push_str(&format!(
             "    \"relaxed_ratio_1w\": {:.3}\n",
@@ -376,16 +364,13 @@ impl ParReport {
         }
         let targets = parse_targets(json)?;
         let seq = field(json, "\"seq_firings_per_sec\": ")?;
-        let det1 = field(json, "\"det1_firings_per_sec\": ")?;
-        let det8 = field(json, "\"det8_firings_per_sec\": ")?;
         let relaxed1 = field(json, "\"relaxed1_firings_per_sec\": ")?;
-        if seq <= 0.0 || det1 <= 0.0 || det8 <= 0.0 || relaxed1 <= 0.0 {
+        if seq <= 0.0 || relaxed1 <= 0.0 {
             return Err("non-positive firings/sec in par_throughput".into());
         }
         Ok(ParsedParReport {
             targets,
             seq_firings_per_sec: seq,
-            det1_firings_per_sec: det1,
             relaxed1_firings_per_sec: relaxed1,
         })
     }
@@ -551,8 +536,6 @@ pub struct ParsedParReport {
     pub targets: Vec<(String, f64)>,
     /// Sequential interpreter throughput.
     pub seq_firings_per_sec: f64,
-    /// Deterministic backend at one worker.
-    pub det1_firings_per_sec: f64,
     /// Relaxed backend at one worker.
     pub relaxed1_firings_per_sec: f64,
 }
@@ -596,12 +579,8 @@ impl ParsedSchedReport {
 }
 
 impl ParsedParReport {
-    /// The gated headline: deterministic one-worker overhead ratio.
-    pub fn overhead_ratio_1w(&self) -> f64 {
-        self.seq_firings_per_sec / self.det1_firings_per_sec
-    }
-
-    /// The relaxed one-worker overhead ratio (informational).
+    /// The gated headline: relaxed one-worker overhead ratio (lower is
+    /// better).
     pub fn relaxed_ratio_1w(&self) -> f64 {
         self.seq_firings_per_sec / self.relaxed1_firings_per_sec
     }
@@ -737,8 +716,8 @@ pub fn check_service_regression(
 }
 
 /// The par twin of [`check_regression`]: gates the par suite's medians
-/// and the deterministic backend's one-worker overhead ratio (wall
-/// clock over the same-run sequential interpreter — *lower* is better)
+/// and the relaxed backend's one-worker overhead ratio (wall clock over
+/// the same-run sequential interpreter — *lower* is better)
 /// against `BENCH_par.json`.
 ///
 /// # Errors
@@ -752,9 +731,9 @@ pub fn check_par_regression(
     gate(
         &current.targets,
         &baseline.targets,
-        current.overhead_ratio_1w(),
-        baseline.overhead_ratio_1w(),
-        "overhead_ratio_1w (det 1-worker over same-run sequential)",
+        current.relaxed_ratio_1w(),
+        baseline.relaxed_ratio_1w(),
+        "relaxed_ratio_1w (relaxed 1-worker over same-run sequential)",
         false,
         tolerance,
     )
@@ -885,7 +864,7 @@ mod tests {
     fn par_report() -> ParReport {
         ParReport {
             targets: vec![BenchStat {
-                label: "par/det1_matmul_n5".into(),
+                label: "par/relaxed1_matmul_n5".into(),
                 mean_ns: 6.0e6,
                 median_ns: 5.9e6,
                 min_ns: 5.5e6,
@@ -895,11 +874,9 @@ mod tests {
                 workload: "matmul_n5".into(),
                 firings: 120_000,
                 seq_firings_per_sec: 5.0e5,
-                det1_firings_per_sec: 2.0e5,
-                det2_firings_per_sec: 1.5e5,
-                det4_firings_per_sec: 1.2e5,
-                det8_firings_per_sec: 1.0e5,
-                relaxed1_firings_per_sec: 5.5e5,
+                relaxed1_firings_per_sec: 2.0e5,
+                relaxed2_firings_per_sec: 3.0e5,
+                relaxed4_firings_per_sec: 3.5e5,
             },
         }
     }
@@ -1012,11 +989,10 @@ mod tests {
         let json = par_report().to_json();
         let parsed = ParReport::parse(&json).expect("well-formed");
         assert_eq!(parsed.targets.len(), 1);
-        assert_eq!(parsed.targets[0].0, "par/det1_matmul_n5");
+        assert_eq!(parsed.targets[0].0, "par/relaxed1_matmul_n5");
         assert_eq!(parsed.seq_firings_per_sec, 5.0e5);
-        assert_eq!(parsed.det1_firings_per_sec, 2.0e5);
-        assert_eq!(parsed.relaxed1_firings_per_sec, 5.5e5);
-        assert!((parsed.overhead_ratio_1w() - 2.5).abs() < 1e-9);
+        assert_eq!(parsed.relaxed1_firings_per_sec, 2.0e5);
+        assert!((parsed.relaxed_ratio_1w() - 2.5).abs() < 1e-9);
         // No schema cross-parses into the par reader or out of it.
         assert!(BenchReport::parse(&json).is_err());
         assert!(IStoreReport::parse(&json).is_err());
@@ -1030,18 +1006,17 @@ mod tests {
         let base = ParReport::parse(&par_report().to_json()).unwrap();
         // Getting faster (lower overhead ratio) is never a failure.
         let mut fast = base.clone();
-        fast.det1_firings_per_sec = base.det1_firings_per_sec * 2.0;
+        fast.relaxed1_firings_per_sec = base.relaxed1_firings_per_sec * 2.0;
         assert!(check_par_regression(&fast, &base, 0.25).is_ok());
         // Overhead ratio growing past tolerance trips the gate.
         let mut slow = base.clone();
-        slow.det1_firings_per_sec = base.det1_firings_per_sec * 0.5;
+        slow.relaxed1_firings_per_sec = base.relaxed1_firings_per_sec * 0.5;
         let err = check_par_regression(&slow, &base, 0.25).unwrap_err();
-        assert!(err.contains("overhead_ratio_1w"), "{err}");
+        assert!(err.contains("relaxed_ratio_1w"), "{err}");
         // Uniform host drift leaves the same-run ratio unchanged: a
         // machine running at 60% speed does not trip the gate.
         let mut drift = base.clone();
         drift.seq_firings_per_sec *= 0.6;
-        drift.det1_firings_per_sec *= 0.6;
         drift.relaxed1_firings_per_sec *= 0.6;
         assert!(check_par_regression(&drift, &base, 0.25).is_ok());
     }

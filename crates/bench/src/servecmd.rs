@@ -4,8 +4,8 @@
 //! This is the interactive face of the service scheduler (E20 is the
 //! sweep): pick an offered load relative to the calibrated service
 //! rate, drain it, and read the per-tenant sojourn percentiles. All
-//! printed numbers are virtual-time integers, deterministic per seed at
-//! any `--threads` setting.
+//! printed numbers are virtual-time integers, deterministic per seed:
+//! every burst runs on the sequential interpreter.
 
 use std::process::ExitCode;
 
@@ -23,8 +23,7 @@ fn parse_flag<T: std::str::FromStr>(name: &str, value: Option<&String>) -> Resul
 ///
 /// `--load` is the offered load as a multiple of the calibrated service
 /// rate (default 1.2: just past the knee), `--requests` the per-tenant
-/// stream length. Worker threads come from the global `--threads` flag
-/// (via `TTDA_THREADS`).
+/// stream length.
 pub fn serve_main(args: &[String]) -> ExitCode {
     let mut load = 1.2f64;
     let mut requests = 64u64;
@@ -59,10 +58,6 @@ pub fn serve_main(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let threads: usize = std::env::var("TTDA_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let (program, tenants, cost) = loaded_service_scenario(load, requests);
     let cfg = ServiceConfig {
         seed,
@@ -72,7 +67,7 @@ pub fn serve_main(args: &[String]) -> ExitCode {
         latency_bin_width: cost,
         ..ServiceConfig::default()
     };
-    let mut runner = EmulatorRunner::new(&program).with_threads(threads);
+    let mut runner = EmulatorRunner::new(&program);
     let s = match serve(&tenants, &cfg, &mut runner) {
         Ok(s) => s,
         Err(e) => {

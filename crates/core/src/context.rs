@@ -163,7 +163,7 @@ impl ContextManager {
 /// The context operations the shared execution semantics in
 /// [`crate::exec`] need: resolving a record and entering loop/call
 /// activations. Implemented by the sequential [`ContextManager`] and by
-/// the parallel backends' [`WorkerCtx`] (a lease over [`SharedContexts`]),
+/// the parallel backend's [`WorkerCtx`] (a lease over [`SharedContexts`]),
 /// so `D`/`Apply` execute identically on either engine.
 pub(crate) trait ContextOps {
     /// The record for `ctx`, or `None` for a never-allocated id.
@@ -214,12 +214,12 @@ const MEMO_SHARDS: usize = 16;
 
 type Chunk = [OnceLock<ContextRecord>; CTX_CHUNK];
 
-/// The concurrent context manager of the parallel backends.
+/// The concurrent context manager of the parallel backend.
 ///
 /// Workers allocate context ids from pre-leased blocks
 /// ([`SharedContexts::lease_block`] via [`WorkerCtx`]) and publish the
 /// records with a lock-free [`OnceLock`] store into a chunked table, so
-/// `D`/`Apply` firings never round-trip through the coordinator. Ids are
+/// `D`/`Apply` firings never round-trip through a central thread. Ids are
 /// therefore *not* dense in firing order — which is fine, because context
 /// ids never escape into an [`EmuResult`](crate::EmuResult): `contexts`
 /// is the **semantic allocation count** (tracked exactly, including the

@@ -28,7 +28,7 @@ use crate::ExecError;
 /// Everything a finished emulation run reports.
 ///
 /// `PartialEq` compares every field; the determinism tests use it to
-/// check the parallel backend bit-for-bit against the sequential one.
+/// check that repeated sequential runs agree bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmuResult {
     /// Program outputs by slot.
@@ -75,83 +75,18 @@ impl EmuResult {
 /// How the emulator schedules a run. See [`Emulator::with_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
-    /// The single-threaded reference interpreter.
+    /// The single-threaded reference interpreter: the full
+    /// [`EmuResult`] (wave profile, peaks, read split) is deterministic.
     Sequential,
-    /// The parallel wave backend with the index-ordered merge: the
-    /// [`EmuResult`] is **bit-identical** to [`RunMode::Sequential`] at
-    /// any thread count. Forcing this at one thread runs the full
-    /// coordination protocol with a single worker — that is the
-    /// coordinator-overhead measurement of the `par` bench suite.
-    Deterministic,
-    /// The decoordinated backend: no wave barrier, no index-ordered
-    /// merge, tokens flow worker-to-worker as they are produced and
-    /// waves overlap freely. Program *outputs*, instruction/ALU counts,
-    /// the context count and the error discriminant match
-    /// [`RunMode::Sequential`] (dataflow confluence); wave structure
-    /// (`waves`, `profile`), peak occupancies and the
+    /// The parallel backend: no wave barrier, no ordered merge, tokens
+    /// flow worker-to-worker as they are produced and waves overlap
+    /// freely. Program *outputs*, instruction/ALU counts, the context
+    /// count, `istore_writes`, total reads and the error discriminant
+    /// match [`RunMode::Sequential`] (dataflow confluence); wave
+    /// structure (`waves`, `profile`), peak occupancies and the
     /// immediate-vs-deferred read split are schedule-dependent. See
     /// `DESIGN.md` §13 for the exact guarantees.
     Relaxed,
-}
-
-/// Worker-thread default: the `TTDA_THREADS` environment variable, so a
-/// whole test suite or experiment batch can switch backends without code
-/// changes (`TTDA_THREADS=4 cargo test`). Unset means 1 (sequential);
-/// 0 means "one worker per available core". An unparsable value also
-/// falls back to 1, but says so on stderr (once per process) instead of
-/// silently running sequential when the user asked for something else.
-fn env_threads() -> usize {
-    match std::env::var("TTDA_THREADS") {
-        Err(_) => 1,
-        Ok(s) => match s.trim().parse() {
-            Ok(n) => n,
-            Err(_) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "ttda-core: TTDA_THREADS={s:?} is not a thread count; \
-                         running sequential (set an integer, or 0 for all cores)"
-                    );
-                });
-                1
-            }
-        },
-    }
-}
-
-/// Parses a `TTDA_RELAXED` value, case-insensitively: `1`/`true`/`on`
-/// opt in, `0`/`false`/`off`/empty opt out, anything else is
-/// unrecognized (`None`).
-fn parse_relaxed(s: &str) -> Option<bool> {
-    match s.to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" => Some(true),
-        "" | "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
-}
-
-/// Run-mode default: `TTDA_RELAXED=1` makes [`RunMode::Relaxed`] the
-/// process-wide default (read at [`Emulator::new`], overridable per
-/// instance with [`Emulator::with_mode`]). An unrecognized value falls
-/// back to the automatic default, but says so on stderr once per
-/// process.
-fn env_relaxed() -> bool {
-    match std::env::var("TTDA_RELAXED") {
-        Err(_) => false,
-        Ok(s) => match parse_relaxed(s.trim()) {
-            Some(on) => on,
-            None => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "ttda-core: TTDA_RELAXED={s:?} is not recognized; \
-                         staying in deterministic mode (set 1 or 0)"
-                    );
-                });
-                false
-            }
-        },
-    }
 }
 
 /// The untimed tagged-token interpreter.
@@ -204,8 +139,8 @@ impl<'p> Emulator<'p> {
             outputs: HashMap::new(),
             fuel: 100_000_000,
             loop_bound: None,
-            threads: env_threads(),
-            mode: env_relaxed().then_some(RunMode::Relaxed),
+            threads: 1,
+            mode: None,
             sched: env_sched(),
             instructions: 0,
             alu_ops: 0,
@@ -224,19 +159,17 @@ impl<'p> Emulator<'p> {
         self
     }
 
-    /// Selects the execution backend: `1` (the default) runs the
-    /// sequential interpreter; `n > 1` executes each wave across `n`
-    /// scoped worker threads with the waiting–matching store and the
-    /// structure table sharded between them; `0` means one worker per
-    /// available core. The default can also be set process-wide with the
-    /// `TTDA_THREADS` environment variable, read at [`Emulator::new`].
+    /// Selects the worker count: `1` (the default) runs the sequential
+    /// interpreter; `n > 1` runs the relaxed parallel backend
+    /// ([`RunMode::Relaxed`]) on `n` scoped worker threads with the
+    /// waiting–matching store and the structure table sharded between
+    /// them; `0` means one worker per available core.
     ///
-    /// The parallel backend produces a bit-identical [`EmuResult`] for
-    /// every program (see the determinism notes in `DESIGN.md`), so the
-    /// choice is purely about wall-clock speed. [`with_loop_bound`]
-    /// (k-bounded loops) forces the sequential backend regardless — its
-    /// holding-pen scheduling is a global order-sensitive fixpoint that
-    /// would serialize the workers anyway.
+    /// The relaxed backend agrees with the sequential one on outputs and
+    /// the confluent counters, not on wave structure or peaks (see
+    /// [`RunMode::Relaxed`]). [`with_loop_bound`] (k-bounded loops)
+    /// forces the sequential backend regardless — its holding-pen
+    /// scheduling is a global order-sensitive fixpoint.
     ///
     /// [`with_loop_bound`]: Emulator::with_loop_bound
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -246,9 +179,9 @@ impl<'p> Emulator<'p> {
 
     /// Pins the execution backend explicitly instead of deriving it from
     /// the thread count. The automatic default is
-    /// [`RunMode::Sequential`] at one thread and
-    /// [`RunMode::Deterministic`] above, or [`RunMode::Relaxed`] when
-    /// `TTDA_RELAXED=1` is set (read at [`Emulator::new`]).
+    /// [`RunMode::Sequential`] at one thread and [`RunMode::Relaxed`]
+    /// above; pinning `Relaxed` at one thread runs the parallel protocol
+    /// with a single worker (the `par` bench suite's overhead arm).
     ///
     /// [`with_loop_bound`](Emulator::with_loop_bound) forces the
     /// sequential interpreter regardless of the pinned mode: k-bounded
@@ -258,13 +191,6 @@ impl<'p> Emulator<'p> {
         self
     }
 
-    /// Sugar for [`with_mode`](Emulator::with_mode)`(RunMode::Relaxed)`:
-    /// `Emulator::new(&p).with_threads(n).relaxed()` opts into the
-    /// decoordinated backend.
-    pub fn relaxed(self) -> Self {
-        self.with_mode(RunMode::Relaxed)
-    }
-
     /// Selects the token scheduling policy (see [`SchedPolicy`]):
     /// [`SchedPolicy::Fifo`] (the default) fires each wave in arrival
     /// order, [`SchedPolicy::Crit`] fires greatest remaining
@@ -272,13 +198,10 @@ impl<'p> Emulator<'p> {
     /// can also be set process-wide with `TTDA_SCHED=fifo|crit`, read at
     /// [`Emulator::new`].
     ///
-    /// Scheduling never changes program outputs (dataflow confluence),
-    /// and under [`RunMode::Deterministic`] the full [`EmuResult`] is
-    /// still bit-identical at every thread count for a fixed policy —
-    /// the wave is stably reordered *before* wave indices are assigned,
-    /// so the index-ordered merge is untouched. What a policy *does*
-    /// change is intra-wave firing order, which the timed machine turns
-    /// into makespan (the `sched` bench suite and E23 measure it).
+    /// Scheduling never changes program outputs (dataflow confluence).
+    /// What a policy *does* change is intra-wave firing order, which
+    /// the timed machine turns into makespan (the `sched` bench suite
+    /// and E23 measure it).
     pub fn with_sched(mut self, policy: SchedPolicy) -> Self {
         self.sched = policy;
         self
@@ -368,31 +291,18 @@ impl<'p> Emulator<'p> {
             // fixpoint; it always runs on the reference interpreter.
             _ if self.loop_bound.is_some() => RunMode::Sequential,
             Some(m) => m,
-            None if threads > 1 => RunMode::Deterministic,
+            None if threads > 1 => RunMode::Relaxed,
             None => RunMode::Sequential,
         };
-        match mode {
-            RunMode::Sequential => {}
-            RunMode::Deterministic => {
-                return crate::par::submit(
-                    self.program,
-                    jobs,
-                    threads,
-                    fuel,
-                    self.sched,
-                    self.sink.clone(),
-                );
-            }
-            RunMode::Relaxed => {
-                return crate::relaxed::submit(
-                    self.program,
-                    jobs,
-                    threads,
-                    fuel,
-                    self.sched,
-                    self.sink.clone(),
-                );
-            }
+        if mode == RunMode::Relaxed {
+            return crate::relaxed::submit(
+                self.program,
+                jobs,
+                threads,
+                fuel,
+                self.sched,
+                self.sink.clone(),
+            );
         }
         // Built once per run; FIFO never consults it.
         let crit = (self.sched == SchedPolicy::Crit).then(|| CritMap::of(self.program));
@@ -734,19 +644,6 @@ mod tests {
     fn run(g: GraphBuilder, inputs: &[Value]) -> EmuResult {
         let p = g.finish_program().expect("build");
         Emulator::new(&p).run(inputs).expect("run")
-    }
-
-    #[test]
-    fn parse_relaxed_accepts_the_documented_spellings() {
-        for on in ["1", "true", "on", "TRUE", "On"] {
-            assert_eq!(parse_relaxed(on), Some(true), "{on:?}");
-        }
-        for off in ["", "0", "false", "off", "FALSE", "Off"] {
-            assert_eq!(parse_relaxed(off), Some(false), "{off:?}");
-        }
-        for junk in ["yes", "2", "relaxed", "n o"] {
-            assert_eq!(parse_relaxed(junk), None, "{junk:?}");
-        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Shared operational semantics for all four executors.
+//! Shared operational semantics for all three executors.
 //!
 //! [`execute`] implements the instruction-fetch + ALU + output-section
 //! behaviour of one enabled instruction, *independent of timing*: it
 //! writes the output tokens through an [`Emit`] sink and returns any
 //! I-structure action to perform. The sequential
 //! [`Emulator`](crate::Emulator) emits straight into its next wave and
-//! applies structure actions inline; the deterministic and relaxed
-//! parallel backends ship them to the shard that owns the structure; the
+//! applies structure actions inline; the relaxed parallel backend ships
+//! them to the shard that owns the structure; the
 //! [`TimedMachine`](crate::TimedMachine) turns them into `d=1` packets
 //! that travel the network to I-structure storage. Keeping one copy of
 //! the semantics guarantees the executors can never disagree on *what*
@@ -182,7 +182,7 @@ pub(crate) fn absorb<'p>(
 ///
 /// Only `D` and `Apply` *mutate* the context table (entering a loop or
 /// a call); `DInv` and `Return` read the records of contexts created by
-/// strictly earlier firings. On the parallel backends workers execute
+/// strictly earlier firings. On the parallel backend workers execute
 /// every opcode, drawing ids from leased blocks of a
 /// [`crate::context::SharedContexts`] table — context id *values* then
 /// differ from a sequential run, but they never escape an

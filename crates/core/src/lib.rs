@@ -54,7 +54,6 @@ mod graph;
 mod machine;
 pub mod matching;
 pub mod opt;
-mod par;
 mod relaxed;
 mod sched;
 mod tag;

@@ -25,7 +25,7 @@
 //!     M::outputs(&r)[&0]
 //! }
 //!
-//! let emu = Emulator::new(&p).with_threads(2).with_fuel(10_000);
+//! let emu = Emulator::new(&p).with_fuel(10_000);
 //! let timed = TimedMachine::ideal(p.clone(), 4, Cycle(10), TimedConfig::default());
 //! assert_eq!(first_output(emu, &[Value::Int(3), Value::Int(4)]), Value::Int(7));
 //! assert_eq!(first_output(timed, &[Value::Int(3), Value::Int(4)]), Value::Int(7));
@@ -171,13 +171,6 @@ pub trait Machine: Sized {
     /// Overrides the firing budget.
     fn with_fuel(self, fuel: u64) -> Self;
 
-    /// Selects how many host worker threads execute the program. The
-    /// emulator switches to its parallel wave backend for `n > 1` (`0` =
-    /// one per core); the timed machine is a discrete-event simulation
-    /// driven by a single event queue, so it accepts the setting for
-    /// interface uniformity and always simulates its PEs on one thread.
-    fn with_threads(self, threads: usize) -> Self;
-
     /// The program outputs of a finished run, by slot — the piece of the
     /// result every engine shares, so generic harnesses can check
     /// answers without knowing the engine.
@@ -203,10 +196,6 @@ impl Machine for Emulator<'_> {
         Emulator::with_fuel(self, fuel)
     }
 
-    fn with_threads(self, threads: usize) -> Self {
-        Emulator::with_threads(self, threads)
-    }
-
     fn outputs(result: &EmuResult) -> &HashMap<u32, Value> {
         &result.outputs
     }
@@ -229,10 +218,6 @@ impl<T: Topology> Machine for TimedMachine<T> {
 
     fn with_fuel(self, fuel: u64) -> Self {
         TimedMachine::with_fuel(self, fuel)
-    }
-
-    fn with_threads(self, threads: usize) -> Self {
-        TimedMachine::with_threads(self, threads)
     }
 
     fn outputs(result: &TimedResult) -> &HashMap<u32, Value> {

@@ -86,7 +86,7 @@ impl PackedName {
 
 /// The slot hash: fibonacci multiplies fold the two words, a mix13-style
 /// finalizer avalanches the result. Structurally unrelated to
-/// `par::worker_of` (mix13 over a lossy 48-bit packing), so the set of
+/// `relaxed::worker_of` (mix13 over a lossy 48-bit packing), so the set of
 /// keys owned by one shard still spreads over that shard's buckets.
 #[inline]
 fn slot_hash(key: PackedName) -> u64 {
@@ -230,10 +230,10 @@ impl MatchingStore {
     /// the last [`MatchingStore::reset_high_water`]) — an O(1) counter
     /// maintained at the single insertion site, so backpressure policies
     /// (the `ttda-workloads` service scheduler) can poll it instead of
-    /// scanning. Under the parallel wave backend each shard keeps its
-    /// own store; the coordinator's delta replay aggregates the shards
-    /// into the exact sequential occupancy, which is what
-    /// `EmuResult::peak_matching` reports.
+    /// scanning. Under the parallel backend each shard keeps its own
+    /// store, and `EmuResult::peak_matching` sums the shards' peaks — a
+    /// schedule-dependent approximation; the sequential interpreter
+    /// reports the exact occupancy.
     #[inline]
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -676,10 +676,10 @@ mod tests {
         assert!(m.high_water() < model_high || m.len() == model_high);
     }
 
-    /// Keys confined to a single `par.rs` shard must still spread across
-    /// this store's buckets: the slot hash may not be correlated with
-    /// the shard hash, or per-shard tables degenerate into one probe
-    /// chain (ISSUE 3's "shard hash ≠ slot hash" requirement).
+    /// Keys confined to a single relaxed-backend shard must still spread
+    /// across this store's buckets: the slot hash may not be correlated
+    /// with the shard hash, or per-shard tables degenerate into one
+    /// probe chain.
     #[test]
     fn shard_resident_keys_spread_over_buckets() {
         let workers = 4usize;
@@ -687,7 +687,7 @@ mod tests {
         let mut in_shard = 0usize;
         for u in 0..4000u32 {
             let t = tag(u, 1, 2, 1);
-            if crate::par::worker_of(t, workers) != 0 {
+            if crate::relaxed::worker_of(t, workers) != 0 {
                 continue;
             }
             in_shard += 1;

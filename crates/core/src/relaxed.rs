@@ -1,12 +1,15 @@
-//! The relaxed (non-deterministic) parallel backend — [`RunMode::Relaxed`].
+//! The parallel backend of the [`Emulator`](crate::Emulator) —
+//! [`RunMode::Relaxed`](crate::RunMode::Relaxed).
 //!
-//! The deterministic backend ([`crate::par`]) pays for bit-identical
-//! results with a wave barrier and an index-ordered merge on the
-//! coordinator. This backend drops both: there is **no coordinator in
-//! the steady state at all**. Each worker owns a waiting–matching shard
-//! and an I-structure shard; tokens flow worker-to-worker over channels
-//! the moment they are produced, wave fronts overlap freely, and the
-//! run ends when a global in-flight counter reaches zero.
+//! There is no wave barrier, no ordered merge and **no coordinator in
+//! the steady state at all** — the dataflow machine does not execute
+//! synchronization or scheduling code. Each worker owns a
+//! waiting–matching shard and an I-structure shard; tokens flow
+//! worker-to-worker over channels the moment they are produced, wave
+//! fronts overlap freely, and the run ends when a global in-flight
+//! counter reaches zero. A result bit-identical to the sequential
+//! interpreter is what [`RunMode::Sequential`](crate::RunMode::Sequential)
+//! is for.
 //!
 //! # What is still guaranteed
 //!
@@ -24,8 +27,9 @@
 //! while `waves`/`profile` are reported as `0`/empty (there are no
 //! waves to count), and `peak_matching`, `peak_deferred` and the
 //! immediate/deferred *split* become schedule-dependent approximations
-//! (sums of per-shard observations). The PR's fuzz oracle and property
-//! suite check exactly this contract against the sequential engine.
+//! (sums of per-shard observations). The differential fuzz oracle and
+//! the property suite check exactly this contract against the
+//! sequential engine.
 //!
 //! # Quiescence and errors
 //!
@@ -39,7 +43,8 @@
 //! program order — this is the relaxation) lands in a shared slot and
 //! poisons the run; fuel is a shared firing counter checked on every
 //! firing, so `OutOfFuel` still means "the program needed more than
-//! `fuel` firings", the same condition the ordered backends enforce.
+//! `fuel` firings", the same condition the sequential interpreter
+//! enforces.
 //!
 //! # Causality of structure traffic
 //!
@@ -60,16 +65,15 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError}
 use std::sync::Mutex;
 use std::time::Duration;
 
-use ttda_mem::{shard_of, IStructureShard};
+use ttda_mem::{shard_of, Addr, IStructureShard, Presence, ReadOutcome};
 use ttda_sim::Cycle;
-use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
+use ttda_trace::{EventBuffer, PresenceState, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
-use crate::exec::{absorb, deliver, execute, StructAction};
+use crate::exec::{absorb, continuation, dangling, deliver, execute, Emit, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
-use crate::par::{apply_one, worker_of, IsCounts};
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
@@ -85,6 +89,28 @@ const STRUCT_LEASE: u32 = 64;
 /// quiescence polls. Wake-ups are driven by message arrival; this only
 /// bounds the latency of noticing global quiescence or poison.
 const IDLE_POLL: Duration = Duration::from_micros(200);
+
+/// Stafford's mix13 finalizer — the same mixer the timed machine uses to
+/// spread activity names over PEs. Deterministic across runs/platforms.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+    x ^ (x >> 31)
+}
+
+/// The worker whose waiting–matching shard owns `tag`.
+///
+/// Deliberately *not* the hash [`crate::matching`] uses for bucket
+/// placement: this one mixes a lossy 48-bit packing, the store folds the
+/// full 128-bit name through fibonacci multiplies. If they agreed, all
+/// keys owned by one shard would collide into one probe chain of that
+/// shard's table (`matching::tests::shard_resident_keys_spread_over_buckets`
+/// guards the independence).
+pub(crate) fn worker_of(tag: ActivityName, workers: usize) -> usize {
+    let packed =
+        (tag.u.0 as u64) << 48 | (tag.c.0 as u64) << 36 | (tag.s.0 as u64) << 16 | tag.i.0 as u64;
+    (mix(packed) % workers as u64) as usize
+}
 
 /// A message between workers: a batch of structure ops for the
 /// receiver's I-structure shard, or a batch of tokens for the
@@ -166,7 +192,7 @@ pub(crate) fn submit(
     let ctxs = SharedContexts::new(program.main);
     // Seed tokens, sharded by matching owner. Roots are allocated here,
     // before any worker exists, so they get the same dense leading ids
-    // the ordered backends assign.
+    // the sequential interpreter assigns.
     let mut seeds: Vec<Vec<Token>> = (0..threads).map(|_| Vec::new()).collect();
     let mut nseeds = 0usize;
     for job in jobs {
@@ -445,7 +471,6 @@ impl Worker<'_, '_> {
             self.shared.program,
             &mut self.shard,
             action,
-            Cycle::ZERO,
             &mut self.out.istore,
             &mut self.scratch,
             self.shared.traced.then_some(&mut self.out.traces),
@@ -587,4 +612,123 @@ impl Worker<'_, '_> {
             }
         }
     }
+}
+
+/// I-structure reads satisfied at once, reads deferred, and writes.
+#[derive(Debug, Default, Clone, Copy)]
+struct IsCounts {
+    immediate: u64,
+    deferred: u64,
+    writes: u64,
+}
+
+/// Applies one fetch/store to its owning shard, mirroring the
+/// sequential backend's inline handling — tokens go to `out` and trace
+/// events to `traces` (when tracing) in the sequential per-op order.
+fn apply_one(
+    program: &Program,
+    shard: &mut IStructureShard<Value, (ActivityName, Port)>,
+    action: StructAction,
+    counts: &mut IsCounts,
+    out: &mut impl Emit,
+    mut traces: Option<&mut EventBuffer>,
+) -> Result<(), ExecError> {
+    let traced = traces.is_some();
+    let mut note = |ev: TraceEvent| {
+        if let Some(t) = traces.as_deref_mut() {
+            t.push(Cycle::ZERO, ev);
+        }
+    };
+    match action {
+        StructAction::Alloc { .. } => {
+            unreachable!("allocations are resolved by the firing worker")
+        }
+        StructAction::Fetch { tag, ptr, idx } => {
+            for (rtag, port) in continuation(program, tag) {
+                let before = if traced {
+                    shard
+                        .store(ptr.id)
+                        .ok_or_else(|| dangling(tag, ptr))?
+                        .presence(Addr(idx))?
+                } else {
+                    Presence::Empty
+                };
+                let outcome = shard
+                    .read(ptr.id, Addr(idx), (rtag, port))
+                    .ok_or_else(|| dangling(tag, ptr))??;
+                match outcome {
+                    ReadOutcome::Value(v) => {
+                        counts.immediate += 1;
+                        out.emit(rtag, port, v);
+                        note(TraceEvent::IStoreRead {
+                            module: ptr.id,
+                            immediate: true,
+                        });
+                    }
+                    ReadOutcome::Deferred => {
+                        counts.deferred += 1;
+                        if traced {
+                            note(TraceEvent::IStoreRead {
+                                module: ptr.id,
+                                immediate: false,
+                            });
+                            let depth = shard
+                                .store(ptr.id)
+                                .expect("structure present")
+                                .deferred_count(Addr(idx))?
+                                as u64;
+                            note(TraceEvent::DeferEnqueue {
+                                module: ptr.id,
+                                depth,
+                            });
+                            if before != Presence::Deferred {
+                                note(TraceEvent::Presence {
+                                    module: ptr.id,
+                                    from: before.as_trace(),
+                                    to: PresenceState::Deferred,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        StructAction::Store {
+            tag,
+            ptr,
+            idx,
+            value,
+        } => {
+            let before = if traced {
+                shard
+                    .store(ptr.id)
+                    .ok_or_else(|| dangling(tag, ptr))?
+                    .presence(Addr(idx))?
+            } else {
+                Presence::Empty
+            };
+            // Released readers stream straight to `out` (the packed
+            // store's zero-allocation release path).
+            let released = shard
+                .write_with(ptr.id, Addr(idx), value, |(rtag, port)| {
+                    out.emit(rtag, port, value);
+                })
+                .ok_or_else(|| dangling(tag, ptr))??;
+            counts.writes += 1;
+            note(TraceEvent::IStoreWrite { module: ptr.id });
+            note(TraceEvent::Presence {
+                module: ptr.id,
+                from: before.as_trace(),
+                to: PresenceState::Present,
+            });
+            if released > 0 {
+                note(TraceEvent::DeferRelease {
+                    module: ptr.id,
+                    released: released as u64,
+                });
+            }
+            deliver(program, tag, Value::Unit, out);
+        }
+    }
+    Ok(())
 }

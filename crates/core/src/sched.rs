@@ -1,8 +1,8 @@
 //! Token scheduling policy: FIFO vs criticality-aware (DESIGN.md §15).
 //!
 //! Every engine holds ready tokens somewhere — the sequential emulator's
-//! wave vector, the deterministic backend's pre-shard wave, the relaxed
-//! workers' local queues, the timed machine's per-PE input queues. This
+//! wave vector, the relaxed workers' local queues, the timed machine's
+//! per-PE input queues. This
 //! module decides the *order* those holders release tokens in:
 //!
 //! * [`SchedPolicy::Fifo`] — arrival order, the historical behaviour.
@@ -11,14 +11,12 @@
 //!   ([`Analysis::height`](crate::opt::analysis::Analysis::height)) go
 //!   first, because they gate longer dependence chains (Navada &
 //!   Krishna's criticality-aware scheduling, applied to a tagged-token
-//!   machine). Ties always break by arrival order, which keeps
-//!   deterministic-mode results bit-identical across thread counts: the
-//!   wave is stably reordered *before* wave indices are assigned, so the
-//!   index-ordered merge is untouched.
+//!   machine). Ties always break by arrival order, so a sequential run
+//!   under either policy is deterministic.
 //!
 //! The process-wide default comes from `TTDA_SCHED=fifo|crit`
-//! (case-insensitive, like `TTDA_RELAXED`); an unparsable value warns on
-//! stderr once and falls back to FIFO, mirroring `TTDA_THREADS`.
+//! (case-insensitive); an unparsable value warns on stderr once and
+//! falls back to FIFO.
 
 use std::collections::VecDeque;
 

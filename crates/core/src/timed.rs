@@ -314,16 +314,6 @@ impl<T: Topology> TimedMachine<T> {
         self
     }
 
-    /// Accepts the shared [`Machine`](crate::Machine) thread setting.
-    /// The timed model is a discrete-event simulation driven by one
-    /// event queue — its *simulated* PEs are already "parallel", and host
-    /// threading does not apply — so the value is ignored; the method
-    /// exists so engine-generic configuration code compiles against both
-    /// engines.
-    pub fn with_threads(self, _threads: usize) -> Self {
-        self
-    }
-
     /// Number of processing elements.
     pub fn pes(&self) -> usize {
         self.fabric.topology().ports()

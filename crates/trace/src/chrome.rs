@@ -106,9 +106,6 @@ impl ChromeTraceSink {
                 TraceEvent::IStoreWrite { module } => {
                     let _ = write!(out, ",\"module\":{module}");
                 }
-                TraceEvent::WorkSteal { pe, from, moved } => {
-                    let _ = write!(out, ",\"pe\":{pe},\"from\":{from},\"moved\":{moved}");
-                }
                 TraceEvent::PacketSend {
                     from,
                     to,
@@ -180,9 +177,6 @@ impl ChromeTraceSink {
                 ),
                 TraceEvent::IStoreWrite { module } => format!(
                     "{{\"name\":\"istore_write\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{module},\"ts\":{ts}}}"
-                ),
-                TraceEvent::WorkSteal { pe, from, moved } => format!(
-                    "{{\"name\":\"work_steal\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{pe},\"ts\":{ts},\"args\":{{\"from\":{from},\"moved\":{moved}}}}}"
                 ),
                 TraceEvent::PacketSend { from, to, hops, queued, latency } => format!(
                     "{{\"name\":\"packet\",\"ph\":\"X\",\"pid\":2,\"tid\":{from},\"ts\":{ts},\"dur\":{},\"args\":{{\"to\":{to},\"hops\":{hops},\"queued\":{queued}}}}}",
@@ -309,11 +303,6 @@ mod tests {
                 immediate: false,
             },
             TraceEvent::IStoreWrite { module: 3 },
-            TraceEvent::WorkSteal {
-                pe: 1,
-                from: 0,
-                moved: 4,
-            },
             TraceEvent::PacketSend {
                 from: 1,
                 to: 2,

@@ -150,19 +150,6 @@ pub enum TraceEvent {
         /// The memory module.
         module: u32,
     },
-    /// A parallel-backend worker stole a batch of ready firings from a
-    /// peer's queue instead of idling at the wave barrier. This is a
-    /// *scheduling annotation*: its count and position depend on host
-    /// thread scheduling, unlike every other event the deterministic
-    /// backend emits.
-    WorkSteal {
-        /// The thief worker.
-        pe: u32,
-        /// The victim worker whose queue was split.
-        from: u32,
-        /// Ready firings moved by this steal.
-        moved: u64,
-    },
     /// A packet crossed the network: `hops` links, `queued` cycles lost
     /// to link contention, `latency` cycles end to end.
     PacketSend {
@@ -195,7 +182,6 @@ impl TraceEvent {
             TraceEvent::DeferRelease { .. } => "defer_release",
             TraceEvent::IStoreRead { .. } => "istore_read",
             TraceEvent::IStoreWrite { .. } => "istore_write",
-            TraceEvent::WorkSteal { .. } => "work_steal",
             TraceEvent::PacketSend { .. } => "packet_send",
         }
     }
@@ -215,12 +201,12 @@ pub trait TraceSink {
 
 /// A sink shared between a machine, its memory modules and its network.
 ///
-/// Sinks are observed from the machine's *coordinating* thread only, so
+/// Sinks are observed from the machine's calling thread only, so
 /// `Rc<RefCell<…>>` is the right amount of machinery: one sink instance
-/// observes the whole machine. Parallel backends never hand a
+/// observes the whole machine. The parallel backend never hands a
 /// `SharedSink` to a worker thread (it is not `Send`); workers record
-/// into [`EventBuffer`]s instead, which the coordinator replays into the
-/// sink in a deterministic order.
+/// into [`EventBuffer`]s instead, which the caller replays into the sink
+/// once the run ends.
 pub type SharedSink = Rc<RefCell<dyn TraceSink>>;
 
 /// Wraps a concrete sink for sharing across subsystems.
@@ -243,14 +229,13 @@ impl TraceSink for NullSink {
 /// threads and a (single-threaded) [`SharedSink`].
 ///
 /// Worker threads cannot touch a `SharedSink` (it is `Rc`-based and not
-/// `Send`), and even if they could, interleaving their events
-/// nondeterministically would break the order-sensitive invariants
-/// downstream sinks check (e.g. running waiting–matching occupancy).
-/// Instead each worker records into its own `EventBuffer` — which *is*
-/// `Send`, since events are plain `Copy` data — and the coordinating
-/// thread replays the buffers into the real sink in a deterministic
-/// merge order. The sink then observes exactly the event stream a
-/// sequential run would have produced.
+/// `Send`). Instead each worker records into its own `EventBuffer` —
+/// which *is* `Send`, since events are plain `Copy` data — and the
+/// calling thread replays the buffers into the real sink, one worker
+/// after another, when the run ends. Each worker's events keep their
+/// order; the interleaving between workers is not the one a sequential
+/// run would produce, but order-free ledgers (token conservation,
+/// counter totals) still balance.
 ///
 /// `EventBuffer` also implements [`TraceSink`], so code written against
 /// the sink trait can record into a buffer unchanged.
@@ -342,11 +327,6 @@ mod tests {
                 immediate: true,
             },
             TraceEvent::IStoreWrite { module: 0 },
-            TraceEvent::WorkSteal {
-                pe: 0,
-                from: 0,
-                moved: 0,
-            },
             TraceEvent::PacketSend {
                 from: 0,
                 to: 0,

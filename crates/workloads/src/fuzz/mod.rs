@@ -6,7 +6,7 @@
 //! [`gen`] manufactures adversarial workloads (hot-key skew, deferral
 //! cascades, tag-space pressure, fan-out storms, multiprogram tenants)
 //! from a `(family, seed)` pair; [`oracle`] runs each one across the
-//! sequential emulator, the parallel wave backend at several widths, the
+//! sequential emulator, the relaxed parallel backend at several widths, the
 //! timed machine and the optimizing compiler, and judges agreement;
 //! [`xexpr`] is the shared shrinkable expression AST.
 //!

@@ -28,14 +28,16 @@
 //!
 //! The schedule is a pure function of the seed and the tenant specs.
 //! Arrival ticks are integers, scheduler arithmetic is integral, and the
-//! burst costs come from `EmuResult`, which the parallel wave backend
-//! reproduces bit-identically at any thread count — so the whole
-//! [`ServiceSummary`] (admission log included) is identical at 1 and N
-//! worker threads, and byte-identical across runs with one seed.
+//! burst costs come from the sequential interpreter's `EmuResult`: the
+//! standard [`EmulatorRunner`] pins [`RunMode::Sequential`], so no
+//! configuration call or environment variable can reroute a burst onto
+//! the parallel backend, whose `peak_matching` (the backpressure
+//! signal) depends on host scheduling. The whole [`ServiceSummary`] (admission
+//! log included) is therefore byte-identical across runs with one seed.
 
 use std::collections::VecDeque;
 
-use ttda_core::{Emulator, ExecError, Job, Machine, Program, Value};
+use ttda_core::{Emulator, ExecError, Job, Machine, Program, RunMode, Value};
 use ttda_sim::stats::Histogram;
 use ttda_sim::{Arrivals, SimRng};
 
@@ -117,31 +119,22 @@ pub trait BurstRunner {
     fn run_burst(&mut self, jobs: &[Job]) -> Result<Burst, ExecError>;
 }
 
-/// The standard runner: each burst executes on a fresh [`Emulator`]
-/// (machines accumulate per-run state, so reuse would leak occupancy
-/// between bursts) through the generic [`Machine`] surface.
+/// The standard runner: each burst executes on a fresh sequential
+/// [`Emulator`] (machines accumulate per-run state, so reuse would leak
+/// occupancy between bursts) through the generic [`Machine`] surface.
 #[derive(Debug, Clone)]
 pub struct EmulatorRunner<'p> {
     program: &'p Program,
-    threads: usize,
     fuel: Option<u64>,
 }
 
 impl<'p> EmulatorRunner<'p> {
-    /// A single-threaded runner over `program`.
+    /// A runner over `program`.
     pub fn new(program: &'p Program) -> Self {
         EmulatorRunner {
             program,
-            threads: 1,
             fuel: None,
         }
-    }
-
-    /// Selects the worker-thread count for every burst.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Overrides the per-burst firing budget.
@@ -154,7 +147,7 @@ impl<'p> EmulatorRunner<'p> {
 
 impl BurstRunner for EmulatorRunner<'_> {
     fn run_burst(&mut self, jobs: &[Job]) -> Result<Burst, ExecError> {
-        let mut m = Emulator::new(self.program).with_threads(self.threads);
+        let mut m = Emulator::new(self.program).with_mode(RunMode::Sequential);
         if let Some(fuel) = self.fuel {
             m = Machine::with_fuel(m, fuel);
         }
@@ -420,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_thread_counts() {
+    fn deterministic_for_a_fixed_seed() {
         let (program, mains) = two_tenant_program(4, 3);
         let tenants = vec![
             spec("a", mains[0], 200.0, 40, 2),
@@ -433,21 +426,16 @@ mod tests {
             ..ServiceConfig::default()
         };
         let s1 = serve(&tenants, &cfg, &mut EmulatorRunner::new(&program)).expect("serves");
-        let s4 = serve(
-            &tenants,
-            &cfg,
-            &mut EmulatorRunner::new(&program).with_threads(4),
-        )
-        .expect("serves");
-        // Same admission order and identical stats at 1 vs 4 threads.
-        assert_eq!(s1.admission_log, s4.admission_log);
-        assert_eq!(s1.makespan, s4.makespan);
-        assert_eq!(s1.instructions, s4.instructions);
-        assert_eq!(s1.bursts, s4.bursts);
-        assert_eq!(s1.throttled, s4.throttled);
-        assert_eq!(s1.peak_matching, s4.peak_matching);
-        assert_eq!(s1.latency.bins(), s4.latency.bins());
-        for (a, b) in s1.tenants.iter().zip(&s4.tenants) {
+        let s2 = serve(&tenants, &cfg, &mut EmulatorRunner::new(&program)).expect("serves");
+        // Same admission order and identical stats on a repeat run.
+        assert_eq!(s1.admission_log, s2.admission_log);
+        assert_eq!(s1.makespan, s2.makespan);
+        assert_eq!(s1.instructions, s2.instructions);
+        assert_eq!(s1.bursts, s2.bursts);
+        assert_eq!(s1.throttled, s2.throttled);
+        assert_eq!(s1.peak_matching, s2.peak_matching);
+        assert_eq!(s1.latency.bins(), s2.latency.bins());
+        for (a, b) in s1.tenants.iter().zip(&s2.tenants) {
             assert_eq!(a.latency.bins(), b.latency.bins());
             assert_eq!(a.peak_queue, b.peak_queue);
         }
@@ -455,10 +443,6 @@ mod tests {
         for t in &s1.tenants {
             assert_eq!(t.offered, t.completed);
         }
-        // Repeat with the same seed: byte-identical again.
-        let s1b = serve(&tenants, &cfg, &mut EmulatorRunner::new(&program)).expect("serves");
-        assert_eq!(s1.admission_log, s1b.admission_log);
-        assert_eq!(s1.makespan, s1b.makespan);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --example id_compiler                 # built-in demo
 //! cargo run --example id_compiler -- prog.id 7    # your program + int inputs
 //! cargo run --example id_compiler -- --dot        # emit dot to stdout
-//! cargo run --example id_compiler -- --threads 4  # parallel wave backend
+//! cargo run --example id_compiler -- --threads 4  # also check the parallel backend
 //! ```
 
 use ttda::core::{Emulator, Value};
@@ -73,7 +73,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    let r = Emulator::new(&program).with_threads(threads).run(&inputs)?;
+    // The parallelism profile comes from the sequential interpreter; the
+    // parallel backend only has to agree on the outputs.
+    let r = Emulator::new(&program).run(&inputs)?;
+    if threads != 1 {
+        let par = Emulator::new(&program).with_threads(threads).run(&inputs)?;
+        assert_eq!(
+            par.outputs, r.outputs,
+            "parallel backend changed the outputs"
+        );
+        eprintln!("parallel backend ({threads} workers): same outputs");
+    }
     eprintln!("\nran in {} waves, {} firings", r.waves, r.instructions);
     eprintln!(
         "parallelism: mean {:.1}, peak {}; contexts allocated: {}",

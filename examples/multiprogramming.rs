@@ -66,14 +66,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The emulator's parallel backend multiprograms the same way: both
-    // jobs flow through the sharded matching store at once, and the
-    // deterministic wave merge keeps the result independent of how many
-    // host threads executed it.
+    // jobs flow through the sharded matching store at once, and dataflow
+    // confluence keeps the answers independent of how many host threads
+    // executed them.
     let seq = Emulator::new(&merged).submit(&jobs)?;
     let par = Emulator::new(&merged).with_threads(4).submit(&jobs)?;
-    assert_eq!(seq, par);
+    assert_eq!(seq.outputs, par.outputs);
     println!(
-        "emulator, 1 vs 4 worker threads: bit-identical EmuResult ({} firings, {} waves).",
+        "emulator, 1 vs 4 worker threads: same outputs ({} firings, {} waves sequential).",
         seq.instructions, seq.waves
     );
     Ok(())

@@ -69,16 +69,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r.stats.istore_deferred + r.stats.istore_immediate,
     );
 
-    // The untimed emulator sees the same overlap, and its parallel wave
-    // backend — here four worker threads sharing the sharded matching
-    // store and I-structure shards — reports a bit-identical result.
+    // The untimed emulator sees the same overlap, and its parallel
+    // backend — here four worker threads with sharded matching stores
+    // and I-structure shards — computes the same answer.
     let seq = Emulator::new(&program).run(&[Value::Int(total)])?;
     let par = Emulator::new(&program)
         .with_threads(4)
         .run(&[Value::Int(total)])?;
-    assert_eq!(seq, par);
+    assert_eq!(seq.outputs, par.outputs);
     println!(
-        "\nemulator: peak deferred reads {} — identical result at 1 and 4 host threads.",
+        "\nemulator: peak deferred reads {} — same outputs at 1 and 4 host threads.",
         seq.peak_deferred
     );
     Ok(())

@@ -40,10 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Engine 1: the fast emulator (Fig 3-1's emulation prong). Executes
     // the graph in enabled-instruction waves and reports the idealized
-    // parallelism profile. `with_threads(0)` asks for one worker per
-    // host core; the sharded backend merges every wave in canonical
-    // firing order, so the result is bit-identical to a one-thread run.
-    let r = Emulator::new(&program).with_threads(0).run(&inputs)?;
+    // parallelism profile.
+    let r = Emulator::new(&program).run(&inputs)?;
     println!("\n[emulator]  result          = {}", r.outputs[&0]);
     println!("[emulator]  instructions    = {}", r.instructions);
     println!("[emulator]  critical path   = {} waves", r.waves);

@@ -137,9 +137,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p = ttda::idc::compile(ttda::workloads::id::fib())?;
     let seq = Emulator::new(&p).run(&[Value::Int(15)])?;
     let par = Emulator::new(&p).with_threads(4).run(&[Value::Int(15)])?;
-    assert_eq!(seq, par);
+    assert_eq!(seq.outputs, par.outputs);
     println!(
-        "  fib(15) = {}: mean parallelism {:.1}, peak {} — bit-identical under\n\
+        "  fib(15) = {}: mean parallelism {:.1}, peak {} — the same answer under\n\
          1 or 4 emulation worker threads.",
         seq.outputs[&0],
         seq.mean_parallelism(),

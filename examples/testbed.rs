@@ -63,16 +63,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The facility existed to emulate the TTDA *in parallel* — §3 calls
     // for 32 to 128 processors. The emulator's `with_threads` backend is
-    // the same idea on host threads, and its deterministic merge keeps
-    // the emulated machine's behaviour independent of the host's size.
+    // the same idea on host threads; dataflow confluence keeps the
+    // answer and the firing count independent of the host's size.
     let seq = Emulator::new(&program).run(&[Value::Int(15)])?;
     let par = Emulator::new(&program)
         .with_threads(8)
         .run(&[Value::Int(15)])?;
-    assert_eq!(seq, par);
+    assert_eq!(seq.outputs, par.outputs);
+    assert_eq!(seq.instructions, par.instructions);
     println!(
-        "\nparallel emulation: 8 host workers reproduce the 1-worker run exactly\n\
-         ({} firings, critical path {} waves).",
+        "\nparallel emulation: 8 host workers reproduce the 1-worker answer\n\
+         ({} firings; critical path {} waves, from the sequential run).",
         seq.instructions, seq.waves
     );
     Ok(())

@@ -79,9 +79,9 @@ fn main() {
     drop(s);
 
     // Tracing composes with the emulator's parallel backend: workers
-    // buffer their events locally and the coordinator replays them in
-    // canonical firing order, so the ledger balances exactly even with
-    // four threads racing through the waves.
+    // buffer their events locally and the caller replays them after the
+    // run, so the ledger balances exactly even with four threads racing
+    // through the program.
     let program = ttda::idc::compile(ttda::workloads::id::producer_consumer())
         .expect("producer_consumer compiles");
     let esink = shared(CountingSink::new());
