@@ -637,8 +637,8 @@ pub fn service(c: &mut Criterion) {
 /// host drift even when the absolute firings/sec do not: the gated
 /// headline is `relaxed_ratio_1w` — the relaxed backend's wall clock at
 /// one worker over the sequential interpreter's, the price of the
-/// parallel protocol itself (shard channels, in-flight accounting, the
-/// sleep-and-poll quiescence check).
+/// parallel protocol itself (a worker thread, shard routing, the
+/// termination detector).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParThroughput {
     /// Workload label (e.g. `matmul_n5`).

@@ -4,12 +4,13 @@
 //! There is no wave barrier, no ordered merge and **no coordinator in
 //! the steady state at all** — the dataflow machine does not execute
 //! synchronization or scheduling code. Each worker owns a
-//! waiting–matching shard and an I-structure shard; tokens flow
-//! worker-to-worker over channels the moment they are produced, wave
-//! fronts overlap freely, and the run ends when a global in-flight
-//! counter reaches zero. A result bit-identical to the sequential
-//! interpreter is what [`RunMode::Sequential`](crate::RunMode::Sequential)
-//! is for.
+//! waiting–matching shard and an I-structure shard; tokens stream
+//! worker-to-worker over channels in batches while the producer is
+//! still busy, wave fronts overlap freely, no shared atomic is written
+//! per token or per firing, and the run ends when a message-counting
+//! termination detector sees that no work is left anywhere. A result
+//! bit-identical to the sequential interpreter is what
+//! [`RunMode::Sequential`](crate::RunMode::Sequential) is for.
 //!
 //! # What is still guaranteed
 //!
@@ -33,37 +34,77 @@
 //!
 //! # Quiescence and errors
 //!
-//! Every token and every structure operation increments a shared
-//! in-flight counter *before* it becomes visible (local queue, batch
-//! buffer or channel) and decrements it *after* it is fully processed —
-//! so the counter can only read zero when no work exists anywhere, and
-//! zero is stable (new work is only created while processing old work).
-//! Workers flush their batch buffers before blocking, poll the counter,
-//! and exit when it reaches zero. The first error (in real time, not
-//! program order — this is the relaxation) lands in a shared slot and
-//! poisons the run; fuel is a shared firing counter checked on every
-//! firing, so `OutOfFuel` still means "the program needed more than
-//! `fuel` firings", the same condition the sequential interpreter
-//! enforces.
+//! Termination is a message-counting detector over one shared count,
+//! `active`, which holds **busy workers plus batch messages sent but
+//! not yet consumed**. Every worker starts busy with its seed tokens, so
+//! the count starts at the worker count. It moves only at three points:
+//!
+//! - a worker adds one *before* it sends a batch;
+//! - a busy worker that takes a batch from its channel subtracts one
+//!   (the message is consumed, the worker was already counted);
+//! - a worker whose local queue is drained and whose batches are all
+//!   flushed subtracts one for itself, then parks in a blocking `recv`.
+//!   A batch that wakes it costs nothing: the message's unit now stands
+//!   for the busy worker.
+//!
+//! **Zero is stable.** Only a busy worker sends, and it is still
+//! counted when it does, so a send never lifts the count from zero; an
+//! idle worker becomes busy only by taking a message, and at zero there
+//! is none. The count therefore reads zero exactly when every worker
+//! is idle and no batch is in any channel, and stays there. The worker
+//! whose decrement brings it to zero sends every peer a stop message;
+//! parked peers wake on it and exit.
+//!
+//! The first error (in real time, not program order — this is the
+//! relaxation) lands in a shared slot and poisons the run; the first
+//! worker to poison also sends every peer a stop message, so a fault
+//! never leaves a peer parked. Busy workers read the poison flag once
+//! per flush, not per token. Fuel is counted privately: each worker
+//! publishes its firings against `fuel` in blocks of [`FUEL_BLOCK`], and
+//! a published total above `fuel` poisons the run with `OutOfFuel` —
+//! published firings are firings the program needed, so that is never
+//! premature. At quiescence the caller sums the exact per-worker counts
+//! and raises `OutOfFuel` if they exceed `fuel`, so `OutOfFuel` still
+//! means "the program needed more than `fuel` firings", the same
+//! condition the sequential interpreter enforces. A program that never
+//! terminates may fire up to `workers × FUEL_BLOCK` firings past `fuel`
+//! before its last block is published and it stops.
+//!
+//! **Orderings.** Every read-modify-write of `active` is `AcqRel`. What
+//! the detector relies on is the single modification order of one
+//! atomic together with the channel: a sender's increment is sequenced
+//! before its `send`, the `send` happens-before the matching `recv`
+//! (mpsc synchronizes them), and the receiver's decrement is sequenced
+//! after it — so the increment precedes the decrement in `active`'s
+//! modification order and the count never drops below the work that
+//! exists. The release/acquire pairing on top of that makes the
+//! terminator's zero observation happen-after every worker's last
+//! decrement. The fuel blocks and the poison flag are `Relaxed`: they
+//! publish no other data — the error travels under a mutex, and every
+//! per-worker result reaches the caller through the scoped-thread
+//! join.
 //!
 //! # Causality of structure traffic
 //!
 //! An op on a structure must reach the owning shard before any op that
 //! causally depends on it (`IAlloc` before a fetch through the pointer,
 //! `IStore` before a fetch released by its completion signal). Workers
-//! therefore flush, per batch cycle, **ops to every peer first, tokens
+//! therefore send, in every flush, **ops to every peer first, tokens
 //! second**, and dispatch a firing's own op before routing its tokens.
 //! Each hop is an mpsc send, and sends ordered by happens-before
 //! enqueue in that order at the receiver, so the create is always
 //! applied before the dependent fetch arrives. A store's completion
 //! signal is sent by the owning shard only once the store is applied,
-//! so nothing it unlocks can overtake the store.
+//! so nothing it unlocks can overtake the store. Flushing every
+//! [`FLUSH_EVERY`] tokens as well as before parking does not change
+//! the argument: a dependent op queued after its cause on the same
+//! peer buffer leaves in the same or a later flush, and a dependent
+//! token leaves no earlier than the flush that carries its cause.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use ttda_mem::{shard_of, Addr, IStructureShard, Presence, ReadOutcome};
 use ttda_sim::Cycle;
@@ -85,10 +126,15 @@ use crate::ExecError;
 /// does not promise.
 const STRUCT_LEASE: u32 = 64;
 
-/// How long a drained worker sleeps in `recv_timeout` between
-/// quiescence polls. Wake-ups are driven by message arrival; this only
-/// bounds the latency of noticing global quiescence or poison.
-const IDLE_POLL: Duration = Duration::from_micros(200);
+/// Tokens a busy worker processes between flushes of its outbound
+/// batches. Streaming keeps peers fed while the producer is still
+/// busy; holding batches until the local queue drains would idle a
+/// peer that owns half of the tokens.
+const FLUSH_EVERY: u32 = 64;
+
+/// Firings a worker counts privately before publishing them against
+/// the shared fuel meter (see the module docs on fuel).
+const FUEL_BLOCK: u64 = 1024;
 
 /// Stafford's mix13 finalizer — the same mixer the timed machine uses to
 /// spread activity names over PEs. Deterministic across runs/platforms.
@@ -113,13 +159,15 @@ pub(crate) fn worker_of(tag: ActivityName, workers: usize) -> usize {
 }
 
 /// A message between workers: a batch of structure ops for the
-/// receiver's I-structure shard, or a batch of tokens for the
-/// receiver's matching shard. Ops and tokens are separate variants
-/// because the flush order between them carries the causality argument
-/// (see the module docs).
+/// receiver's I-structure shard, a batch of tokens for the receiver's
+/// matching shard, or the end of the run. Ops and tokens are separate
+/// variants because the flush order between them carries the causality
+/// argument (see the module docs). Only batches are counted by the
+/// termination detector.
 enum Msg {
     Ops(Vec<ShardOp>),
     Tokens(Vec<Token>),
+    Stop,
 }
 
 /// One unit of structure-shard work: register a freshly allocated id,
@@ -129,19 +177,21 @@ enum ShardOp {
     Op(StructAction),
 }
 
-/// State shared by all workers of one relaxed run.
+/// State shared by all workers of one relaxed run. Nothing here is
+/// written per token or per firing.
 struct Shared<'a> {
     program: &'a Program,
     ctxs: &'a SharedContexts,
-    /// Tokens + ops produced but not yet fully processed, anywhere.
-    in_flight: AtomicUsize,
-    /// Successful firings so far — the fuel meter and the final
-    /// `instructions` count.
-    fired: AtomicU64,
+    /// The termination detector: busy workers plus batch messages sent
+    /// but not yet consumed (see the module docs).
+    active: AtomicUsize,
+    /// Firings published in whole [`FUEL_BLOCK`]s — a lower bound on the
+    /// firings so far, compared against `fuel`.
+    published: AtomicU64,
     fuel: u64,
     /// Source of leased structure-id blocks.
     next_struct: AtomicU32,
-    /// Set on the first error; workers exit promptly once they see it.
+    /// Set on the first error; workers exit at their next flush.
     poison: AtomicBool,
     first_err: Mutex<Option<ExecError>>,
     threads: usize,
@@ -151,21 +201,11 @@ struct Shared<'a> {
     crit: Option<CritMap>,
 }
 
-impl Shared<'_> {
-    /// Records `e` as the run's error if it is the first, and poisons
-    /// the run either way.
-    fn fail(&self, e: ExecError) {
-        let mut slot = self.first_err.lock().expect("error slot poisoned");
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        self.poison.store(true, Ordering::SeqCst);
-    }
-}
-
 /// What one worker hands back when it exits.
 struct WorkerOut {
     outputs: HashMap<u32, Value>,
+    /// Successful firings on this worker (exact; summed at quiescence).
+    fired: u64,
     alu_ops: u64,
     /// Peak occupancy of this worker's matching shard.
     peak_matching: usize,
@@ -233,8 +273,9 @@ pub(crate) fn submit(
     let shared = Shared {
         program,
         ctxs: &ctxs,
-        in_flight: AtomicUsize::new(nseeds),
-        fired: AtomicU64::new(0),
+        // Every worker starts busy with its seeds (possibly none).
+        active: AtomicUsize::new(threads),
+        published: AtomicU64::new(0),
         fuel,
         next_struct: AtomicU32::new(0),
         poison: AtomicBool::new(false),
@@ -244,31 +285,36 @@ pub(crate) fn submit(
         crit: (sched == SchedPolicy::Crit).then(|| CritMap::of(program)),
     };
 
+    // Worker 0 runs on the calling thread, so a run spawns one thread
+    // fewer and a one-worker run spawns none.
     let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..threads).map(|_| channel::<Msg>()).unzip();
-        let handles: Vec<_> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(me, rx)| {
+        let mut workers = rxs.into_iter().zip(seeds).enumerate();
+        let (_, (rx0, seed0)) = workers.next().expect("at least one worker");
+        let handles: Vec<_> = workers
+            .map(|(me, (rx, seed))| {
                 let shared = &shared;
                 let peers = txs.clone();
-                scope.spawn(move || worker(shared, me, rx, peers))
+                scope.spawn(move || worker(shared, me, seed, rx, peers))
             })
             .collect();
-        for (w, seed) in seeds.into_iter().enumerate() {
-            if !seed.is_empty() {
-                txs[w].send(Msg::Tokens(seed)).expect("worker died at seed");
-            }
-        }
-        drop(txs);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("relaxed worker panicked"))
+        let first = worker(&shared, 0, seed0, rx0, txs);
+        std::iter::once(first)
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("relaxed worker panicked")),
+            )
             .collect()
     });
 
     if let Some(e) = shared.first_err.into_inner().expect("error slot poisoned") {
         return Err(e);
+    }
+    // The exact fuel check: block publishing only ever undercounts.
+    let instructions = outs.iter().map(|o| o.fired).sum::<u64>();
+    if instructions > fuel {
+        return Err(ExecError::OutOfFuel);
     }
     let stranded = outs
         .iter()
@@ -281,7 +327,7 @@ pub(crate) fn submit(
     let mut outputs = HashMap::new();
     let mut result = EmuResult {
         outputs: HashMap::new(),
-        instructions: shared.fired.load(Ordering::SeqCst),
+        instructions,
         alu_ops: 0,
         waves: 0,
         profile: Vec::new(),
@@ -334,14 +380,25 @@ struct Worker<'a, 'p> {
     /// work is dispatched inline).
     obufs: Vec<Vec<ShardOp>>,
     tbufs: Vec<Vec<Token>>,
+    /// Drained buffers of received batches, refilling the outbound
+    /// slots a flush empties. At most `threads` of each kind — enough to
+    /// refill every slot of one flush — so a buffer travels between
+    /// workers instead of being allocated by one and freed by another.
+    spare_ops: Vec<Vec<ShardOp>>,
+    spare_tokens: Vec<Vec<Token>>,
     peers: Vec<Sender<Msg>>,
     out: WorkerOut,
 }
 
 /// One relaxed worker: absorb and fire tokens from the local queue,
-/// batch outbound traffic, flush before blocking, exit on global
-/// quiescence or poison.
-fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<Msg>>) -> WorkerOut {
+/// streaming outbound batches, until the run stops.
+fn worker(
+    shared: &Shared<'_>,
+    me: usize,
+    seeds: Vec<Token>,
+    rx: Receiver<Msg>,
+    peers: Vec<Sender<Msg>>,
+) -> WorkerOut {
     let threads = shared.threads;
     let mut w = Worker {
         shared,
@@ -355,9 +412,12 @@ fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<M
         scratch: Vec::new(),
         obufs: (0..threads).map(|_| Vec::new()).collect(),
         tbufs: (0..threads).map(|_| Vec::new()).collect(),
+        spare_ops: Vec::new(),
+        spare_tokens: Vec::new(),
         peers,
         out: WorkerOut {
             outputs: HashMap::new(),
+            fired: 0,
             alu_ops: 0,
             peak_matching: 0,
             stranded: 0,
@@ -367,41 +427,56 @@ fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<M
             traces: EventBuffer::new(),
         },
     };
-    loop {
-        while let Some(t) = w.local.pop() {
-            w.process_token(t);
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            if shared.poison.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        w.flush();
-        if shared.poison.load(Ordering::SeqCst) {
-            break;
-        }
-        match rx.try_recv() {
-            Ok(msg) => {
-                w.handle(msg);
-                continue;
-            }
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {}
-        }
-        if shared.in_flight.load(Ordering::SeqCst) == 0 {
-            break;
-        }
-        match rx.recv_timeout(IDLE_POLL) {
-            Ok(msg) => w.handle(msg),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+    for t in seeds {
+        w.local.push(w.prio(t.tag), t);
     }
+    w.run(&rx);
     w.out.stranded = w.waiting.len();
     w.out.deferred_outstanding = w.shard.deferred_outstanding();
     w.out
 }
 
 impl Worker<'_, '_> {
+    /// The worker loop: busy while it has tokens or batches, parked in
+    /// `recv` otherwise, and returning on a stop message, on poison, or
+    /// when its own decrement brings the detector to zero.
+    fn run(&mut self, rx: &Receiver<Msg>) {
+        let active = &self.shared.active;
+        loop {
+            let mut since_flush = 0;
+            while let Some(t) = self.local.pop() {
+                self.process_token(t);
+                since_flush += 1;
+                if since_flush == FLUSH_EVERY {
+                    since_flush = 0;
+                    if !self.flush() {
+                        return;
+                    }
+                }
+            }
+            if !self.flush() {
+                return;
+            }
+            match rx.try_recv() {
+                Ok(Msg::Stop) | Err(TryRecvError::Disconnected) => return,
+                Ok(batch) => {
+                    active.fetch_sub(1, Ordering::AcqRel);
+                    self.handle(batch);
+                    continue;
+                }
+                Err(TryRecvError::Empty) => {}
+            }
+            if active.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.stop_peers();
+                return;
+            }
+            match rx.recv() {
+                Ok(Msg::Stop) | Err(_) => return,
+                Ok(batch) => self.handle(batch),
+            }
+        }
+    }
+
     fn trace(&mut self, ev: TraceEvent) {
         if self.shared.traced {
             self.out.traces.push(Cycle::ZERO, ev);
@@ -415,11 +490,32 @@ impl Worker<'_, '_> {
         self.shared.crit.as_ref().map_or(0, |c| c.criticality(tag))
     }
 
-    /// Routes a freshly produced token to its matching shard's owner,
-    /// charging it to the in-flight counter first.
+    /// Records `e` as the run's error if it is the first, and poisons
+    /// the run; the first worker to poison it stops every peer.
+    fn fail(&self, e: ExecError) {
+        {
+            let mut slot = self.shared.first_err.lock().expect("error slot poisoned");
+            if slot.is_none() {
+                *slot = Some(e);
+            }
+        }
+        if !self.shared.poison.swap(true, Ordering::Relaxed) {
+            self.stop_peers();
+        }
+    }
+
+    fn stop_peers(&self) {
+        for (w, tx) in self.peers.iter().enumerate() {
+            if w != self.me {
+                // A peer that already exited needs no stop.
+                let _ = tx.send(Msg::Stop);
+            }
+        }
+    }
+
+    /// Routes a freshly produced token to its matching shard's owner.
     fn route(&mut self, t: Token) {
         self.trace(TraceEvent::TokenEmit { pe: self.me as u32 });
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let w = worker_of(t.tag, self.shared.threads);
         if w == self.me {
             self.local.push(self.prio(t.tag), t);
@@ -447,7 +543,6 @@ impl Worker<'_, '_> {
         if owner == self.me {
             self.apply_op(action);
         } else {
-            self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
             self.obufs[owner].push(ShardOp::Op(action));
         }
     }
@@ -458,7 +553,6 @@ impl Worker<'_, '_> {
         if owner == self.me {
             self.shard.create(id, len);
         } else {
-            self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
             self.obufs[owner].push(ShardOp::Create { id, len });
         }
     }
@@ -485,7 +579,7 @@ impl Worker<'_, '_> {
             }
             Err(e) => {
                 self.scratch.clear();
-                self.shared.fail(e);
+                self.fail(e);
             }
         }
     }
@@ -512,7 +606,7 @@ impl Worker<'_, '_> {
         let enabled = match absorb(self.shared.program, &mut self.waiting, token) {
             Ok(enabled) => enabled,
             Err(e) => {
-                self.shared.fail(e);
+                self.fail(e);
                 return;
             }
         };
@@ -536,15 +630,22 @@ impl Worker<'_, '_> {
         ) {
             Ok(eff) => eff,
             Err(e) => {
-                self.shared.fail(e);
+                self.fail(e);
                 return;
             }
         };
-        let fired = self.shared.fired.fetch_add(1, Ordering::SeqCst) + 1;
-        if fired > self.shared.fuel {
-            self.scratch.clear();
-            self.shared.fail(ExecError::OutOfFuel);
-            return;
+        self.out.fired += 1;
+        if self.out.fired.is_multiple_of(FUEL_BLOCK) {
+            let published = self
+                .shared
+                .published
+                .fetch_add(FUEL_BLOCK, Ordering::Relaxed)
+                + FUEL_BLOCK;
+            if published > self.shared.fuel {
+                self.scratch.clear();
+                self.fail(ExecError::OutOfFuel);
+                return;
+            }
         }
         if eff.is_alu {
             self.out.alu_ops += 1;
@@ -577,39 +678,60 @@ impl Worker<'_, '_> {
         self.route_scratch();
     }
 
-    /// Flushes outbound batches: ops to every peer first, then tokens —
-    /// the order the causality argument rests on.
-    fn flush(&mut self) {
+    /// Sends outbound batches — ops to every peer first, then tokens,
+    /// the order the causality argument rests on — each counted by the
+    /// detector before it is sent. Returns `false` once the run is
+    /// poisoned.
+    fn flush(&mut self) -> bool {
         for w in 0..self.shared.threads {
             if !self.obufs[w].is_empty() {
-                // A failed send means the peer exited on poison; the
-                // batch no longer matters.
-                let _ = self.peers[w].send(Msg::Ops(std::mem::take(&mut self.obufs[w])));
+                let fresh = self.spare_ops.pop().unwrap_or_default();
+                let batch = std::mem::replace(&mut self.obufs[w], fresh);
+                self.send(w, Msg::Ops(batch));
             }
         }
         for w in 0..self.shared.threads {
             if !self.tbufs[w].is_empty() {
-                let _ = self.peers[w].send(Msg::Tokens(std::mem::take(&mut self.tbufs[w])));
+                let fresh = self.spare_tokens.pop().unwrap_or_default();
+                let batch = std::mem::replace(&mut self.tbufs[w], fresh);
+                self.send(w, Msg::Tokens(batch));
             }
         }
+        !self.shared.poison.load(Ordering::Relaxed)
     }
 
-    fn handle(&mut self, msg: Msg) {
-        match msg {
-            Msg::Ops(ops) => {
-                for op in ops {
+    fn send(&self, w: usize, batch: Msg) {
+        self.shared.active.fetch_add(1, Ordering::AcqRel);
+        // A failed send means the peer exited on poison; the batch no
+        // longer matters.
+        let _ = self.peers[w].send(batch);
+    }
+
+    /// Applies a received batch: ops against the local shard, tokens
+    /// onto the local queue. The drained buffer joins the spares.
+    fn handle(&mut self, batch: Msg) {
+        let threads = self.shared.threads;
+        match batch {
+            Msg::Ops(mut ops) => {
+                for op in ops.drain(..) {
                     match op {
                         ShardOp::Create { id, len } => self.shard.create(id, len),
                         ShardOp::Op(op) => self.apply_op(op),
                     }
-                    self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                }
+                if self.spare_ops.len() < threads {
+                    self.spare_ops.push(ops);
                 }
             }
-            Msg::Tokens(ts) => {
-                for t in ts {
+            Msg::Tokens(mut ts) => {
+                for t in ts.drain(..) {
                     self.local.push(self.prio(t.tag), t);
                 }
+                if self.spare_tokens.len() < threads {
+                    self.spare_tokens.push(ts);
+                }
             }
+            Msg::Stop => unreachable!("the worker loop handles stop messages"),
         }
     }
 }

@@ -2,7 +2,11 @@
 //! output-equality contract on real workloads, its error and fuel
 //! behaviour, and its trace ledger.
 
+use std::sync::mpsc;
+use std::time::Duration;
+
 use ttda::core::{Emulator, ExecError, GraphBuilder, OpCode, Program, RunMode, Value};
+use ttda::mem::{Addr, IStructureError};
 use ttda::sim::{SimRng, Zipf};
 use ttda::trace::{shared, CountingSink};
 use ttda::workloads::fuzz::oracle::confluent_mismatch;
@@ -14,6 +18,36 @@ fn counting(sink: &ttda::trace::SharedSink) -> std::cell::Ref<'_, CountingSink> 
             .expect("counting sink")
     })
 }
+
+/// Runs `body` on a thread of its own and fails the test if it is still
+/// running after `limit`: a relaxed run that leaves a worker parked
+/// forever shows up as a failure instead of a hung test binary.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done_tx, done_rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let out = body();
+        let _ = done_tx.send(());
+        out
+    });
+    match done_rx.recv_timeout(limit) {
+        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what}: still running after {limit:?}, a worker never stopped")
+        }
+    }
+}
+
+/// Worker counts and repetitions for the runs that end in an error or
+/// with no work at all — the runs a termination detector can get wrong.
+const STOP_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+const STOP_REPS: usize = 20;
+const STOP_LIMIT: Duration = Duration::from_secs(120);
 
 /// A wide fan-out of independent `Identity` chains whose depths follow
 /// a Zipf law: most chains run the full depth, a skewed tail quits
@@ -100,15 +134,136 @@ fn relaxed_matches_sequential_outputs_on_workloads() {
 
 #[test]
 fn relaxed_runs_out_of_fuel_like_sequential() {
-    let p = ttda::idc::compile(ttda::workloads::id::producer_consumer()).unwrap();
-    for threads in [1usize, 4] {
-        let rel = Emulator::new(&p)
-            .with_threads(threads)
-            .with_mode(RunMode::Relaxed)
-            .with_fuel(10)
-            .run(&[Value::Int(24)]);
-        assert_eq!(rel, Err(ExecError::OutOfFuel), "threads={threads}");
+    // Workers publish firings against fuel in blocks and the exact
+    // check runs at quiescence, so the boundary must sit exactly where
+    // the sequential interpreter puts it: a budget of `need` firings
+    // completes, `need - 1` runs out. A tiny budget is exhausted by a
+    // published block while the run is still going.
+    let cases = [
+        (
+            "producer_consumer",
+            ttda::workloads::id::producer_consumer(),
+            24,
+        ),
+        ("matmul", ttda::workloads::id::matmul(), 5),
+        ("fib", ttda::workloads::id::fib(), 12),
+    ];
+    for (name, src, n) in cases {
+        let p = ttda::idc::compile(src).expect("workload compiles");
+        let inputs = [Value::Int(n)];
+        let sequential = |fuel| {
+            Emulator::new(&p)
+                .with_mode(RunMode::Sequential)
+                .with_fuel(fuel)
+                .run(&inputs)
+        };
+        let need = sequential(u64::MAX)
+            .unwrap_or_else(|e| panic!("{name}: sequential run failed: {e}"))
+            .instructions;
+        assert_eq!(sequential(need - 1), Err(ExecError::OutOfFuel), "{name}");
+        for threads in [1usize, 2, 4] {
+            let relaxed = |fuel| {
+                Emulator::new(&p)
+                    .with_threads(threads)
+                    .with_mode(RunMode::Relaxed)
+                    .with_fuel(fuel)
+                    .run(&inputs)
+            };
+            let at_need = relaxed(need)
+                .unwrap_or_else(|e| panic!("{name} threads={threads}: fuel {need}: {e}"));
+            assert_eq!(at_need.instructions, need, "{name} threads={threads}");
+            assert_eq!(
+                relaxed(need - 1),
+                Err(ExecError::OutOfFuel),
+                "{name} threads={threads} fuel={}",
+                need - 1
+            );
+            assert_eq!(
+                relaxed(10),
+                Err(ExecError::OutOfFuel),
+                "{name} threads={threads} fuel=10"
+            );
+        }
     }
+}
+
+#[test]
+fn relaxed_faults_stop_every_worker_with_the_sequential_error() {
+    // A fault inside an I-structure shard poisons the run while peers
+    // may be parked; each must still be stopped, and the error must be
+    // the one the sequential interpreter reports.
+    let out_of_range = |addr, size| IStructureError::OutOfRange {
+        addr: Addr(addr),
+        size,
+    };
+    let cases = [
+        (
+            "double write",
+            "def main(n) = { a = array(n); a[0] <- 1; a[0] <- 2; n };",
+            IStructureError::AlreadyWritten { addr: Addr(0) },
+        ),
+        (
+            "write past the end",
+            "def main(n) = { a = array(n); a[n + 3] <- 1; n };",
+            out_of_range(43, 40),
+        ),
+        (
+            "consumer reads one past the end",
+            "def main(n) =
+               { a = array(n);
+                 done = (initial j = 0 for i from 0 to n - 1 do
+                           a[i] <- i * i;
+                           new j = j + 1
+                         return j);
+                 (initial s = 0 for i from 0 to n do
+                    new s = s + a[i]
+                  return s) };",
+            out_of_range(40, 40),
+        ),
+    ];
+    for (name, src, expected) in cases {
+        within(STOP_LIMIT, name, move || {
+            let p = ttda::idc::compile(src).expect("fault program compiles");
+            let inputs = [Value::Int(40)];
+            let seq = Emulator::new(&p)
+                .with_mode(RunMode::Sequential)
+                .run(&inputs)
+                .expect_err("the program faults");
+            assert_eq!(seq, ExecError::IStructure(expected), "{name}");
+            for threads in STOP_WIDTHS {
+                for rep in 0..STOP_REPS {
+                    let rel = Emulator::new(&p)
+                        .with_threads(threads)
+                        .with_mode(RunMode::Relaxed)
+                        .run(&inputs);
+                    assert_eq!(rel, Err(seq.clone()), "{name} threads={threads} rep={rep}");
+                }
+            }
+        });
+    }
+}
+
+#[test]
+fn relaxed_empty_submission_stops_like_sequential() {
+    // No jobs means no seed tokens: every worker starts with nothing to
+    // do, and the last one to go idle must still stop the others.
+    within(STOP_LIMIT, "empty submission", || {
+        let p = ttda::idc::compile(ttda::workloads::id::fib()).expect("fib compiles");
+        let seq = Emulator::new(&p)
+            .with_mode(RunMode::Sequential)
+            .submit(&[])
+            .expect("an empty submission runs");
+        for threads in STOP_WIDTHS {
+            for rep in 0..STOP_REPS {
+                let rel = Emulator::new(&p)
+                    .with_threads(threads)
+                    .with_mode(RunMode::Relaxed)
+                    .submit(&[])
+                    .expect("an empty submission runs");
+                assert_eq!(rel, seq, "threads={threads} rep={rep}");
+            }
+        }
+    });
 }
 
 #[test]
