@@ -109,6 +109,15 @@ pub enum ExecError {
     },
     /// Execution exceeded the configured step/cycle budget.
     OutOfFuel,
+    /// The timed machine's network has no route between two PEs that
+    /// must exchange a token or an I-structure packet (a partitioned or
+    /// faulty topology).
+    Unroutable {
+        /// The sending PE.
+        from: usize,
+        /// The PE or I-structure module it could not reach.
+        to: usize,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -127,6 +136,9 @@ impl fmt::Display for ExecError {
                 )
             }
             ExecError::OutOfFuel => write!(f, "execution exceeded its fuel"),
+            ExecError::Unroutable { from, to } => {
+                write!(f, "the network has no route from PE {from} to PE {to}")
+            }
         }
     }
 }

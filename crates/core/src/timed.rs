@@ -14,6 +14,19 @@
 //! consuming tokens from its input queue — utilization stays high as
 //! network latency grows, *provided the program has parallelism to spare*
 //! (the paper's claim, tested in E1/E14).
+//!
+//! # Events and payloads
+//!
+//! The run is one loop over a [`ttda_sim::EventQueue`]. An event
+//! (`Ev`, 12 bytes) names what happens and where — a token reaches a
+//! PE, a PE wakes, a packet reaches an I-structure module — and refers
+//! to its payload by a 4-byte handle. Tokens and I-structure packets in
+//! flight live in two per-run slabs, which recycle freed slots through
+//! a free list. A token is copied into its slab once, when it is
+//! routed, and out once, when its PE services it; in between, the
+//! event queue and the PE's input queue move only its handle. An
+//! unroutable destination (a partitioned or faulty network) ends the
+//! run with [`ExecError::Unroutable`].
 
 use std::collections::HashMap;
 
@@ -208,22 +221,95 @@ fn globalize(e: IStructureError, ptr: StructRef, idx: usize) -> ExecError {
     })
 }
 
+/// An index into one of the run's payload [`Slab`]s.
+type Handle = u32;
+
+/// One scheduled event: what happens, where, and a handle to its
+/// payload, if it has one.
 #[derive(Debug)]
 enum Ev {
     /// A `d=0` token reaches a PE's input.
-    Deliver { pe: usize, token: Token },
+    Deliver { pe: u32, token: Handle },
     /// A PE is ready to service its queue.
-    Wake { pe: usize },
+    Wake { pe: u32 },
     /// A `d=1` packet reaches an I-structure module.
-    IsOp { module: usize, action: StructAction },
+    IsOp { module: u32, action: Handle },
+}
+
+// Handle-sized: the event queue moves these, never a token.
+const _: () = assert!(std::mem::size_of::<Ev>() == 12);
+
+/// Payloads in flight, addressed by [`Handle`]s. A freed slot goes on
+/// the free list and is reused before the slab grows, so a run holds at
+/// most its peak number of payloads in flight.
+struct Slab<T> {
+    items: Vec<T>,
+    free: Vec<Handle>,
+}
+
+impl<T: Clone> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `x`, returning its handle.
+    fn put(&mut self, x: T) -> Handle {
+        match self.free.pop() {
+            Some(h) => {
+                self.items[h as usize] = x;
+                h
+            }
+            None => {
+                let h =
+                    Handle::try_from(self.items.len()).expect("fewer than 2^32 payloads in flight");
+                self.items.push(x);
+                h
+            }
+        }
+    }
+
+    /// The payload behind `h`.
+    fn get(&self, h: Handle) -> &T {
+        &self.items[h as usize]
+    }
+
+    /// Copies out the payload behind `h` and frees its slot.
+    fn take(&mut self, h: Handle) -> T {
+        self.free.push(h);
+        self.items[h as usize].clone()
+    }
+}
+
+/// A run's pending events and the payloads they refer to.
+struct InFlight {
+    events: EventQueue<Ev>,
+    tokens: Slab<Token>,
+    packets: Slab<StructAction>,
+}
+
+impl InFlight {
+    /// Schedules `token`'s arrival at `pe`'s input at `at`.
+    fn deliver(&mut self, at: Cycle, pe: usize, token: Token) {
+        let token = self.tokens.put(token);
+        self.events.push(
+            at,
+            Ev::Deliver {
+                pe: pe as u32,
+                token,
+            },
+        );
+    }
 }
 
 #[derive(Debug, Default)]
 struct PeState {
-    /// Input token queue: a FIFO ring under [`SchedPolicy::Fifo`]
-    /// (everything arrives at priority 0), a criticality-bucketed
-    /// priority queue under [`SchedPolicy::Crit`].
-    queue: BucketQueue<Token>,
+    /// Handles of the input tokens: a FIFO ring under
+    /// [`SchedPolicy::Fifo`] (everything arrives at priority 0), a
+    /// criticality-bucketed priority queue under [`SchedPolicy::Crit`].
+    queue: BucketQueue<Handle>,
     waiting: MatchingStore,
     busy_until: Cycle,
     wake_scheduled: bool,
@@ -370,7 +456,9 @@ impl<T: Topology> TimedMachine<T> {
     /// # Errors
     ///
     /// The same error conditions as [`Emulator::run`](crate::Emulator),
-    /// plus [`ExecError::OutOfFuel`] when the cycle horizon is exceeded.
+    /// plus [`ExecError::OutOfFuel`] when the cycle horizon is exceeded
+    /// and [`ExecError::Unroutable`] when the network has no route
+    /// between two PEs that must exchange a token or packet.
     pub fn run(&mut self, inputs: &[Value]) -> Result<TimedResult, ExecError> {
         let main = self.program.main;
         self.submit(&[crate::machine::Job::new(main, inputs.to_vec())])
@@ -416,7 +504,11 @@ impl<T: Topology> TimedMachine<T> {
         let mut modules: Vec<ModState> = (0..n).map(|_| ModState::default()).collect();
         let mut next_struct: u32 = 0;
         let mut outputs = HashMap::new();
-        let mut q: EventQueue<Ev> = EventQueue::new();
+        let mut fl = InFlight {
+            events: EventQueue::new(),
+            tokens: Slab::new(),
+            packets: Slab::new(),
+        };
         // Every firing and structure reply emits into this one buffer,
         // which is routed and drained before the next emits.
         let mut scratch: Vec<Token> = Vec::new();
@@ -458,18 +550,12 @@ impl<T: Topology> TimedMachine<T> {
                     i: Iter::ONE,
                 };
                 let pe = self.pe_of(tag);
-                q.push(
-                    Cycle::ZERO,
-                    Ev::Deliver {
-                        pe,
-                        token: Token::new(tag, Port(0), *v),
-                    },
-                );
+                fl.deliver(Cycle::ZERO, pe, Token::new(tag, Port(0), *v));
                 trace(Cycle::ZERO, &TraceEvent::TokenEmit { pe: pe as u32 });
             }
         }
 
-        while let Some((now, ev)) = q.pop() {
+        while let Some((now, ev)) = fl.events.pop() {
             end = end.max(now);
             if now > cfg.max_cycles || instructions > cfg.fuel {
                 return Err(ExecError::OutOfFuel);
@@ -477,19 +563,21 @@ impl<T: Topology> TimedMachine<T> {
             match ev {
                 Ev::Deliver { pe, token } => {
                     tokens_delivered += 1;
-                    let p = &mut pes[pe];
-                    p.queue.push(prio(&token), token);
+                    let p = &mut pes[pe as usize];
+                    p.queue.push(prio(fl.tokens.get(token)), token);
                     peak_queue = peak_queue.max(p.queue.len());
                     if !p.wake_scheduled {
                         p.wake_scheduled = true;
-                        q.push(now.max(p.busy_until), Ev::Wake { pe });
+                        fl.events.push(now.max(p.busy_until), Ev::Wake { pe });
                     }
                 }
                 Ev::Wake { pe } => {
+                    let pe = pe as usize;
                     let Some(token) = pes[pe].queue.pop() else {
                         pes[pe].wake_scheduled = false;
                         continue;
                     };
+                    let token = fl.tokens.take(token);
                     let mut busy = cfg.match_time;
                     if cfg.match_capacity > 0 && pes[pe].waiting.len() >= cfg.match_capacity {
                         busy += cfg.match_overflow_penalty;
@@ -527,7 +615,7 @@ impl<T: Topology> TimedMachine<T> {
                                 busy: busy.as_u64(),
                             },
                         );
-                        self.route_all(&mut q, done, pe, &mut scratch, &mut tokens_remote);
+                        self.route_all(&mut fl, done, pe, &mut scratch, &mut tokens_remote)?;
                         if let Some((slot, v)) = eff.output {
                             outputs.insert(slot, v);
                         }
@@ -543,12 +631,12 @@ impl<T: Topology> TimedMachine<T> {
                                     next_struct += 1;
                                     deliver(&self.program, tag, ptr, &mut scratch);
                                     self.route_all(
-                                        &mut q,
+                                        &mut fl,
                                         done,
                                         pe,
                                         &mut scratch,
                                         &mut tokens_remote,
-                                    );
+                                    )?;
                                 }
                                 StructAction::Fetch { ptr, idx, .. }
                                 | StructAction::Store { ptr, idx, .. } => {
@@ -557,9 +645,16 @@ impl<T: Topology> TimedMachine<T> {
                                         done + cfg.local_delay
                                     } else {
                                         tokens_remote += 1;
-                                        self.fabric.send(done, NodeId(pe), NodeId(module))
+                                        self.send(done, pe, module)?
                                     };
-                                    q.push(arrive, Ev::IsOp { module, action });
+                                    let action = fl.packets.put(action);
+                                    fl.events.push(
+                                        arrive,
+                                        Ev::IsOp {
+                                            module: module as u32,
+                                            action,
+                                        },
+                                    );
                                 }
                             }
                         }
@@ -573,11 +668,12 @@ impl<T: Topology> TimedMachine<T> {
                     if pes[pe].queue.is_empty() {
                         pes[pe].wake_scheduled = false;
                     } else {
-                        q.push(wake_at, Ev::Wake { pe });
+                        fl.events.push(wake_at, Ev::Wake { pe: pe as u32 });
                     }
                 }
-                Ev::IsOp { module, action } => match action {
+                Ev::IsOp { module, action } => match fl.packets.take(action) {
                     StructAction::Fetch { tag, ptr, idx } => {
+                        let module = module as usize;
                         let (local, size) = self.local_slot(ptr, idx);
                         let m = &mut modules[module];
                         let start = now.max(m.port_free);
@@ -606,7 +702,13 @@ impl<T: Topology> TimedMachine<T> {
                                 },
                             );
                             deliver(&self.program, tag, v, &mut scratch);
-                            self.route_all(&mut q, done, module, &mut scratch, &mut tokens_remote);
+                            self.route_all(
+                                &mut fl,
+                                done,
+                                module,
+                                &mut scratch,
+                                &mut tokens_remote,
+                            )?;
                         } else {
                             is_deferred += 1;
                             for reader in continuation(&self.program, tag) {
@@ -655,6 +757,7 @@ impl<T: Topology> TimedMachine<T> {
                         idx,
                         value,
                     } => {
+                        let module = module as usize;
                         let (local, size) = self.local_slot(ptr, idx);
                         let m = &mut modules[module];
                         let start = now.max(m.port_free);
@@ -705,16 +808,27 @@ impl<T: Topology> TimedMachine<T> {
                             }
                         }
                         // Released readers stream straight to the router
-                        // (the packed store's zero-allocation release).
+                        // (the packed store's zero-allocation release);
+                        // the first routing error stops the rest.
+                        let mut routed = Ok(());
                         m.store
                             .write_with(ptr.id, local, value, |(rtag, port)| {
-                                let token = Token::new(rtag, port, value);
-                                self.route_one(&mut q, done, module, token, &mut tokens_remote);
+                                if routed.is_ok() {
+                                    let token = Token::new(rtag, port, value);
+                                    routed = self.route_one(
+                                        &mut fl,
+                                        done,
+                                        module,
+                                        token,
+                                        &mut tokens_remote,
+                                    );
+                                }
                             })
                             .expect("just ensured")
                             .map_err(|e| globalize(e, ptr, idx))?;
+                        routed?;
                         deliver(&self.program, tag, Value::Unit, &mut scratch);
-                        self.route_all(&mut q, done, module, &mut scratch, &mut tokens_remote);
+                        self.route_all(&mut fl, done, module, &mut scratch, &mut tokens_remote)?;
                     }
                     StructAction::Alloc { .. } => unreachable!("alloc handled at the PE"),
                 },
@@ -766,15 +880,16 @@ impl<T: Topology> TimedMachine<T> {
     /// `tokens` empty with its storage kept.
     fn route_all(
         &mut self,
-        q: &mut EventQueue<Ev>,
+        fl: &mut InFlight,
         at: Cycle,
         from: usize,
         tokens: &mut Vec<Token>,
         tokens_remote: &mut u64,
-    ) {
+    ) -> Result<(), ExecError> {
         for token in tokens.drain(..) {
-            self.route_one(q, at, from, token, tokens_remote);
+            self.route_one(fl, at, from, token, tokens_remote)?;
         }
+        Ok(())
     }
 
     /// Routes a single token — the unit [`Self::route_all`] iterates,
@@ -782,24 +897,33 @@ impl<T: Topology> TimedMachine<T> {
     /// directly per released reader.
     fn route_one(
         &mut self,
-        q: &mut EventQueue<Ev>,
+        fl: &mut InFlight,
         at: Cycle,
         from: usize,
         token: Token,
         tokens_remote: &mut u64,
-    ) {
+    ) -> Result<(), ExecError> {
         let pe = self.pe_of(token.tag);
         if let Some(s) = &self.sink {
             s.borrow_mut()
                 .record(at, &TraceEvent::TokenEmit { pe: pe as u32 });
         }
-        if pe == from {
-            q.push(at + self.config.local_delay, Ev::Deliver { pe, token });
+        let arrive = if pe == from {
+            at + self.config.local_delay
         } else {
             *tokens_remote += 1;
-            let arrive = self.fabric.send(at, NodeId(from), NodeId(pe));
-            q.push(arrive, Ev::Deliver { pe, token });
-        }
+            self.send(at, from, pe)?
+        };
+        fl.deliver(arrive, pe, token);
+        Ok(())
+    }
+
+    /// Sends one network packet from PE `from` to PE `to`, returning its
+    /// arrival time.
+    fn send(&mut self, at: Cycle, from: usize, to: usize) -> Result<Cycle, ExecError> {
+        self.fabric
+            .try_send(at, NodeId(from), NodeId(to))
+            .map_err(|_| ExecError::Unroutable { from, to })
     }
 }
 
@@ -1018,6 +1142,49 @@ mod tests {
             m.run(&[Value::Int(1)]).unwrap_err(),
             ExecError::IStructure(_)
         ));
+    }
+
+    #[test]
+    fn unroutable_istructure_packet_is_an_error() {
+        // Under `ByContext` mapping every token of `main` stays on one
+        // PE, so the only network traffic is the `d=1` packets to the
+        // modules holding the eight elements, one per module, and their
+        // replies. Half the modules sit across the partition.
+        let mut g = GraphBuilder::new("t");
+        let x = g.param();
+        let size = g.lit(Value::Int(8));
+        g.wire(x, size, 0);
+        let alloc = g.instr(OpCode::IAlloc);
+        g.wire(size, alloc, 0);
+        for i in 0..8 {
+            let store = g.instr_lit(OpCode::IStore, 1, Value::Int(i));
+            g.wire(alloc, store, 0);
+            g.wire(x, store, 2);
+            let sink = g.instr(OpCode::Sink);
+            g.wire(store, sink, 0);
+        }
+        let p = g.finish_program().unwrap();
+        let cfg = TimedConfig {
+            mapping: MappingPolicy::ByContext,
+            ..TimedConfig::default()
+        };
+        let whole = ttda_net::Hypercube::new(3).unwrap();
+        let mut m = TimedMachine::new(p.clone(), whole.clone(), cfg);
+        let r = m.run(&[Value::Int(1)]).unwrap();
+        assert_eq!(r.stats.istore_writes, 8);
+        // A store packet out to each of the seven remote modules and its
+        // acknowledgement token back.
+        assert_eq!(r.stats.net_packets, 14);
+
+        let mut split = whole;
+        split.partition(1).unwrap();
+        let mut m = TimedMachine::new(p, split, cfg);
+        let err = m.run(&[Value::Int(1)]).unwrap_err();
+        let ExecError::Unroutable { from, to } = err else {
+            panic!("expected Unroutable, got {err:?}");
+        };
+        assert_ne!(from / 4, to / 4, "{from} -> {to} is inside one half");
+        assert!(err.to_string().contains("no route"), "{err}");
     }
 
     #[test]

@@ -111,9 +111,10 @@ fn sequential_fib_does_not_allocate_per_firing() {
 #[test]
 fn timed_fib_does_not_allocate_per_firing() {
     // The timed-fib configuration of the repository benchmark: an 8-PE
-    // hypercube with criticality scheduling. Measured at 0.0083
-    // allocations per firing (449 over 54,347 firings): growth of the
-    // event queue, the PE queues and the network's link state.
+    // hypercube with criticality scheduling. Measured at 0.0121
+    // allocations per firing (659 over 54,347 firings): growth of the
+    // event queue's 64 wheel buckets, the token and packet slabs, the
+    // PE queues and the network's link state.
     let config = TimedConfig {
         sched: SchedPolicy::Crit,
         ..TimedConfig::default()

@@ -6,7 +6,9 @@
 //!
 //! - [`Cycle`]: a newtype for simulated time measured in machine cycles;
 //! - [`EventQueue`]: a stable (FIFO-among-ties) priority queue of timed
-//!   events, the heart of event-driven models;
+//!   events, the heart of event-driven models — a 64-slot time wheel
+//!   with O(1) push and pop for events due within 64 cycles of the
+//!   latest pop, backed by a binary heap for the rest;
 //! - [`Engine`]: a convenience driver that pops events and hands them to a
 //!   handler until quiescence or a time limit;
 //! - [`stats`]: counters, utilization trackers, histograms and time-series
@@ -22,7 +24,9 @@
 //!
 //! Everything here is deterministic: the event queue breaks ties by
 //! insertion order, and randomness only enters through [`SimRng`], which is
-//! always explicitly seeded. Two runs with the same seed produce identical
+//! always explicitly seeded. The queue's wheel and heap together pop in
+//! exactly the order one heap over `(time, push order)` would; the
+//! invariant that guarantees it is documented on [`EventQueue`]. Two runs with the same seed produce identical
 //! cycle-for-cycle behaviour, which is what makes the experiment tables in
 //! the repository reproducible.
 //!

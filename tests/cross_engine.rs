@@ -7,8 +7,11 @@
 //! divergence in matching, tag manipulation, I-structure deferral or
 //! routing shows up as a result mismatch here.
 
-use ttda::core::{Emulator, Machine, MappingPolicy, TimedConfig, TimedMachine, Value};
-use ttda::net::{ClusterTree, Crossbar, Grid2d, Hypercube, Omega};
+use ttda::core::opt::OptLevel;
+use ttda::core::{
+    Emulator, ExecError, Machine, MappingPolicy, SchedPolicy, TimedConfig, TimedMachine, Value,
+};
+use ttda::net::{ClusterTree, Crossbar, FabricConfig, Grid2d, Hypercube, Omega};
 use ttda::sim::Cycle;
 use ttda::workloads::fuzz::oracle::confluent_mismatch;
 use ttda::workloads::{id, reference};
@@ -148,6 +151,25 @@ fn faulty_and_partitioned_cube_still_computes() {
 }
 
 #[test]
+fn partitioned_cube_is_an_error_not_a_panic() {
+    // Splitting the 3-cube into two 2-cubes leaves PEs that must talk
+    // with no route between them: the run reports it and stops.
+    for (name, src, input) in [("fib", id::fib(), 10), ("matmul", id::matmul(), 3)] {
+        let p = ttda::idc::compile(src).expect("compiles");
+        let mut cube = Hypercube::new(3).expect("cube");
+        cube.partition(1).expect("a 3-cube splits in two");
+        let mut m = TimedMachine::new(p, cube, TimedConfig::default());
+        match m.run(&[Value::Int(input)]) {
+            Err(ExecError::Unroutable { from, to }) => {
+                // `partition(1)` keys a node's half on its top address bit.
+                assert_ne!(from / 4, to / 4, "{name}: {from} -> {to}");
+            }
+            other => panic!("{name}: expected Unroutable, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn deterministic_across_repeat_runs() {
     let p = ttda::idc::compile(id::matmul()).expect("compiles");
     let mut cycles = Vec::new();
@@ -158,6 +180,86 @@ fn deterministic_across_repeat_runs() {
     }
     assert_eq!(cycles[0], cycles[1]);
     assert_eq!(cycles[1], cycles[2]);
+}
+
+#[test]
+fn timed_model_output_is_pinned() {
+    // The timed machine's exact output on two configurations. A change
+    // to the event loop, the PE queues or the network that moves any of
+    // these figures changes the simulation, not just its speed.
+
+    // The repository benchmark's `timed-fib`: every event lands within
+    // a few cycles of the last one.
+    let p = ttda::idc::compile_optimized(id::fib(), OptLevel::O2).expect("compiles");
+    let config = TimedConfig {
+        sched: SchedPolicy::Crit,
+        ..TimedConfig::default()
+    };
+    let mut m = TimedMachine::new(p, Hypercube::new(3).expect("cube"), config);
+    let r = m.run(&[Value::Int(18)]).expect("runs");
+    assert_eq!(r.outputs[&0], Value::Int(reference::fib(18)));
+    let s = &r.stats;
+    assert_eq!(
+        (s.pes, s.cycles, s.instructions, s.alu_ops, s.alu_busy),
+        (8, Cycle(25_710), 54_347, 20_901, Cycle(20_901))
+    );
+    assert_eq!(
+        s.per_pe_alu_busy,
+        [2636, 2565, 2617, 2583, 2574, 2832, 2741, 2353].map(Cycle)
+    );
+    assert_eq!(
+        (s.tokens_delivered, s.tokens_remote, s.contexts),
+        (66_888, 14_696, 8_363)
+    );
+    assert_eq!(
+        (s.peak_matching, s.match_overflows, s.peak_queue),
+        (1_285, 0, 923)
+    );
+    assert_eq!(
+        (s.istore_immediate, s.istore_deferred, s.istore_writes),
+        (0, 0, 0)
+    );
+    assert_eq!(
+        (s.net_packets, s.net_mean_hops),
+        (14_696, 1.7079477408818726)
+    );
+
+    // Matmul over a bit-serial cube: slow links put a share of the
+    // events 64 or more cycles ahead, past the event queue's window.
+    let p = ttda::idc::compile(id::matmul()).expect("compiles");
+    let config = TimedConfig {
+        sched: SchedPolicy::Fifo,
+        fabric: FabricConfig::bit_serial_4mbs(),
+        ..TimedConfig::default()
+    };
+    let mut m = TimedMachine::new(p, Hypercube::new(3).expect("cube"), config);
+    let r = m.run(&[Value::Int(5)]).expect("runs");
+    assert_eq!(r.outputs[&0], Value::Int(reference::matmul_checksum(5)));
+    let s = &r.stats;
+    assert_eq!(
+        (s.pes, s.cycles, s.instructions, s.alu_ops, s.alu_busy),
+        (8, Cycle(10_074), 9_789, 1_560, Cycle(1_560))
+    );
+    assert_eq!(
+        s.per_pe_alu_busy,
+        [223, 198, 172, 167, 233, 166, 249, 152].map(Cycle)
+    );
+    assert_eq!(
+        (s.tokens_delivered, s.tokens_remote, s.contexts),
+        (13_560, 2_222, 35)
+    );
+    assert_eq!(
+        (s.peak_matching, s.match_overflows, s.peak_queue),
+        (241, 0, 95)
+    );
+    assert_eq!(
+        (s.istore_immediate, s.istore_deferred, s.istore_writes),
+        (95, 155, 50)
+    );
+    assert_eq!(
+        (s.net_packets, s.net_mean_hops),
+        (2_222, 1.7385238523852384)
+    );
 }
 
 #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests over the suite's core invariants, driven by the
 //! in-tree `check` harness.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ttda::core::{Emulator, RunMode, TimedConfig, TimedMachine, Value};
 use ttda::mem::{Addr, IStructure, IStructureError, ReadOutcome};
 use ttda::net::{Grid2d, Hypercube, NodeId, Omega, Topology};
@@ -532,19 +535,66 @@ fn omega_and_grid_routes_have_expected_lengths() {
 
 #[test]
 fn event_queue_is_stable_priority_order() {
+    // Interleaves every operation and checks each result against a
+    // reference heap over (time, push order). Push times fall before the
+    // latest pop, inside the queue's 64-cycle window, across its edge and
+    // far beyond it, and often repeat an earlier time exactly.
     check::forall("event queue is stable priority order", |rng| {
-        let count = rng.gen_range(0usize..100);
         let mut q = EventQueue::new();
-        for i in 0..count {
-            q.push(Cycle(rng.gen_range(0u64..1000)), i);
-        }
-        let mut last: Option<(Cycle, usize)> = None;
-        while let Some((t, i)) = q.pop() {
-            if let Some((lt, li)) = last {
-                assert!(t > lt || (t == lt && i > li), "stability violated");
+        let mut model: BinaryHeap<Reverse<(Cycle, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut latest = Cycle::ZERO;
+        let mut times: Vec<Cycle> = Vec::new();
+        for _ in 0..rng.gen_range(0usize..400) {
+            match rng.gen_range(0u32..100) {
+                0..=47 => {
+                    let at = match rng.gen_range(0u32..5) {
+                        0 => Cycle(rng.gen_range(0..=latest.0)),
+                        1 => latest + Cycle(rng.gen_range(0u64..64)),
+                        2 => latest + Cycle(rng.gen_range(56u64..72)),
+                        3 => latest + Cycle(rng.gen_range(64u64..5_000)),
+                        _ => *rng.choose(&times).unwrap_or(&latest),
+                    };
+                    times.push(at);
+                    q.push(at, seq);
+                    model.push(Reverse((at, seq)));
+                    seq += 1;
+                }
+                48..=79 => {
+                    let got = q.pop();
+                    assert_eq!(got, model.pop().map(|Reverse(e)| e), "pop");
+                    if let Some((t, _)) = got {
+                        latest = latest.max(t);
+                    }
+                }
+                80..=87 => {
+                    let want = model.peek().map(|Reverse((t, _))| *t);
+                    assert_eq!(q.peek_time(), want, "peek_time");
+                }
+                88..=97 => {
+                    let now = latest + Cycle(rng.gen_range(0u64..80));
+                    let want = match model.peek() {
+                        Some(Reverse((t, _))) if *t <= now => model.pop().map(|Reverse(e)| e),
+                        _ => None,
+                    };
+                    let got = q.pop_due(now);
+                    assert_eq!(got, want, "pop_due({now})");
+                    if let Some((t, _)) = got {
+                        latest = latest.max(t);
+                    }
+                }
+                _ => {
+                    q.clear();
+                    model.clear();
+                }
             }
-            last = Some((t, i));
+            assert_eq!(q.len(), model.len(), "len");
+            assert_eq!(q.is_empty(), model.is_empty(), "is_empty");
         }
+        while let Some(Reverse(want)) = model.pop() {
+            assert_eq!(q.pop(), Some(want), "drain");
+        }
+        assert_eq!(q.pop(), None);
     });
 }
 
