@@ -34,8 +34,9 @@ pub fn e19() -> String {
     );
 
     out.push_str(&format!(
-        "engines per scenario: sequential emulator, par backend x{{2,4,8}} threads,\n\
-         timed machine (4 PEs, ideal net), optimizing compiler; {SEEDS_PER_FAMILY} seeds per family\n\n"
+        "engines per scenario: the O0 and O2 programs each on the sequential emulator,\n\
+         par backend x{{2,4,8}} threads and timed machine (4 PEs, ideal net), then under\n\
+         crit scheduling; O1 and O2 against O0; {SEEDS_PER_FAMILY} seeds per family\n\n"
     ));
 
     let mut t = Table::new(&[

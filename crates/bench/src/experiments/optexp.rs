@@ -20,7 +20,10 @@ use crate::suites::opt_workloads;
 /// asserts the contract behind it: every level's outputs are
 /// bit-identical to the unoptimized program's on both the sequential
 /// and the relaxed parallel engine, and `O2` removes at
-/// least 20% of the firings on the paper's own Fig 2-2 program.
+/// least 20% of the firings on the paper's own Fig 2-2 program. `O0`
+/// keeps the figure's literal schema, where every loop invariant rides
+/// around the loop; `O2` turns invariants into per-activation loop
+/// constants (DESIGN.md §18).
 pub fn e22() -> String {
     let mut out = section(
         "e22",
@@ -91,9 +94,10 @@ pub fn e22() -> String {
     out.push_str(&format!(
         "\nShape check: every cell above ran with outputs bit-identical to O0 on the\n\
          sequential and relaxed (4 workers) engines. O2 removes {:.1}% of the Fig 2-2\n\
-         trapezoid's firings (>=20% required): constant folding collapses the literal\n\
-         plumbing, CSE merges re-computed subexpressions, and the statically-bounded\n\
-         unroll8 loop loses its entire D/L/D-inverse tag machinery.\n\
+         trapezoid's firings (>=20% required): loop invariants stop circulating (each\n\
+         becomes a loop constant, read like a literal), constant folding collapses the\n\
+         literal plumbing, CSE merges re-computed subexpressions, and the\n\
+         statically-bounded unroll8 loop loses its entire D/L/D-inverse tag machinery.\n\
          Every number in this table is a deterministic count — the table is\n\
          byte-stable on any host.\n",
         trap * 100.0

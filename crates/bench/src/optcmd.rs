@@ -112,6 +112,7 @@ pub fn opt_main(args: &[String]) -> ExitCode {
                 (stats.cse_merged, "cse"),
                 (stats.loops_unrolled, "unroll"),
                 (stats.loops_peeled, "peel"),
+                (stats.invariants_promoted, "promote"),
             ] {
                 if count > 0 {
                     applied.push(format!("{tag}:{count}"));

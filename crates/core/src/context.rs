@@ -7,13 +7,22 @@
 //! finite namespace". The [`ContextManager`] is that mapping: it allocates
 //! dense context ids and remembers, per context, how to get back out
 //! (who invoked it, at which iteration, and where results go).
+//!
+//! A loop activation entered by an [`OpCode::LoopEntry`] also carries
+//! its **constants**: the loop invariants the optimizer stopped
+//! circulating (DESIGN.md §18). They are written once, when the entry
+//! fires, before the context id appears in any token, and never change
+//! afterwards; call and root contexts carry none.
+//!
+//! [`OpCode::LoopEntry`]: crate::OpCode::LoopEntry
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use crate::graph::{CodeBlockId, InstrId};
+use crate::graph::{CodeBlockId, InstrId, MAX_LOOP_CONSTS};
 use crate::tag::{Ctx, Iter};
+use crate::value::Value;
 
 /// Why a context exists, and how to leave it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,6 +82,11 @@ pub struct ContextRecord {
 #[derive(Debug, Clone)]
 pub struct ContextManager {
     records: Vec<ContextRecord>,
+    /// Where each context's constants start in `consts`, one entry per
+    /// record; they run to the next context's start. One flat arena
+    /// keeps entering a loop free of per-activation allocation.
+    const_start: Vec<u32>,
+    consts: Vec<Value>,
     loop_memo: HashMap<(Ctx, Iter, u32), Ctx>,
 }
 
@@ -89,8 +103,34 @@ impl ContextManager {
                 block: main,
                 kind: ContextKind::Root,
             }],
+            const_start: vec![0],
+            consts: Vec::new(),
             loop_memo: HashMap::new(),
         }
+    }
+
+    /// Appends a record (and its constants) under the next dense id.
+    fn push(&mut self, rec: ContextRecord, consts: &[Value]) -> Ctx {
+        let c = Ctx(self.records.len() as u32);
+        self.records.push(rec);
+        self.const_start.push(self.consts.len() as u32);
+        self.consts.extend_from_slice(consts);
+        c
+    }
+
+    /// The constants of `ctx`: empty for a context entered without any
+    /// (every call, root and plain `D` activation) and for an unknown
+    /// id.
+    pub(crate) fn constants(&self, ctx: Ctx) -> &[Value] {
+        let i = ctx.0 as usize;
+        let Some(&start) = self.const_start.get(i) else {
+            return &[];
+        };
+        let end = self
+            .const_start
+            .get(i + 1)
+            .map_or(self.consts.len(), |&e| e as usize);
+        &self.consts[start as usize..end]
     }
 
     /// Total contexts allocated so far (a measure of d=2 controller
@@ -109,28 +149,45 @@ impl ContextManager {
     /// tree, so tokens of different jobs can never match).
     pub fn new_root(&mut self, block: CodeBlockId) -> Ctx {
         let c = Ctx(self.records.len() as u32);
-        self.records.push(ContextRecord {
-            parent: c,
-            parent_iter: Iter::ONE,
-            block,
-            kind: ContextKind::Root,
-        });
-        c
+        self.push(
+            ContextRecord {
+                parent: c,
+                parent_iter: Iter::ONE,
+                block,
+                kind: ContextKind::Root,
+            },
+            &[],
+        )
     }
 
     /// Enters (or joins) the loop activation of `loop_id` at `(parent,
     /// iter)` inside `block`; returns its context.
     pub fn enter_loop(&mut self, parent: Ctx, iter: Iter, loop_id: u32, block: CodeBlockId) -> Ctx {
+        self.enter_loop_with(parent, iter, loop_id, block, &[])
+    }
+
+    /// [`ContextManager::enter_loop`], storing `consts` as the
+    /// activation's constants when this call creates it.
+    fn enter_loop_with(
+        &mut self,
+        parent: Ctx,
+        iter: Iter,
+        loop_id: u32,
+        block: CodeBlockId,
+        consts: &[Value],
+    ) -> Ctx {
         if let Some(&c) = self.loop_memo.get(&(parent, iter, loop_id)) {
             return c;
         }
-        let c = Ctx(self.records.len() as u32);
-        self.records.push(ContextRecord {
-            parent,
-            parent_iter: iter,
-            block,
-            kind: ContextKind::Loop { loop_id },
-        });
+        let c = self.push(
+            ContextRecord {
+                parent,
+                parent_iter: iter,
+                block,
+                kind: ContextKind::Loop { loop_id },
+            },
+            consts,
+        );
         self.loop_memo.insert((parent, iter, loop_id), c);
         c
     }
@@ -146,31 +203,44 @@ impl ContextManager {
         callee: CodeBlockId,
         ret_instr: InstrId,
     ) -> Ctx {
-        let c = Ctx(self.records.len() as u32);
-        self.records.push(ContextRecord {
-            parent,
-            parent_iter: iter,
-            block: callee,
-            kind: ContextKind::Call {
-                ret_block,
-                ret_instr,
+        self.push(
+            ContextRecord {
+                parent,
+                parent_iter: iter,
+                block: callee,
+                kind: ContextKind::Call {
+                    ret_block,
+                    ret_instr,
+                },
             },
-        });
-        c
+            &[],
+        )
     }
 }
 
 /// The context operations the shared execution semantics in
-/// [`crate::exec`] need: resolving a record and entering loop/call
-/// activations. Implemented by the sequential [`ContextManager`] and by
-/// the parallel backend's [`WorkerCtx`] (a lease over [`SharedContexts`]),
-/// so `D`/`Apply` execute identically on either engine.
+/// [`crate::exec`] need: resolving a record, reading an activation's
+/// constants, and entering loop/call activations. Implemented by the
+/// sequential [`ContextManager`] and by the parallel backend's
+/// [`WorkerCtx`] (a lease over [`SharedContexts`]), so `D`/`Apply`
+/// execute identically on either engine. Reads take `&mut self` so a
+/// worker can refresh its cache of the shared table.
 pub(crate) trait ContextOps {
     /// The record for `ctx`, or `None` for a never-allocated id.
-    fn resolve(&self, ctx: Ctx) -> Option<ContextRecord>;
+    fn resolve(&mut self, ctx: Ctx) -> Option<ContextRecord>;
+    /// The constants of `ctx` (empty when it has none or is unknown).
+    fn constants(&mut self, ctx: Ctx) -> &[Value];
     /// Enters (or joins) a loop activation; memoized per `(parent, iter,
-    /// loop_id)`.
-    fn enter_loop(&mut self, parent: Ctx, iter: Iter, loop_id: u32, block: CodeBlockId) -> Ctx;
+    /// loop_id)`. The activation that this call creates gets `consts`
+    /// as its constants; a join leaves them as they were.
+    fn enter_loop(
+        &mut self,
+        parent: Ctx,
+        iter: Iter,
+        loop_id: u32,
+        block: CodeBlockId,
+        consts: &[Value],
+    ) -> Ctx;
     /// Allocates a fresh procedure-call context.
     fn enter_call(
         &mut self,
@@ -183,12 +253,23 @@ pub(crate) trait ContextOps {
 }
 
 impl ContextOps for ContextManager {
-    fn resolve(&self, ctx: Ctx) -> Option<ContextRecord> {
+    fn resolve(&mut self, ctx: Ctx) -> Option<ContextRecord> {
         self.record(ctx).copied()
     }
 
-    fn enter_loop(&mut self, parent: Ctx, iter: Iter, loop_id: u32, block: CodeBlockId) -> Ctx {
-        ContextManager::enter_loop(self, parent, iter, loop_id, block)
+    fn constants(&mut self, ctx: Ctx) -> &[Value] {
+        ContextManager::constants(self, ctx)
+    }
+
+    fn enter_loop(
+        &mut self,
+        parent: Ctx,
+        iter: Iter,
+        loop_id: u32,
+        block: CodeBlockId,
+        consts: &[Value],
+    ) -> Ctx {
+        self.enter_loop_with(parent, iter, loop_id, block, consts)
     }
 
     fn enter_call(
@@ -212,14 +293,43 @@ const CTX_LEASE: u32 = 64;
 /// rarely contend).
 const MEMO_SHARDS: usize = 16;
 
-type Chunk = [OnceLock<ContextRecord>; CTX_CHUNK];
+/// One published context: its record and its constants (loop
+/// activations entered by a `LoopEntry` only; `len` is 0 otherwise).
+#[derive(Debug, Clone, Copy)]
+struct Published {
+    rec: ContextRecord,
+    len: u8,
+    consts: [Value; MAX_LOOP_CONSTS],
+}
+
+impl Published {
+    fn new(rec: ContextRecord, consts: &[Value]) -> Self {
+        // `exec` refuses a `LoopEntry` wider than the bound, so nothing
+        // is ever cut off here.
+        let len = consts.len().min(MAX_LOOP_CONSTS);
+        let mut p = Published {
+            rec,
+            len: len as u8,
+            consts: [Value::Unit; MAX_LOOP_CONSTS],
+        };
+        p.consts[..len].copy_from_slice(&consts[..len]);
+        p
+    }
+}
+
+type Chunk = [OnceLock<Published>; CTX_CHUNK];
 
 /// The concurrent context manager of the parallel backend.
 ///
 /// Workers allocate context ids from pre-leased blocks
 /// ([`SharedContexts::lease_block`] via [`WorkerCtx`]) and publish the
 /// records with a lock-free [`OnceLock`] store into a chunked table, so
-/// `D`/`Apply` firings never round-trip through a central thread. Ids are
+/// `D`/`Apply` firings never round-trip through a central thread. A
+/// loop activation's constants are published in the same cell as its
+/// record, before its id leaves in any token; each worker reads cells
+/// through its own snapshot of the chunk list ([`WorkerCtx`]), so a
+/// constant or record read takes no lock once the snapshot covers the
+/// id. Ids are
 /// therefore *not* dense in firing order — which is fine, because context
 /// ids never escape into an [`EmuResult`](crate::EmuResult): `contexts`
 /// is the **semantic allocation count** (tracked exactly, including the
@@ -263,6 +373,7 @@ impl SharedContexts {
                 block: main,
                 kind: ContextKind::Root,
             },
+            &[],
         );
         sc.allocated.fetch_add(1, Ordering::Relaxed);
         sc
@@ -298,19 +409,12 @@ impl SharedContexts {
         }
     }
 
-    fn put(&self, ctx: Ctx, rec: ContextRecord) {
+    fn put(&self, ctx: Ctx, rec: ContextRecord, consts: &[Value]) {
         let chunks = self.chunks.read().expect("context table poisoned");
         let cell = &chunks[ctx.0 as usize / CTX_CHUNK][ctx.0 as usize % CTX_CHUNK];
-        cell.set(rec).expect("context id allocated twice");
-    }
-
-    /// The record for `ctx`, or `None` if never allocated/published.
-    pub(crate) fn resolve(&self, ctx: Ctx) -> Option<ContextRecord> {
-        let chunks = self.chunks.read().expect("context table poisoned");
-        chunks
-            .get(ctx.0 as usize / CTX_CHUNK)
-            .and_then(|c| c[ctx.0 as usize % CTX_CHUNK].get())
-            .copied()
+        if cell.set(Published::new(rec, consts)).is_err() {
+            panic!("context id allocated twice");
+        }
     }
 
     /// Semantic allocation count — equals `ContextManager::allocated()`
@@ -332,6 +436,7 @@ impl SharedContexts {
                 block,
                 kind: ContextKind::Root,
             },
+            &[],
         );
         self.allocated.fetch_add(1, Ordering::Relaxed);
         c
@@ -342,6 +447,7 @@ impl SharedContexts {
         WorkerCtx {
             shared: self,
             lease: CtxLease { next: 0, end: 0 },
+            chunks: Vec::new(),
         }
     }
 
@@ -368,10 +474,14 @@ pub(crate) struct CtxLease {
 }
 
 /// A worker-thread view of [`SharedContexts`]: allocations come from the
-/// worker's lease, lookups from the shared table.
+/// worker's lease, lookups from the worker's snapshot of the shared
+/// chunk list. Chunks are never dropped or moved while the run lasts,
+/// so the snapshot stays valid and only needs extending, under the read
+/// lock, when an id past its end arrives.
 pub(crate) struct WorkerCtx<'a> {
     shared: &'a SharedContexts,
     lease: CtxLease,
+    chunks: Vec<Arc<Chunk>>,
 }
 
 impl WorkerCtx<'_> {
@@ -383,14 +493,36 @@ impl WorkerCtx<'_> {
         self.lease.next += 1;
         Ctx(id)
     }
+
+    /// The published cell of `ctx`, or `None` if never published.
+    fn cell(&mut self, ctx: Ctx) -> Option<&Published> {
+        let chunk = ctx.0 as usize / CTX_CHUNK;
+        if chunk >= self.chunks.len() {
+            let shared = self.shared.chunks.read().expect("context table poisoned");
+            self.chunks
+                .extend(shared[self.chunks.len()..].iter().cloned());
+        }
+        self.chunks.get(chunk)?[ctx.0 as usize % CTX_CHUNK].get()
+    }
 }
 
 impl ContextOps for WorkerCtx<'_> {
-    fn resolve(&self, ctx: Ctx) -> Option<ContextRecord> {
-        self.shared.resolve(ctx)
+    fn resolve(&mut self, ctx: Ctx) -> Option<ContextRecord> {
+        self.cell(ctx).map(|p| p.rec)
     }
 
-    fn enter_loop(&mut self, parent: Ctx, iter: Iter, loop_id: u32, block: CodeBlockId) -> Ctx {
+    fn constants(&mut self, ctx: Ctx) -> &[Value] {
+        self.cell(ctx).map_or(&[], |p| &p.consts[..p.len as usize])
+    }
+
+    fn enter_loop(
+        &mut self,
+        parent: Ctx,
+        iter: Iter,
+        loop_id: u32,
+        block: CodeBlockId,
+        consts: &[Value],
+    ) -> Ctx {
         let shard = self.shared.memo_shard(parent, iter, loop_id);
         let mut memo = shard.lock().expect("loop memo poisoned");
         if let Some(&c) = memo.get(&(parent, iter, loop_id)) {
@@ -405,6 +537,7 @@ impl ContextOps for WorkerCtx<'_> {
                 block,
                 kind: ContextKind::Loop { loop_id },
             },
+            consts,
         );
         self.shared.allocated.fetch_add(1, Ordering::Relaxed);
         memo.insert((parent, iter, loop_id), c);
@@ -431,6 +564,7 @@ impl ContextOps for WorkerCtx<'_> {
                     ret_instr,
                 },
             },
+            &[],
         );
         self.shared.allocated.fetch_add(1, Ordering::Relaxed);
         c
@@ -472,6 +606,58 @@ mod tests {
         let r = cm.record(inner).unwrap();
         assert_eq!(r.parent, outer);
         assert_eq!(r.parent_iter, Iter(5));
+    }
+
+    #[test]
+    fn loop_constants_belong_to_the_activation_that_created_them() {
+        let mut cm = ContextManager::new(CodeBlockId(0));
+        let k = [Value::Int(7), Value::Bool(true)];
+        let a = cm.enter_loop_with(Ctx(0), Iter(1), 1, CodeBlockId(0), &k);
+        // A join (the gated Ds after the entry) keeps the first store.
+        let same = cm.enter_loop_with(Ctx(0), Iter(1), 1, CodeBlockId(0), &[]);
+        assert_eq!(a, same);
+        let call = cm.enter_call(a, Iter(3), CodeBlockId(0), CodeBlockId(1), InstrId(2));
+        let b = cm.enter_loop_with(a, Iter(2), 2, CodeBlockId(0), &[Value::Int(-1)]);
+        assert_eq!(cm.constants(a), &k);
+        assert_eq!(cm.constants(call), &[] as &[Value]);
+        assert_eq!(cm.constants(b), &[Value::Int(-1)]);
+        assert_eq!(cm.constants(ContextManager::ROOT), &[] as &[Value]);
+        assert_eq!(cm.constants(Ctx(99)), &[] as &[Value]);
+    }
+
+    #[test]
+    fn worker_snapshots_read_constants_published_by_another_worker() {
+        let shared = SharedContexts::new(CodeBlockId(0));
+        let mut w1 = shared.handle();
+        let mut w2 = shared.handle();
+        // Enough activations to span several chunks, so the reader's
+        // snapshot has to extend more than once.
+        let made: Vec<(Ctx, i64)> = (0..(3 * CTX_CHUNK) as i64)
+            .map(|k| {
+                let c = w1.enter_loop(
+                    Ctx(0),
+                    Iter(k as u32 + 1),
+                    5,
+                    CodeBlockId(0),
+                    &[Value::Int(k)],
+                );
+                (c, k)
+            })
+            .collect();
+        for &(c, k) in &made {
+            assert_eq!(w2.constants(c), &[Value::Int(k)]);
+            assert_eq!(
+                w2.enter_loop(Ctx(0), Iter(k as u32 + 1), 5, CodeBlockId(0), &[]),
+                c,
+                "a gated D joins the entry's activation"
+            );
+            assert!(matches!(
+                w2.resolve(c).map(|r| r.kind),
+                Some(ContextKind::Loop { loop_id: 5 })
+            ));
+        }
+        assert_eq!(shared.allocated(), 1 + 3 * CTX_CHUNK);
+        assert_eq!(w2.constants(Ctx(u32::MAX)), &[] as &[Value]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::context::ContextManager;
 use crate::exec::{continuation, dangling, deliver, execute, Enabled, StructAction};
 use crate::graph::{Instruction, Program};
 use crate::matching::MatchingStore;
-use crate::sched::{env_sched, CritMap, SchedPolicy};
+use crate::sched::{CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
 use crate::wave::Wave;
@@ -141,7 +141,7 @@ impl<'p> Emulator<'p> {
             loop_bound: None,
             threads: 1,
             mode: None,
-            sched: env_sched(),
+            sched: SchedPolicy::Fifo,
             instructions: 0,
             alu_ops: 0,
             peak_matching: 0,
@@ -194,9 +194,7 @@ impl<'p> Emulator<'p> {
     /// Selects the token scheduling policy (see [`SchedPolicy`]):
     /// [`SchedPolicy::Fifo`] (the default) fires each wave in arrival
     /// order, [`SchedPolicy::Crit`] fires greatest remaining
-    /// critical-path height first, arrival order on ties. The default
-    /// can also be set process-wide with `TTDA_SCHED=fifo|crit`, read at
-    /// [`Emulator::new`].
+    /// critical-path height first, arrival order on ties.
     ///
     /// Scheduling never changes program outputs (dataflow confluence).
     /// What a policy *does* change is intra-wave firing order, which
@@ -340,6 +338,8 @@ impl<'p> Emulator<'p> {
         // The next wave's storage is reused wave after wave, so a
         // steady-state firing emits without allocating.
         let mut next = Wave::new();
+        // One operand buffer serves every firing of the run.
+        let mut ops: Vec<Value> = Vec::new();
         let mut profile = Vec::new();
         let mut held: Vec<Token> = Vec::new();
         let mut peak_deferred = 0usize;
@@ -412,7 +412,7 @@ impl<'p> Emulator<'p> {
 
             let mut fired = 0usize;
             for i in 0..wave.len() {
-                if let Some((tag, ops, instr)) = self.absorb(wave.token(i))? {
+                if let Some((tag, instr)) = self.absorb(wave.token(i), &mut ops)? {
                     fired += 1;
                     self.fire(tag, &ops, instr, &mut next)?;
                     if self.instructions > fuel {
@@ -470,10 +470,15 @@ impl<'p> Emulator<'p> {
             .sum()
     }
 
-    /// The waiting–matching section: inserts a token; returns the full
-    /// operand set and the instruction when it becomes enabled.
-    fn absorb(&mut self, token: Token) -> Result<Option<Enabled<'p>>, ExecError> {
-        let r = crate::exec::absorb(self.program, &mut self.waiting, token)?;
+    /// The waiting–matching section: inserts a token; writes the full
+    /// operand set into `ops` and returns the instruction when it
+    /// becomes enabled.
+    fn absorb(
+        &mut self,
+        token: Token,
+        ops: &mut Vec<Value>,
+    ) -> Result<Option<Enabled<'p>>, ExecError> {
+        let r = crate::exec::absorb(self.program, &mut self.waiting, &mut self.ctx, token, ops)?;
         self.peak_matching = self.peak_matching.max(self.waiting.len());
         if self.sink.is_some() {
             self.trace(TraceEvent::TokenConsume { pe: 0 });
@@ -526,12 +531,8 @@ impl<'p> Emulator<'p> {
             None => {}
             Some(StructAction::Alloc { tag, len }) => {
                 let id = self.structures.len() as u32;
-                self.structures.push(IStructure::new(len));
-                let p = Value::Ptr(StructRef {
-                    id,
-                    len: len as u32,
-                });
-                deliver(self.program, tag, p, out);
+                self.structures.push(IStructure::new(len as usize));
+                deliver(self.program, tag, Value::Ptr(StructRef { id, len }), out);
             }
             Some(StructAction::Fetch { tag, ptr, idx }) => {
                 let mut immediate = 0u64;

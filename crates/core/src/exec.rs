@@ -15,7 +15,8 @@
 //! # The firing path does not allocate
 //!
 //! [`absorb`] hands back the `&Instruction` it looked up, so nothing is
-//! looked up twice or cloned. [`execute`] emits tokens in place, and the
+//! looked up twice or cloned, and writes the operand set into a buffer
+//! the executor reuses. [`execute`] emits tokens in place, and the
 //! [`Effect`] it returns is `Copy`. A [`StructAction`] names the firing
 //! that asked for it, not a list of readers: whoever applies the action
 //! expands the readers from the program with [`continuation`]. Context
@@ -26,8 +27,8 @@
 //! (`tests/alloc_free.rs` pins this).
 
 use crate::context::{ContextKind, ContextOps};
-use crate::graph::{Dest, DestBranch, Instruction, OpCode, Program};
-use crate::matching::{Absorbed, MatchingStore, Operands, PortOutOfRange};
+use crate::graph::{Dest, DestBranch, Instruction, OpCode, Program, MAX_LOOP_CONSTS};
+use crate::matching::{MatchingStore, PortOutOfRange, Preset};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{as_bool, as_int, as_ptr, StructRef, Value};
 use crate::ExecError;
@@ -54,8 +55,8 @@ pub(crate) enum StructAction {
     Alloc {
         /// The requesting firing.
         tag: ActivityName,
-        /// Element count.
-        len: usize,
+        /// Element count (what a [`StructRef`] can record).
+        len: u32,
     },
     /// Fetch element `idx` of `ptr` (possibly deferred).
     Fetch {
@@ -122,8 +123,9 @@ pub(crate) fn deliver(program: &Program, tag: ActivityName, value: Value, out: &
 }
 
 /// A firing the waiting–matching section just enabled: its activity
-/// name, its operands, and the instruction it names.
-pub(crate) type Enabled<'p> = (ActivityName, Operands, &'p Instruction);
+/// name and the instruction it names (the operands are in the buffer
+/// passed to [`absorb`]).
+pub(crate) type Enabled<'p> = (ActivityName, &'p Instruction);
 
 fn bad_target(tag: ActivityName) -> ExecError {
     ExecError::BadTarget {
@@ -145,14 +147,40 @@ fn nonneg_index(tag: ActivityName, idx: i64) -> Result<usize, ExecError> {
     })
 }
 
+/// The constants of the token's activation that `instr` reads, checked
+/// against every slot it names.
+fn constants_for<'c, C: ContextOps>(
+    ctx: &'c mut C,
+    tag: ActivityName,
+    instr: &Instruction,
+) -> Result<&'c [Value], ExecError> {
+    let values = ctx.constants(tag.u);
+    if instr
+        .consts
+        .iter()
+        .all(|&(_, slot)| (slot as usize) < values.len())
+    {
+        Ok(values)
+    } else {
+        Err(ExecError::BadTarget {
+            activity: format!("{tag} (no such loop constant)"),
+        })
+    }
+}
+
 /// The waiting–matching section, shared by every executor: inserts a
-/// token into `waiting`; returns the complete operand set, and the
-/// instruction it enables, when the target instruction becomes enabled.
-/// Tokens for `nt = 1` instructions bypass the store, as in Fig 2-3.
-pub(crate) fn absorb<'p>(
+/// token into `waiting`; when the target instruction becomes enabled,
+/// writes its complete operand set, in port order, into `ops` and
+/// returns the instruction. An instruction that needs exactly one token
+/// (`nt = 1`) never touches the store, as in Fig 2-3: its operands are
+/// the token, its literal and its loop constants, read from `ctx` for
+/// the token's activation.
+pub(crate) fn absorb<'p, C: ContextOps>(
     program: &'p Program,
     waiting: &mut MatchingStore,
+    ctx: &mut C,
     token: Token,
+    ops: &mut Vec<Value>,
 ) -> Result<Option<Enabled<'p>>, ExecError> {
     let tag = token.tag;
     let instr = program
@@ -160,19 +188,47 @@ pub(crate) fn absorb<'p>(
         .and_then(|b| b.instr(tag.s))
         .ok_or_else(|| bad_target(tag))?;
     let arity = instr.op.arity();
-    let literal = instr.literal;
 
-    if instr.nt <= 1 && arity <= 1 {
-        let v = match literal {
-            Some((_, lv)) => lv,
-            None => token.value,
-        };
-        return Ok(Some((tag, Operands::one(v), instr)));
+    if instr.nt <= 1 {
+        ops.clear();
+        if arity <= 1 {
+            ops.push(token.value);
+        } else {
+            if token.port.0 >= arity {
+                return Err(bad_target(tag));
+            }
+            ops.resize(arity as usize, Value::Unit);
+            ops[token.port.0 as usize] = token.value;
+        }
+        if let Some((p, lv)) = instr.literal {
+            if let Some(o) = ops.get_mut(p.0 as usize) {
+                *o = lv;
+            }
+        }
+        if !instr.consts.is_empty() {
+            let values = constants_for(ctx, tag, instr)?;
+            for &(p, slot) in &instr.consts {
+                if let Some(o) = ops.get_mut(p.0 as usize) {
+                    *o = values[slot as usize];
+                }
+            }
+        }
+        return Ok(Some((tag, instr)));
     }
 
-    match waiting.absorb(tag, arity, literal, token.port, token.value) {
-        Ok(Absorbed::Parked) => Ok(None),
-        Ok(Absorbed::Enabled(operands)) => Ok(Some((tag, operands, instr))),
+    let values = if instr.consts.is_empty() {
+        &[]
+    } else {
+        constants_for(ctx, tag, instr)?
+    };
+    let preset = Preset {
+        literal: instr.literal,
+        consts: &instr.consts,
+        values,
+    };
+    match waiting.absorb_into(tag, arity, &preset, token.port, token.value, ops) {
+        Ok(true) => Ok(Some((tag, instr))),
+        Ok(false) => Ok(None),
         Err(PortOutOfRange) => Err(bad_target(tag)),
     }
 }
@@ -180,9 +236,10 @@ pub(crate) fn absorb<'p>(
 /// Executes one enabled instruction, writing its output tokens to `out`.
 /// See the module docs. No token is emitted by a firing that fails.
 ///
-/// Only `D` and `Apply` *mutate* the context table (entering a loop or
-/// a call); `DInv` and `Return` read the records of contexts created by
-/// strictly earlier firings. On the parallel backend workers execute
+/// Only the loop entries (`D`, `DGated`, `LoopEntry`) and `Apply`
+/// *mutate* the context table (entering a loop or a call); `DInv` and
+/// `Return` read the records of contexts created by strictly earlier
+/// firings. On the parallel backend workers execute
 /// every opcode, drawing ids from leased blocks of a
 /// [`crate::context::SharedContexts`] table — context id *values* then
 /// differ from a sequential run, but they never escape an
@@ -227,14 +284,26 @@ pub(crate) fn execute<C: ContextOps>(
             };
             retag(tag, dests, want, ops[0], out);
         }
-        OpCode::D { loop_id } => {
-            let inner = ctx.enter_loop(tag.u, tag.i, *loop_id, tag.c);
+        OpCode::D { loop_id } | OpCode::DGated { loop_id } => {
+            let inner = ctx.enter_loop(tag.u, tag.i, *loop_id, tag.c, &[]);
             let ntag = ActivityName {
                 u: inner,
                 i: Iter::ONE,
                 ..tag
             };
             retag(ntag, dests, always, ops[0], out);
+        }
+        OpCode::LoopEntry { loop_id, .. } => {
+            // Every token of the activation descends from this firing's
+            // release tokens, so the constants are in place before any
+            // reader can look for them (DESIGN.md §18).
+            if ops.len() > MAX_LOOP_CONSTS {
+                return Err(ExecError::BadTarget {
+                    activity: format!("{tag} (more than {MAX_LOOP_CONSTS} loop constants)"),
+                });
+            }
+            ctx.enter_loop(tag.u, tag.i, *loop_id, tag.c, ops);
+            retag(tag, dests, always, Value::Unit, out);
         }
         OpCode::Apply { callee, argc } => {
             let cb = program.block(*callee).ok_or_else(|| bad_target(tag))?;
@@ -301,10 +370,10 @@ pub(crate) fn execute<C: ContextOps>(
                     got: len.to_string(),
                 }));
             }
-            eff.action = Some(StructAction::Alloc {
-                tag,
-                len: len as usize,
-            });
+            // A pointer records its length as a `u32`; a bigger size
+            // would be silently truncated by every engine.
+            let len = u32::try_from(len).map_err(|_| ExecError::AllocTooLarge { len })?;
+            eff.action = Some(StructAction::Alloc { tag, len });
         }
         OpCode::IFetch => {
             let ptr = as_ptr(&ops[0])?;

@@ -90,6 +90,27 @@ pub enum OpCode {
         /// Which loop this entry belongs to (unique per loop in a block).
         loop_id: u32,
     },
+    /// Loop entry with constants: fires once all `width` loop constants
+    /// of one activation have arrived (operand `k` is constant slot
+    /// `k`), enters the loop activation exactly as `D` does (same
+    /// `loop_id` memo), stores the operands as that activation's
+    /// constants, and then releases the loop's [`OpCode::DGated`]
+    /// entries with a `Unit` token in the enclosing activation. Emitted
+    /// by the optimizer's loop-constant promotion (DESIGN.md §18).
+    LoopEntry {
+        /// Which loop this entry belongs to.
+        loop_id: u32,
+        /// Number of constants (= operands).
+        width: u8,
+    },
+    /// A `D` held back until its loop's [`OpCode::LoopEntry`] has
+    /// fired: port 0 is the loop-carried value, port 1 the release
+    /// token. Joins the activation the entry created and re-tags the
+    /// value with `i = 1`, exactly like `D`.
+    DGated {
+        /// Which loop this entry belongs to.
+        loop_id: u32,
+    },
     /// Loop exit: restores the context (and iteration number) saved by
     /// the matching `D`.
     DInv,
@@ -148,9 +169,11 @@ impl OpCode {
             | OpCode::And
             | OpCode::Or
             | OpCode::Switch
+            | OpCode::DGated { .. }
             | OpCode::IFetch => 2,
             OpCode::IStore => 3,
             OpCode::Apply { argc, .. } => *argc,
+            OpCode::LoopEntry { width, .. } => *width,
         }
     }
 
@@ -165,17 +188,26 @@ impl OpCode {
     }
 }
 
+/// Most constants one loop activation holds: the width of a
+/// [`OpCode::LoopEntry`] and the bound on every constant slot.
+pub const MAX_LOOP_CONSTS: usize = 8;
+
 /// One vertex of the dataflow graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instruction {
     /// The operation.
     pub op: OpCode,
     /// Number of *tokens* required to enable the instruction (the
-    /// paper's `nt`): the opcode's arity minus a literal operand if one
-    /// is present.
+    /// paper's `nt`): the opcode's arity minus the literal and constant
+    /// operands.
     pub nt: u8,
     /// An optional compile-time constant occupying one operand slot.
     pub literal: Option<(Port, Value)>,
+    /// Operand slots read from the current loop activation's constants:
+    /// `(port, slot)` takes constant `slot` of the activation named by
+    /// the token's context, the way `literal` takes a compile-time
+    /// value. Empty except after loop-constant promotion.
+    pub consts: Vec<(Port, u8)>,
     /// Outgoing edges.
     pub dests: Vec<Dest>,
 }
@@ -188,6 +220,7 @@ impl Instruction {
             op,
             nt,
             literal: None,
+            consts: Vec::new(),
             dests: Vec::new(),
         }
     }
@@ -195,8 +228,31 @@ impl Instruction {
     /// Attaches a literal operand at `port`, reducing `nt` by one.
     pub fn with_literal(mut self, port: Port, value: Value) -> Self {
         self.literal = Some((port, value));
-        self.nt = self.op.arity().saturating_sub(1);
+        self.recount();
         self
+    }
+
+    /// Recomputes `nt` from the arity, the literal and the constant
+    /// operands.
+    pub(crate) fn recount(&mut self) {
+        let fixed = usize::from(self.literal.is_some()) + self.consts.len();
+        self.nt = self.op.arity().saturating_sub(fixed.min(255) as u8);
+    }
+
+    /// Turns the instruction into a destination-less `Sink`, the shape
+    /// every rewriting pass leaves behind for dead-code elimination.
+    pub(crate) fn retire(&mut self) {
+        self.op = OpCode::Sink;
+        self.nt = 1;
+        self.literal = None;
+        self.consts.clear();
+        self.dests.clear();
+    }
+
+    /// Whether operand `port` is filled without a token (the literal or
+    /// a loop constant).
+    pub(crate) fn is_fixed(&self, port: Port) -> bool {
+        self.literal.is_some_and(|(p, _)| p == port) || self.consts.iter().any(|&(p, _)| p == port)
     }
 }
 
@@ -268,6 +324,15 @@ pub enum GraphError {
         /// The offending callee.
         callee: CodeBlockId,
     },
+    /// A loop-constant operand named a port the opcode lacks, a port
+    /// already fixed, or a slot past [`MAX_LOOP_CONSTS`]; or a
+    /// `LoopEntry` was wider than that.
+    BadConst {
+        /// Block containing the instruction.
+        block: CodeBlockId,
+        /// The offending instruction.
+        at: InstrId,
+    },
     /// A parameter entry pointed at a nonexistent instruction.
     BadParam {
         /// The offending block.
@@ -291,6 +356,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::BadApply { block, at } => {
                 write!(f, "{block}:{at} applies a bad code block or arg count")
+            }
+            GraphError::BadConst { block, at } => {
+                write!(f, "{block}:{at} has a bad loop-constant operand")
             }
             GraphError::NoReturn { callee } => write!(f, "callee {callee} has no Return"),
             GraphError::BadParam { block } => write!(f, "{block} has a dangling parameter"),
@@ -403,6 +471,24 @@ impl Program {
                         }
                     }
                 }
+                if let OpCode::LoopEntry { width, .. } = ins.op {
+                    if width as usize > MAX_LOOP_CONSTS {
+                        return Err(GraphError::BadConst {
+                            block: bid,
+                            at: sid,
+                        });
+                    }
+                }
+                for (k, &(port, slot)) in ins.consts.iter().enumerate() {
+                    let clash = ins.literal.is_some_and(|(p, _)| p == port)
+                        || ins.consts[..k].iter().any(|&(p, _)| p == port);
+                    if port.0 >= ins.op.arity() || slot as usize >= MAX_LOOP_CONSTS || clash {
+                        return Err(GraphError::BadConst {
+                            block: bid,
+                            at: sid,
+                        });
+                    }
+                }
                 let is_switch = ins.op == OpCode::Switch;
                 for d in &ins.dests {
                     let Some(target) = block.instr(d.instr) else {
@@ -419,14 +505,12 @@ impl Program {
                             port: d.port,
                         });
                     }
-                    if let Some((lp, _)) = target.literal {
-                        if lp == d.port {
-                            return Err(GraphError::BadPort {
-                                block: bid,
-                                to: d.instr,
-                                port: d.port,
-                            });
-                        }
+                    if target.is_fixed(d.port) {
+                        return Err(GraphError::BadPort {
+                            block: bid,
+                            to: d.instr,
+                            port: d.port,
+                        });
                     }
                     let branch_ok = if is_switch {
                         d.when != DestBranch::Always

@@ -67,6 +67,7 @@ pub use context::{ContextManager, ContextRecord};
 pub use emu::{EmuResult, Emulator, RunMode};
 pub use graph::{
     CodeBlock, CodeBlockId, Dest, DestBranch, GraphError, InstrId, Instruction, OpCode, Program,
+    MAX_LOOP_CONSTS,
 };
 pub use machine::{Job, Machine};
 pub use matching::MatchingStore;
@@ -109,6 +110,12 @@ pub enum ExecError {
     },
     /// Execution exceeded the configured step/cycle budget.
     OutOfFuel,
+    /// An `IAlloc` asked for more cells than a structure pointer can
+    /// address (`u32::MAX`).
+    AllocTooLarge {
+        /// The requested size.
+        len: i64,
+    },
     /// The timed machine's network has no route between two PEs that
     /// must exchange a token or an I-structure packet (a partitioned or
     /// faulty topology).
@@ -136,6 +143,10 @@ impl fmt::Display for ExecError {
                 )
             }
             ExecError::OutOfFuel => write!(f, "execution exceeded its fuel"),
+            ExecError::AllocTooLarge { len } => write!(
+                f,
+                "an i-structure of {len} cells is larger than a pointer can address"
+            ),
             ExecError::Unroutable { from, to } => {
                 write!(f, "the network has no route from PE {from} to PE {to}")
             }

@@ -14,7 +14,11 @@
 //!   *inline* in the entry, so parking a token writes a slot in place —
 //!   no per-activity `Vec`;
 //! - matched entries return their arena slot to a free list, so
-//!   steady-state matching performs **zero** heap allocation.
+//!   steady-state matching performs **zero** heap allocation — wide
+//!   entries (more than three operands: a wide `Apply` or `LoopEntry`)
+//!   keep their operands in blocks of one shared spill pool, recycled
+//!   by arity, and the executors' path (`absorb_into`) writes a
+//!   completed set into the caller's reused buffer.
 //!
 //! The store is observationally identical to the `HashMap` version:
 //! [`len`](MatchingStore::len) (the traced occupancy and
@@ -34,8 +38,8 @@ use crate::tag::{ActivityName, Port};
 use crate::value::Value;
 
 /// Operand slots stored inline per entry; `OpCode::arity()` exceeds this
-/// only for `Apply` with more than three arguments, which spills to a
-/// retained `Vec`.
+/// only for an `Apply` or `LoopEntry` with more than three operands,
+/// which spills to a block of the store's spill pool.
 const INLINE: usize = 3;
 
 /// Empty bucket sentinel in the index table. Unambiguous: a live word
@@ -108,9 +112,9 @@ struct Entry {
     /// Inline operand slots (valid for ports `< arity` when the mask bit
     /// is set). `Value` is `Copy`, so unfilled slots just hold `Unit`.
     slots: [Value; INLINE],
-    /// Overflow slots for `arity > INLINE` (wide `Apply`). The `Vec`'s
-    /// capacity is retained across free-list recycling.
-    spill: Vec<Option<Value>>,
+    /// For `arity > INLINE`: where this entry's block of `arity`
+    /// operand slots starts in the store's spill pool.
+    spill: u32,
 }
 
 /// A complete operand set, inline up to `INLINE` (3) values — the
@@ -156,6 +160,20 @@ impl std::ops::Deref for Operands {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortOutOfRange;
 
+/// The operand slots an instruction fills without tokens, written into
+/// a fresh entry before its first token: the literal, and the
+/// loop-constant operands with the constants of the token's activation.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Preset<'a> {
+    /// The instruction's literal operand.
+    pub literal: Option<(Port, Value)>,
+    /// `(port, slot)` loop-constant operands.
+    pub consts: &'a [(Port, u8)],
+    /// The activation's constants; every slot in `consts` indexes it
+    /// (the caller checks).
+    pub values: &'a [Value],
+}
+
 /// What happened to an absorbed token.
 #[derive(Debug, PartialEq)]
 pub enum Absorbed {
@@ -183,6 +201,10 @@ pub struct MatchingStore {
     entries: Vec<Entry>,
     /// Recycled arena indices.
     free: Vec<u32>,
+    /// Operand slots of wide entries, one block of `arity` slots each.
+    spill: Vec<Option<Value>>,
+    /// Recycled spill blocks, indexed by arity.
+    spill_free: Vec<Vec<u32>>,
     /// Live (parked) activity count — the occupancy the traces report.
     len: usize,
     /// Highest `len` ever reached (since the last
@@ -207,6 +229,8 @@ impl MatchingStore {
             mask: Self::INITIAL_BUCKETS - 1,
             entries: Vec::new(),
             free: Vec::new(),
+            spill: Vec::new(),
+            spill_free: Vec::new(),
             len: 0,
             high_water: 0,
         }
@@ -274,6 +298,79 @@ impl MatchingStore {
         port: Port,
         value: Value,
     ) -> Result<Absorbed, PortOutOfRange> {
+        let preset = Preset {
+            literal,
+            ..Preset::default()
+        };
+        Ok(match self.match_token(tag, arity, &preset, port, value)? {
+            None => Absorbed::Parked,
+            Some(idx) => {
+                let ops = self.take_operands(idx);
+                self.recycle(idx);
+                Absorbed::Enabled(ops)
+            }
+        })
+    }
+
+    /// The executors' form of [`MatchingStore::absorb`]: a fresh entry
+    /// starts from `preset` (literal and loop constants), and a
+    /// completed operand set is written, in port order, into `out`
+    /// (cleared first) instead of being returned. With `out` reused
+    /// across firings this never allocates, whatever the arity. Returns
+    /// whether the token completed the set.
+    #[inline]
+    pub(crate) fn absorb_into(
+        &mut self,
+        tag: ActivityName,
+        arity: u8,
+        preset: &Preset<'_>,
+        port: Port,
+        value: Value,
+        out: &mut Vec<Value>,
+    ) -> Result<bool, PortOutOfRange> {
+        let Some(idx) = self.match_token(tag, arity, preset, port, value)? else {
+            return Ok(false);
+        };
+        out.clear();
+        let e = &self.entries[idx as usize];
+        let arity = e.arity as usize;
+        if arity <= INLINE {
+            out.extend_from_slice(&e.slots[..arity]);
+        } else {
+            let block = &self.spill[e.spill as usize..e.spill as usize + arity];
+            out.extend(block.iter().map(|o| o.expect("all ports filled")));
+        }
+        self.recycle(idx);
+        Ok(true)
+    }
+
+    /// Returns a completed entry's arena slot, and its spill block if it
+    /// has one, to their free lists.
+    #[inline]
+    fn recycle(&mut self, idx: u32) {
+        self.free.push(idx);
+        let e = &self.entries[idx as usize];
+        let arity = e.arity as usize;
+        if arity > INLINE {
+            if self.spill_free.len() <= arity {
+                self.spill_free.resize_with(arity + 1, Vec::new);
+            }
+            self.spill_free[arity].push(e.spill);
+        }
+    }
+
+    /// The transition function shared by both absorb forms: parks the
+    /// token, or returns the arena index of the entry it completed —
+    /// already unlinked from the table, not yet recycled.
+    #[inline]
+    fn match_token(
+        &mut self,
+        tag: ActivityName,
+        arity: u8,
+        preset: &Preset<'_>,
+        port: Port,
+        value: Value,
+    ) -> Result<Option<u32>, PortOutOfRange> {
         if port.0 >= arity {
             // The reference implementation reported the bad port without
             // inserting a fresh entry only if the activity was already
@@ -297,30 +394,28 @@ impl MatchingStore {
                 let e = &mut self.entries[w as u32 as usize];
                 if e.key == key {
                     // Existing entry: fill the port.
-                    Self::fill(e, port, value);
+                    Self::fill(e, &mut self.spill, port, value);
                     if Self::complete(e) {
-                        let ops = Self::take_operands(e);
+                        let idx = w as u32;
                         self.remove_at(pos);
-                        return Ok(Absorbed::Enabled(ops));
+                        return Ok(Some(idx));
                     }
-                    return Ok(Absorbed::Parked);
+                    return Ok(None);
                 }
             }
             pos = (pos + 1) & self.mask;
         }
 
         // Fresh activity. Build the entry as the map's `or_insert_with`
-        // closure did: literal pre-filled, then this token's port.
-        let idx = self.alloc_entry(key, arity, literal);
+        // closure did: preset pre-filled, then this token's port.
+        let idx = self.alloc_entry(key, arity, preset);
         let e = &mut self.entries[idx as usize];
-        Self::fill(e, port, value);
+        Self::fill(e, &mut self.spill, port, value);
         if Self::complete(e) {
             // Immediate completion (e.g. arity 2 with a literal): the
             // map inserted then removed, netting zero occupancy; skip
             // the table entirely.
-            let ops = Self::take_operands(e);
-            self.free.push(idx);
-            return Ok(Absorbed::Enabled(ops));
+            return Ok(Some(idx));
         }
         self.table[pos] = word(hash, idx);
         self.len += 1;
@@ -328,22 +423,24 @@ impl MatchingStore {
         if self.len * 8 >= self.table.len() * 7 {
             self.grow();
         }
-        Ok(Absorbed::Parked)
+        Ok(None)
     }
 
-    /// Fills `port` of `e` (idempotent on the fill count, like writing
-    /// `Some` over `Some` in the reference model).
+    /// Fills `port` of `e`, whose spill block (if wide) lives in `pool`
+    /// (idempotent on the fill count, like writing `Some` over `Some` in
+    /// the reference model).
     #[inline]
-    fn fill(e: &mut Entry, port: Port, value: Value) {
+    fn fill(e: &mut Entry, pool: &mut [Option<Value>], port: Port, value: Value) {
         let p = port.0 as usize;
         if (e.arity as usize) <= INLINE {
             e.slots[p] = value;
             e.filled |= 1 << p;
         } else {
-            if e.spill[p].is_none() {
+            let slot = &mut pool[e.spill as usize + p];
+            if slot.is_none() {
                 e.filled += 1;
             }
-            e.spill[p] = Some(value);
+            *slot = Some(value);
         }
     }
 
@@ -357,29 +454,25 @@ impl MatchingStore {
         }
     }
 
-    /// Extracts the operand set of a complete entry, clearing its spill
-    /// storage (capacity retained) for recycling.
-    fn take_operands(e: &mut Entry) -> Operands {
+    /// Extracts the operand set of a complete entry.
+    fn take_operands(&self, idx: u32) -> Operands {
+        let e = &self.entries[idx as usize];
         if (e.arity as usize) <= INLINE {
             Operands::Inline {
                 len: e.arity,
                 vals: e.slots,
             }
         } else {
-            let vals = e
-                .spill
-                .iter()
-                .map(|o| o.expect("all ports filled"))
-                .collect();
-            e.spill.clear();
-            Operands::Heap(vals)
+            let block = &self.spill[e.spill as usize..e.spill as usize + e.arity as usize];
+            Operands::Heap(block.iter().map(|o| o.expect("all ports filled")).collect())
         }
     }
 
-    /// Takes a slot from the free list (retaining its spill capacity) or
-    /// grows the arena, and initializes it as the reference model's
-    /// `or_insert_with` closure would.
-    fn alloc_entry(&mut self, key: PackedName, arity: u8, literal: Option<(Port, Value)>) -> u32 {
+    /// Takes a slot from the free list or grows the arena (and, for a
+    /// wide entry, a spill block of its arity from that block free list
+    /// or the end of the pool), and initializes it as the reference
+    /// model's `or_insert_with` closure would.
+    fn alloc_entry(&mut self, key: PackedName, arity: u8, preset: &Preset<'_>) -> u32 {
         let idx = match self.free.pop() {
             Some(idx) => {
                 let e = &mut self.entries[idx as usize];
@@ -395,29 +488,40 @@ impl MatchingStore {
                     arity,
                     filled: 0,
                     slots: [Value::Unit; INLINE],
-                    spill: Vec::new(),
+                    spill: 0,
                 });
                 idx
             }
         };
-        if (arity as usize) > INLINE {
-            // Indexing panics on a literal port ≥ arity, as the
-            // reference model's closure did; the builder validates this.
-            self.entries[idx as usize]
-                .spill
-                .resize(arity as usize, None);
+        let a = arity as usize;
+        if a > INLINE {
+            let recycled = self.spill_free.get_mut(a).and_then(Vec::pop);
+            let start = match recycled {
+                Some(start) => start as usize,
+                None => {
+                    self.spill.resize(self.spill.len() + a, None);
+                    self.spill.len() - a
+                }
+            };
+            self.spill[start..start + a].fill(None);
+            self.entries[idx as usize].spill = start as u32;
         }
-        if let Some((p, lv)) = literal {
-            Self::fill(&mut self.entries[idx as usize], p, lv);
+        // Indexing panics on a literal port ≥ arity, as the reference
+        // model's closure did; the builder validates this.
+        let e = &mut self.entries[idx as usize];
+        if let Some((p, lv)) = preset.literal {
+            Self::fill(e, &mut self.spill, p, lv);
+        }
+        for &(p, slot) in preset.consts {
+            Self::fill(e, &mut self.spill, p, preset.values[slot as usize]);
         }
         idx
     }
 
-    /// Unlinks the bucket at `pos`, recycling its arena slot, and
-    /// backward-shifts the following probe chain so lookups never need
-    /// tombstones.
+    /// Unlinks the bucket at `pos` (the caller recycles its arena slot)
+    /// and backward-shifts the following probe chain so lookups never
+    /// need tombstones.
     fn remove_at(&mut self, pos: usize) {
-        self.free.push(self.table[pos] as u32);
         self.len -= 1;
         let mut hole = pos;
         self.table[hole] = EMPTY;
@@ -569,11 +673,64 @@ mod tests {
             other => panic!("expected match, got {other:?}"),
         }
         assert_eq!(m.len(), 0);
-        // The spill Vec is recycled with its capacity on the free list.
+        // The spill block is recycled on its arity's free list.
         assert_eq!(
             m.absorb(t, 6, None, Port(0), Value::Int(1)),
             Ok(Absorbed::Parked)
         );
+    }
+
+    #[test]
+    fn absorb_into_presets_constants_and_reuses_wide_storage() {
+        let mut m = MatchingStore::new();
+        let mut out = Vec::new();
+        let consts = [(Port(1), 2u8), (Port(4), 0u8)];
+        let values = [Value::Int(10), Value::Int(11), Value::Int(12)];
+        let preset = Preset {
+            literal: Some((Port(2), Value::Bool(true))),
+            consts: &consts,
+            values: &values,
+        };
+        for round in 0..3 {
+            let t = tag(round, 0, 9, 1);
+            assert_eq!(
+                m.absorb_into(t, 5, &preset, Port(0), Value::Int(-1), &mut out),
+                Ok(false)
+            );
+            assert_eq!(
+                m.absorb_into(t, 5, &preset, Port(3), Value::Int(-4), &mut out),
+                Ok(true)
+            );
+            assert_eq!(
+                out,
+                [
+                    Value::Int(-1),
+                    Value::Int(12),
+                    Value::Bool(true),
+                    Value::Int(-4),
+                    Value::Int(10)
+                ]
+            );
+            assert!(m.is_empty());
+        }
+        // Every round recycled the one entry and the one spill block it
+        // used.
+        assert_eq!(m.entries.len(), 1);
+        assert_eq!(m.spill.len(), 5);
+        assert_eq!(m.spill_free[5], [0]);
+        // A narrow preset completing on its first token never parks.
+        let narrow = Preset {
+            consts: &consts[..1],
+            values: &values,
+            ..Preset::default()
+        };
+        let t = tag(7, 0, 3, 1);
+        assert_eq!(
+            m.absorb_into(t, 2, &narrow, Port(0), Value::Int(5), &mut out),
+            Ok(true)
+        );
+        assert_eq!(out, [Value::Int(5), Value::Int(12)]);
+        assert_eq!(m.high_water(), 1);
     }
 
     #[test]

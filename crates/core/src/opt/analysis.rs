@@ -339,6 +339,7 @@ impl Analysis {
                     | OpCode::L
                     | OpCode::LInv
                     | OpCode::D { .. }
+                    | OpCode::DGated { .. }
                     | OpCode::DInv => operand(0),
                     _ => Ty::Any,
                 };

@@ -62,8 +62,13 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
             }
             // Float literals render with a stable Debug form, so a
             // string key is deterministic and hash-friendly despite
-            // `Value` not implementing `Hash`.
-            Some(format!("{:?}|{:?}|{ports:?}", ins.op, ins.literal))
+            // `Value` not implementing `Hash`. Loop-constant operands
+            // are part of the key: two readers that differ only in the
+            // slot they read compute different values.
+            Some(format!(
+                "{:?}|{:?}|{:?}|{ports:?}",
+                ins.op, ins.literal, ins.consts
+            ))
         };
 
         // First occurrence of a key is the representative; later ones
@@ -98,9 +103,7 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
             block.instrs[rep].dests.extend(dests);
             // Neutralize the victim so later rounds cannot key two
             // emptied duplicates against each other; DCE reaps Sinks.
-            block.instrs[victim].op = OpCode::Sink;
-            block.instrs[victim].nt = 1;
-            block.instrs[victim].literal = None;
+            block.instrs[victim].retire();
         }
         for ins in &mut block.instrs {
             ins.dests

@@ -35,6 +35,8 @@ pub(super) fn is_pure(op: &OpCode) -> bool {
             | OpCode::L
             | OpCode::LInv
             | OpCode::D { .. }
+            | OpCode::DGated { .. }
+            | OpCode::LoopEntry { .. }
             | OpCode::DInv
             | OpCode::Sink
     )

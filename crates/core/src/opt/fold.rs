@@ -130,7 +130,9 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
 
     for i in 0..n {
         let ins = &block.instrs[i];
-        if block.params.iter().any(|p| p.0 as usize == i) {
+        // A loop-constant operand is invisible here (no edge, no
+        // literal), so an instruction reading one is never rewritten.
+        if block.params.iter().any(|p| p.0 as usize == i) || !ins.consts.is_empty() {
             continue;
         }
         match ins.op {

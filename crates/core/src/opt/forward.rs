@@ -127,9 +127,7 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     let mut removed = 0;
     for (i, ins) in block.instrs.iter_mut().enumerate() {
         if collapsible[i] {
-            ins.op = OpCode::Sink;
-            ins.nt = 1;
-            ins.dests.clear();
+            ins.retire();
             removed += 1;
         }
     }

@@ -17,8 +17,10 @@
 //!   with no destinations can never affect the outputs; the pass
 //!   iterates to a fixed point and compacts instruction ids).
 //! * [`OptLevel::O2`] — everything: **loop unrolling/peeling** for the
-//!   `D`/`L`/`D⁻¹` schema the compiler emits (run exactly once, before
-//!   forwarding dissolves the loop-top junctions it pattern-matches),
+//!   `D`/`L`/`D⁻¹` schema the compiler emits, then **loop-constant
+//!   promotion** (invariants become per-activation constants instead of
+//!   circulating; see [`promote`](self)) — both run exactly once, before
+//!   forwarding dissolves the loop-top junctions they pattern-match —
 //!   then a bounded fixpoint of forwarding, **constant folding** (with
 //!   `Switch` resolution and algebraic identities), and **local CSE**,
 //!   followed by the final DCE sweep.
@@ -40,6 +42,7 @@ mod cse;
 mod dce;
 mod fold;
 mod forward;
+mod promote;
 mod unroll;
 
 use std::fmt;
@@ -59,8 +62,9 @@ pub enum OptLevel {
     /// Identity forwarding + dead-code elimination.
     #[default]
     O1,
-    /// `O1` plus loop unrolling/peeling, constant folding, `Switch`
-    /// resolution, algebraic identities, and local CSE.
+    /// `O1` plus loop unrolling/peeling, loop-constant promotion,
+    /// constant folding, `Switch` resolution, algebraic identities, and
+    /// local CSE.
     O2,
 }
 
@@ -113,6 +117,8 @@ pub struct OptStats {
     pub loops_unrolled: usize,
     /// Loops whose first iteration was peeled (unknown bounds).
     pub loops_peeled: usize,
+    /// Loop invariants promoted to per-activation constants.
+    pub invariants_promoted: usize,
 }
 
 /// Drives the optimization pipeline at a chosen [`OptLevel`].
@@ -168,11 +174,15 @@ impl PassManager {
         }
         let mut b = block.clone();
         if self.level >= OptLevel::O2 {
-            // Unrolling runs exactly once, on the pristine codegen
-            // schema: forwarding would dissolve the loop-top Identity
-            // junctions the recognizer pattern-matches, and re-running
-            // it after peeling would peel the peeled loop again.
+            // Unrolling and promotion run exactly once, on the
+            // pristine codegen schema: forwarding would dissolve the
+            // loop-top Identity junctions both recognizers
+            // pattern-match, and re-running unrolling after peeling
+            // would peel the peeled loop again. Promotion comes second
+            // so it sees what unrolling left (a peeled loop keeps its
+            // schema; an unrolled one has no loop left).
             unroll::run(&mut b, stats);
+            promote::run(&mut b, stats);
             for _ in 0..FIXPOINT_ROUNDS {
                 let mut changed = forward::run(&mut b, stats);
                 changed |= fold::run(&mut b, stats);

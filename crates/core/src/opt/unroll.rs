@@ -54,20 +54,24 @@ const MAX_TRIPS_UNROLL: u64 = 16;
 const MAX_TRIPS_SIM: u64 = 64;
 
 /// One recognized loop instance (all indexes into `block.instrs`;
-/// vectors are parallel, one entry per circulating variable).
-struct LoopShape {
-    d: Vec<usize>,
-    top: Vec<usize>,
-    l: Vec<usize>,
-    sw: Vec<usize>,
-    body_in: Vec<usize>,
-    dinv: Vec<usize>,
-    pred: usize,
+/// vectors are parallel, one entry per circulating variable). Shared
+/// with loop-constant promotion, which needs the machinery but not the
+/// body.
+pub(super) struct LoopShape {
+    pub(super) d: Vec<usize>,
+    pub(super) top: Vec<usize>,
+    pub(super) l: Vec<usize>,
+    pub(super) sw: Vec<usize>,
+    pub(super) body_in: Vec<usize>,
+    pub(super) dinv: Vec<usize>,
+    pub(super) pred: usize,
     /// Source and branch selector of the edge feeding each `D`.
-    init: Vec<(u32, DestBranch)>,
+    pub(super) init: Vec<(u32, DestBranch)>,
     /// Source and branch selector of the edge feeding each `L` (a body
     /// node, or a `body_in` for invariant variables).
-    next: Vec<(u32, DestBranch)>,
+    pub(super) next: Vec<(u32, DestBranch)>,
+    /// The pure body closure ([`recognize`] only; [`machinery`] leaves
+    /// it empty).
     body: Vec<usize>,
 }
 
@@ -115,21 +119,63 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
     }
 }
 
-type InEdges = Vec<Vec<(u32, u8, DestBranch)>>;
-
-fn in_edge_table(block: &CodeBlock) -> InEdges {
-    let mut t: InEdges = vec![Vec::new(); block.instrs.len()];
-    for (i, ins) in block.instrs.iter().enumerate() {
-        for d in &ins.dests {
-            t[d.instr.0 as usize].push((i as u32, d.port.0, d.when));
-        }
-    }
-    t
+/// Per instruction: its in-edges as `(source, port, selector)`, in
+/// source order, packed into one array (`ins_of[i]` is a slice). Built
+/// once per loop by both loop passes, so it allocates three vectors,
+/// not one per instruction.
+pub(super) struct InEdges {
+    start: Vec<u32>,
+    edges: Vec<(u32, u8, DestBranch)>,
 }
 
-/// Matches the full codegen schema for one loop-id group, or bails.
+impl std::ops::Index<usize> for InEdges {
+    type Output = [(u32, u8, DestBranch)];
+
+    fn index(&self, i: usize) -> &Self::Output {
+        &self.edges[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+pub(super) fn in_edge_table(block: &CodeBlock) -> InEdges {
+    let n = block.instrs.len();
+    let mut start = vec![0u32; n + 1];
+    for ins in &block.instrs {
+        for d in &ins.dests {
+            start[d.instr.0 as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut next = start.clone();
+    let mut edges = vec![(0, 0, DestBranch::Always); start[n] as usize];
+    for (i, ins) in block.instrs.iter().enumerate() {
+        for d in &ins.dests {
+            let slot = &mut next[d.instr.0 as usize];
+            edges[*slot as usize] = (i as u32, d.port.0, d.when);
+            *slot += 1;
+        }
+    }
+    InEdges { start, edges }
+}
+
+/// Matches the full codegen schema for one loop-id group, body
+/// included, or bails.
 fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopShape> {
-    if ds.is_empty() || ds.len() > MAX_VARS {
+    if ds.len() > MAX_VARS {
+        return None;
+    }
+    let mut lp = machinery(block, ins_of, ds)?;
+    lp.body = pure_body(block, ins_of, &lp)?;
+    Some(lp)
+}
+
+/// Matches the per-variable tag machinery of the codegen schema for one
+/// loop-id group — `D`, loop top, `L`, gating `Switch`, body input and
+/// `D⁻¹` per variable, all gated by one shared `Cmp` of loop-top values
+/// (a plain `for` loop) — or bails. The body is not examined.
+pub(super) fn machinery(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopShape> {
+    if ds.is_empty() {
         return None;
     }
     let instr = |i: usize| &block.instrs[i];
@@ -277,20 +323,37 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
         dinv.push(dv);
     }
 
-    // The body: the dataflow closure from the body_in junctions down to
-    // the L re-entries. Only per-token pure value ops are eligible — a
-    // call, a structure op, or another loop's tag machinery bails.
+    Some(LoopShape {
+        d,
+        top,
+        l,
+        sw,
+        body_in,
+        dinv,
+        pred,
+        init,
+        next,
+        body: Vec::new(),
+    })
+}
+
+/// The body: the dataflow closure from the body_in junctions down to
+/// the L re-entries. Only per-token pure value ops are eligible — a
+/// call, a structure op, or another loop's tag machinery bails.
+fn pure_body(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec<usize>> {
+    let instr = |i: usize| &block.instrs[i];
+    let is_param = |i: usize| block.params.iter().any(|p| p.0 as usize == i);
     let mut machinery: HashSet<usize> = HashSet::new();
-    machinery.extend(d.iter().chain(&top).chain(&l).chain(&sw));
-    machinery.extend(body_in.iter().chain(&dinv));
-    machinery.insert(pred);
-    let l_set: HashSet<usize> = l.iter().copied().collect();
-    let bin_set: HashSet<usize> = body_in.iter().copied().collect();
+    machinery.extend(lp.d.iter().chain(&lp.top).chain(&lp.l).chain(&lp.sw));
+    machinery.extend(lp.body_in.iter().chain(&lp.dinv));
+    machinery.insert(lp.pred);
+    let l_set: HashSet<usize> = lp.l.iter().copied().collect();
+    let bin_set: HashSet<usize> = lp.body_in.iter().copied().collect();
 
     let mut body = Vec::new();
     let mut seen: HashSet<usize> = HashSet::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
-    for &bi in &body_in {
+    for &bi in &lp.body_in {
         for dd in &instr(bi).dests {
             queue.push_back(dd.instr.0 as usize);
         }
@@ -338,25 +401,13 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
             }
         }
     }
-    for &(ns, _) in &next {
+    for &(ns, _) in &lp.next {
         let ns = ns as usize;
         if !seen.contains(&ns) && !bin_set.contains(&ns) {
             return None;
         }
     }
-
-    Some(LoopShape {
-        d,
-        top,
-        l,
-        sw,
-        body_in,
-        dinv,
-        pred,
-        init,
-        next,
-        body,
-    })
+    Some(body)
 }
 
 /// A statically-known predicate operand during trip simulation.
@@ -530,6 +581,7 @@ fn clone_body_once(
             op,
             nt,
             literal,
+            consts: Vec::new(),
             dests: Vec::new(),
         });
         cm.insert(b as u32, id);
@@ -577,7 +629,7 @@ fn bin_var_map(lp: &LoopShape) -> HashMap<u32, usize> {
 }
 
 fn body_edge_map(ins_of: &InEdges, lp: &LoopShape) -> HashMap<usize, Vec<(u32, u8, DestBranch)>> {
-    lp.body.iter().map(|&b| (b, ins_of[b].clone())).collect()
+    lp.body.iter().map(|&b| (b, ins_of[b].to_vec())).collect()
 }
 
 /// Replaces the whole loop with `trips` straight-line body copies.
@@ -622,11 +674,7 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
     }
     deleted.insert(lp.pred as u32);
     for &i in &deleted {
-        let ins = &mut block.instrs[i as usize];
-        ins.op = OpCode::Sink;
-        ins.nt = 1;
-        ins.literal = None;
-        ins.dests.clear();
+        block.instrs[i as usize].retire();
     }
     for ins in &mut block.instrs {
         ins.dests.retain(|dd| !deleted.contains(&dd.instr.0));
@@ -661,6 +709,7 @@ fn apply_peel(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape) {
         op: p.op,
         nt: p.nt,
         literal: p.literal,
+        consts: Vec::new(),
         dests: Vec::new(),
     };
     block.instrs.push(pred0_instr);

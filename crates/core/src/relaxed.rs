@@ -173,7 +173,7 @@ enum Msg {
 /// One unit of structure-shard work: register a freshly allocated id,
 /// or apply a fetch/store.
 enum ShardOp {
-    Create { id: u32, len: usize },
+    Create { id: u32, len: u32 },
     Op(StructAction),
 }
 
@@ -376,6 +376,9 @@ struct Worker<'a, 'p> {
     /// Tokens of the firing or structure op in progress, routed before
     /// the next one emits (the storage is reused).
     scratch: Vec<Token>,
+    /// The operand set of the firing in progress (the storage is
+    /// reused).
+    ops: Vec<Value>,
     /// Outbound batches, one slot per peer (own slots stay empty — own
     /// work is dispatched inline).
     obufs: Vec<Vec<ShardOp>>,
@@ -410,6 +413,7 @@ fn worker(
         struct_end: 0,
         local: BucketQueue::new(),
         scratch: Vec::new(),
+        ops: Vec::new(),
         obufs: (0..threads).map(|_| Vec::new()).collect(),
         tbufs: (0..threads).map(|_| Vec::new()).collect(),
         spare_ops: Vec::new(),
@@ -548,10 +552,10 @@ impl Worker<'_, '_> {
     }
 
     /// Registers a newly allocated structure with its owning shard.
-    fn dispatch_create(&mut self, id: u32, len: usize) {
+    fn dispatch_create(&mut self, id: u32, len: u32) {
         let owner = shard_of(id, self.shared.threads);
         if owner == self.me {
-            self.shard.create(id, len);
+            self.shard.create(id, len as usize);
         } else {
             self.obufs[owner].push(ShardOp::Create { id, len });
         }
@@ -603,7 +607,13 @@ impl Worker<'_, '_> {
     /// firing it enables, if any.
     fn process_token(&mut self, token: Token) {
         self.trace(TraceEvent::TokenConsume { pe: self.me as u32 });
-        let enabled = match absorb(self.shared.program, &mut self.waiting, token) {
+        let enabled = match absorb(
+            self.shared.program,
+            &mut self.waiting,
+            &mut self.wctx,
+            token,
+            &mut self.ops,
+        ) {
             Ok(enabled) => enabled,
             Err(e) => {
                 self.fail(e);
@@ -611,7 +621,7 @@ impl Worker<'_, '_> {
             }
         };
         self.out.peak_matching = self.out.peak_matching.max(self.waiting.len());
-        let Some((tag, operands, instr)) = enabled else {
+        let Some((tag, instr)) = enabled else {
             let occupancy = self.waiting.len() as u64;
             self.trace(TraceEvent::MatchWait {
                 pe: self.me as u32,
@@ -625,7 +635,7 @@ impl Worker<'_, '_> {
             &mut self.wctx,
             tag,
             instr,
-            &operands,
+            &self.ops,
             &mut self.scratch,
         ) {
             Ok(eff) => eff,
@@ -667,11 +677,12 @@ impl Worker<'_, '_> {
             Some(StructAction::Alloc { tag, len }) => {
                 let id = self.take_struct_id();
                 self.dispatch_create(id, len);
-                let p = Value::Ptr(StructRef {
-                    id,
-                    len: len as u32,
-                });
-                deliver(program, tag, p, &mut self.scratch);
+                deliver(
+                    program,
+                    tag,
+                    Value::Ptr(StructRef { id, len }),
+                    &mut self.scratch,
+                );
             }
             Some(action) => self.dispatch_op(action),
         }
@@ -715,7 +726,7 @@ impl Worker<'_, '_> {
             Msg::Ops(mut ops) => {
                 for op in ops.drain(..) {
                     match op {
-                        ShardOp::Create { id, len } => self.shard.create(id, len),
+                        ShardOp::Create { id, len } => self.shard.create(id, len as usize),
                         ShardOp::Op(op) => self.apply_op(op),
                     }
                 }

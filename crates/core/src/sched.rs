@@ -14,9 +14,9 @@
 //!   machine). Ties always break by arrival order, so a sequential run
 //!   under either policy is deterministic.
 //!
-//! The process-wide default comes from `TTDA_SCHED=fifo|crit`
-//! (case-insensitive); an unparsable value warns on stderr once and
-//! falls back to FIFO.
+//! Every engine defaults to FIFO; code picks `Crit` per engine
+//! (`Emulator::with_sched`, `TimedConfig::sched`). No environment
+//! variable changes the policy.
 
 use std::collections::VecDeque;
 
@@ -40,40 +40,6 @@ impl std::fmt::Display for SchedPolicy {
             SchedPolicy::Fifo => write!(f, "fifo"),
             SchedPolicy::Crit => write!(f, "crit"),
         }
-    }
-}
-
-/// Parses a `TTDA_SCHED` value, case-insensitively: `fifo` (or empty)
-/// selects FIFO, `crit`/`criticality` selects criticality-aware;
-/// anything else is unrecognized (`None`).
-pub(crate) fn parse_sched(s: &str) -> Option<SchedPolicy> {
-    match s.to_ascii_lowercase().as_str() {
-        "" | "fifo" => Some(SchedPolicy::Fifo),
-        "crit" | "criticality" => Some(SchedPolicy::Crit),
-        _ => None,
-    }
-}
-
-/// Scheduling-policy default: `TTDA_SCHED=crit` makes every engine
-/// prioritize by criticality process-wide (read at construction time,
-/// overridable per instance). An unrecognized value falls back to FIFO,
-/// but says so on stderr once per process.
-pub(crate) fn env_sched() -> SchedPolicy {
-    match std::env::var("TTDA_SCHED") {
-        Err(_) => SchedPolicy::Fifo,
-        Ok(s) => match parse_sched(s.trim()) {
-            Some(p) => p,
-            None => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "ttda-core: TTDA_SCHED={s:?} is not a scheduling policy; \
-                         staying FIFO (set fifo or crit)"
-                    );
-                });
-                SchedPolicy::Fifo
-            }
-        },
     }
 }
 
@@ -203,16 +169,7 @@ mod tests {
     use crate::value::{AluOp, Value};
 
     #[test]
-    fn parse_sched_accepts_the_documented_spellings() {
-        for fifo in ["", "fifo", "FIFO", "Fifo"] {
-            assert_eq!(parse_sched(fifo), Some(SchedPolicy::Fifo), "{fifo:?}");
-        }
-        for crit in ["crit", "CRIT", "Crit", "criticality", "CRITICALITY"] {
-            assert_eq!(parse_sched(crit), Some(SchedPolicy::Crit), "{crit:?}");
-        }
-        for junk in ["1", "priority", "lifo", "c r i t"] {
-            assert_eq!(parse_sched(junk), None, "{junk:?}");
-        }
+    fn policies_default_to_fifo_and_display_their_names() {
         assert_eq!(SchedPolicy::default(), SchedPolicy::Fifo);
         assert_eq!(SchedPolicy::Crit.to_string(), "crit");
         assert_eq!(SchedPolicy::Fifo.to_string(), "fifo");

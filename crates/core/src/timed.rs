@@ -39,7 +39,7 @@ use crate::context::ContextManager;
 use crate::exec::{absorb, continuation, deliver, execute, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
-use crate::sched::{env_sched, BucketQueue, CritMap, SchedPolicy};
+use crate::sched::{BucketQueue, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
 use crate::ExecError;
@@ -104,8 +104,7 @@ pub struct TimedConfig {
     pub placement: StructPlacement,
     /// How each PE orders its input queue: FIFO (arrival order) or
     /// criticality-aware (longest remaining critical path first, ties in
-    /// arrival order — see [`SchedPolicy`]). The default honours
-    /// `TTDA_SCHED`, falling back to FIFO.
+    /// arrival order — see [`SchedPolicy`]). The default is FIFO.
     pub sched: SchedPolicy,
     /// Network queueing parameters.
     pub fabric: FabricConfig,
@@ -127,7 +126,7 @@ impl Default for TimedConfig {
             match_capacity: 0,
             match_overflow_penalty: Cycle(4),
             placement: StructPlacement::Interleaved,
-            sched: env_sched(),
+            sched: SchedPolicy::Fifo,
             fabric: FabricConfig::default(),
             max_cycles: Cycle(100_000_000),
             fuel: 50_000_000,
@@ -510,8 +509,10 @@ impl<T: Topology> TimedMachine<T> {
             packets: Slab::new(),
         };
         // Every firing and structure reply emits into this one buffer,
-        // which is routed and drained before the next emits.
+        // which is routed and drained before the next emits; every
+        // firing's operands land in the other.
         let mut scratch: Vec<Token> = Vec::new();
+        let mut ops: Vec<Value> = Vec::new();
 
         let mut instructions: u64 = 0;
         let mut alu_ops: u64 = 0;
@@ -583,7 +584,13 @@ impl<T: Topology> TimedMachine<T> {
                         busy += cfg.match_overflow_penalty;
                         match_overflows += 1;
                     }
-                    let enabled = absorb(&self.program, &mut pes[pe].waiting, token)?;
+                    let enabled = absorb(
+                        &self.program,
+                        &mut pes[pe].waiting,
+                        &mut ctx,
+                        token,
+                        &mut ops,
+                    )?;
                     if sink.is_some() {
                         trace(now, &TraceEvent::TokenConsume { pe: pe as u32 });
                         if enabled.is_none() {
@@ -596,7 +603,7 @@ impl<T: Topology> TimedMachine<T> {
                             );
                         }
                     }
-                    if let Some((tag, ops, instr)) = enabled {
+                    if let Some((tag, instr)) = enabled {
                         instructions += 1;
                         let eff = execute(&self.program, &mut ctx, tag, instr, &ops, &mut scratch)?;
                         busy += cfg.alu_time;
@@ -626,7 +633,7 @@ impl<T: Topology> TimedMachine<T> {
                                     // at the firing PE.
                                     let ptr = Value::Ptr(StructRef {
                                         id: next_struct,
-                                        len: len as u32,
+                                        len,
                                     });
                                     next_struct += 1;
                                     deliver(&self.program, tag, ptr, &mut scratch);

@@ -3,19 +3,25 @@
 //! [`run_scenario`] executes one [`Scenario`] on every engine and
 //! reports a single [`Outcome`]:
 //!
-//! - the sequential [`Emulator`] is the reference execution;
-//! - the parallel backend ([`RunMode::Relaxed`]) at 2, 4 and 8 worker
-//!   threads must be *output-equal*: same program outputs (pointers
-//!   compared by length — relaxed structure ids are leased, not dense),
-//!   same error discriminant on failure, and the same confluent counters
+//! - the sequential [`Emulator`] running the unoptimized program is the
+//!   reference execution;
+//! - the optimizing compiler pipeline must preserve outputs at every
+//!   [`OptLevel`] (`O1` and `O2` on the sequential engine);
+//! - the `O0` and the `O2` program each run on every engine, judged
+//!   against the sequential run of the same program: the parallel
+//!   backend ([`RunMode::Relaxed`]) at 2, 4 and 8 worker threads must be
+//!   *output-equal* — same program outputs (pointers compared by length
+//!   — relaxed structure ids are leased, not dense), same error
+//!   discriminant on failure, and the same confluent counters
 //!   (instructions, ALU ops, contexts, structure writes, total reads);
-//!   wave counts and occupancy peaks are schedule-dependent and exempt;
-//! - the [`TimedMachine`] (4 PEs, ideal interconnect) must produce the
-//!   same outputs, or fail with the same error *variant* (its error
+//!   wave counts and occupancy peaks are schedule-dependent and exempt —
+//!   and the [`TimedMachine`] (4 PEs, ideal interconnect) must produce
+//!   the same outputs, or fail with the same error *variant* (its error
 //!   details may legitimately differ — e.g. stranded-token counts are
 //!   per-PE);
-//! - the optimizing compiler pipeline must preserve outputs at every
-//!   [`OptLevel`](ttda_idc::OptLevel) (`O1` and `O2`);
+//! - the same two programs run again under [`SchedPolicy::Crit`] on the
+//!   sequential engine, the relaxed engine at 4 workers and the timed
+//!   machine, held to the same contracts;
 //! - when the family has a closed-form reference answer, the agreed
 //!   outputs must equal it (all engines agreeing on a wrong answer is
 //!   still a bug — in the compiler).
@@ -32,8 +38,10 @@
 use std::collections::HashMap;
 
 use ttda_core::{
-    EmuResult, Emulator, ExecError, Job, Program, RunMode, TimedConfig, TimedMachine, Value,
+    EmuResult, Emulator, ExecError, Job, Program, RunMode, SchedPolicy, TimedConfig, TimedMachine,
+    TimedResult, Value,
 };
+use ttda_idc::OptLevel;
 use ttda_mem::{
     Addr, EnumIStructure, FullEmptyMemory, PackedIStructure, ReadOutcome, TryReadOutcome,
 };
@@ -48,6 +56,9 @@ pub const DEFAULT_FUEL: u64 = 4_000_000;
 
 /// Worker-thread counts the parallel backend is checked at.
 pub const PAR_THREADS: [usize; 3] = [2, 4, 8];
+
+/// Worker-thread count of the relaxed run in the criticality arm.
+const CRIT_THREADS: usize = 4;
 
 /// Output equality up to structure identity: the relaxed backend leases
 /// structure ids in blocks, so a [`Value::Ptr`] matches on length only.
@@ -137,136 +148,42 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
     if let Spec::StoreSkew(spec) = &sc.spec {
         return run_store_skew(spec);
     }
-    let sources = sc.sources();
-    let mut programs = Vec::new();
-    for src in &sources {
-        match ttda_idc::compile(src) {
-            Ok(p) => programs.push(p),
-            Err(e) => {
-                return Outcome::Divergence(format!("generator emitted uncompilable Id: {e}"))
-            }
-        }
-    }
-    let (program, mains) = merge_tenants(&programs);
-    let jobs: Vec<Job> = mains
-        .iter()
-        .zip(sc.inputs())
-        .enumerate()
-        .map(|(t, (m, ins))| {
-            Job::new(*m, ins.into_iter().map(Value::Int).collect()).for_tenant(t as u32)
-        })
-        .collect();
-
-    let seq = Emulator::new(&program)
-        .with_fuel(DEFAULT_FUEL)
-        .with_mode(RunMode::Sequential)
-        .submit(&jobs);
+    let (program, jobs) = match build(sc, OptLevel::O0) {
+        Ok(built) => built,
+        Err(why) => return Outcome::Divergence(why),
+    };
+    let seq = run_seq(&program, &jobs, SchedPolicy::Fifo);
     if seq == Err(ExecError::OutOfFuel) {
         return Outcome::FuelExhausted;
     }
-
-    // Relaxed backend: output equality plus the confluent counters —
-    // the exact contract `RunMode::Relaxed` documents.
-    for threads in PAR_THREADS {
-        let rel = Emulator::new(&program)
-            .with_fuel(DEFAULT_FUEL)
-            .with_threads(threads)
-            .with_mode(RunMode::Relaxed)
-            .submit(&jobs);
-        match (&seq, &rel) {
-            (Ok(s), Ok(r)) => {
-                if let Some(why) = confluent_mismatch(s, r) {
-                    return Outcome::Divergence(format!(
-                        "relaxed backend (threads={threads}) broke its contract: {why}"
-                    ));
-                }
-            }
-            (Err(se), Err(re)) => {
-                if std::mem::discriminant(se) != std::mem::discriminant(re) {
-                    return Outcome::Divergence(format!(
-                        "relaxed backend (threads={threads}) error kind diverged: \
-                         seq {se:?} vs relaxed {re:?}"
-                    ));
-                }
-            }
-            _ => {
-                return Outcome::Divergence(format!(
-                    "relaxed backend (threads={threads}) success/failure diverged:\n  \
-                     seq:     {seq:?}\n  relaxed: {rel:?}"
-                ));
-            }
-        }
-    }
-
-    // Timed machine: same outputs (or same error variant).
-    let timed = TimedMachine::ideal(program.clone(), 4, Cycle(2), TimedConfig::default())
-        .with_fuel(DEFAULT_FUEL)
-        .submit(&jobs);
-    match (&seq, &timed) {
-        (Ok(s), Ok(t)) => {
-            if t.outputs != s.outputs {
-                return Outcome::Divergence(format!(
-                    "timed machine outputs diverged:\n  seq:   {:?}\n  timed: {:?}",
-                    s.outputs, t.outputs
-                ));
-            }
-        }
-        (Err(se), Err(te)) => {
-            if std::mem::discriminant(se) != std::mem::discriminant(te) {
-                return Outcome::Divergence(format!(
-                    "timed machine error kind diverged: seq {se:?} vs timed {te:?}"
-                ));
-            }
-        }
-        _ => {
-            return Outcome::Divergence(format!(
-                "timed machine success/failure diverged:\n  seq:   {seq:?}\n  timed: {timed:?}"
-            ));
-        }
+    if let Some(why) = judge_engines("O0", &program, &jobs, &seq) {
+        return Outcome::Divergence(why);
     }
 
     // Optimizing pipeline: outputs must survive graph rewrites at every
-    // level (O1 = forwarding + DCE, O2 adds unrolling, folding and CSE).
-    for level in [ttda_idc::OptLevel::O1, ttda_idc::OptLevel::O2] {
-        let mut opt_programs = Vec::new();
-        for src in &sources {
-            match ttda_idc::compile_optimized(src, level) {
-                Ok(p) => opt_programs.push(p),
-                Err(e) => {
-                    return Outcome::Divergence(format!("{level} compile failed: {e}"));
-                }
-            }
+    // level (O1 = forwarding + DCE, O2 adds unrolling, loop-constant
+    // promotion, folding and CSE), and the O2 program — the one with
+    // loop entries and constant operands — runs on every engine too.
+    for level in [OptLevel::O1, OptLevel::O2] {
+        let (opt_program, opt_jobs) = match build(sc, level) {
+            Ok(built) => built,
+            Err(why) => return Outcome::Divergence(why),
+        };
+        let opt = run_seq(&opt_program, &opt_jobs, SchedPolicy::Fifo);
+        let what = format!("optimizer at {level}");
+        if let Some(why) = judge(&what, &seq, &opt, |s, o| {
+            (o.outputs != s.outputs).then(|| {
+                format!(
+                    "changed outputs:\n  plain: {:?}\n  opt:   {:?}",
+                    s.outputs, o.outputs
+                )
+            })
+        }) {
+            return Outcome::Divergence(why);
         }
-        let (opt_program, opt_mains) = merge_tenants(&opt_programs);
-        let opt_jobs: Vec<Job> = opt_mains
-            .iter()
-            .zip(jobs.iter())
-            .map(|(m, job)| Job::new(*m, job.inputs.clone()).for_tenant(job.tenant))
-            .collect();
-        let opt = Emulator::new(&opt_program)
-            .with_fuel(DEFAULT_FUEL)
-            .with_mode(RunMode::Sequential)
-            .submit(&opt_jobs);
-        match (&seq, &opt) {
-            (Ok(s), Ok(o)) => {
-                if o.outputs != s.outputs {
-                    return Outcome::Divergence(format!(
-                        "optimizer at {level} changed outputs:\n  plain: {:?}\n  opt:   {:?}",
-                        s.outputs, o.outputs
-                    ));
-                }
-            }
-            (Err(se), Err(oe)) => {
-                if std::mem::discriminant(se) != std::mem::discriminant(oe) {
-                    return Outcome::Divergence(format!(
-                        "optimizer at {level} changed error kind: {se:?} vs {oe:?}"
-                    ));
-                }
-            }
-            _ => {
-                return Outcome::Divergence(format!(
-                    "optimizer at {level} changed success/failure:\n  plain: {seq:?}\n  opt:   {opt:?}"
-                ));
+        if level == OptLevel::O2 {
+            if let Some(why) = judge_engines("O2", &opt_program, &opt_jobs, &opt) {
+                return Outcome::Divergence(why);
             }
         }
     }
@@ -288,6 +205,144 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             Outcome::Agree
         }
         Err(e) => Outcome::AgreeError(e.to_string()),
+    }
+}
+
+/// Compiles the scenario's tenants at `level` and builds their jobs.
+fn build(sc: &Scenario, level: OptLevel) -> Result<(Program, Vec<Job>), String> {
+    let mut programs = Vec::new();
+    for src in sc.sources() {
+        match ttda_idc::compile_optimized(&src, level) {
+            Ok(p) => programs.push(p),
+            Err(e) => return Err(format!("generator emitted Id that fails at {level}: {e}")),
+        }
+    }
+    let (program, mains) = merge_tenants(&programs);
+    let jobs = mains
+        .iter()
+        .zip(sc.inputs())
+        .enumerate()
+        .map(|(t, (m, ins))| {
+            Job::new(*m, ins.into_iter().map(Value::Int).collect()).for_tenant(t as u32)
+        })
+        .collect();
+    Ok((program, jobs))
+}
+
+fn run_seq(program: &Program, jobs: &[Job], sched: SchedPolicy) -> Result<EmuResult, ExecError> {
+    Emulator::new(program)
+        .with_fuel(DEFAULT_FUEL)
+        .with_mode(RunMode::Sequential)
+        .with_sched(sched)
+        .submit(jobs)
+}
+
+fn run_relaxed(
+    program: &Program,
+    jobs: &[Job],
+    threads: usize,
+    sched: SchedPolicy,
+) -> Result<EmuResult, ExecError> {
+    Emulator::new(program)
+        .with_fuel(DEFAULT_FUEL)
+        .with_threads(threads)
+        .with_mode(RunMode::Relaxed)
+        .with_sched(sched)
+        .submit(jobs)
+}
+
+fn run_timed(
+    program: &Program,
+    jobs: &[Job],
+    sched: SchedPolicy,
+) -> Result<TimedResult, ExecError> {
+    let config = TimedConfig {
+        sched,
+        ..TimedConfig::default()
+    };
+    TimedMachine::ideal(program.clone(), 4, Cycle(2), config)
+        .with_fuel(DEFAULT_FUEL)
+        .submit(jobs)
+}
+
+/// Runs `program` on every engine — the relaxed backend at each of
+/// [`PAR_THREADS`] and the timed machine under FIFO, then the
+/// sequential, relaxed and timed engines under [`SchedPolicy::Crit`] —
+/// and judges each run against `seq`, the sequential FIFO run of the
+/// same program. `label` names the program in the report.
+fn judge_engines(
+    label: &str,
+    program: &Program,
+    jobs: &[Job],
+    seq: &Result<EmuResult, ExecError>,
+) -> Option<String> {
+    let timed_outputs = |s: &EmuResult, t: &TimedResult| {
+        (t.outputs != s.outputs).then(|| {
+            format!(
+                "outputs diverged:\n  seq:   {:?}\n  timed: {:?}",
+                s.outputs, t.outputs
+            )
+        })
+    };
+    let relaxed = |threads, sched| {
+        let what = format!("{label} relaxed backend (threads={threads}, {sched})");
+        judge(
+            &what,
+            seq,
+            &run_relaxed(program, jobs, threads, sched),
+            |s, r| confluent_mismatch(s, r).map(|why| format!("broke its contract: {why}")),
+        )
+    };
+    for threads in PAR_THREADS {
+        if let Some(why) = relaxed(threads, SchedPolicy::Fifo) {
+            return Some(why);
+        }
+    }
+    let what = format!("{label} timed machine");
+    if let Some(why) = judge(
+        &what,
+        seq,
+        &run_timed(program, jobs, SchedPolicy::Fifo),
+        timed_outputs,
+    ) {
+        return Some(why);
+    }
+
+    // The criticality arm: the policy reorders ready tokens, never what
+    // a program computes.
+    let what = format!("{label} sequential engine (crit)");
+    let crit = run_seq(program, jobs, SchedPolicy::Crit);
+    if let Some(why) = judge(&what, seq, &crit, confluent_mismatch) {
+        return Some(why);
+    }
+    if let Some(why) = relaxed(CRIT_THREADS, SchedPolicy::Crit) {
+        return Some(why);
+    }
+    let what = format!("{label} timed machine (crit)");
+    judge(
+        &what,
+        seq,
+        &run_timed(program, jobs, SchedPolicy::Crit),
+        timed_outputs,
+    )
+}
+
+/// Holds one engine's run to the reference: both fail with the same
+/// error discriminant, or both succeed and `check` finds nothing wrong.
+/// Returns a description of the divergence, if any.
+fn judge<T: std::fmt::Debug>(
+    what: &str,
+    want: &Result<EmuResult, ExecError>,
+    got: &Result<T, ExecError>,
+    check: impl FnOnce(&EmuResult, &T) -> Option<String>,
+) -> Option<String> {
+    match (want, got) {
+        (Ok(w), Ok(g)) => check(w, g).map(|why| format!("{what} {why}")),
+        (Err(we), Err(ge)) => (std::mem::discriminant(we) != std::mem::discriminant(ge))
+            .then(|| format!("{what} error kind diverged: {we:?} vs {ge:?}")),
+        _ => Some(format!(
+            "{what} success/failure diverged:\n  want: {want:?}\n  got:  {got:?}"
+        )),
     }
 }
 

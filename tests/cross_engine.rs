@@ -555,3 +555,24 @@ fn call_linkage_agrees_across_engines() {
     check("timed", &timed.outputs);
     assert_eq!(timed.stats.contexts, seq.contexts, "timed contexts");
 }
+
+#[test]
+fn an_allocation_a_pointer_cannot_address_is_a_typed_error() {
+    // `StructRef::len` is a `u32`: 2^32 + 1 cells used to be truncated
+    // to one cell (and the store then succeeded), 2^40 to none.
+    let p =
+        ttda::idc::compile("def main(n) = { a = array(n); a[0] <- 7; a[0] };").expect("compiles");
+    for n in [(1i64 << 32) + 1, 1i64 << 40] {
+        let want = ExecError::AllocTooLarge { len: n };
+        let input = [Value::Int(n)];
+        let seq = Emulator::new(&p).run(&input);
+        let relaxed = Emulator::new(&p).with_threads(2).run(&input);
+        let timed = TimedMachine::ideal(p.clone(), 4, Cycle(2), TimedConfig::default()).run(&input);
+        assert_eq!(seq, Err(want.clone()), "sequential, n = {n}");
+        assert_eq!(relaxed, Err(want.clone()), "relaxed, n = {n}");
+        assert_eq!(timed.map(|r| r.outputs), Err(want), "timed, n = {n}");
+    }
+    // A size that fits still allocates.
+    let r = Emulator::new(&p).run(&[Value::Int(3)]).expect("runs");
+    assert_eq!(r.outputs[&0], Value::Int(7));
+}

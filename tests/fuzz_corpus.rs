@@ -4,10 +4,12 @@
 //! that once diverged, or that cover regimes worth permanent watch. Each
 //! is regenerated from its pair and judged by the full cross-engine
 //! oracle (sequential emulator, parallel backend at 2/4/8 threads, timed
-//! machine, optimizing compiler, reference answers). This is the
-//! PR-time arm of the fuzzer; the open-ended hunt runs nightly via
-//! `ttda-bench fuzz`.
+//! machine — each on the O0 and the O2 program, under FIFO and
+//! criticality scheduling — optimizing compiler, reference answers).
+//! This is the PR-time arm of the fuzzer; the open-ended hunt runs
+//! nightly via `ttda-bench fuzz`.
 
+use ttda::core::opt::{optimize_at, OptLevel};
 use ttda::workloads::fuzz::{self, run_scenario, Family, Outcome, Scenario};
 
 const CORPUS: &str = include_str!("fuzz_regressions.txt");
@@ -62,5 +64,34 @@ fn replay_matches_generation_byte_for_byte() {
         let a = Scenario::generate(family, seed);
         let b = Scenario::generate(family, seed);
         assert_eq!(a, b, "{family} seed {seed} did not replay identically");
+    }
+}
+
+#[test]
+fn pinned_loop_nests_exercise_promotion() {
+    // The loop-nest seeds are pinned to keep loop-constant promotion
+    // under the oracle: each must still promote after a generator or
+    // optimizer change, or the pin has stopped doing its job.
+    let nests: Vec<u64> = corpus()
+        .into_iter()
+        .filter(|(f, _)| *f == Family::LoopNest)
+        .map(|(_, seed)| seed)
+        .collect();
+    assert!(
+        nests.len() >= 5,
+        "only {} loop-nest seeds pinned",
+        nests.len()
+    );
+    for seed in nests {
+        let sc = Scenario::generate(Family::LoopNest, seed);
+        let [src] = &sc.sources()[..] else {
+            panic!("loop-nest seed {seed} is not one program")
+        };
+        let program = ttda::idc::compile(src).expect("pinned nest compiles");
+        let stats = optimize_at(&program, OptLevel::O2).1;
+        assert!(
+            stats.invariants_promoted > 0,
+            "loop-nest seed {seed} no longer promotes an invariant: {stats:?}"
+        );
     }
 }
