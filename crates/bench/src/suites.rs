@@ -7,7 +7,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use ttda_core::matching::{Absorbed, MatchingStore};
+use ttda_core::matching::{MatchingStore, Preset};
 use ttda_core::CodeBlockId;
 use ttda_core::{
     ActivityName, Ctx, Emulator, InstrId, Iter, Port, Program, RunMode, SchedPolicy, TimedConfig,
@@ -85,20 +85,19 @@ pub fn drive_hashmap(stream: &[StreamTok]) -> usize {
     matched
 }
 
-/// Drives the same stream through the packed [`MatchingStore`].
+/// Drives the same stream through the packed [`MatchingStore`], the
+/// way the engines do: one reused operand buffer.
 pub fn drive_packed(stream: &[StreamTok]) -> usize {
     let mut waiting = MatchingStore::new();
+    let mut ops = Vec::new();
     let mut matched = 0usize;
     for &(tag, port, value) in stream {
-        match waiting
-            .absorb(tag, 2, None, port, value)
-            .expect("valid port")
-        {
-            Absorbed::Parked => {}
-            Absorbed::Enabled(ops) => {
-                black_box(&*ops);
-                matched += 1;
-            }
+        let done = waiting
+            .absorb(tag, 2, &Preset::default(), port, value, &mut ops)
+            .expect("valid port");
+        if done {
+            black_box(&ops[..]);
+            matched += 1;
         }
     }
     assert!(waiting.is_empty(), "stream must drain the store");

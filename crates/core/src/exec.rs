@@ -226,7 +226,7 @@ pub(crate) fn absorb<'p, C: ContextOps>(
         consts: &instr.consts,
         values,
     };
-    match waiting.absorb_into(tag, arity, &preset, token.port, token.value, ops) {
+    match waiting.absorb(tag, arity, &preset, token.port, token.value, ops) {
         Ok(true) => Ok(Some((tag, instr))),
         Ok(false) => Ok(None),
         Err(PortOutOfRange) => Err(bad_target(tag)),

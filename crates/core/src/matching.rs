@@ -17,8 +17,8 @@
 //!   steady-state matching performs **zero** heap allocation — wide
 //!   entries (more than three operands: a wide `Apply` or `LoopEntry`)
 //!   keep their operands in blocks of one shared spill pool, recycled
-//!   by arity, and the executors' path (`absorb_into`) writes a
-//!   completed set into the caller's reused buffer.
+//!   by arity, and [`absorb`](MatchingStore::absorb) writes a completed
+//!   set into the caller's reused buffer.
 //!
 //! The store is observationally identical to the `HashMap` version:
 //! [`len`](MatchingStore::len) (the traced occupancy and
@@ -117,44 +117,6 @@ struct Entry {
     spill: u32,
 }
 
-/// A complete operand set, inline up to `INLINE` (3) values — the
-/// common case never touches the heap. Dereferences to `&[Value]` for
-/// the executor.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Operands {
-    /// At most `INLINE` operands, stored in place.
-    Inline {
-        /// Number of live values in `vals`.
-        len: u8,
-        /// The operand values, port order, padded with `Unit`.
-        vals: [Value; INLINE],
-    },
-    /// More than `INLINE` operands (wide `Apply`).
-    Heap(Vec<Value>),
-}
-
-impl Operands {
-    /// A single operand, allocation-free (the `nt ≤ 1` bypass path).
-    #[inline]
-    pub fn one(v: Value) -> Self {
-        Operands::Inline {
-            len: 1,
-            vals: [v, Value::Unit, Value::Unit],
-        }
-    }
-}
-
-impl std::ops::Deref for Operands {
-    type Target = [Value];
-    #[inline]
-    fn deref(&self) -> &[Value] {
-        match self {
-            Operands::Inline { len, vals } => &vals[..*len as usize],
-            Operands::Heap(v) => v,
-        }
-    }
-}
-
 /// Error from [`MatchingStore::absorb`]: the token's port index is not a
 /// valid operand slot of the target instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,25 +125,15 @@ pub struct PortOutOfRange;
 /// The operand slots an instruction fills without tokens, written into
 /// a fresh entry before its first token: the literal, and the
 /// loop-constant operands with the constants of the token's activation.
+/// `Preset::default()` fills none.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Preset<'a> {
+pub struct Preset<'a> {
     /// The instruction's literal operand.
     pub literal: Option<(Port, Value)>,
     /// `(port, slot)` loop-constant operands.
     pub consts: &'a [(Port, u8)],
-    /// The activation's constants; every slot in `consts` indexes it
-    /// (the caller checks).
+    /// The activation's constants; every slot in `consts` indexes it.
     pub values: &'a [Value],
-}
-
-/// What happened to an absorbed token.
-#[derive(Debug, PartialEq)]
-pub enum Absorbed {
-    /// Parked; the activity still waits for at least one operand.
-    Parked,
-    /// The final operand arrived: the complete set, in port order. The
-    /// entry's slot has been recycled.
-    Enabled(Operands),
 }
 
 /// The open-addressing waiting–matching store. See the module docs.
@@ -283,43 +235,23 @@ impl MatchingStore {
     }
 
     /// Absorbs one token for `tag`, whose target instruction has
-    /// `arity` operand slots and an optional compile-time `literal`
-    /// operand. Mirrors the original `HashMap` transition function
-    /// exactly: a fresh activity parks with the literal (if any)
-    /// pre-filled; a token for an already-filled port overwrites the
-    /// value; when all `arity` ports are filled the operands are
-    /// returned in port order and the entry is recycled.
+    /// `arity` operand slots, some of them filled without tokens by
+    /// `preset`. Mirrors the original `HashMap` transition function
+    /// exactly: a fresh activity parks with the preset slots pre-filled;
+    /// a token for an already-filled port overwrites the value; when all
+    /// `arity` ports are filled the entry is recycled and the operands
+    /// are written, in port order, into `out` (cleared first). Returns
+    /// whether the token completed the set; `out` is untouched if not.
+    /// With `out` reused across calls this never allocates, whatever
+    /// the arity.
+    ///
+    /// # Panics
+    ///
+    /// If a preset port is not below `arity`, or a constant slot is not
+    /// an index of `preset.values` (`Program::validate` rules out both
+    /// for a program's instructions).
     #[inline]
     pub fn absorb(
-        &mut self,
-        tag: ActivityName,
-        arity: u8,
-        literal: Option<(Port, Value)>,
-        port: Port,
-        value: Value,
-    ) -> Result<Absorbed, PortOutOfRange> {
-        let preset = Preset {
-            literal,
-            ..Preset::default()
-        };
-        Ok(match self.match_token(tag, arity, &preset, port, value)? {
-            None => Absorbed::Parked,
-            Some(idx) => {
-                let ops = self.take_operands(idx);
-                self.recycle(idx);
-                Absorbed::Enabled(ops)
-            }
-        })
-    }
-
-    /// The executors' form of [`MatchingStore::absorb`]: a fresh entry
-    /// starts from `preset` (literal and loop constants), and a
-    /// completed operand set is written, in port order, into `out`
-    /// (cleared first) instead of being returned. With `out` reused
-    /// across firings this never allocates, whatever the arity. Returns
-    /// whether the token completed the set.
-    #[inline]
-    pub(crate) fn absorb_into(
         &mut self,
         tag: ActivityName,
         arity: u8,
@@ -359,9 +291,9 @@ impl MatchingStore {
         }
     }
 
-    /// The transition function shared by both absorb forms: parks the
-    /// token, or returns the arena index of the entry it completed —
-    /// already unlinked from the table, not yet recycled.
+    /// The transition function: parks the token, or returns the arena
+    /// index of the entry it completed — already unlinked from the
+    /// table, not yet recycled.
     #[inline]
     fn match_token(
         &mut self,
@@ -451,20 +383,6 @@ impl MatchingStore {
             e.filled == (1u8 << e.arity) - 1
         } else {
             e.filled == e.arity
-        }
-    }
-
-    /// Extracts the operand set of a complete entry.
-    fn take_operands(&self, idx: u32) -> Operands {
-        let e = &self.entries[idx as usize];
-        if (e.arity as usize) <= INLINE {
-            Operands::Inline {
-                len: e.arity,
-                vals: e.slots,
-            }
-        } else {
-            let block = &self.spill[e.spill as usize..e.spill as usize + e.arity as usize];
-            Operands::Heap(block.iter().map(|o| o.expect("all ports filled")).collect())
         }
     }
 
@@ -579,20 +497,42 @@ mod tests {
         assert_eq!(PackedName::pack(t).unpack(), t);
     }
 
+    /// Absorbs one token through `preset`: `Some(operands)` if it
+    /// completed the set.
+    fn step(
+        m: &mut MatchingStore,
+        t: ActivityName,
+        arity: u8,
+        preset: &Preset<'_>,
+        port: u8,
+        value: Value,
+    ) -> Result<Option<Vec<Value>>, PortOutOfRange> {
+        let mut out = Vec::new();
+        let done = m.absorb(t, arity, preset, Port(port), value, &mut out)?;
+        Ok(done.then_some(out))
+    }
+
+    /// [`step`] with no preset and an integer operand.
+    fn int(
+        m: &mut MatchingStore,
+        t: ActivityName,
+        arity: u8,
+        port: u8,
+        v: i64,
+    ) -> Result<Option<Vec<Value>>, PortOutOfRange> {
+        step(m, t, arity, &Preset::default(), port, Value::Int(v))
+    }
+
     #[test]
     fn two_operand_match() {
         let mut m = MatchingStore::new();
         let t = tag(1, 0, 4, 1);
-        assert_eq!(
-            m.absorb(t, 2, None, Port(0), Value::Int(3)),
-            Ok(Absorbed::Parked)
-        );
+        assert_eq!(int(&mut m, t, 2, 0, 3), Ok(None));
         assert_eq!(m.len(), 1);
-        let r = m.absorb(t, 2, None, Port(1), Value::Int(9)).unwrap();
-        match r {
-            Absorbed::Enabled(ops) => assert_eq!(&*ops, &[Value::Int(3), Value::Int(9)]),
-            other => panic!("expected match, got {other:?}"),
-        }
+        assert_eq!(
+            int(&mut m, t, 2, 1, 9),
+            Ok(Some(vec![Value::Int(3), Value::Int(9)]))
+        );
         assert_eq!(m.len(), 0);
     }
 
@@ -602,56 +542,37 @@ mod tests {
         let t = tag(1, 0, 4, 1);
         // arity 2 with a literal at port 1: the single token completes
         // the set without the store's occupancy ever rising.
-        let r = m
-            .absorb(
-                t,
-                2,
-                Some((Port(1), Value::Int(40))),
-                Port(0),
-                Value::Int(2),
-            )
-            .unwrap();
-        match r {
-            Absorbed::Enabled(ops) => assert_eq!(&*ops, &[Value::Int(2), Value::Int(40)]),
-            other => panic!("expected match, got {other:?}"),
-        }
+        let preset = Preset {
+            literal: Some((Port(1), Value::Int(40))),
+            ..Preset::default()
+        };
+        assert_eq!(
+            step(&mut m, t, 2, &preset, 0, Value::Int(2)),
+            Ok(Some(vec![Value::Int(2), Value::Int(40)]))
+        );
         assert_eq!(m.len(), 0);
+        assert_eq!(m.high_water(), 0);
     }
 
     #[test]
     fn port_overwrite_is_idempotent_on_occupancy() {
         let mut m = MatchingStore::new();
         let t = tag(1, 0, 4, 1);
-        assert_eq!(
-            m.absorb(t, 3, None, Port(0), Value::Int(1)),
-            Ok(Absorbed::Parked)
-        );
-        assert_eq!(
-            m.absorb(t, 3, None, Port(0), Value::Int(2)),
-            Ok(Absorbed::Parked)
-        );
+        assert_eq!(int(&mut m, t, 3, 0, 1), Ok(None));
+        assert_eq!(int(&mut m, t, 3, 0, 2), Ok(None));
         assert_eq!(m.len(), 1);
+        assert_eq!(int(&mut m, t, 3, 1, 3), Ok(None));
         assert_eq!(
-            m.absorb(t, 3, None, Port(1), Value::Int(3)),
-            Ok(Absorbed::Parked)
+            int(&mut m, t, 3, 2, 4),
+            Ok(Some(vec![Value::Int(2), Value::Int(3), Value::Int(4)]))
         );
-        let r = m.absorb(t, 3, None, Port(2), Value::Int(4)).unwrap();
-        match r {
-            Absorbed::Enabled(ops) => {
-                assert_eq!(&*ops, &[Value::Int(2), Value::Int(3), Value::Int(4)]);
-            }
-            other => panic!("expected match, got {other:?}"),
-        }
     }
 
     #[test]
     fn bad_port_is_rejected_without_parking() {
         let mut m = MatchingStore::new();
         let t = tag(1, 0, 4, 1);
-        assert_eq!(
-            m.absorb(t, 2, None, Port(2), Value::Int(1)),
-            Err(PortOutOfRange)
-        );
+        assert_eq!(int(&mut m, t, 2, 2, 1), Err(PortOutOfRange));
         assert_eq!(m.len(), 0);
     }
 
@@ -660,30 +581,21 @@ mod tests {
         let mut m = MatchingStore::new();
         let t = tag(9, 2, 7, 1);
         for p in 0..5u8 {
-            let r = m.absorb(t, 6, None, Port(p), Value::Int(p as i64)).unwrap();
-            assert_eq!(r, Absorbed::Parked);
+            assert_eq!(int(&mut m, t, 6, p, p as i64), Ok(None));
         }
         assert_eq!(m.len(), 1);
-        let r = m.absorb(t, 6, None, Port(5), Value::Int(5)).unwrap();
-        match r {
-            Absorbed::Enabled(ops) => {
-                let want: Vec<Value> = (0..6).map(Value::Int).collect();
-                assert_eq!(&*ops, &want[..]);
-            }
-            other => panic!("expected match, got {other:?}"),
-        }
+        let want: Vec<Value> = (0..6).map(Value::Int).collect();
+        assert_eq!(int(&mut m, t, 6, 5, 5), Ok(Some(want)));
         assert_eq!(m.len(), 0);
         // The spill block is recycled on its arity's free list.
-        assert_eq!(
-            m.absorb(t, 6, None, Port(0), Value::Int(1)),
-            Ok(Absorbed::Parked)
-        );
+        assert_eq!(int(&mut m, t, 6, 0, 1), Ok(None));
+        assert_eq!(m.spill.len(), 6);
     }
 
     #[test]
-    fn absorb_into_presets_constants_and_reuses_wide_storage() {
+    fn presets_fill_constants_and_wide_storage_is_reused() {
         let mut m = MatchingStore::new();
-        let mut out = Vec::new();
+        let mut out = vec![Value::Int(99)];
         let consts = [(Port(1), 2u8), (Port(4), 0u8)];
         let values = [Value::Int(10), Value::Int(11), Value::Int(12)];
         let preset = Preset {
@@ -694,11 +606,15 @@ mod tests {
         for round in 0..3 {
             let t = tag(round, 0, 9, 1);
             assert_eq!(
-                m.absorb_into(t, 5, &preset, Port(0), Value::Int(-1), &mut out),
+                m.absorb(t, 5, &preset, Port(0), Value::Int(-1), &mut out),
                 Ok(false)
             );
+            if round == 0 {
+                // A token that parks leaves the caller's buffer alone.
+                assert_eq!(out, [Value::Int(99)]);
+            }
             assert_eq!(
-                m.absorb_into(t, 5, &preset, Port(3), Value::Int(-4), &mut out),
+                m.absorb(t, 5, &preset, Port(3), Value::Int(-4), &mut out),
                 Ok(true)
             );
             assert_eq!(
@@ -726,7 +642,7 @@ mod tests {
         };
         let t = tag(7, 0, 3, 1);
         assert_eq!(
-            m.absorb_into(t, 2, &narrow, Port(0), Value::Int(5), &mut out),
+            m.absorb(t, 2, &narrow, Port(0), Value::Int(5), &mut out),
             Ok(true)
         );
         assert_eq!(out, [Value::Int(5), Value::Int(12)]);
@@ -738,10 +654,11 @@ mod tests {
         let mut m = MatchingStore::new();
         let n = 500u32;
         for k in 0..n {
-            let r = m
-                .absorb(tag(k, 1, 2, 1), 2, None, Port(0), Value::Int(k as i64))
-                .unwrap();
-            assert_eq!(r, Absorbed::Parked, "key {k}");
+            assert_eq!(
+                int(&mut m, tag(k, 1, 2, 1), 2, 0, k as i64),
+                Ok(None),
+                "key {k}"
+            );
         }
         assert_eq!(m.len(), n as usize);
         let mut seen = 0usize;
@@ -753,24 +670,18 @@ mod tests {
         // Remove every third key (forces backward shifts), then verify
         // the rest still match correctly.
         for k in (0..n).step_by(3) {
-            let r = m
-                .absorb(tag(k, 1, 2, 1), 2, None, Port(1), Value::Int(-1))
-                .unwrap();
-            assert!(matches!(r, Absorbed::Enabled(_)), "key {k}");
+            let r = int(&mut m, tag(k, 1, 2, 1), 2, 1, -1);
+            assert!(matches!(r, Ok(Some(_))), "key {k}");
         }
         for k in 0..n {
             if k % 3 == 0 {
                 continue;
             }
-            match m
-                .absorb(tag(k, 1, 2, 1), 2, None, Port(1), Value::Int(-1))
-                .unwrap()
-            {
-                Absorbed::Enabled(ops) => {
-                    assert_eq!(&*ops, &[Value::Int(k as i64), Value::Int(-1)])
-                }
-                other => panic!("key {k}: expected match, got {other:?}"),
-            }
+            assert_eq!(
+                int(&mut m, tag(k, 1, 2, 1), 2, 1, -1),
+                Ok(Some(vec![Value::Int(k as i64), Value::Int(-1)])),
+                "key {k}"
+            );
         }
         assert_eq!(m.len(), 0);
     }
@@ -802,7 +713,11 @@ mod tests {
             } else {
                 Port(rng.gen_range(0u8..arity))
             };
-            let got = m.absorb(t, arity, literal, port, Value::Int(1));
+            let preset = Preset {
+                literal,
+                ..Preset::default()
+            };
+            let got = step(&mut m, t, arity, &preset, port.0, Value::Int(1));
             if port.0 >= arity {
                 // Rejected before parking: the model is untouched.
                 assert_eq!(got, Err(PortOutOfRange));
@@ -817,9 +732,9 @@ mod tests {
                 parked.1.insert(port.0);
                 if parked.1.len() == parked.0 as usize {
                     model.remove(&t);
-                    assert!(matches!(got, Ok(Absorbed::Enabled(_))));
+                    assert!(matches!(got, Ok(Some(_))));
                 } else {
-                    assert_eq!(got, Ok(Absorbed::Parked));
+                    assert_eq!(got, Ok(None));
                 }
             }
             model_high = model_high.max(model.len());

@@ -188,7 +188,7 @@ fn timed_machine_agrees_with_emulator_on_random_exprs() {
 #[test]
 fn matching_store_agrees_with_hashmap_model() {
     use std::collections::HashMap;
-    use ttda::core::matching::{Absorbed, MatchingStore};
+    use ttda::core::matching::{MatchingStore, Preset};
     use ttda::core::{ActivityName, CodeBlockId, Ctx, InstrId, Iter, Port};
 
     // The open-addressed store must be observationally identical to the
@@ -199,16 +199,22 @@ fn matching_store_agrees_with_hashmap_model() {
     // activity is revisited constantly, and arity is a deterministic
     // function of (c, s) — as in a real program, where it comes from
     // the instruction — spanning 1..=5 to cover both the inline and
-    // spill representations.
+    // spill representations. So are the preset slots: a literal, and up
+    // to two loop-constant operands whose values come from the
+    // activation's constants (a function of `u`, as the context table
+    // would give them). One operand buffer serves the whole stream, as
+    // in the executors.
     check::forall("matching store agrees with hashmap model", |rng| {
         let mut store = MatchingStore::new();
+        let mut out = Vec::new();
         let mut model: HashMap<ActivityName, Vec<Option<Value>>> = HashMap::new();
         let ops = rng.gen_range(1usize..200);
         for _ in 0..ops {
             let c = rng.gen_range(0u32..3);
             let s = rng.gen_range(0u32..7);
+            let u = rng.gen_range(0u32..3);
             let tag = ActivityName {
-                u: Ctx(rng.gen_range(0u32..3)),
+                u: Ctx(u),
                 c: CodeBlockId(c),
                 s: InstrId(s),
                 i: Iter(rng.gen_range(0u32..4)),
@@ -218,6 +224,21 @@ fn matching_store_agrees_with_hashmap_model() {
                 Some((Port(0), Value::Int((10 * c + s) as i64)))
             } else {
                 None
+            };
+            let consts: Vec<(Port, u8)> = if s % 2 == 0 && arity >= 3 {
+                let mut k = vec![(Port(arity - 1), (s % 3) as u8)];
+                if arity >= 4 {
+                    k.push((Port(arity - 2), (c % 3) as u8));
+                }
+                k
+            } else {
+                Vec::new()
+            };
+            let values: Vec<Value> = (0..3).map(|k| Value::Int(1000 * u as i64 + k)).collect();
+            let preset = Preset {
+                literal,
+                consts: &consts,
+                values: &values,
             };
             let port = if rng.chance(0.05) {
                 Port(arity + rng.gen_range(0u8..3)) // out of range
@@ -235,6 +256,9 @@ fn matching_store_agrees_with_hashmap_model() {
                     if let Some((p, lv)) = literal {
                         v[p.0 as usize] = Some(lv);
                     }
+                    for &(p, slot) in &consts {
+                        v[p.0 as usize] = Some(values[slot as usize]);
+                    }
                     v
                 });
                 slots[port.0 as usize] = Some(value);
@@ -251,16 +275,14 @@ fn matching_store_agrees_with_hashmap_model() {
                 }
             };
 
-            let got = store.absorb(tag, arity, literal, port, value);
+            let before = out.clone();
+            let got = store.absorb(tag, arity, &preset, port, value, &mut out);
             match (got, want) {
-                (Err(_), Err(())) => {}
-                (Ok(Absorbed::Parked), Ok(None)) => {}
-                (Ok(Absorbed::Enabled(ops)), Ok(Some(want_ops))) => {
-                    assert_eq!(
-                        &ops[..],
-                        &want_ops[..],
-                        "operand order diverged for {tag:?}"
-                    );
+                (Err(_), Err(())) | (Ok(false), Ok(None)) => {
+                    assert_eq!(out, before, "a token that completed nothing wrote operands");
+                }
+                (Ok(true), Ok(Some(want_ops))) => {
+                    assert_eq!(out, want_ops, "operand order diverged for {tag:?}");
                 }
                 (got, want) => panic!("outcome diverged for {tag:?}: {got:?} vs {want:?}"),
             }
