@@ -245,11 +245,13 @@ impl MatchingStore {
     /// With `out` reused across calls this never allocates, whatever
     /// the arity.
     ///
+    /// Every preset port must be below `arity` (checked in debug
+    /// builds only) and every constant slot an index of
+    /// `preset.values`.
+    ///
     /// # Panics
     ///
-    /// If a preset port is not below `arity`, or a constant slot is not
-    /// an index of `preset.values` (`Program::validate` rules out both
-    /// for a program's instructions).
+    /// If a constant slot is not an index of `preset.values`.
     #[inline]
     pub fn absorb(
         &mut self,
@@ -424,13 +426,15 @@ impl MatchingStore {
             self.spill[start..start + a].fill(None);
             self.entries[idx as usize].spill = start as u32;
         }
-        // Indexing panics on a literal port ≥ arity, as the reference
-        // model's closure did; the builder validates this.
+        // A preset port ≥ arity would set a fill bit that never lets
+        // an inline entry complete.
         let e = &mut self.entries[idx as usize];
         if let Some((p, lv)) = preset.literal {
+            debug_assert!(p.0 < arity, "literal port {} ≥ arity {arity}", p.0);
             Self::fill(e, &mut self.spill, p, lv);
         }
         for &(p, slot) in preset.consts {
+            debug_assert!(p.0 < arity, "constant port {} ≥ arity {arity}", p.0);
             Self::fill(e, &mut self.spill, p, preset.values[slot as usize]);
         }
         idx
