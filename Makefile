@@ -1,14 +1,11 @@
 # Convenience targets for the ttda suite.
 
-.PHONY: all test bench experiments experiments-output quickbench opt sched serve fuzz fuzz-corpus doc examples clean
+.PHONY: all test experiments experiments-output quickbench opt sched serve fuzz fuzz-corpus doc examples clean
 
 all: test
 
 test:
 	cargo test --workspace
-
-bench:
-	cargo bench --workspace
 
 experiments:
 	cargo run --release -p ttda-bench --bin experiments -- all
@@ -19,12 +16,11 @@ experiments:
 experiments-output:
 	cargo run --release -p ttda-bench --bin experiments -- all --normalize > experiments_output.txt
 
-# Regenerates all six tracked benchmark baselines at the repo root.
+# Re-records every section of the tracked benchmark baseline BENCH.json
+# from one run. To move one suite, add --suites to the same command.
 quickbench:
 	cargo run --release -p ttda-bench --bin experiments -- quickbench \
-		--out BENCH_matching.json --istore-out BENCH_istore.json \
-		--service-out BENCH_service.json --par-out BENCH_par.json \
-		--opt-out BENCH_opt.json --sched-out BENCH_sched.json
+		--check BENCH.json --rebaseline
 
 # Per-workload optimizer before/after: instruction counts, firings,
 # critical paths and O0/O2 Graphviz renderings under target/opt.
@@ -32,11 +28,11 @@ opt:
 	cargo run --release -p ttda-bench --bin experiments -- opt --out target/opt
 
 # The scheduling story on its own: the fifo-vs-crit timed makespan
-# table (E23) plus a fresh BENCH_sched.json under target/.
+# table (E23) plus a fresh sched section in target/BENCH.json.
 sched:
 	cargo run --release -p ttda-bench --bin experiments -- e23
 	cargo run --release -p ttda-bench --bin experiments -- quickbench \
-		--suites sched --sched-out target/BENCH_sched.json
+		--suites sched
 
 # One sustained open-loop service run past the saturation knee.
 # Override: make serve SERVE_LOAD=0.8 SERVE_REQUESTS=128

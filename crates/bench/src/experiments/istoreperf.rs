@@ -107,8 +107,8 @@ pub fn e18() -> String {
          honest price of the layout; the packed store takes the lead as soon as any\n\
          fraction of reads defer, which is the regime I-structures exist for (a\n\
          producer/consumer program defers by design). `experiments quickbench` runs\n\
-         the heavy-defer kernel cold and records it in BENCH_istore.json, the\n\
-         baseline later perf work is gated against.\n",
+         the heavy-defer kernel cold and records it in the `istore` section of\n\
+         BENCH.json, the baseline later perf work is gated against.\n",
     );
     out
 }

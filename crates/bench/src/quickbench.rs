@@ -1,8 +1,8 @@
 //! A dependency-free stand-in for the small slice of the Criterion API
-//! the `benches/` targets use.
+//! the quickbench suites ([`crate::suites`]) use.
 //!
 //! The container this suite builds in has no network access to crates.io,
-//! so the real `criterion` crate cannot be fetched. The benches only use
+//! so the real `criterion` crate cannot be fetched. The suites only use
 //! `Criterion::bench_function`, benchmark groups, `BenchmarkId` and
 //! `Bencher::iter`, so this module implements exactly that surface over
 //! `std::time::Instant`: each benchmark runs one warm-up iteration and
@@ -14,9 +14,6 @@
 //! - `QUICKBENCH_MS` — per-benchmark sampling budget in milliseconds
 //!   (default 200);
 //! - `QUICKBENCH_MAX_ITERS` — sample-count cap (default 50).
-//!
-//! Swapping back to real Criterion is a one-line import change in each
-//! bench file; the call sites are identical.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -35,13 +32,6 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    /// `name/parameter`, e.g. `BenchmarkId::new("blocking", 50)`.
-    pub fn new(name: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            id: format!("{name}/{parameter}"),
-        }
-    }
-
     /// Just the parameter, for groups whose name says it all.
     pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
         BenchmarkId {
@@ -53,12 +43,6 @@ impl BenchmarkId {
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
         BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(id: String) -> Self {
-        BenchmarkId { id }
     }
 }
 
@@ -169,11 +153,6 @@ impl Criterion {
         }
     }
 
-    /// The collected per-target summaries, in run order.
-    pub fn stats(&self) -> &[BenchStat] {
-        &self.stats
-    }
-
     /// Consumes the driver, yielding the collected summaries.
     pub fn into_stats(self) -> Vec<BenchStat> {
         self.stats
@@ -188,18 +167,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Runs one benchmark within the group.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let label = format!("{}/{}", self.name, id.into().id);
-        if let Some(s) = run_one(&label, &mut f) {
-            self.parent.stats.push(s);
-        }
-        self
-    }
-
     /// Runs one benchmark parameterised by `input`.
     pub fn bench_with_input<I: ?Sized, F>(
         &mut self,
@@ -221,37 +188,12 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Mirrors `criterion::criterion_group!`: defines a function that runs
-/// every listed benchmark against a fresh [`Criterion`].
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c = $crate::quickbench::Criterion::default();
-            $( $target(&mut c); )+
-        }
-    };
-}
-
-/// Mirrors `criterion::criterion_main!`: a `main` that runs the groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
-pub use crate::{criterion_group, criterion_main};
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ids_render_like_criterion() {
-        assert_eq!(BenchmarkId::new("blocking", 50).id, "blocking/50");
         assert_eq!(BenchmarkId::from_parameter(16).id, "16");
         assert_eq!(BenchmarkId::from("plain").id, "plain");
     }

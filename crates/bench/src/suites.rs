@@ -1,8 +1,7 @@
-//! The benchmark suite bodies, shared between the `cargo bench` targets
-//! (`benches/matching.rs`, `benches/istore.rs`, `benches/endtoend.rs` are
-//! thin wrappers over these functions) and the `experiments quickbench`
-//! subcommand, which runs the same targets and emits the
-//! `BENCH_matching.json` report tracked at the repository root.
+//! The quickbench suites: each suite's timed targets and same-run
+//! comparison, listed in [`SUITES`]. `experiments quickbench` runs them
+//! and writes one [`Section`] per suite into the `BENCH.json` report
+//! tracked at the repository root.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -23,6 +22,68 @@ use ttda_workloads::service::{serve, EmulatorRunner, ServiceConfig, TenantSpec};
 use ttda_workloads::vn::chaotic_relaxation;
 
 use crate::quickbench::{BenchmarkId, Criterion};
+use crate::report::{Better, Section};
+
+/// One quickbench suite. Adding a suite is one [`SUITES`] entry.
+pub struct Suite {
+    /// The name `--suites` selects and `BENCH.json` keys the section by.
+    pub name: &'static str,
+    /// The same-run comparison whose metrics and headline the gate
+    /// checks. Every selected comparison runs before any timed target,
+    /// in a still-cold process — the state every real engine run starts
+    /// from.
+    pub compare: Option<fn() -> Section>,
+    /// Runs the suite's timed targets.
+    pub targets: fn(&mut Criterion),
+}
+
+/// Every quickbench suite, in the order a full run takes them.
+pub const SUITES: &[Suite] = &[
+    // Window 32768: a saturated matching section holds tens of
+    // thousands of parked activities (E13 ties occupancy to exposed
+    // parallelism), and that is the regime the packed store exists for.
+    Suite {
+        name: "matching",
+        compare: Some(|| matching_throughput(200_000, 32_768, 7)),
+        targets: matching,
+    },
+    // All-deferred traffic is the regime the packed store exists for
+    // (E18 sweeps the ratio). 4096 cells × 8 readers matches E18's
+    // sweep scale: large enough to exercise the node arena, small
+    // enough that the working set, not the memory wall, is compared.
+    Suite {
+        name: "istore",
+        compare: Some(|| istore_throughput(4096, 8, 31)),
+        targets: istore,
+    },
+    // 32 requests per tenant keeps the cold-process measurement in
+    // whole milliseconds without dominating the run.
+    Suite {
+        name: "service",
+        compare: Some(|| service_throughput(32, 5)),
+        targets: service,
+    },
+    Suite {
+        name: "par",
+        compare: Some(|| par_throughput(5)),
+        targets: par,
+    },
+    Suite {
+        name: "opt",
+        compare: Some(opt_throughput),
+        targets: opt,
+    },
+    Suite {
+        name: "sched",
+        compare: Some(sched_throughput),
+        targets: sched,
+    },
+    Suite {
+        name: "endtoend",
+        compare: None,
+        targets: endtoend,
+    },
+];
 
 /// One token of the synthetic matching-saturating stream.
 pub type StreamTok = (ActivityName, Port, Value);
@@ -104,33 +165,18 @@ pub fn drive_packed(stream: &[StreamTok]) -> usize {
     matched
 }
 
-/// The matching-throughput comparison behind E17 and the
-/// `matching_throughput` block of `BENCH_matching.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatchingThroughput {
-    /// Tokens absorbed per measured run.
-    pub tokens: u64,
-    /// Target occupancy the stream holds the store at.
-    pub window: usize,
-    /// Reference `HashMap` matcher throughput, tokens/second.
-    pub hashmap_tokens_per_sec: f64,
-    /// Packed [`MatchingStore`] throughput, tokens/second.
-    pub packed_tokens_per_sec: f64,
-}
-
-impl MatchingThroughput {
-    /// Packed-store speedup over the reference matcher.
-    pub fn speedup(&self) -> f64 {
-        self.packed_tokens_per_sec / self.hashmap_tokens_per_sec
-    }
-}
-
 fn timed<F: FnMut() -> usize>(mut f: F) -> std::time::Duration {
     let t0 = Instant::now();
     black_box(f());
     t0.elapsed()
 }
 
+/// The matching-throughput comparison behind E17 and the `matching`
+/// headline: `tokens` absorbed per run at occupancy `window`, through the
+/// reference `HashMap` matcher (`hashmap_tokens_per_sec`) and the packed
+/// [`MatchingStore`] (`packed_tokens_per_sec`); the headline is the
+/// packed store's speedup.
+///
 /// Measures both matchers on one identical stream. One untimed warmup
 /// pass each (heap growth, page faults), then `reps` interleaved
 /// ref/new rounds reporting the *best* wall-clock per matcher.
@@ -140,7 +186,7 @@ fn timed<F: FnMut() -> usize>(mut f: F) -> std::time::Duration {
 /// a round down while every store cost — including the reference's
 /// per-activity allocation — is still charged in full on the best
 /// round.
-pub fn matching_throughput(activities: usize, window: usize, reps: usize) -> MatchingThroughput {
+pub fn matching_throughput(activities: usize, window: usize, reps: usize) -> Section {
     let stream = token_stream(activities, window, 0x007a_11ed);
     let tokens = stream.len() as u64;
     let want = activities;
@@ -153,12 +199,17 @@ pub fn matching_throughput(activities: usize, window: usize, reps: usize) -> Mat
         best_new = best_new.min(timed(|| drive_packed(&stream)));
     }
     let tps = |d: std::time::Duration| tokens as f64 / d.as_secs_f64();
-    MatchingThroughput {
-        tokens,
-        window,
-        hashmap_tokens_per_sec: tps(best_ref),
-        packed_tokens_per_sec: tps(best_new),
-    }
+    Section::comparison(
+        &[
+            ("tokens", tokens as f64),
+            ("window", window as f64),
+            ("hashmap_tokens_per_sec", tps(best_ref)),
+            ("packed_tokens_per_sec", tps(best_new)),
+        ],
+        "packed_tokens_per_sec",
+        "hashmap_tokens_per_sec",
+        Better::Higher,
+    )
 }
 
 /// The `matching` suite: store-level kernels (reference vs packed on
@@ -312,36 +363,20 @@ pub fn drive_packed_istore(cells: usize, stream: &[IsOp]) -> (usize, usize) {
     (immediate, released)
 }
 
-/// The I-structure throughput comparison behind E18 and the
-/// `istore_throughput` block of `BENCH_istore.json`: the heavy-defer
-/// regime (every read parks, every write releases), where the enum
-/// store pays its per-cell `Vec` allocations and the packed store's
-/// recycled arena should win.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IStoreThroughput {
-    /// Operations (reads + writes) per measured run.
-    pub ops: u64,
-    /// Deferred readers parked per cell.
-    pub readers_per_cell: usize,
-    /// Enum-cell reference store throughput, ops/second.
-    pub enum_ops_per_sec: f64,
-    /// Packed store throughput, ops/second.
-    pub packed_ops_per_sec: f64,
-}
-
-impl IStoreThroughput {
-    /// Packed-store speedup over the enum-cell reference.
-    pub fn speedup(&self) -> f64 {
-        self.packed_ops_per_sec / self.enum_ops_per_sec
-    }
-}
-
+/// The I-structure throughput comparison behind E18 and the `istore`
+/// headline, in the heavy-defer regime (every read parks, every write
+/// releases), where the enum store pays its per-cell `Vec` allocations
+/// and the packed store's recycled arena should win: `ops` (reads +
+/// writes) per run with `readers_per_cell` deferred readers, through
+/// the enum-cell reference (`enum_ops_per_sec`) and the packed store
+/// (`packed_ops_per_sec`); the headline is the packed store's speedup.
+///
 /// Measures both stores on one identical heavy-defer stream, with the
 /// same protocol as [`matching_throughput`]: one untimed warmup pass
 /// each, then `reps` interleaved rounds, reporting the *best* round per
 /// store — stable under host interference, which only ever slows a
 /// round down.
-pub fn istore_throughput(cells: usize, readers_per_cell: usize, reps: usize) -> IStoreThroughput {
+pub fn istore_throughput(cells: usize, readers_per_cell: usize, reps: usize) -> Section {
     let stream = istore_stream(cells, readers_per_cell, 100, 0x15_70_7e);
     let ops = stream.len() as u64;
     let want = (0, cells * readers_per_cell);
@@ -354,12 +389,17 @@ pub fn istore_throughput(cells: usize, readers_per_cell: usize, reps: usize) -> 
         best_new = best_new.min(timed(|| drive_packed_istore(cells, &stream).1));
     }
     let ops_ps = |d: std::time::Duration| ops as f64 / d.as_secs_f64();
-    IStoreThroughput {
-        ops,
-        readers_per_cell,
-        enum_ops_per_sec: ops_ps(best_ref),
-        packed_ops_per_sec: ops_ps(best_new),
-    }
+    Section::comparison(
+        &[
+            ("ops", ops as f64),
+            ("readers_per_cell", readers_per_cell as f64),
+            ("enum_ops_per_sec", ops_ps(best_ref)),
+            ("packed_ops_per_sec", ops_ps(best_new)),
+        ],
+        "packed_ops_per_sec",
+        "enum_ops_per_sec",
+        Better::Higher,
+    )
 }
 
 /// The `istore` suite: enum-vs-packed store kernels over the three
@@ -519,41 +559,23 @@ pub fn loaded_service_scenario(
     (program, tenants, cost)
 }
 
-/// The service-scheduler throughput comparison behind the
-/// `service_throughput` block of `BENCH_service.json`: the same offered
-/// load drained one request per burst vs. batched up to the default
-/// quota. On the untimed emulator both arms execute the same
-/// instructions, so the ratio sits near 1.0 — the pair exists to pin
-/// the scheduler's own overhead (admission, queueing, histogram upkeep,
-/// per-burst machine construction), and the gated headline is the
-/// batched (default-configuration) rate. Batching's *latency* win is
-/// E20's story, in virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceThroughput {
-    /// Requests drained per measured run (all tenants together).
-    pub requests: u64,
-    /// Tenants in the scenario.
-    pub tenants: usize,
-    /// One-request-per-burst scheduling, requests/second.
-    pub serial_requests_per_sec: f64,
-    /// Quota-batched scheduling (the headline), requests/second.
-    pub batched_requests_per_sec: f64,
-}
-
-impl ServiceThroughput {
-    /// Batched-admission speedup over one-request bursts.
-    pub fn speedup(&self) -> f64 {
-        self.batched_requests_per_sec / self.serial_requests_per_sec
-    }
-}
-
+/// The service-scheduler throughput comparison behind the `service`
+/// headline: the same offered load of `requests` from `tenants` drained
+/// one request per burst (`serial_requests_per_sec`) vs. batched up to
+/// the default quota (`batched_requests_per_sec`). On the untimed
+/// emulator both arms execute the same instructions, so the batched
+/// speedup headline sits near 1.0 — the pair exists to pin the
+/// scheduler's own overhead (admission, queueing, histogram upkeep,
+/// per-burst machine construction). Batching's *latency* win is E20's
+/// story, in virtual time.
+///
 /// Measures the service scheduler draining one identical offered load
 /// serially (quota 1) and batched (the default quota), with the same
 /// protocol as [`matching_throughput`]: one untimed warmup pass each
 /// (which also checks both configurations drain every request), then
 /// `reps` interleaved rounds reporting the *best* round per
 /// configuration.
-pub fn service_throughput(requests_per_tenant: u64, reps: usize) -> ServiceThroughput {
+pub fn service_throughput(requests_per_tenant: u64, reps: usize) -> Section {
     let (program, tenants) = service_scenario(requests_per_tenant);
     let serial = ServiceConfig {
         seed: 42,
@@ -581,12 +603,17 @@ pub fn service_throughput(requests_per_tenant: u64, reps: usize) -> ServiceThrou
         best_batched = best_batched.min(timed(|| drain(&batched)));
     }
     let rps = |d: std::time::Duration| requests as f64 / d.as_secs_f64();
-    ServiceThroughput {
-        requests,
-        tenants: tenants.len(),
-        serial_requests_per_sec: rps(best_serial),
-        batched_requests_per_sec: rps(best_batched),
-    }
+    Section::comparison(
+        &[
+            ("requests", requests as f64),
+            ("tenants", tenants.len() as f64),
+            ("serial_requests_per_sec", rps(best_serial)),
+            ("batched_requests_per_sec", rps(best_batched)),
+        ],
+        "batched_requests_per_sec",
+        "serial_requests_per_sec",
+        Better::Higher,
+    )
 }
 
 /// The `service` suite: full open-loop multi-tenant serve runs (E20) —
@@ -630,45 +657,24 @@ pub fn service(c: &mut Criterion) {
     });
 }
 
-/// The parallel-backend throughput comparison behind E21 and the
-/// `par_throughput` block of `BENCH_par.json`. Every number is measured
-/// in the same process on the same workload, so the *ratios* survive
-/// host drift even when the absolute firings/sec do not: the gated
-/// headline is `relaxed_ratio_1w` — the relaxed backend's wall clock at
-/// one worker over the sequential interpreter's, the price of the
+/// The parallel-backend throughput comparison behind E21 and the `par`
+/// headline, on matmul n=5: `firings` per run (identical across all
+/// arms), then firings/sec for the sequential interpreter
+/// (`seq_firings_per_sec`) and the relaxed engine at 1, 2 and 4 workers
+/// (`relaxed1_firings_per_sec` …). Every number is measured in the same
+/// process on the same workload, so the *ratios* survive host drift
+/// even when the absolute firings/sec do not. The headline is the
+/// one-worker overhead `relaxed_ratio_1w`, sequential firings/sec over
+/// relaxed-1-worker firings/sec (lower is better): the price of the
 /// parallel protocol itself (a worker thread, shard routing, the
 /// termination detector).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParThroughput {
-    /// Workload label (e.g. `matmul_n5`).
-    pub workload: String,
-    /// Instruction firings per run (identical across all arms).
-    pub firings: u64,
-    /// Sequential reference interpreter, firings/second.
-    pub seq_firings_per_sec: f64,
-    /// Relaxed backend at 1 worker, firings/second.
-    pub relaxed1_firings_per_sec: f64,
-    /// Relaxed backend at 2 workers, firings/second.
-    pub relaxed2_firings_per_sec: f64,
-    /// Relaxed backend at 4 workers, firings/second.
-    pub relaxed4_firings_per_sec: f64,
-}
-
-impl ParThroughput {
-    /// Relaxed-backend overhead at one worker: sequential firings/sec
-    /// over relaxed-1-worker firings/sec (>1 means the protocol costs
-    /// that factor; the gated headline, lower is better).
-    pub fn relaxed_ratio_1w(&self) -> f64 {
-        self.seq_firings_per_sec / self.relaxed1_firings_per_sec
-    }
-}
-
+///
 /// Measures the sequential and relaxed (1/2/4 workers) engines on one
 /// identical workload, with the same protocol as
 /// [`matching_throughput`]: an untimed warmup per arm (which also
 /// asserts every arm computes the reference answer with the confluent
 /// firing count), then `reps` rounds reporting the *best* round per arm.
-pub fn par_throughput(reps: usize) -> ParThroughput {
+pub fn par_throughput(reps: usize) -> Section {
     let p = ttda_idc::compile(id::matmul()).expect("matmul compiles");
     let inputs = [Value::Int(5)];
     let expected = Value::Int(ttda_workloads::reference::matmul_checksum(5));
@@ -696,14 +702,18 @@ pub fn par_throughput(reps: usize) -> ParThroughput {
         }
     }
     let fps = |d: std::time::Duration| firings as f64 / d.as_secs_f64();
-    ParThroughput {
-        workload: "matmul_n5".into(),
-        firings,
-        seq_firings_per_sec: fps(best[0]),
-        relaxed1_firings_per_sec: fps(best[1]),
-        relaxed2_firings_per_sec: fps(best[2]),
-        relaxed4_firings_per_sec: fps(best[3]),
-    }
+    Section::comparison(
+        &[
+            ("firings", firings as f64),
+            ("seq_firings_per_sec", fps(best[0])),
+            ("relaxed1_firings_per_sec", fps(best[1])),
+            ("relaxed2_firings_per_sec", fps(best[2])),
+            ("relaxed4_firings_per_sec", fps(best[3])),
+        ],
+        "seq_firings_per_sec",
+        "relaxed1_firings_per_sec",
+        Better::Lower,
+    )
 }
 
 /// The `par` suite: whole-program emulator runs pinning each backend's
@@ -733,42 +743,6 @@ pub fn par(c: &mut Criterion) {
     }
 }
 
-/// The optimizer comparison behind E22 and the `opt_throughput` block
-/// of `BENCH_opt.json`. Unlike the other suite headlines this one is
-/// not a timing at all: it is the ratio of *instruction firings* — a
-/// deterministic, host-independent count — needed to run the same
-/// workload set compiled at `O2` vs compiled at `O0`. The gated
-/// headline is `firing_ratio` (O2 firings over O0 firings, lower is
-/// better): a pass that silently stops firing-reducing shows up as the
-/// ratio drifting back toward 1.0, on any host, with zero noise.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptThroughput {
-    /// The workload labels summed into the counts, in order.
-    pub workloads: Vec<String>,
-    /// Total static instruction count across the set at `O0`.
-    pub instrs_o0: u64,
-    /// Total static instruction count across the set at `O2`.
-    pub instrs_o2: u64,
-    /// Total instruction firings across the set at `O0`.
-    pub firings_o0: u64,
-    /// Total instruction firings across the set at `O2`.
-    pub firings_o2: u64,
-}
-
-impl OptThroughput {
-    /// The gated headline: `O2` firings over `O0` firings (lower is
-    /// better; 1.0 means the optimizer did nothing).
-    pub fn firing_ratio(&self) -> f64 {
-        self.firings_o2 as f64 / self.firings_o0 as f64
-    }
-
-    /// The static twin: `O2` instruction count over `O0`'s
-    /// (informational).
-    pub fn static_ratio(&self) -> f64 {
-        self.instrs_o2 as f64 / self.instrs_o0 as f64
-    }
-}
-
 /// The workload set every optimizer measurement (this suite, E22, the
 /// `opt` subcommand) runs: `(label, source, inputs)`. Loop-heavy,
 /// call-heavy and I-structure-heavy programs plus the statically
@@ -791,31 +765,42 @@ pub fn opt_workloads() -> Vec<(&'static str, String, Vec<Value>)> {
     ]
 }
 
-/// Compiles the [`opt_workloads`] set at `O0` and `O2`, runs both
-/// sides sequentially, asserts the outputs are identical, and sums the
-/// static and dynamic instruction counts. Fully deterministic — no
-/// timing, no reps.
-pub fn opt_throughput() -> OptThroughput {
-    let mut t = OptThroughput {
-        workloads: Vec::new(),
-        instrs_o0: 0,
-        instrs_o2: 0,
-        firings_o0: 0,
-        firings_o2: 0,
-    };
+/// The optimizer comparison behind E22 and the `opt` headline. Unlike
+/// the timed headlines it counts: the static instructions (`instrs_o0`,
+/// `instrs_o2`) and the *instruction firings* (`firings_o0`,
+/// `firings_o2`) — deterministic, host-independent counts — of the
+/// [`opt_workloads`] set compiled at `O0` and at `O2`. The headline
+/// `firing_ratio` is `O2` firings over `O0` firings (lower is better;
+/// 1.0 means the optimizer did nothing): a pass that silently stops
+/// reducing firings shows up as the ratio drifting back toward 1.0, on
+/// any host, with zero noise.
+///
+/// Runs both sides sequentially and asserts the outputs are identical.
+/// Fully deterministic — no timing, no reps.
+pub fn opt_throughput() -> Section {
+    let [mut instrs_o0, mut instrs_o2, mut firings_o0, mut firings_o2] = [0u64; 4];
     for (name, src, inputs) in opt_workloads() {
         let p0 = ttda_idc::compile_optimized(&src, OptLevel::O0).expect("compiles");
         let p2 = ttda_idc::compile_optimized(&src, OptLevel::O2).expect("compiles");
         let r0 = Emulator::new(&p0).run(&inputs).expect("O0 runs");
         let r2 = Emulator::new(&p2).run(&inputs).expect("O2 runs");
         assert_eq!(r0.outputs, r2.outputs, "{name}: O2 changed the answer");
-        t.workloads.push(name.to_string());
-        t.instrs_o0 += p0.instr_count() as u64;
-        t.instrs_o2 += p2.instr_count() as u64;
-        t.firings_o0 += r0.instructions;
-        t.firings_o2 += r2.instructions;
+        instrs_o0 += p0.instr_count() as u64;
+        instrs_o2 += p2.instr_count() as u64;
+        firings_o0 += r0.instructions;
+        firings_o2 += r2.instructions;
     }
-    t
+    Section::comparison(
+        &[
+            ("instrs_o0", instrs_o0 as f64),
+            ("instrs_o2", instrs_o2 as f64),
+            ("firings_o0", firings_o0 as f64),
+            ("firings_o2", firings_o2 as f64),
+        ],
+        "firings_o2",
+        "firings_o0",
+        Better::Lower,
+    )
 }
 
 /// The `opt` suite: the optimizer pipeline's own cost on the largest
@@ -843,32 +828,6 @@ pub fn opt(c: &mut Criterion) {
     });
 }
 
-/// The scheduling comparison behind E23 and the `sched_throughput`
-/// block of `BENCH_sched.json`. Like the opt headline this is not a
-/// timing: it is the ratio of timed-machine *makespans* — deterministic
-/// cycle counts from the discrete-event model — for the same workload
-/// set run under criticality-aware scheduling vs FIFO. The gated
-/// headline is `makespan_ratio` (crit cycles over FIFO cycles, lower is
-/// better): criticality scheduling silently losing its win shows up as
-/// the ratio drifting back toward 1.0, on any host, with zero noise.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedThroughput {
-    /// The workload labels summed into the counts, in order.
-    pub workloads: Vec<String>,
-    /// Total timed-machine cycles across the set under FIFO.
-    pub fifo_cycles: u64,
-    /// Total timed-machine cycles across the set under `Crit`.
-    pub crit_cycles: u64,
-}
-
-impl SchedThroughput {
-    /// The gated headline: `Crit` cycles over FIFO cycles (lower is
-    /// better; 1.0 means criticality scheduling bought nothing).
-    pub fn makespan_ratio(&self) -> f64 {
-        self.crit_cycles as f64 / self.fifo_cycles as f64
-    }
-}
-
 /// The machine configuration every scheduling measurement (this suite,
 /// E23, the gate) runs: 2 PEs joined by an ideal 4-cycle network. Two
 /// PEs is where firing order matters most — with many PEs nearly every
@@ -883,16 +842,20 @@ pub fn sched_machine(p: Program, sched: SchedPolicy) -> TimedMachine<ttda_net::I
     TimedMachine::ideal(p, 2, Cycle(4), cfg)
 }
 
-/// Compiles the [`opt_workloads`] set at `O2`, runs each through the
-/// [`sched_machine`] under FIFO and under `Crit`, asserts both orders
-/// compute identical outputs, and sums the makespans. Fully
-/// deterministic — no timing, no reps.
-pub fn sched_throughput() -> SchedThroughput {
-    let mut t = SchedThroughput {
-        workloads: Vec::new(),
-        fifo_cycles: 0,
-        crit_cycles: 0,
-    };
+/// The scheduling comparison behind E23 and the `sched` headline. Like
+/// the opt headline it is not a timing: it sums timed-machine
+/// *makespans* — deterministic cycle counts from the discrete-event
+/// model — of the [`opt_workloads`] set compiled at `O2` and run through
+/// the [`sched_machine`] under FIFO (`fifo_cycles`) and under `Crit`
+/// (`crit_cycles`). The headline `makespan_ratio` is crit cycles over
+/// FIFO cycles (lower is better; 1.0 means criticality scheduling bought
+/// nothing): losing the win shows up as the ratio drifting back toward
+/// 1.0, on any host, with zero noise.
+///
+/// Asserts both orders compute identical outputs. Fully deterministic —
+/// no timing, no reps.
+pub fn sched_throughput() -> Section {
+    let (mut fifo_cycles, mut crit_cycles) = (0u64, 0u64);
     for (name, src, inputs) in opt_workloads() {
         let p = ttda_idc::compile_optimized(&src, OptLevel::O2).expect("compiles");
         let run = |sched: SchedPolicy| {
@@ -906,11 +869,18 @@ pub fn sched_throughput() -> SchedThroughput {
             fifo.outputs, crit.outputs,
             "{name}: scheduling changed the answer"
         );
-        t.workloads.push(name.to_string());
-        t.fifo_cycles += fifo.stats.cycles.0;
-        t.crit_cycles += crit.stats.cycles.0;
+        fifo_cycles += fifo.stats.cycles.0;
+        crit_cycles += crit.stats.cycles.0;
     }
-    t
+    Section::comparison(
+        &[
+            ("fifo_cycles", fifo_cycles as f64),
+            ("crit_cycles", crit_cycles as f64),
+        ],
+        "crit_cycles",
+        "fifo_cycles",
+        Better::Lower,
+    )
 }
 
 /// The `sched` suite: the wall-clock cost of both policies on the timed
@@ -986,12 +956,17 @@ mod tests {
         assert_eq!(drive_packed(&s), 100);
     }
 
+    /// The metric `name` of a comparison's section.
+    fn metric(s: &Section, name: &str) -> f64 {
+        s.metric(name).unwrap_or_else(|| panic!("no metric {name}"))
+    }
+
     #[test]
     fn throughput_is_measurable() {
         let t = matching_throughput(2_000, 64, 2);
-        assert_eq!(t.tokens, 4_000);
-        assert!(t.hashmap_tokens_per_sec > 0.0);
-        assert!(t.packed_tokens_per_sec > 0.0);
+        assert_eq!(metric(&t, "tokens"), 4_000.0);
+        assert!(metric(&t, "hashmap_tokens_per_sec") > 0.0);
+        assert!(metric(&t, "packed_tokens_per_sec") > 0.0);
     }
 
     #[test]
@@ -1015,21 +990,19 @@ mod tests {
     #[test]
     fn istore_throughput_is_measurable() {
         let t = istore_throughput(256, 4, 2);
-        assert_eq!(t.ops, 256 * 5);
-        assert!(t.enum_ops_per_sec > 0.0);
-        assert!(t.packed_ops_per_sec > 0.0);
+        assert_eq!(metric(&t, "ops"), (256 * 5) as f64);
+        assert!(metric(&t, "enum_ops_per_sec") > 0.0);
+        assert!(metric(&t, "packed_ops_per_sec") > 0.0);
     }
 
     #[test]
     fn par_throughput_is_measurable() {
         let t = par_throughput(1);
-        assert_eq!(t.workload, "matmul_n5");
-        assert!(t.firings > 0);
-        assert!(t.seq_firings_per_sec > 0.0);
-        assert!(t.relaxed1_firings_per_sec > 0.0);
-        assert!(t.relaxed2_firings_per_sec > 0.0);
-        assert!(t.relaxed4_firings_per_sec > 0.0);
-        assert!(t.relaxed_ratio_1w() > 0.0);
+        assert!(metric(&t, "firings") > 0.0);
+        for arm in ["seq", "relaxed1", "relaxed2", "relaxed4"] {
+            assert!(metric(&t, &format!("{arm}_firings_per_sec")) > 0.0);
+        }
+        assert!(t.ratio().unwrap() > 0.0);
     }
 
     #[test]
@@ -1038,12 +1011,12 @@ mod tests {
         let b = opt_throughput();
         // No timing anywhere in the measurement: two runs are equal.
         assert_eq!(a, b);
-        assert_eq!(a.workloads.len(), 5);
-        assert!(a.firings_o0 > 0 && a.instrs_o0 > 0);
+        assert!(metric(&a, "firings_o0") > 0.0 && metric(&a, "instrs_o0") > 0.0);
         // The optimizer must actually shrink the set, statically and
         // dynamically.
-        assert!(a.firing_ratio() < 1.0, "ratio {}", a.firing_ratio());
-        assert!(a.static_ratio() < 1.0, "ratio {}", a.static_ratio());
+        let firing_ratio = a.ratio().unwrap();
+        assert!(firing_ratio < 1.0, "ratio {firing_ratio}");
+        assert!(metric(&a, "instrs_o2") < metric(&a, "instrs_o0"));
     }
 
     #[test]
@@ -1052,18 +1025,18 @@ mod tests {
         let b = sched_throughput();
         // No timing anywhere in the measurement: two runs are equal.
         assert_eq!(a, b);
-        assert_eq!(a.workloads.len(), 5);
-        assert!(a.fifo_cycles > 0 && a.crit_cycles > 0);
+        assert!(metric(&a, "fifo_cycles") > 0.0 && metric(&a, "crit_cycles") > 0.0);
         // Criticality scheduling must actually shorten the schedule.
-        assert!(a.makespan_ratio() < 1.0, "ratio {}", a.makespan_ratio());
+        let makespan_ratio = a.ratio().unwrap();
+        assert!(makespan_ratio < 1.0, "ratio {makespan_ratio}");
     }
 
     #[test]
     fn service_throughput_is_measurable() {
         let t = service_throughput(4, 1);
-        assert_eq!(t.requests, 8);
-        assert_eq!(t.tenants, 2);
-        assert!(t.serial_requests_per_sec > 0.0);
-        assert!(t.batched_requests_per_sec > 0.0);
+        assert_eq!(metric(&t, "requests"), 8.0);
+        assert_eq!(metric(&t, "tenants"), 2.0);
+        assert!(metric(&t, "serial_requests_per_sec") > 0.0);
+        assert!(metric(&t, "batched_requests_per_sec") > 0.0);
     }
 }
