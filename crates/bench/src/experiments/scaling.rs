@@ -121,12 +121,13 @@ pub fn e16() -> String {
         "\nShape check: every row runs the relaxed parallel backend and is asserted\n\
          output-equal to the sequential emulator with identical confluent counters\n\
          (instructions, ALU ops, contexts, structure writes, total reads) — the\n\
-         backend shards the waiting-matching store and I-structure storage by\n\
-         activity-name hash and lets tokens flow between workers with no wave\n\
-         barrier, so only schedule-dependent figures (wave count, occupancy peaks)\n\
-         may differ. Speedup columns are meaningful only when the host grants the\n\
-         worker threads real cores; on a small host they honestly report the\n\
-         sharding and channel overhead instead.\n",
+         backend shards the waiting-matching store by the timed machine's\n\
+         by-iteration mapping (one iteration of one activation per worker) and\n\
+         I-structure storage by structure id, and lets tokens flow between\n\
+         workers with no wave barrier, so only schedule-dependent figures (wave\n\
+         count, occupancy peaks) may differ. Speedup columns are meaningful\n\
+         only when the host grants the worker threads real cores; on a small\n\
+         host they honestly report the sharding and channel overhead instead.\n",
     );
     out
 }

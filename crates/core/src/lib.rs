@@ -54,6 +54,7 @@ mod graph;
 mod machine;
 pub mod matching;
 pub mod opt;
+mod placement;
 mod relaxed;
 mod sched;
 mod tag;
@@ -71,11 +72,10 @@ pub use graph::{
 };
 pub use machine::{Job, Machine};
 pub use matching::MatchingStore;
+pub use placement::MappingPolicy;
 pub use sched::SchedPolicy;
 pub use tag::{ActivityName, Ctx, Iter, Port, Token};
-pub use timed::{
-    MachineStats, MappingPolicy, StructPlacement, TimedConfig, TimedMachine, TimedResult,
-};
+pub use timed::{MachineStats, StructPlacement, TimedConfig, TimedMachine, TimedResult};
 pub use value::{AluOp, CmpOp, StructRef, TypeError, Value};
 
 use std::error::Error;

@@ -90,8 +90,9 @@ impl PackedName {
 
 /// The slot hash: fibonacci multiplies fold the two words, a mix13-style
 /// finalizer avalanches the result. Structurally unrelated to
-/// `relaxed::worker_of` (mix13 over a lossy 48-bit packing), so the set of
-/// keys owned by one shard still spreads over that shard's buckets.
+/// `MappingPolicy::owner` (mix13 over a packing of some of the name's
+/// fields), so the set of keys one relaxed worker or timed PE owns still
+/// spreads over its store's buckets.
 #[inline]
 fn slot_hash(key: PackedName) -> u64 {
     let mut x = key.hi.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
@@ -752,35 +753,45 @@ mod tests {
         assert!(m.high_water() < model_high || m.len() == model_high);
     }
 
-    /// Keys confined to a single relaxed-backend shard must still spread
-    /// across this store's buckets: the slot hash may not be correlated
-    /// with the shard hash, or per-shard tables degenerate into one
-    /// probe chain.
+    /// Keys confined to one owner of the engines' placement function
+    /// must still spread across this store's buckets: the slot hash may
+    /// not be correlated with the owner hash, or per-owner tables
+    /// degenerate into one probe chain. The keys vary both `u` and `i`,
+    /// the fields relaxed mode's `ByIteration` placement hashes.
     #[test]
     fn shard_resident_keys_spread_over_buckets() {
+        use crate::MappingPolicy;
         let workers = 4usize;
-        let mut buckets = std::collections::HashSet::new();
-        let mut in_shard = 0usize;
-        for u in 0..4000u32 {
-            let t = tag(u, 1, 2, 1);
-            if crate::relaxed::worker_of(t, workers) != 0 {
-                continue;
+        for policy in [
+            MappingPolicy::ByIteration,
+            MappingPolicy::ByContext,
+            MappingPolicy::Spread,
+        ] {
+            let mut buckets = std::collections::HashSet::new();
+            let mut in_shard = 0usize;
+            for u in 0..64u32 {
+                for i in 1..=64u32 {
+                    let t = tag(u, 1, 2, i);
+                    if policy.owner(t, workers) != 0 {
+                        continue;
+                    }
+                    in_shard += 1;
+                    let h = slot_hash(PackedName::pack(t));
+                    buckets.insert(h as usize & (1024 - 1));
+                }
             }
-            in_shard += 1;
-            let h = slot_hash(PackedName::pack(t));
-            buckets.insert(h as usize & (1024 - 1));
+            assert!(
+                in_shard > 500,
+                "{policy:?} should own ~1/4 of keys, got {in_shard}"
+            );
+            // With ~1000 keys over 1024 buckets, a degenerate correlation
+            // would collapse to a handful of buckets; a sound hash fills
+            // most of the table (E[distinct] ≈ 1024·(1−e^{−1}) ≈ 647).
+            assert!(
+                buckets.len() > 400,
+                "{policy:?}: owner-0 keys collapsed onto {} buckets",
+                buckets.len()
+            );
         }
-        assert!(
-            in_shard > 500,
-            "shard hash should own ~1/4 of keys, got {in_shard}"
-        );
-        // With ~1000 keys over 1024 buckets, a degenerate correlation
-        // would collapse to a handful of buckets; a sound hash fills
-        // most of the table (E[distinct] ≈ 1024·(1−e^{−1}) ≈ 647).
-        assert!(
-            buckets.len() > 400,
-            "shard-0 keys collapsed onto {} buckets",
-            buckets.len()
-        );
     }
 }

@@ -12,6 +12,19 @@
 //! bit-identical to the sequential interpreter is what
 //! [`RunMode::Sequential`](crate::RunMode::Sequential) is for.
 //!
+//! # Placement
+//!
+//! A token's owner is [`MappingPolicy::ByIteration`] over its tag — the
+//! timed machine's default mapping, computed by the same function: one
+//! iteration of one activation stays on one worker, and iterations and
+//! activations spread. Only the tokens that cross into another
+//! iteration or activation can take a channel hop, about one in eight
+//! at two workers on matmul, wavefront and fib; hashing the whole tag
+//! sent half of them. The price is that a program with no loop and no
+//! call — one activation, one iteration — runs on one worker, as it
+//! would on one PE of the timed machine. The causality and termination
+//! arguments below hold for any function of the tag.
+//!
 //! # What is still guaranteed
 //!
 //! Dataflow graphs are determinate (Kahn): the *values* computed do not
@@ -115,6 +128,7 @@ use crate::emu::EmuResult;
 use crate::exec::{absorb, continuation, dangling, deliver, execute, Emit, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
+use crate::placement::MappingPolicy;
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
@@ -136,27 +150,8 @@ const FLUSH_EVERY: u32 = 64;
 /// the shared fuel meter (see the module docs on fuel).
 const FUEL_BLOCK: u64 = 1024;
 
-/// Stafford's mix13 finalizer — the same mixer the timed machine uses to
-/// spread activity names over PEs. Deterministic across runs/platforms.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-/// The worker whose waiting–matching shard owns `tag`.
-///
-/// Deliberately *not* the hash [`crate::matching`] uses for bucket
-/// placement: this one mixes a lossy 48-bit packing, the store folds the
-/// full 128-bit name through fibonacci multiplies. If they agreed, all
-/// keys owned by one shard would collide into one probe chain of that
-/// shard's table (`matching::tests::shard_resident_keys_spread_over_buckets`
-/// guards the independence).
-pub(crate) fn worker_of(tag: ActivityName, workers: usize) -> usize {
-    let packed =
-        (tag.u.0 as u64) << 48 | (tag.c.0 as u64) << 36 | (tag.s.0 as u64) << 16 | tag.i.0 as u64;
-    (mix(packed) % workers as u64) as usize
-}
+/// How tokens are placed on workers (see the module docs on placement).
+const PLACEMENT: MappingPolicy = MappingPolicy::ByIteration;
 
 /// A message between workers: a batch of structure ops for the
 /// receiver's I-structure shard, a batch of tokens for the receiver's
@@ -259,7 +254,7 @@ pub(crate) fn submit(
                 Port(0),
                 *v,
             );
-            seeds[worker_of(t.tag, threads)].push(t);
+            seeds[PLACEMENT.owner(t.tag, threads)].push(t);
             nseeds += 1;
         }
     }
@@ -520,7 +515,7 @@ impl Worker<'_, '_> {
     /// Routes a freshly produced token to its matching shard's owner.
     fn route(&mut self, t: Token) {
         self.trace(TraceEvent::TokenEmit { pe: self.me as u32 });
-        let w = worker_of(t.tag, self.shared.threads);
+        let w = PLACEMENT.owner(t.tag, self.shared.threads);
         if w == self.me {
             self.local.push(self.prio(t.tag), t);
         } else {

@@ -19,14 +19,62 @@
 //! atom    := number | "true" | "false" | ident ["(" args ")"]
 //!          | "array" "(" expr ")" | "(" expr ")" | "{"-block
 //! ```
+//!
+//! The five binary levels, `or` to `mul`, are parsed in one function
+//! by precedence climbing. Input nested past [`MAX_NESTING`] or
+//! [`MAX_DEPTH`] is a parse error, not a stack overflow.
 
 use crate::ast::{BinOp, Binding, Def, Expr, ForClause, SourceProgram, UnOp};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::CompileError;
 
+/// How deeply expressions may nest, in levels. A definition's body is
+/// level 1, and every expression inside another — in a parenthesis,
+/// block, call, loop, `if` or index, or under a unary operator — is one
+/// level deeper. The parser recurses once per level, with up to about
+/// 18 KiB of stack each (a loop) in a debug build.
+pub(crate) const MAX_NESTING: u32 = 64;
+
+/// How deep the syntax tree may grow, in levels: the nesting, plus one
+/// level for each operator of a left-deep chain (`x + x + …`,
+/// `a[i][j]…`) above the chain's deepest operand. The code generator and
+/// the tree's destructor recurse once per level.
+///
+/// Input at both limits at once compiles through `O2` on a 1.5 MiB
+/// thread in a debug build, so a 2 MiB test thread has room to spare.
+pub(crate) const MAX_DEPTH: u32 = 256;
+
+/// The precedence of the comparisons, which do not associate.
+const CMP: u8 = 2;
+
+/// A binary operator's precedence (tighter binds higher) and meaning.
+fn binop(tok: &TokenKind) -> Option<(u8, BinOp)> {
+    Some(match tok {
+        TokenKind::Or => (0, BinOp::Or),
+        TokenKind::And => (1, BinOp::And),
+        TokenKind::EqEq => (CMP, BinOp::Eq),
+        TokenKind::Ne => (CMP, BinOp::Ne),
+        TokenKind::Lt => (CMP, BinOp::Lt),
+        TokenKind::Le => (CMP, BinOp::Le),
+        TokenKind::Gt => (CMP, BinOp::Gt),
+        TokenKind::Ge => (CMP, BinOp::Ge),
+        TokenKind::Plus => (3, BinOp::Add),
+        TokenKind::Minus => (3, BinOp::Sub),
+        TokenKind::Star => (4, BinOp::Mul),
+        TokenKind::Slash => (4, BinOp::Div),
+        _ => return None,
+    })
+}
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// The level of the expression being parsed (see [`MAX_NESTING`]).
+    depth: u32,
+    /// The deepest tree level reached inside the current chain operand,
+    /// counting the operators of the chains folded inside it (see
+    /// [`MAX_DEPTH`]).
+    reach: u32,
 }
 
 type PResult<T> = Result<T, CompileError>;
@@ -58,6 +106,32 @@ impl Parser {
             line: self.line(),
             msg: msg.into(),
         })
+    }
+
+    fn too_deep<T>(&self, limit: u32) -> PResult<T> {
+        self.err(format!("expression nested deeper than {limit} levels"))
+    }
+
+    /// Runs `f` one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> PResult<Expr>) -> PResult<Expr> {
+        if self.depth == MAX_NESTING {
+            return self.too_deep(MAX_NESTING);
+        }
+        self.depth += 1;
+        self.reach = self.reach.max(self.depth);
+        let e = f(self);
+        self.depth -= 1;
+        e
+    }
+
+    /// Counts the `links`-th operator of a left-deep chain: its node
+    /// sits `links` levels above the chain's deepest operand.
+    fn link(&self, links: u32) -> PResult<()> {
+        if self.reach + links > MAX_DEPTH {
+            self.too_deep(MAX_DEPTH)
+        } else {
+            Ok(())
+        }
     }
 
     fn expect(&mut self, kind: TokenKind, what: &str) -> PResult<()> {
@@ -120,6 +194,10 @@ impl Parser {
     }
 
     fn expr(&mut self) -> PResult<Expr> {
+        self.nested(Self::if_or_binary)
+    }
+
+    fn if_or_binary(&mut self) -> PResult<Expr> {
         match self.peek() {
             TokenKind::If => {
                 self.bump();
@@ -130,7 +208,7 @@ impl Parser {
                 let e = self.expr()?;
                 Ok(Expr::If(Box::new(c), Box::new(t), Box::new(e)))
             }
-            _ => self.or_expr(),
+            _ => self.binary(0),
         }
     }
 
@@ -250,86 +328,54 @@ impl Parser {
         })
     }
 
-    fn binop_chain(
-        &mut self,
-        next: fn(&mut Self) -> PResult<Expr>,
-        table: &[(TokenKind, BinOp)],
-    ) -> PResult<Expr> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (tok, op) in table {
-                if *self.peek() == *tok {
-                    self.bump();
-                    let rhs = next(self)?;
-                    lhs = Expr::Binary(*op, Box::new(lhs), Box::new(rhs));
-                    continue 'outer;
-                }
+    /// Every operator binding at least as tightly as `min`, folded left
+    /// by precedence climbing. Comparisons do not associate: one never
+    /// takes another as its left operand, even through a looser operator
+    /// whose right operand stopped at it (`a and b < c < d`), so the
+    /// second one ends the expression.
+    fn binary(&mut self, min: u8) -> PResult<Expr> {
+        let outer = std::mem::replace(&mut self.reach, self.depth);
+        let mut lhs = self.unary_expr()?;
+        let mut links = 0;
+        let mut last = None;
+        while let Some((prec, op)) = binop(self.peek()) {
+            if prec < min || prec == CMP && last.is_some_and(|l| l <= CMP) {
+                break;
             }
-            return Ok(lhs);
+            self.bump();
+            let rhs = self.binary(prec + 1)?;
+            links += 1;
+            self.link(links)?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            last = Some(prec);
         }
-    }
-
-    fn or_expr(&mut self) -> PResult<Expr> {
-        self.binop_chain(Self::and_expr, &[(TokenKind::Or, BinOp::Or)])
-    }
-
-    fn and_expr(&mut self) -> PResult<Expr> {
-        self.binop_chain(Self::cmp_expr, &[(TokenKind::And, BinOp::And)])
-    }
-
-    fn cmp_expr(&mut self) -> PResult<Expr> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            TokenKind::EqEq => BinOp::Eq,
-            TokenKind::Ne => BinOp::Ne,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
-    }
-
-    fn add_expr(&mut self) -> PResult<Expr> {
-        self.binop_chain(
-            Self::mul_expr,
-            &[
-                (TokenKind::Plus, BinOp::Add),
-                (TokenKind::Minus, BinOp::Sub),
-            ],
-        )
-    }
-
-    fn mul_expr(&mut self) -> PResult<Expr> {
-        self.binop_chain(
-            Self::unary_expr,
-            &[
-                (TokenKind::Star, BinOp::Mul),
-                (TokenKind::Slash, BinOp::Div),
-            ],
-        )
+        self.reach = outer.max(self.reach + links);
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> PResult<Expr> {
-        if self.eat(TokenKind::Minus) {
-            Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary_expr()?)))
+        let op = if self.eat(TokenKind::Minus) {
+            UnOp::Neg
         } else if self.eat(TokenKind::Not) {
-            Ok(Expr::Unary(UnOp::Not, Box::new(self.unary_expr()?)))
+            UnOp::Not
         } else {
-            self.postfix_expr()
-        }
+            return self.postfix_expr();
+        };
+        Ok(Expr::Unary(op, Box::new(self.nested(Self::unary_expr)?)))
     }
 
     fn postfix_expr(&mut self) -> PResult<Expr> {
+        let outer = std::mem::replace(&mut self.reach, self.depth);
         let mut e = self.atom()?;
+        let mut links = 0;
         while self.eat(TokenKind::LBracket) {
             let idx = self.expr()?;
             self.expect(TokenKind::RBracket, "`]`")?;
+            links += 1;
+            self.link(links)?;
             e = Expr::Select(Box::new(e), Box::new(idx));
         }
+        self.reach = outer.max(self.reach + links);
         Ok(e)
     }
 
@@ -403,7 +449,12 @@ impl Parser {
 /// Returns a [`CompileError`] with line information.
 pub fn parse(src: &str) -> Result<SourceProgram, CompileError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+        reach: 0,
+    };
     p.program()
 }
 
@@ -429,6 +480,23 @@ mod tests {
             panic!("expected + under <");
         };
         assert!(matches!(rhs.as_ref(), Expr::Binary(BinOp::Mul, _, _)));
+    }
+
+    #[test]
+    fn comparisons_do_not_associate() {
+        let sp = parse("def main(x) = x < 1 and 2 <= x + 1 or not x == 3;").unwrap();
+        let Expr::Binary(BinOp::Or, lhs, rhs) = &sp.defs[0].body else {
+            panic!("expected or at the top");
+        };
+        assert!(matches!(lhs.as_ref(), Expr::Binary(BinOp::And, _, _)));
+        assert!(matches!(rhs.as_ref(), Expr::Binary(BinOp::Eq, _, _)));
+        for src in [
+            "def main(x) = x < 1 < 2;",
+            "def main(x) = x == 1 <> 2;",
+            "def main(x) = x and 1 < 2 < 3;",
+        ] {
+            assert!(parse(src).is_err(), "{src}");
+        }
     }
 
     #[test]
@@ -503,6 +571,134 @@ mod tests {
         }
         assert!(parse("").is_err());
         assert!(parse("def f(x) = (initial s = 1 do new s = 2 return s);").is_err());
+    }
+
+    /// Runs `f` on a 2 MiB stack, the size of a test thread.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+    }
+
+    /// `def main(x) = …;` reaching `levels` deep in each shape a limit
+    /// counts, the limit it counts against, and the value for `x = 3`.
+    fn shapes(levels: usize) -> Vec<(&'static str, u32, String, i64)> {
+        let n = levels - 1; // the body itself is level 1
+        let def = |body: String| format!("def f(y) = y;\ndef main(x) = {body};");
+        let wrap = |open: &str, close: &str| def(format!("{}x{}", open.repeat(n), close.repeat(n)));
+        vec![
+            ("parentheses", MAX_NESTING, wrap("(", ")"), 3),
+            ("blocks", MAX_NESTING, wrap("{ ", " }"), 3),
+            ("calls", MAX_NESTING, wrap("f(", ")"), 3),
+            (
+                "loops",
+                MAX_NESTING,
+                wrap("(initial s = ", " for i from 1 to 1 do new s = s return s)"),
+                3,
+            ),
+            ("ifs", MAX_NESTING, wrap("if x > 0 then ", " else 0"), 3),
+            (
+                "unary",
+                MAX_NESTING,
+                wrap("- ", ""),
+                if n.is_multiple_of(2) { 3 } else { -3 },
+            ),
+            (
+                "chain",
+                MAX_DEPTH,
+                def(format!("x{}", " + x".repeat(n))),
+                3 * levels as i64,
+            ),
+            (
+                "selects",
+                MAX_DEPTH,
+                // The block's result is level 2 and its indices level 3;
+                // each further link of the index chain adds one more.
+                def(format!(
+                    "{{ a = array(1); a[0] <- 3; a[0]{} }}",
+                    "[0]".repeat(n - 3)
+                )),
+                3,
+            ),
+        ]
+    }
+
+    /// Each shape exactly at its limit, and loops nested to the nesting
+    /// limit around a chain that takes the tree to the depth limit.
+    fn at_the_limits() -> impl Iterator<Item = (&'static str, String, i64)> {
+        let n = MAX_NESTING as usize - 1;
+        let links = (MAX_DEPTH - MAX_NESTING) as usize;
+        let both = format!(
+            "def main(x) = {}x{}{};",
+            "(initial s = ".repeat(n),
+            " + x".repeat(links),
+            " for i from 1 to 1 do new s = s return s)".repeat(n)
+        );
+        [MAX_NESTING, MAX_DEPTH]
+            .into_iter()
+            .flat_map(|limit| {
+                shapes(limit as usize)
+                    .into_iter()
+                    .filter(move |s| s.1 == limit)
+                    .map(|(shape, _, src, want)| (shape, src, want))
+            })
+            .chain([("both", both, 3 * (links as i64 + 1))])
+    }
+
+    #[test]
+    fn nesting_at_the_limits_compiles_through_o2() {
+        on_small_stack(|| {
+            for (shape, src, want) in at_the_limits() {
+                drop(parse(&src).unwrap_or_else(|e| panic!("{shape}: {e}")));
+                let p = crate::compile_optimized(&src, crate::OptLevel::O2)
+                    .unwrap_or_else(|e| panic!("{shape}: {e}"));
+                if shape != "selects" {
+                    let r = ttda_core::Emulator::new(&p)
+                        .run(&[ttda_core::Value::Int(3)])
+                        .unwrap_or_else(|e| panic!("{shape}: {e}"));
+                    assert_eq!(r.outputs[&0], ttda_core::Value::Int(want), "{shape}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn nesting_past_the_limits_is_a_parse_error() {
+        on_small_stack(|| {
+            let mut inputs: Vec<_> = [MAX_NESTING, MAX_DEPTH]
+                .into_iter()
+                .flat_map(|limit| {
+                    shapes(limit as usize + 1)
+                        .into_iter()
+                        .filter(move |s| s.1 == limit)
+                        .map(|(shape, limit, src, _)| (shape, limit, src))
+                })
+                .collect();
+            // The two inputs that used to abort the process.
+            let deep = 200_000;
+            inputs.push((
+                "200,000 parentheses",
+                MAX_NESTING,
+                format!("def main(x) = {}x{};", "(".repeat(deep), ")".repeat(deep)),
+            ));
+            inputs.push((
+                "200,000-term chain",
+                MAX_DEPTH,
+                format!("def main(x) = x{};", " + x".repeat(deep - 1)),
+            ));
+            for (shape, limit, src) in inputs {
+                match crate::compile(&src) {
+                    Err(CompileError::Parse { msg, .. }) => assert!(
+                        msg.contains(&format!("deeper than {limit} levels")),
+                        "{shape}: {msg}"
+                    ),
+                    other => panic!("{shape}: {other:?}"),
+                }
+            }
+        });
     }
 
     #[test]

@@ -1112,10 +1112,12 @@ mod tests {
         assert_ne!(format!("{:?}", e.spec), format!("{:?}", h.spec));
     }
 
+    /// A hundred seeds per family, so the larger generated programs
+    /// meet the parser's nesting limits too.
     #[test]
     fn every_program_family_compiles() {
         for family in Family::ALL {
-            for seed in 0..10 {
+            for seed in 0..100 {
                 let sc = Scenario::generate(family, seed);
                 for src in sc.sources() {
                     ttda_idc::compile(&src).unwrap_or_else(|e| {
