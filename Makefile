@@ -51,7 +51,8 @@ fuzz:
 		fuzz --seed $(FUZZ_SEED) --iters $(FUZZ_ITERS) --out target/fuzz-divergence.txt
 
 # Replays the pinned regression corpus (tests/fuzz_regressions.txt)
-# through the cross-engine oracle, same as CI's fuzz-smoke job.
+# through the cross-engine oracle in release; CI's test job replays it
+# in debug as part of `cargo test`.
 fuzz-corpus:
 	cargo test --release --test fuzz_corpus
 

@@ -11,16 +11,18 @@
 
 use std::collections::HashMap;
 
-use ttda_mem::{Addr, IStructure, Presence, ReadOutcome};
+use ttda_mem::Addr;
 use ttda_sim::Cycle;
-use ttda_trace::{PresenceState, SharedSink, TraceEvent};
+use ttda_trace::{SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
-use crate::exec::{continuation, dangling, deliver, execute, Enabled, StructAction};
+use crate::exec::{
+    deliver, execute, load_jobs, structure_op, Enabled, IsCounts, StructAction, Structures,
+};
 use crate::graph::{Instruction, Program};
 use crate::matching::MatchingStore;
 use crate::sched::{CritMap, SchedPolicy};
-use crate::tag::{ActivityName, Iter, Port, Token};
+use crate::tag::{ActivityName, Token};
 use crate::value::{StructRef, Value};
 use crate::wave::Wave;
 use crate::ExecError;
@@ -48,9 +50,11 @@ pub struct EmuResult {
     /// Peak number of simultaneously outstanding deferred reads across
     /// all I-structures (consumers running ahead of producers).
     pub peak_deferred: usize,
-    /// I-structure reads satisfied immediately.
+    /// I-structure reads satisfied immediately, counted per reader (a
+    /// fetch whose value goes to two instructions is two reads).
     pub istore_immediate: u64,
-    /// I-structure reads deferred (consumer arrived before producer).
+    /// I-structure reads deferred (consumer arrived before producer),
+    /// counted per reader.
     pub istore_deferred: u64,
     /// I-structure writes.
     pub istore_writes: u64,
@@ -96,7 +100,9 @@ pub struct Emulator<'p> {
     program: &'p Program,
     ctx: ContextManager,
     waiting: MatchingStore,
-    structures: Vec<IStructure<Value, (ActivityName, Port)>>,
+    structures: Structures,
+    /// The next structure id to allocate.
+    next_struct: u32,
     outputs: HashMap<u32, Value>,
     fuel: u64,
     loop_bound: Option<u32>,
@@ -106,9 +112,7 @@ pub struct Emulator<'p> {
     instructions: u64,
     alu_ops: u64,
     peak_matching: usize,
-    istore_immediate: u64,
-    istore_deferred: u64,
-    istore_writes: u64,
+    istore: IsCounts,
     sink: Option<SharedSink>,
     /// Trace timestamp: the current wave index (idealized time).
     now: Cycle,
@@ -119,7 +123,7 @@ impl std::fmt::Debug for Emulator<'_> {
         f.debug_struct("Emulator")
             .field("instructions", &self.instructions)
             .field("waiting", &self.waiting.len())
-            .field("structures", &self.structures.len())
+            .field("structures", &self.next_struct)
             .field("loop_bound", &self.loop_bound)
             .field("traced", &self.sink.is_some())
             .finish_non_exhaustive()
@@ -135,7 +139,8 @@ impl<'p> Emulator<'p> {
             program,
             ctx: ContextManager::new(program.main),
             waiting: MatchingStore::new(),
-            structures: Vec::new(),
+            structures: Structures::new(),
+            next_struct: 0,
             outputs: HashMap::new(),
             fuel: 100_000_000,
             loop_bound: None,
@@ -145,9 +150,7 @@ impl<'p> Emulator<'p> {
             instructions: 0,
             alu_ops: 0,
             peak_matching: 0,
-            istore_immediate: 0,
-            istore_deferred: 0,
-            istore_writes: 0,
+            istore: IsCounts::default(),
             sink: None,
             now: Cycle::ZERO,
         }
@@ -305,35 +308,19 @@ impl<'p> Emulator<'p> {
         // Built once per run; FIFO never consults it.
         let crit = (self.sched == SchedPolicy::Crit).then(|| CritMap::of(self.program));
         let mut wave = Wave::new();
-        for job in jobs {
-            let (block_id, inputs) = (&job.block, &job.inputs);
-            let block = self
-                .program
-                .block(*block_id)
-                .ok_or_else(|| ExecError::BadTarget {
-                    activity: block_id.to_string(),
-                })?;
-            if inputs.len() != block.params.len() {
-                return Err(ExecError::InputArity {
-                    expected: block.params.len(),
-                    got: inputs.len(),
-                });
-            }
-            let root = self.ctx.new_root(*block_id);
-            for (k, v) in inputs.iter().enumerate() {
-                wave.push(
-                    ActivityName {
-                        u: root,
-                        c: *block_id,
-                        s: block.params[k],
-                        i: Iter::ONE,
-                    },
-                    Port(0),
-                    *v,
-                );
-                self.trace(TraceEvent::TokenEmit { pe: 0 });
-            }
-        }
+        let ctx = &mut self.ctx;
+        load_jobs(
+            self.program,
+            jobs,
+            |block| ctx.new_root(block),
+            |t| {
+                wave.push_token(t);
+                if let Some(s) = &self.sink {
+                    s.borrow_mut()
+                        .record(self.now, &TraceEvent::TokenEmit { pe: 0 });
+                }
+            },
+        )?;
 
         // The next wave's storage is reused wave after wave, so a
         // steady-state firing emits without allocating.
@@ -366,9 +353,7 @@ impl<'p> Emulator<'p> {
                 self.waiting.for_each_key(|tag| note(&tag));
                 // Deferred readers are live too: their iteration has not
                 // finished until the datum arrives.
-                for st in &self.structures {
-                    st.for_each_deferred(|(tag, _)| note(tag));
-                }
+                self.structures.for_each_deferred(|(tag, _)| note(tag));
                 let eligible = |tag: &ActivityName| tag.i.0 <= oldest[&tag.u].saturating_add(k);
                 wave.retain_or_spill(&eligible, &mut held);
                 let mut released: Vec<Token> = Vec::new();
@@ -421,7 +406,7 @@ impl<'p> Emulator<'p> {
                 }
             }
             self.peak_matching = self.peak_matching.max(self.waiting.len());
-            peak_deferred = peak_deferred.max(self.outstanding_deferred());
+            peak_deferred = peak_deferred.max(self.structures.deferred_outstanding());
             if fired > 0 {
                 profile.push(fired);
                 self.trace(TraceEvent::WaveEnd {
@@ -433,7 +418,7 @@ impl<'p> Emulator<'p> {
             next.clear();
         }
 
-        let stranded = self.waiting.len() + self.stranded_readers();
+        let stranded = self.waiting.len() + self.structures.deferred_outstanding();
         if stranded > 0 {
             return Err(ExecError::Deadlock { stranded });
         }
@@ -450,24 +435,10 @@ impl<'p> Emulator<'p> {
             contexts: self.ctx.allocated(),
             peak_matching: self.peak_matching,
             peak_deferred,
-            istore_immediate: self.istore_immediate,
-            istore_deferred: self.istore_deferred,
-            istore_writes: self.istore_writes,
+            istore_immediate: self.istore.immediate,
+            istore_deferred: self.istore.deferred,
+            istore_writes: self.istore.writes,
         })
-    }
-
-    /// Deferred readers currently parked across every structure.
-    /// Sampled once per wave, so it uses the structures' O(1) running
-    /// counters rather than scanning every cell.
-    fn outstanding_deferred(&self) -> usize {
-        self.stranded_readers()
-    }
-
-    fn stranded_readers(&self) -> usize {
-        self.structures
-            .iter()
-            .map(|s| s.deferred_outstanding())
-            .sum()
     }
 
     /// The waiting–matching section: inserts a token; writes the full
@@ -509,17 +480,7 @@ impl<'p> Emulator<'p> {
         if eff.is_alu {
             self.alu_ops += 1;
         }
-        // Clone the sink handle so istore tracing below can run while the
-        // store is mutably borrowed. `None.clone()` is free, keeping the
-        // disabled path at one branch.
-        let sink = self.sink.clone();
-        let now = self.now;
-        let trace = |ev: &TraceEvent| {
-            if let Some(s) = &sink {
-                s.borrow_mut().record(now, ev);
-            }
-        };
-        trace(&TraceEvent::MatchFire {
+        self.trace(TraceEvent::MatchFire {
             pe: 0,
             alu: eff.is_alu,
             busy: 0,
@@ -530,108 +491,32 @@ impl<'p> Emulator<'p> {
         match eff.action {
             None => {}
             Some(StructAction::Alloc { tag, len }) => {
-                let id = self.structures.len() as u32;
-                self.structures.push(IStructure::new(len as usize));
+                let id = self.next_struct;
+                self.next_struct += 1;
+                self.structures.create(id, len as usize);
                 deliver(self.program, tag, Value::Ptr(StructRef { id, len }), out);
             }
-            Some(StructAction::Fetch { tag, ptr, idx }) => {
-                let mut immediate = 0u64;
-                let mut deferred = 0u64;
-                let traced = sink.is_some();
-                let program = self.program;
-                let store = self.store_mut(tag, ptr)?;
-                for (rtag, port) in continuation(program, tag) {
-                    let before = if traced {
-                        store.presence(Addr(idx))?
-                    } else {
-                        Presence::Empty
-                    };
-                    match store.read(Addr(idx), (rtag, port))? {
-                        ReadOutcome::Value(v) => {
-                            immediate += 1;
-                            out.push(rtag, port, v);
-                            trace(&TraceEvent::IStoreRead {
-                                module: ptr.id,
-                                immediate: true,
-                            });
-                        }
-                        ReadOutcome::Deferred => {
-                            deferred += 1;
-                            if traced {
-                                trace(&TraceEvent::IStoreRead {
-                                    module: ptr.id,
-                                    immediate: false,
-                                });
-                                trace(&TraceEvent::DeferEnqueue {
-                                    module: ptr.id,
-                                    depth: store.deferred_count(Addr(idx))? as u64,
-                                });
-                                if before != Presence::Deferred {
-                                    trace(&TraceEvent::Presence {
-                                        module: ptr.id,
-                                        from: before.as_trace(),
-                                        to: PresenceState::Deferred,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                self.istore_immediate += immediate;
-                self.istore_deferred += deferred;
-            }
-            Some(StructAction::Store {
-                tag,
-                ptr,
-                idx,
-                value,
-            }) => {
-                let traced = sink.is_some();
-                let store = self.store_mut(tag, ptr)?;
-                let before = if traced {
-                    store.presence(Addr(idx))?
-                } else {
-                    Presence::Empty
-                };
-                // Released readers stream straight into the output wave
-                // (the packed store's zero-allocation release path).
-                let released = store.write_with(Addr(idx), value, |(rtag, port)| {
-                    out.push(rtag, port, value);
-                })?;
-                self.istore_writes += 1;
-                if traced {
-                    trace(&TraceEvent::IStoreWrite { module: ptr.id });
-                    trace(&TraceEvent::Presence {
-                        module: ptr.id,
-                        from: before.as_trace(),
-                        to: PresenceState::Present,
-                    });
-                    if released > 0 {
-                        trace(&TraceEvent::DeferRelease {
-                            module: ptr.id,
-                            released: released as u64,
-                        });
-                    }
-                }
-                deliver(self.program, tag, Value::Unit, out);
+            Some(action) => {
+                let (ptr, idx) = action.element();
+                let mut sink = self.sink.as_ref().map(|s| s.borrow_mut());
+                let trace = sink.as_deref_mut().map(|s| (s, self.now, ptr.id));
+                structure_op(
+                    self.program,
+                    &mut self.structures,
+                    action,
+                    Addr(idx),
+                    &mut self.istore,
+                    out,
+                    trace,
+                )?;
             }
         }
-        if sink.is_some() {
+        if self.sink.is_some() {
             for _ in out_before..out.len() {
-                trace(&TraceEvent::TokenEmit { pe: 0 });
+                self.trace(TraceEvent::TokenEmit { pe: 0 });
             }
         }
         Ok(())
-    }
-
-    fn store_mut(
-        &mut self,
-        tag: ActivityName,
-        ptr: StructRef,
-    ) -> Result<&mut IStructure<Value, (ActivityName, Port)>, ExecError> {
-        self.structures
-            .get_mut(ptr.id as usize)
-            .ok_or_else(|| dangling(tag, ptr))
     }
 }
 

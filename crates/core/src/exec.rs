@@ -3,14 +3,18 @@
 //! [`execute`] implements the instruction-fetch + ALU + output-section
 //! behaviour of one enabled instruction, *independent of timing*: it
 //! writes the output tokens through an [`Emit`] sink and returns any
-//! I-structure action to perform. The sequential
-//! [`Emulator`](crate::Emulator) emits straight into its next wave and
-//! applies structure actions inline; the relaxed parallel backend ships
-//! them to the shard that owns the structure; the
-//! [`TimedMachine`](crate::TimedMachine) turns them into `d=1` packets
-//! that travel the network to I-structure storage. Keeping one copy of
-//! the semantics guarantees the executors can never disagree on *what*
-//! a program computes, only on *when*.
+//! I-structure action to perform. [`structure_op`] is the one
+//! I-structure controller (§2.1, Fig 2-1) that applies a fetch or a
+//! store, and [`load_jobs`] is the one loader that seeds a batch of
+//! jobs. The engines differ only in *where* and *when* they call them:
+//! the sequential [`Emulator`](crate::Emulator) emits straight into its
+//! next wave and applies structure ops inline; the relaxed parallel
+//! backend ships each op to the worker whose shard owns the structure;
+//! the [`TimedMachine`](crate::TimedMachine) turns it into a `d=1`
+//! packet that travels the network to the I-structure module holding
+//! the element, and applies it there at the module's port time. Keeping
+//! one copy of the semantics guarantees the executors can never
+//! disagree on *what* a program computes, only on *when*.
 //!
 //! # The firing path does not allocate
 //!
@@ -18,18 +22,23 @@
 //! looked up twice or cloned, and writes the operand set into a buffer
 //! the executor reuses. [`execute`] emits tokens in place, and the
 //! [`Effect`] it returns is `Copy`. A [`StructAction`] names the firing
-//! that asked for it, not a list of readers: whoever applies the action
-//! expands the readers from the program with [`continuation`]. Context
-//! records are `Copy` and name the caller's `Apply` instead of copying
-//! its destinations. Errors build their messages only when they occur.
+//! that asked for it, not a list of readers: [`structure_op`] expands
+//! the readers from the program with [`continuation`]. Context records
+//! are `Copy` and name the caller's `Apply` instead of copying its
+//! destinations. Errors build their messages only when they occur.
 //! With an [`Emit`] sink whose storage is reused across firings, a
 //! steady-state firing therefore touches no heap at all
 //! (`tests/alloc_free.rs` pins this).
 
+use ttda_mem::{Addr, IStructureError, IStructureShard, ReadOutcome};
+use ttda_sim::Cycle;
+use ttda_trace::{PresenceState, TraceEvent, TraceSink};
+
 use crate::context::{ContextKind, ContextOps};
-use crate::graph::{Dest, DestBranch, Instruction, OpCode, Program, MAX_LOOP_CONSTS};
+use crate::graph::{CodeBlockId, Dest, DestBranch, Instruction, OpCode, Program, MAX_LOOP_CONSTS};
+use crate::machine::Job;
 use crate::matching::{MatchingStore, PortOutOfRange, Preset};
-use crate::tag::{ActivityName, Iter, Port, Token};
+use crate::tag::{ActivityName, Ctx, Iter, Port, Token};
 use crate::value::{as_bool, as_int, as_ptr, StructRef, Value};
 use crate::ExecError;
 
@@ -78,6 +87,18 @@ pub(crate) enum StructAction {
         /// The element value.
         value: Value,
     },
+}
+
+impl StructAction {
+    /// The structure and element index a fetch or store names.
+    pub(crate) fn element(self) -> (StructRef, usize) {
+        match self {
+            StructAction::Fetch { ptr, idx, .. } | StructAction::Store { ptr, idx, .. } => {
+                (ptr, idx)
+            }
+            StructAction::Alloc { .. } => unreachable!("an allocation names no element"),
+        }
+    }
 }
 
 /// Everything one firing produces besides its tokens.
@@ -141,10 +162,21 @@ pub(crate) fn dangling(tag: ActivityName, ptr: StructRef) -> ExecError {
     }
 }
 
-fn nonneg_index(tag: ActivityName, idx: i64) -> Result<usize, ExecError> {
-    usize::try_from(idx).map_err(|_| ExecError::BadTarget {
+/// Element `idx` of `ptr`, checked against both ends of the structure
+/// here, once, so that every engine reports the same error.
+fn element_index(tag: ActivityName, ptr: StructRef, idx: i64) -> Result<usize, ExecError> {
+    let idx = usize::try_from(idx).map_err(|_| ExecError::BadTarget {
         activity: format!("{tag} (negative i-structure index {idx})"),
-    })
+    })?;
+    let size = ptr.len as usize;
+    if idx < size {
+        Ok(idx)
+    } else {
+        Err(ExecError::IStructure(IStructureError::OutOfRange {
+            addr: Addr(idx),
+            size,
+        }))
+    }
 }
 
 /// The constants of the token's activation that `instr` reads, checked
@@ -377,12 +409,12 @@ pub(crate) fn execute<C: ContextOps>(
         }
         OpCode::IFetch => {
             let ptr = as_ptr(&ops[0])?;
-            let idx = nonneg_index(tag, as_int(&ops[1])?)?;
+            let idx = element_index(tag, ptr, as_int(&ops[1])?)?;
             eff.action = Some(StructAction::Fetch { tag, ptr, idx });
         }
         OpCode::IStore => {
             let ptr = as_ptr(&ops[0])?;
-            let idx = nonneg_index(tag, as_int(&ops[1])?)?;
+            let idx = element_index(tag, ptr, as_int(&ops[1])?)?;
             eff.action = Some(StructAction::Store {
                 tag,
                 ptr,
@@ -396,4 +428,175 @@ pub(crate) fn execute<C: ContextOps>(
         OpCode::Sink => {}
     }
     Ok(eff)
+}
+
+/// I-structure traffic, counted per reader: a fetch whose value goes to
+/// two instructions is two reads.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IsCounts {
+    /// Reads satisfied at once.
+    pub immediate: u64,
+    /// Reads parked on a deferred list.
+    pub deferred: u64,
+    /// Writes.
+    pub writes: u64,
+}
+
+/// The I-structure store every engine keeps: cells hold values, and a
+/// deferred reader is the token slot its value will go to.
+pub(crate) type Structures = IStructureShard<Value, (ActivityName, Port)>;
+
+/// The I-structure controller (§2.1, Fig 2-1) every engine applies a
+/// fetch or a store through. `cell` is the cell of `store` that holds
+/// the element the action names: the element index itself, except on
+/// the timed machine, whose modules each hold a slice of a structure.
+///
+/// A fetch reads once per reader of the requesting firing's
+/// [`continuation`]: a present value goes straight to the reader, an
+/// absent one parks it on the cell's deferred list. A store releases
+/// the parked readers with its value, in arrival order, then signals
+/// its own continuation. Tokens go to `out` and counts to `counts`;
+/// when `trace` names a sink, each event is recorded at its time and
+/// names its module label. Errors give the element index the program
+/// used, not the cell.
+#[inline]
+pub(crate) fn structure_op<S: TraceSink + ?Sized>(
+    program: &Program,
+    store: &mut Structures,
+    action: StructAction,
+    cell: Addr,
+    counts: &mut IsCounts,
+    out: &mut impl Emit,
+    mut trace: Option<(&mut S, Cycle, u32)>,
+) -> Result<(), ExecError> {
+    let (ptr, idx) = action.element();
+    let traced = trace.is_some();
+    let module = trace.as_ref().map_or(0, |t| t.2);
+    let mut note = |ev: TraceEvent| {
+        if let Some((sink, at, _)) = trace.as_mut() {
+            sink.record(*at, &ev);
+        }
+    };
+    let global = |e: IStructureError| {
+        ExecError::IStructure(match e {
+            IStructureError::OutOfRange { .. } => IStructureError::OutOfRange {
+                addr: Addr(idx),
+                size: ptr.len as usize,
+            },
+            IStructureError::AlreadyWritten { .. } => {
+                IStructureError::AlreadyWritten { addr: Addr(idx) }
+            }
+        })
+    };
+    match action {
+        StructAction::Fetch { tag, .. } => {
+            // A fetch names a structure even when nothing reads it.
+            if store.store(ptr.id).is_none() {
+                return Err(dangling(tag, ptr));
+            }
+            for (rtag, port) in continuation(program, tag) {
+                let read = store.read(ptr.id, cell, (rtag, port));
+                match read.ok_or_else(|| dangling(tag, ptr))?.map_err(global)? {
+                    ReadOutcome::Value(v) => {
+                        counts.immediate += 1;
+                        out.emit(rtag, port, v);
+                        note(TraceEvent::IStoreRead {
+                            module,
+                            immediate: true,
+                        });
+                    }
+                    ReadOutcome::Deferred => {
+                        counts.deferred += 1;
+                        if traced {
+                            let st = store.store(ptr.id).expect("a reader just parked here");
+                            let depth = st.deferred_count(cell).map_err(global)? as u64;
+                            note(TraceEvent::IStoreRead {
+                                module,
+                                immediate: false,
+                            });
+                            note(TraceEvent::DeferEnqueue { module, depth });
+                            // The first reader to park is what turns the
+                            // cell from empty to deferred.
+                            if depth == 1 {
+                                note(TraceEvent::Presence {
+                                    module,
+                                    from: PresenceState::Empty,
+                                    to: PresenceState::Deferred,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        StructAction::Store { tag, value, .. } => {
+            // Released readers stream straight to `out` (the packed
+            // store's zero-allocation release path).
+            let released = store
+                .write_with(ptr.id, cell, value, |(rtag, port)| {
+                    out.emit(rtag, port, value)
+                })
+                .ok_or_else(|| dangling(tag, ptr))?
+                .map_err(global)?;
+            counts.writes += 1;
+            // A write succeeds only on an empty cell or on a deferred one,
+            // and a deferred cell holds at least one reader.
+            let from = if released > 0 {
+                PresenceState::Deferred
+            } else {
+                PresenceState::Empty
+            };
+            note(TraceEvent::IStoreWrite { module });
+            note(TraceEvent::Presence {
+                module,
+                from,
+                to: PresenceState::Present,
+            });
+            if released > 0 {
+                note(TraceEvent::DeferRelease {
+                    module,
+                    released: released as u64,
+                });
+            }
+            deliver(program, tag, Value::Unit, out);
+        }
+        StructAction::Alloc { .. } => unreachable!("allocations are resolved where they fire"),
+    }
+    Ok(())
+}
+
+/// The job loader every engine's `submit` seeds through. For each job,
+/// in order: look its block up, check its arity, allocate its root
+/// context with `new_root`, and hand `seed` one token per parameter,
+/// which `seed` places where its engine keeps tokens.
+pub(crate) fn load_jobs(
+    program: &Program,
+    jobs: &[Job],
+    mut new_root: impl FnMut(CodeBlockId) -> Ctx,
+    mut seed: impl FnMut(Token),
+) -> Result<(), ExecError> {
+    for job in jobs {
+        let block = program
+            .block(job.block)
+            .ok_or_else(|| ExecError::BadTarget {
+                activity: job.block.to_string(),
+            })?;
+        if job.inputs.len() != block.params.len() {
+            return Err(ExecError::InputArity {
+                expected: block.params.len(),
+                got: job.inputs.len(),
+            });
+        }
+        let u = new_root(job.block);
+        for (&s, &value) in block.params.iter().zip(&job.inputs) {
+            let tag = ActivityName {
+                u,
+                c: job.block,
+                s,
+                i: Iter::ONE,
+            };
+            seed(Token::new(tag, Port(0), value));
+        }
+    }
+    Ok(())
 }

@@ -106,31 +106,37 @@
 //! second**, and dispatch a firing's own op before routing its tokens.
 //! Each hop is an mpsc send, and sends ordered by happens-before
 //! enqueue in that order at the receiver, so the create is always
-//! applied before the dependent fetch arrives. A store's completion
-//! signal is sent by the owning shard only once the store is applied,
-//! so nothing it unlocks can overtake the store. Flushing every
-//! [`FLUSH_EVERY`] tokens as well as before parking does not change
-//! the argument: a dependent op queued after its cause on the same
-//! peer buffer leaves in the same or a later flush, and a dependent
-//! token leaves no earlier than the flush that carries its cause.
+//! applied before the dependent fetch arrives. The owning shard applies
+//! each fetch and store through `exec::structure_op`, the controller
+//! every engine shares, which emits a store's completion signal only
+//! after the store is applied, so nothing it unlocks can overtake the
+//! store. An index out of range never travels: the firing that
+//! computed it fails in `exec::execute`, as on every engine. Flushing
+//! every [`FLUSH_EVERY`] tokens as well as before parking does not
+//! change the argument: a dependent op queued after its cause on the
+//! same peer buffer leaves in the same or a later flush, and a
+//! dependent token leaves no earlier than the flush that carries its
+//! cause.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
 
-use ttda_mem::{shard_of, Addr, IStructureShard, Presence, ReadOutcome};
+use ttda_mem::{shard_of, Addr};
 use ttda_sim::Cycle;
-use ttda_trace::{EventBuffer, PresenceState, SharedSink, TraceEvent};
+use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
-use crate::exec::{absorb, continuation, dangling, deliver, execute, Emit, StructAction};
+use crate::exec::{
+    absorb, deliver, execute, load_jobs, structure_op, IsCounts, StructAction, Structures,
+};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
 use crate::placement::MappingPolicy;
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
-use crate::tag::{ActivityName, Iter, Port, Token};
+use crate::tag::{ActivityName, Token};
 use crate::value::{StructRef, Value};
 use crate::ExecError;
 
@@ -229,41 +235,18 @@ pub(crate) fn submit(
     // before any worker exists, so they get the same dense leading ids
     // the sequential interpreter assigns.
     let mut seeds: Vec<Vec<Token>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut nseeds = 0usize;
-    for job in jobs {
-        let block = program
-            .block(job.block)
-            .ok_or_else(|| ExecError::BadTarget {
-                activity: job.block.to_string(),
-            })?;
-        if job.inputs.len() != block.params.len() {
-            return Err(ExecError::InputArity {
-                expected: block.params.len(),
-                got: job.inputs.len(),
-            });
-        }
-        let root = ctxs.new_root(job.block);
-        for (k, v) in job.inputs.iter().enumerate() {
-            let t = Token::new(
-                ActivityName {
-                    u: root,
-                    c: job.block,
-                    s: block.params[k],
-                    i: Iter::ONE,
-                },
-                Port(0),
-                *v,
-            );
+    load_jobs(
+        program,
+        jobs,
+        |block| ctxs.new_root(block),
+        |t| {
             seeds[PLACEMENT.owner(t.tag, threads)].push(t);
-            nseeds += 1;
-        }
-    }
-    if let Some(s) = &sink {
-        let mut s = s.borrow_mut();
-        for _ in 0..nseeds {
-            s.record(Cycle::ZERO, &TraceEvent::TokenEmit { pe: 0 });
-        }
-    }
+            if let Some(s) = &sink {
+                s.borrow_mut()
+                    .record(Cycle::ZERO, &TraceEvent::TokenEmit { pe: 0 });
+            }
+        },
+    )?;
 
     let shared = Shared {
         program,
@@ -358,7 +341,7 @@ struct Worker<'a, 'p> {
     shared: &'a Shared<'p>,
     me: usize,
     waiting: MatchingStore,
-    shard: IStructureShard<Value, (ActivityName, Port)>,
+    shard: Structures,
     wctx: WorkerCtx<'a>,
     /// Private structure-id lease, refilled from the shared counter.
     struct_next: u32,
@@ -402,7 +385,7 @@ fn worker(
         shared,
         me,
         waiting: MatchingStore::new(),
-        shard: IStructureShard::new(),
+        shard: Structures::new(),
         wctx: shared.ctxs.handle(),
         struct_next: 0,
         struct_end: 0,
@@ -535,9 +518,7 @@ impl Worker<'_, '_> {
     /// Dispatches a structure op to its owning shard — inline when this
     /// worker owns the structure, batched otherwise.
     fn dispatch_op(&mut self, action: StructAction) {
-        let (StructAction::Fetch { ptr, .. } | StructAction::Store { ptr, .. }) = action else {
-            unreachable!("allocations are resolved by the firer");
-        };
+        let (ptr, _) = action.element();
         let owner = shard_of(ptr.id, self.shared.threads);
         if owner == self.me {
             self.apply_op(action);
@@ -560,13 +541,19 @@ impl Worker<'_, '_> {
     /// produced tokens (fetched values, released readers, the store's
     /// completion signal).
     fn apply_op(&mut self, action: StructAction) {
-        let res = apply_one(
+        let (ptr, idx) = action.element();
+        let trace = self
+            .shared
+            .traced
+            .then_some((&mut self.out.traces, Cycle::ZERO, ptr.id));
+        let res = structure_op(
             self.shared.program,
             &mut self.shard,
             action,
+            Addr(idx),
             &mut self.out.istore,
             &mut self.scratch,
-            self.shared.traced.then_some(&mut self.out.traces),
+            trace,
         );
         match res {
             Ok(()) => {
@@ -740,123 +727,4 @@ impl Worker<'_, '_> {
             Msg::Stop => unreachable!("the worker loop handles stop messages"),
         }
     }
-}
-
-/// I-structure reads satisfied at once, reads deferred, and writes.
-#[derive(Debug, Default, Clone, Copy)]
-struct IsCounts {
-    immediate: u64,
-    deferred: u64,
-    writes: u64,
-}
-
-/// Applies one fetch/store to its owning shard, mirroring the
-/// sequential backend's inline handling — tokens go to `out` and trace
-/// events to `traces` (when tracing) in the sequential per-op order.
-fn apply_one(
-    program: &Program,
-    shard: &mut IStructureShard<Value, (ActivityName, Port)>,
-    action: StructAction,
-    counts: &mut IsCounts,
-    out: &mut impl Emit,
-    mut traces: Option<&mut EventBuffer>,
-) -> Result<(), ExecError> {
-    let traced = traces.is_some();
-    let mut note = |ev: TraceEvent| {
-        if let Some(t) = traces.as_deref_mut() {
-            t.push(Cycle::ZERO, ev);
-        }
-    };
-    match action {
-        StructAction::Alloc { .. } => {
-            unreachable!("allocations are resolved by the firing worker")
-        }
-        StructAction::Fetch { tag, ptr, idx } => {
-            for (rtag, port) in continuation(program, tag) {
-                let before = if traced {
-                    shard
-                        .store(ptr.id)
-                        .ok_or_else(|| dangling(tag, ptr))?
-                        .presence(Addr(idx))?
-                } else {
-                    Presence::Empty
-                };
-                let outcome = shard
-                    .read(ptr.id, Addr(idx), (rtag, port))
-                    .ok_or_else(|| dangling(tag, ptr))??;
-                match outcome {
-                    ReadOutcome::Value(v) => {
-                        counts.immediate += 1;
-                        out.emit(rtag, port, v);
-                        note(TraceEvent::IStoreRead {
-                            module: ptr.id,
-                            immediate: true,
-                        });
-                    }
-                    ReadOutcome::Deferred => {
-                        counts.deferred += 1;
-                        if traced {
-                            note(TraceEvent::IStoreRead {
-                                module: ptr.id,
-                                immediate: false,
-                            });
-                            let depth = shard
-                                .store(ptr.id)
-                                .expect("structure present")
-                                .deferred_count(Addr(idx))?
-                                as u64;
-                            note(TraceEvent::DeferEnqueue {
-                                module: ptr.id,
-                                depth,
-                            });
-                            if before != Presence::Deferred {
-                                note(TraceEvent::Presence {
-                                    module: ptr.id,
-                                    from: before.as_trace(),
-                                    to: PresenceState::Deferred,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        StructAction::Store {
-            tag,
-            ptr,
-            idx,
-            value,
-        } => {
-            let before = if traced {
-                shard
-                    .store(ptr.id)
-                    .ok_or_else(|| dangling(tag, ptr))?
-                    .presence(Addr(idx))?
-            } else {
-                Presence::Empty
-            };
-            // Released readers stream straight to `out` (the packed
-            // store's zero-allocation release path).
-            let released = shard
-                .write_with(ptr.id, Addr(idx), value, |(rtag, port)| {
-                    out.emit(rtag, port, value);
-                })
-                .ok_or_else(|| dangling(tag, ptr))??;
-            counts.writes += 1;
-            note(TraceEvent::IStoreWrite { module: ptr.id });
-            note(TraceEvent::Presence {
-                module: ptr.id,
-                from: before.as_trace(),
-                to: PresenceState::Present,
-            });
-            if released > 0 {
-                note(TraceEvent::DeferRelease {
-                    module: ptr.id,
-                    released: released as u64,
-                });
-            }
-            deliver(program, tag, Value::Unit, out);
-        }
-    }
-    Ok(())
 }

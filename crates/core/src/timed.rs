@@ -30,18 +30,20 @@
 
 use std::collections::HashMap;
 
-use ttda_mem::{Addr, IStructureError, IStructureShard, Presence};
+use ttda_mem::Addr;
 use ttda_net::{Fabric, FabricConfig, Ideal, NodeId, Topology};
 use ttda_sim::{Cycle, EventQueue};
-use ttda_trace::{PresenceState, SharedSink, TraceEvent};
+use ttda_trace::{SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
-use crate::exec::{absorb, continuation, deliver, execute, StructAction};
+use crate::exec::{
+    absorb, dangling, deliver, execute, load_jobs, structure_op, IsCounts, StructAction, Structures,
+};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
 use crate::placement::MappingPolicy;
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
-use crate::tag::{ActivityName, Iter, Port, Token};
+use crate::tag::{ActivityName, Token};
 use crate::value::{StructRef, Value};
 use crate::ExecError;
 
@@ -147,9 +149,10 @@ pub struct MachineStats {
     pub match_overflows: u64,
     /// Peak PE input-queue depth (token backlog).
     pub peak_queue: usize,
-    /// I-structure reads satisfied immediately.
+    /// I-structure reads satisfied immediately, counted per reader (a
+    /// fetch whose value goes to two instructions is two reads).
     pub istore_immediate: u64,
-    /// I-structure reads deferred.
+    /// I-structure reads deferred, counted per reader.
     pub istore_deferred: u64,
     /// I-structure writes.
     pub istore_writes: u64,
@@ -188,21 +191,6 @@ pub struct TimedResult {
     pub outputs: HashMap<u32, Value>,
     /// Machine measurements.
     pub stats: MachineStats,
-}
-
-/// Surfaces a module-local store error with structure-global
-/// coordinates: the per-module stores work in local cells, but every
-/// other engine reports the element index the program actually used.
-fn globalize(e: IStructureError, ptr: StructRef, idx: usize) -> ExecError {
-    ExecError::IStructure(match e {
-        IStructureError::OutOfRange { .. } => IStructureError::OutOfRange {
-            addr: Addr(idx),
-            size: ptr.len as usize,
-        },
-        IStructureError::AlreadyWritten { .. } => {
-            IStructureError::AlreadyWritten { addr: Addr(idx) }
-        }
-    })
 }
 
 /// An index into one of the run's payload [`Slab`]s.
@@ -300,13 +288,15 @@ struct PeState {
     alu_busy: Cycle,
 }
 
-/// One I-structure storage module: its slice of every structure (a
-/// lazily-materialized [`IStructureShard`] over the packed store — the
-/// same storage engine the emulator and the parallel backend run on)
-/// plus its single service port.
+/// One I-structure storage module: its slice of every structure, held
+/// in the same store the other engines keep and materialized on first
+/// access, plus its single service port. Ops reach the slice only
+/// through [`structure_op`], the controller every engine shares; the
+/// module adds the port's timing and the mapping from an element to its
+/// local cell.
 #[derive(Debug, Default)]
 struct ModState {
-    store: IStructureShard<Value, (ActivityName, Port)>,
+    store: Structures,
     port_free: Cycle,
 }
 
@@ -409,9 +399,7 @@ impl<T: Topology> TimedMachine<T> {
     /// `idx` of `ptr`. Interleaved placement strides elements round-robin
     /// across modules, so a module holds every `pes`-th element and the
     /// local index is `idx / pes`; a single-module structure maps 1:1.
-    /// Bounds are enforced at slice granularity (`len.div_ceil(pes)`
-    /// cells per module), which catches out-of-range indices the old
-    /// per-cell hash map silently accepted.
+    /// `idx` is in bounds: `exec::execute` rejects any other.
     fn local_slot(&self, ptr: StructRef, idx: usize) -> (Addr, usize) {
         match self.config.placement {
             StructPlacement::Interleaved => {
@@ -493,40 +481,21 @@ impl<T: Topology> TimedMachine<T> {
         let mut peak_matching: usize = 0;
         let mut match_overflows: u64 = 0;
         let mut peak_queue: usize = 0;
-        let mut is_immediate: u64 = 0;
-        let mut is_deferred: u64 = 0;
-        let mut is_writes: u64 = 0;
+        let mut istore = IsCounts::default();
         let mut end = Cycle::ZERO;
 
         // Inject every job's inputs at time zero, each under its own
         // fresh root context.
-        for job in jobs {
-            let (block_id, inputs) = (&job.block, &job.inputs);
-            let block = self
-                .program
-                .block(*block_id)
-                .ok_or_else(|| ExecError::BadTarget {
-                    activity: block_id.to_string(),
-                })?;
-            if inputs.len() != block.params.len() {
-                return Err(ExecError::InputArity {
-                    expected: block.params.len(),
-                    got: inputs.len(),
-                });
-            }
-            let root = ctx.new_root(*block_id);
-            for (k, v) in inputs.iter().enumerate() {
-                let tag = ActivityName {
-                    u: root,
-                    c: *block_id,
-                    s: block.params[k],
-                    i: Iter::ONE,
-                };
-                let pe = self.pe_of(tag);
-                fl.deliver(Cycle::ZERO, pe, Token::new(tag, Port(0), *v));
+        load_jobs(
+            &self.program,
+            jobs,
+            |block| ctx.new_root(block),
+            |t| {
+                let pe = self.pe_of(t.tag);
+                fl.deliver(Cycle::ZERO, pe, t);
                 trace(Cycle::ZERO, &TraceEvent::TokenEmit { pe: pe as u32 });
-            }
-        }
+            },
+        )?;
 
         while let Some((now, ev)) = fl.events.pop() {
             end = end.max(now);
@@ -617,8 +586,16 @@ impl<T: Topology> TimedMachine<T> {
                                         &mut tokens_remote,
                                     )?;
                                 }
-                                StructAction::Fetch { ptr, idx, .. }
-                                | StructAction::Store { ptr, idx, .. } => {
+                                StructAction::Fetch { tag, ptr, idx }
+                                | StructAction::Store { tag, ptr, idx, .. } => {
+                                    // A module materializes a structure on
+                                    // first access, so a pointer this run
+                                    // never allocated (a forged input) is
+                                    // refused here, as the other engines
+                                    // refuse an id no shard holds.
+                                    if ptr.id >= next_struct {
+                                        return Err(dangling(tag, ptr));
+                                    }
                                     let module = self.module_of(ptr, idx);
                                     let arrive = if module == pe {
                                         done + cfg.local_delay
@@ -650,167 +627,34 @@ impl<T: Topology> TimedMachine<T> {
                         fl.events.push(wake_at, Ev::Wake { pe: pe as u32 });
                     }
                 }
-                Ev::IsOp { module, action } => match fl.packets.take(action) {
-                    StructAction::Fetch { tag, ptr, idx } => {
-                        let module = module as usize;
-                        let (local, size) = self.local_slot(ptr, idx);
-                        let m = &mut modules[module];
-                        let start = now.max(m.port_free);
-                        let done = start + cfg.istore_access;
-                        m.port_free = done;
-                        m.store.ensure(ptr.id, size);
-                        let before = m
-                            .store
-                            .store(ptr.id)
-                            .expect("just ensured")
-                            .presence(local)
-                            .map_err(|e| globalize(e, ptr, idx))?;
-                        if before == Presence::Present {
-                            is_immediate += 1;
-                            let v = *m
-                                .store
-                                .store(ptr.id)
-                                .expect("just ensured")
-                                .peek(local)
-                                .expect("present cell holds a value");
-                            trace(
-                                done,
-                                &TraceEvent::IStoreRead {
-                                    module: module as u32,
-                                    immediate: true,
-                                },
-                            );
-                            deliver(&self.program, tag, v, &mut scratch);
-                            self.route_all(
-                                &mut fl,
-                                done,
-                                module,
-                                &mut scratch,
-                                &mut tokens_remote,
-                            )?;
-                        } else {
-                            is_deferred += 1;
-                            for reader in continuation(&self.program, tag) {
-                                m.store
-                                    .read(ptr.id, local, reader)
-                                    .expect("just ensured")
-                                    .map_err(|e| globalize(e, ptr, idx))?;
-                            }
-                            if sink.is_some() {
-                                let depth = m
-                                    .store
-                                    .store(ptr.id)
-                                    .expect("just ensured")
-                                    .deferred_count(local)
-                                    .map_err(|e| globalize(e, ptr, idx))?;
-                                trace(
-                                    done,
-                                    &TraceEvent::IStoreRead {
-                                        module: module as u32,
-                                        immediate: false,
-                                    },
-                                );
-                                trace(
-                                    done,
-                                    &TraceEvent::DeferEnqueue {
-                                        module: module as u32,
-                                        depth: depth as u64,
-                                    },
-                                );
-                                if before == Presence::Empty {
-                                    trace(
-                                        done,
-                                        &TraceEvent::Presence {
-                                            module: module as u32,
-                                            from: PresenceState::Empty,
-                                            to: PresenceState::Deferred,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    StructAction::Store {
-                        tag,
-                        ptr,
-                        idx,
-                        value,
-                    } => {
-                        let module = module as usize;
-                        let (local, size) = self.local_slot(ptr, idx);
-                        let m = &mut modules[module];
-                        let start = now.max(m.port_free);
-                        // Writes cost 2x: presence-bit prefetch (§2.1).
-                        let done = start + cfg.istore_access.saturating_mul(2);
-                        m.port_free = done;
-                        m.store.ensure(ptr.id, size);
-                        let before = m
-                            .store
-                            .store(ptr.id)
-                            .expect("just ensured")
-                            .presence(local)
-                            .map_err(|e| globalize(e, ptr, idx))?;
-                        is_writes += 1;
-                        // A double write is an error (surfaced by the
-                        // store below), so only trace legal transitions.
-                        // DeferRelease precedes the released TokenEmits,
-                        // so its count comes from the pre-write depth.
-                        if sink.is_some() && before != Presence::Present {
-                            trace(
-                                done,
-                                &TraceEvent::IStoreWrite {
-                                    module: module as u32,
-                                },
-                            );
-                            trace(
-                                done,
-                                &TraceEvent::Presence {
-                                    module: module as u32,
-                                    from: before.as_trace(),
-                                    to: PresenceState::Present,
-                                },
-                            );
-                            if before == Presence::Deferred {
-                                let depth = m
-                                    .store
-                                    .store(ptr.id)
-                                    .expect("just ensured")
-                                    .deferred_count(local)
-                                    .map_err(|e| globalize(e, ptr, idx))?;
-                                trace(
-                                    done,
-                                    &TraceEvent::DeferRelease {
-                                        module: module as u32,
-                                        released: depth as u64,
-                                    },
-                                );
-                            }
-                        }
-                        // Released readers stream straight to the router
-                        // (the packed store's zero-allocation release);
-                        // the first routing error stops the rest.
-                        let mut routed = Ok(());
-                        m.store
-                            .write_with(ptr.id, local, value, |(rtag, port)| {
-                                if routed.is_ok() {
-                                    let token = Token::new(rtag, port, value);
-                                    routed = self.route_one(
-                                        &mut fl,
-                                        done,
-                                        module,
-                                        token,
-                                        &mut tokens_remote,
-                                    );
-                                }
-                            })
-                            .expect("just ensured")
-                            .map_err(|e| globalize(e, ptr, idx))?;
-                        routed?;
-                        deliver(&self.program, tag, Value::Unit, &mut scratch);
-                        self.route_all(&mut fl, done, module, &mut scratch, &mut tokens_remote)?;
-                    }
-                    StructAction::Alloc { .. } => unreachable!("alloc handled at the PE"),
-                },
+                Ev::IsOp { module, action } => {
+                    let action = fl.packets.take(action);
+                    let (ptr, idx) = action.element();
+                    let (cell, size) = self.local_slot(ptr, idx);
+                    let m = &mut modules[module as usize];
+                    // Writes cost 2x: presence-bit prefetch (§2.1).
+                    let access = match action {
+                        StructAction::Store { .. } => cfg.istore_access.saturating_mul(2),
+                        _ => cfg.istore_access,
+                    };
+                    let done = now.max(m.port_free) + access;
+                    m.port_free = done;
+                    m.store.ensure(ptr.id, size);
+                    let mut guard = sink.as_ref().map(|s| s.borrow_mut());
+                    let trace = guard.as_deref_mut().map(|s| (s, done, module));
+                    structure_op(
+                        &self.program,
+                        &mut m.store,
+                        action,
+                        cell,
+                        &mut istore,
+                        &mut scratch,
+                        trace,
+                    )?;
+                    drop(guard);
+                    let from = module as usize;
+                    self.route_all(&mut fl, done, from, &mut scratch, &mut tokens_remote)?;
+                }
             }
         }
 
@@ -846,9 +690,9 @@ impl<T: Topology> TimedMachine<T> {
                 peak_matching,
                 match_overflows,
                 peak_queue,
-                istore_immediate: is_immediate,
-                istore_deferred: is_deferred,
-                istore_writes: is_writes,
+                istore_immediate: istore.immediate,
+                istore_deferred: istore.deferred,
+                istore_writes: istore.writes,
                 net_packets: net.packets.get(),
                 net_mean_hops: net.mean_hops(),
             },
@@ -866,34 +710,19 @@ impl<T: Topology> TimedMachine<T> {
         tokens_remote: &mut u64,
     ) -> Result<(), ExecError> {
         for token in tokens.drain(..) {
-            self.route_one(fl, at, from, token, tokens_remote)?;
+            let pe = self.pe_of(token.tag);
+            if let Some(s) = &self.sink {
+                s.borrow_mut()
+                    .record(at, &TraceEvent::TokenEmit { pe: pe as u32 });
+            }
+            let arrive = if pe == from {
+                at + self.config.local_delay
+            } else {
+                *tokens_remote += 1;
+                self.send(at, from, pe)?
+            };
+            fl.deliver(arrive, pe, token);
         }
-        Ok(())
-    }
-
-    /// Routes a single token — the unit [`Self::route_all`] iterates,
-    /// and the zero-allocation release path of the packed store invokes
-    /// directly per released reader.
-    fn route_one(
-        &mut self,
-        fl: &mut InFlight,
-        at: Cycle,
-        from: usize,
-        token: Token,
-        tokens_remote: &mut u64,
-    ) -> Result<(), ExecError> {
-        let pe = self.pe_of(token.tag);
-        if let Some(s) = &self.sink {
-            s.borrow_mut()
-                .record(at, &TraceEvent::TokenEmit { pe: pe as u32 });
-        }
-        let arrive = if pe == from {
-            at + self.config.local_delay
-        } else {
-            *tokens_remote += 1;
-            self.send(at, from, pe)?
-        };
-        fl.deliver(arrive, pe, token);
         Ok(())
     }
 

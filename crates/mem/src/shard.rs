@@ -1,21 +1,22 @@
-//! Shard-aware I-structure access for parallel engines.
+//! Shard-aware I-structure access: the structure table every engine
+//! keeps.
 //!
 //! A machine with one global structure table serializes every `I-FETCH`
 //! and `I-STORE` on that table. The TTDA instead spreads structures over
 //! independent storage modules; [`IStructureShard`] is the software
 //! analogue: each worker thread owns the shard of structures whose ids
 //! hash to it, so operations on different shards proceed with no shared
-//! state at all. A shard also maintains its *outstanding deferred read*
-//! count incrementally, so a coordinator can compute the machine-wide
-//! figure (for peak-deferred statistics and deadlock detection) by
-//! summing per-shard counters instead of walking every cell.
+//! state at all. (A sequential engine keeps one shard holding every
+//! structure; a timed machine's module keeps its slice of each.) A
+//! shard also maintains its *outstanding deferred read* count
+//! incrementally, so a coordinator can compute the machine-wide figure
+//! (for peak-deferred statistics and deadlock detection) by summing
+//! per-shard counters instead of walking every cell.
 //!
 //! Determinism note: operations on *distinct* structures commute, so a
 //! coordinator that routes each operation to its owning shard and keeps
 //! the per-shard operation streams in program order reproduces exactly
 //! the cell states and released-reader orders of a fully sequential run.
-
-use std::collections::HashMap;
 
 use crate::istore::{IStructureError, ReadOutcome};
 use crate::module::Addr;
@@ -39,7 +40,11 @@ pub fn shard_of(id: u32, shards: usize) -> usize {
 /// [`IStructure`] itself.
 #[derive(Debug)]
 pub struct IStructureShard<T, R = u64> {
-    stores: HashMap<u32, IStructure<T, R>>,
+    /// The shard's structures, indexed by id: `None` for an id that
+    /// lives elsewhere or was never allocated. Engines allocate ids
+    /// from a counter, so the table stays dense and a lookup is one
+    /// index, not a hash.
+    stores: Vec<Option<IStructure<T, R>>>,
     deferred_outstanding: usize,
 }
 
@@ -55,7 +60,7 @@ impl<T, R> IStructureShard<T, R> {
     /// An empty shard.
     pub fn new() -> Self {
         IStructureShard {
-            stores: HashMap::new(),
+            stores: Vec::new(),
             deferred_outstanding: 0,
         }
     }
@@ -67,8 +72,9 @@ impl<T, R> IStructureShard<T, R> {
     /// Panics if `id` is already present: allocation ids are unique per
     /// run, so a collision is a coordinator bug, not a program error.
     pub fn create(&mut self, id: u32, size: usize) {
-        let prev = self.stores.insert(id, IStructure::new(size));
-        assert!(prev.is_none(), "duplicate i-structure allocation id {id}");
+        let slot = self.slot(id);
+        assert!(slot.is_none(), "duplicate i-structure allocation id {id}");
+        *slot = Some(IStructure::new(size));
     }
 
     /// Adds a structure of `size` cells under `id` if it is not already
@@ -76,29 +82,30 @@ impl<T, R> IStructureShard<T, R> {
     /// structure lazily on first access (the timed machine's memory
     /// modules), where "already created" is the common case, not a bug.
     pub fn ensure(&mut self, id: u32, size: usize) {
-        self.stores
-            .entry(id)
-            .or_insert_with(|| IStructure::new(size));
+        self.slot(id).get_or_insert_with(|| IStructure::new(size));
+    }
+
+    /// The table entry for `id`, growing the table to reach it.
+    fn slot(&mut self, id: u32) -> &mut Option<IStructure<T, R>> {
+        let i = id as usize;
+        if i >= self.stores.len() {
+            self.stores.resize_with(i + 1, || None);
+        }
+        &mut self.stores[i]
     }
 
     /// Shared access to a structure, if this shard owns it.
     pub fn store(&self, id: u32) -> Option<&IStructure<T, R>> {
-        self.stores.get(&id)
+        self.stores.get(id as usize)?.as_ref()
     }
 
-    /// Number of structures in the shard.
-    pub fn len(&self) -> usize {
-        self.stores.len()
-    }
-
-    /// Whether the shard holds no structures.
-    pub fn is_empty(&self) -> bool {
-        self.stores.is_empty()
+    fn get_mut(&mut self, id: u32) -> Option<&mut IStructure<T, R>> {
+        self.stores.get_mut(id as usize)?.as_mut()
     }
 
     /// Deferred reads currently parked across the whole shard. This is
     /// maintained incrementally by [`read`](Self::read) /
-    /// [`write`](Self::write), so it is O(1).
+    /// [`write_with`](Self::write_with), so it is O(1).
     pub fn deferred_outstanding(&self) -> usize {
         self.deferred_outstanding
     }
@@ -113,32 +120,17 @@ impl<T: Clone, R> IStructureShard<T, R> {
         addr: Addr,
         reader: R,
     ) -> Option<Result<ReadOutcome<T>, IStructureError>> {
-        let r = self.stores.get_mut(&id)?.read(addr, reader);
+        let r = self.get_mut(id)?.read(addr, reader);
         if matches!(r, Ok(ReadOutcome::Deferred)) {
             self.deferred_outstanding += 1;
         }
         Some(r)
     }
 
-    /// Writes `value` to `addr` of structure `id`, returning the
-    /// released deferred readers (in arrival order) and decrementing the
-    /// outstanding-deferred count by as many.
-    pub fn write(
-        &mut self,
-        id: u32,
-        addr: Addr,
-        value: T,
-    ) -> Option<Result<Vec<R>, IStructureError>> {
-        let r = self.stores.get_mut(&id)?.write(addr, value);
-        if let Ok(released) = &r {
-            self.deferred_outstanding -= released.len();
-        }
-        Some(r)
-    }
-
-    /// Streaming variant of [`write`](Self::write): released readers go
-    /// straight to `release` in arrival order (the engines' hot path —
-    /// no `Vec` is allocated). Returns the release count on success.
+    /// Writes `value` to `addr` of structure `id`. Released deferred
+    /// readers go straight to `release`, in arrival order (no `Vec` is
+    /// allocated), and the outstanding-deferred count drops by as many.
+    /// Returns the release count on success.
     pub fn write_with(
         &mut self,
         id: u32,
@@ -146,11 +138,19 @@ impl<T: Clone, R> IStructureShard<T, R> {
         value: T,
         release: impl FnMut(R),
     ) -> Option<Result<usize, IStructureError>> {
-        let r = self.stores.get_mut(&id)?.write_with(addr, value, release);
+        let r = self.get_mut(id)?.write_with(addr, value, release);
         if let Ok(released) = &r {
             self.deferred_outstanding -= released;
         }
         Some(r)
+    }
+
+    /// Visits every deferred reader parked anywhere in the shard, in
+    /// structure id order, then cell order, then arrival order.
+    pub fn for_each_deferred(&self, mut f: impl FnMut(&R)) {
+        for st in self.stores.iter().flatten() {
+            st.for_each_deferred(&mut f);
+        }
     }
 }
 
@@ -179,7 +179,9 @@ mod tests {
             ReadOutcome::Deferred
         );
         assert_eq!(sh.deferred_outstanding(), 2);
-        let released = sh.write(2, Addr(0), 9).unwrap().unwrap();
+        let mut released = Vec::new();
+        let n = sh.write_with(2, Addr(0), 9, |r| released.push(r));
+        assert_eq!(n.unwrap().unwrap(), 2);
         assert_eq!(released, vec!["a", "b"]);
         assert_eq!(sh.deferred_outstanding(), 0);
         assert_eq!(
@@ -194,9 +196,32 @@ mod tests {
         let mut sh: IStructureShard<i64, u64> = IStructureShard::new();
         sh.create(0, 1);
         assert!(sh.read(3, Addr(0), 1).is_none());
-        assert!(sh.write(0, Addr(7), 1).unwrap().is_err());
+        assert!(sh.write_with(0, Addr(7), 1, |_| {}).unwrap().is_err());
         // A failed access must not disturb the deferred count.
         assert_eq!(sh.deferred_outstanding(), 0);
+    }
+
+    #[test]
+    fn visits_every_parked_reader_of_every_structure() {
+        let mut sh: IStructureShard<i64, &str> = IStructureShard::new();
+        sh.create(0, 4);
+        sh.create(5, 2);
+        for (id, cell, reader) in [(0, 3, "a"), (5, 1, "b"), (0, 1, "c"), (0, 3, "d")] {
+            assert_eq!(
+                sh.read(id, Addr(cell), reader).unwrap().unwrap(),
+                ReadOutcome::Deferred
+            );
+        }
+        // A present cell holds no reader.
+        sh.write_with(5, Addr(0), 1, |_| {}).unwrap().unwrap();
+        let mut seen = Vec::new();
+        sh.for_each_deferred(|r| seen.push(*r));
+        assert_eq!(seen, ["c", "a", "d", "b"]);
+        // Released readers are gone from the scan.
+        sh.write_with(0, Addr(3), 7, |_| {}).unwrap().unwrap();
+        let mut seen = Vec::new();
+        sh.for_each_deferred(|r| seen.push(*r));
+        assert_eq!(seen, ["c", "b"]);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   (instructions, ALU ops, contexts, structure writes, total reads);
 //!   wave counts and occupancy peaks are schedule-dependent and exempt —
 //!   and the [`TimedMachine`] (4 PEs, ideal interconnect) must produce
-//!   the same outputs, or fail with the same error *variant* (its error
-//!   details may legitimately differ — e.g. stranded-token counts are
-//!   per-PE);
+//!   the same outputs (pointers included: its structure ids are dense)
+//!   and the same confluent counters, or fail with the same error
+//!   *variant* (its error details may legitimately differ — e.g.
+//!   stranded-token counts are per-PE);
 //! - the same two programs run again under [`SchedPolicy::Crit`] on the
 //!   sequential engine, the relaxed engine at 4 workers and the timed
 //!   machine, held to the same contracts;
@@ -72,6 +73,30 @@ pub fn outputs_agree(a: &HashMap<u32, Value>, b: &HashMap<u32, Value>) -> bool {
         })
 }
 
+/// The confluent counters of a run — instructions, ALU ops, contexts,
+/// structure writes and total reads — by name, in the order they are
+/// checked. An [`EmuResult`] and a [`ttda_core::MachineStats`] name
+/// them alike.
+macro_rules! confluent_counters {
+    ($r:expr) => {
+        [
+            ("instructions", $r.instructions),
+            ("alu_ops", $r.alu_ops),
+            ("contexts", $r.contexts as u64),
+            ("istore_writes", $r.istore_writes),
+            ("istore reads", $r.istore_immediate + $r.istore_deferred),
+        ]
+    };
+}
+
+/// The first confluent counter on which `got` differs from `seq`.
+fn counter_mismatch(seq: [(&str, u64); 5], got: [(&str, u64); 5]) -> Option<String> {
+    seq.into_iter()
+        .zip(got)
+        .find(|((_, want), (_, got))| want != got)
+        .map(|((name, want), (_, got))| format!("confluent counter {name}: seq {want} vs {got}"))
+}
+
 /// The relaxed backend's contract against a sequential result: outputs
 /// agree (see [`outputs_agree`]) and so do the confluent counters —
 /// instructions, ALU ops, contexts, structure writes and total reads.
@@ -84,21 +109,7 @@ pub fn confluent_mismatch(seq: &EmuResult, other: &EmuResult) -> Option<String> 
             seq.outputs, other.outputs
         ));
     }
-    let confluent = [
-        ("instructions", seq.instructions, other.instructions),
-        ("alu_ops", seq.alu_ops, other.alu_ops),
-        ("contexts", seq.contexts as u64, other.contexts as u64),
-        ("istore_writes", seq.istore_writes, other.istore_writes),
-        (
-            "istore reads",
-            seq.istore_immediate + seq.istore_deferred,
-            other.istore_immediate + other.istore_deferred,
-        ),
-    ];
-    confluent
-        .into_iter()
-        .find(|(_, want, got)| want != got)
-        .map(|(name, want, got)| format!("confluent counter {name}: seq {want} vs {got}"))
+    counter_mismatch(confluent_counters!(seq), confluent_counters!(other))
 }
 
 /// What the oracle concluded about one scenario.
@@ -276,13 +287,14 @@ fn judge_engines(
     jobs: &[Job],
     seq: &Result<EmuResult, ExecError>,
 ) -> Option<String> {
-    let timed_outputs = |s: &EmuResult, t: &TimedResult| {
-        (t.outputs != s.outputs).then(|| {
-            format!(
+    let timed_contract = |s: &EmuResult, t: &TimedResult| {
+        if t.outputs != s.outputs {
+            return Some(format!(
                 "outputs diverged:\n  seq:   {:?}\n  timed: {:?}",
                 s.outputs, t.outputs
-            )
-        })
+            ));
+        }
+        counter_mismatch(confluent_counters!(s), confluent_counters!(t.stats))
     };
     let relaxed = |threads, sched| {
         let what = format!("{label} relaxed backend (threads={threads}, {sched})");
@@ -303,7 +315,7 @@ fn judge_engines(
         &what,
         seq,
         &run_timed(program, jobs, SchedPolicy::Fifo),
-        timed_outputs,
+        timed_contract,
     ) {
         return Some(why);
     }
@@ -323,7 +335,7 @@ fn judge_engines(
         &what,
         seq,
         &run_timed(program, jobs, SchedPolicy::Crit),
-        timed_outputs,
+        timed_contract,
     )
 }
 

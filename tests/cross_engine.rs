@@ -9,10 +9,13 @@
 
 use ttda::core::opt::OptLevel;
 use ttda::core::{
-    Emulator, ExecError, Machine, MappingPolicy, SchedPolicy, TimedConfig, TimedMachine, Value,
+    Emulator, ExecError, Machine, MappingPolicy, SchedPolicy, StructPlacement, StructRef,
+    TimedConfig, TimedMachine, Value,
 };
+use ttda::mem::{Addr, IStructureError};
 use ttda::net::{ClusterTree, Crossbar, FabricConfig, Grid2d, Hypercube, Omega};
 use ttda::sim::Cycle;
+use ttda::trace::{shared, CountingSink, SharedSink};
 use ttda::workloads::fuzz::oracle::confluent_mismatch;
 use ttda::workloads::{id, reference};
 
@@ -575,4 +578,102 @@ fn an_allocation_a_pointer_cannot_address_is_a_typed_error() {
     // A size that fits still allocates.
     let r = Emulator::new(&p).run(&[Value::Int(3)]).expect("runs");
     assert_eq!(r.outputs[&0], Value::Int(7));
+}
+
+#[test]
+fn an_index_past_the_end_is_the_same_error_on_every_engine() {
+    // Interleaved, element `k` lives in cell `k / pes` of a module's
+    // slice of `n.div_ceil(pes)` cells, so a bound checked against the
+    // slice lets an index just past the end through: the bound is the
+    // array's length, on every engine and placement.
+    for (n, k) in [(5i64, 5usize), (5, 7), (3, 3)] {
+        let src = format!("def main(x) = {{ a = array({n}); a[{k}] <- x; a[{k}] }};");
+        let p = ttda::idc::compile(&src).expect("compiles");
+        let want = Err(ExecError::IStructure(IStructureError::OutOfRange {
+            addr: Addr(k),
+            size: n as usize,
+        }));
+        let input = [Value::Int(9)];
+        let seq = Emulator::new(&p).run(&input).map(|r| r.outputs);
+        assert_eq!(seq, want, "sequential, {src}");
+        let relaxed = Emulator::new(&p).with_threads(2).run(&input);
+        assert_eq!(relaxed.map(|r| r.outputs), want, "relaxed x2, {src}");
+        let timed = |pes, placement| {
+            let config = TimedConfig {
+                placement,
+                ..TimedConfig::default()
+            };
+            let mut m = TimedMachine::ideal(p.clone(), pes, Cycle(2), config);
+            m.run(&input).map(|r| r.outputs)
+        };
+        for pes in [2, 4, 8] {
+            let got = timed(pes, StructPlacement::Interleaved);
+            assert_eq!(got, want, "timed, {pes} PEs interleaved, {src}");
+        }
+        let got = timed(4, StructPlacement::SingleModule);
+        assert_eq!(got, want, "timed, 4 PEs single-module, {src}");
+    }
+}
+
+#[test]
+fn a_fetch_with_two_readers_counts_two_reads_on_every_engine() {
+    // `v` goes to both the add and the multiply, so the fetch has two
+    // readers: every engine counts (and traces) one read per reader.
+    let src = "def main(x) = { a = array(2); a[0] <- x; v = a[0]; v + v * 2 };";
+    for level in [OptLevel::O0, OptLevel::O2] {
+        let p = ttda::idc::compile_optimized(src, level).expect("compiles");
+        let input = [Value::Int(5)];
+        let traced = || shared(CountingSink::new());
+        let reads_traced = |sink: &SharedSink| {
+            let s = sink.borrow();
+            let c = s.as_any().downcast_ref::<CountingSink>().expect("counting");
+            c.metrics().counter_value("istore_read")
+        };
+        let mut runs = Vec::new();
+        for threads in [1, 2] {
+            let sink = traced();
+            let r = Emulator::new(&p)
+                .with_threads(threads)
+                .with_sink(sink.clone())
+                .run(&input)
+                .expect("runs");
+            assert_eq!(r.outputs[&0], Value::Int(15));
+            let counts = (r.istore_immediate + r.istore_deferred, r.istore_writes);
+            runs.push((format!("emulator x{threads}"), counts, reads_traced(&sink)));
+        }
+        let sink = traced();
+        let mut m =
+            TimedMachine::ideal(p, 4, Cycle(2), TimedConfig::default()).with_sink(sink.clone());
+        let r = m.run(&input).expect("runs");
+        assert_eq!(r.outputs[&0], Value::Int(15));
+        let s = &r.stats;
+        let counts = (s.istore_immediate + s.istore_deferred, s.istore_writes);
+        runs.push(("timed, 4 PEs".to_string(), counts, reads_traced(&sink)));
+        for (engine, counts, traced_reads) in runs {
+            assert_eq!(counts, (2, 1), "{engine} at {level}: (reads, writes)");
+            assert_eq!(traced_reads, 2, "{engine} at {level}: istore_read events");
+        }
+    }
+}
+
+#[test]
+fn a_pointer_no_allocation_made_is_refused_on_every_engine() {
+    // A pointer passed in as an input names no structure of the run.
+    // The timed machine's modules materialize a structure on first
+    // access, so they must not take such a pointer for one. A fetch
+    // whose value nothing reads names its structure all the same.
+    let forged = [Value::Ptr(StructRef {
+        id: u32::MAX,
+        len: 4,
+    })];
+    for src in ["def main(a) = a[0];", "def main(a) = { v = a[0]; 7 };"] {
+        let p = ttda::idc::compile(src).expect("compiles");
+        let refused = |r: Result<_, ExecError>| matches!(r, Err(ExecError::BadTarget { .. }));
+        let seq = Emulator::new(&p).run(&forged);
+        assert!(refused(seq.map(|r| r.outputs)), "sequential, {src}");
+        let relaxed = Emulator::new(&p).with_threads(2).run(&forged);
+        assert!(refused(relaxed.map(|r| r.outputs)), "relaxed x2, {src}");
+        let mut m = TimedMachine::ideal(p, 4, Cycle(2), TimedConfig::default());
+        assert!(refused(m.run(&forged).map(|r| r.outputs)), "timed, {src}");
+    }
 }
