@@ -607,8 +607,8 @@ mod tests {
         assert_eq!(format!("{:.2}", ratio("istore")), "1.39");
         assert_eq!(format!("{:.2}", ratio("service")), "1.02");
         assert_eq!(format!("{:.3}", ratio("par")), "1.323");
-        assert_eq!(format!("{:.4}", ratio("opt")), "0.4909");
-        assert_eq!(format!("{:.4}", ratio("sched")), "0.9505");
+        assert_eq!(format!("{:.4}", ratio("opt")), "0.4756");
+        assert_eq!(format!("{:.4}", ratio("sched")), "0.9496");
         assert!(base.section("endtoend").unwrap().headline.is_none());
     }
 

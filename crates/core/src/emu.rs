@@ -116,6 +116,9 @@ pub struct Emulator<'p> {
     sink: Option<SharedSink>,
     /// Trace timestamp: the current wave index (idealized time).
     now: Cycle,
+    /// Whether a sequential run has used the per-run state above, so
+    /// that the next one must clear it first.
+    ran: bool,
 }
 
 impl std::fmt::Debug for Emulator<'_> {
@@ -153,7 +156,24 @@ impl<'p> Emulator<'p> {
             istore: IsCounts::default(),
             sink: None,
             now: Cycle::ZERO,
+            ran: false,
         }
+    }
+
+    /// Clears everything a run leaves behind — contexts, parked tokens,
+    /// structures, outputs, counters, peaks and the trace clock — and
+    /// keeps the configuration.
+    fn reset(&mut self) {
+        self.ctx = ContextManager::new(self.program.main);
+        self.waiting = MatchingStore::new();
+        self.structures = Structures::new();
+        self.next_struct = 0;
+        self.outputs.clear();
+        self.instructions = 0;
+        self.alu_ops = 0;
+        self.peak_matching = 0;
+        self.istore = IsCounts::default();
+        self.now = Cycle::ZERO;
     }
 
     /// Overrides the firing budget (default 10⁸).
@@ -304,6 +324,10 @@ impl<'p> Emulator<'p> {
                 self.sched,
                 self.sink.clone(),
             );
+        }
+        // Every run starts fresh, as a relaxed or timed one does.
+        if std::mem::replace(&mut self.ran, true) {
+            self.reset();
         }
         // Built once per run; FIFO never consults it.
         let crit = (self.sched == SchedPolicy::Crit).then(|| CritMap::of(self.program));

@@ -29,7 +29,7 @@ impl fmt::Display for InstrId {
 }
 
 /// When a destination receives the output token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DestBranch {
     /// Unconditional (every opcode except `Switch`).
     #[default]

@@ -15,62 +15,20 @@
 //! and tag operators/parameters are pinned. The pass iterates because a
 //! merge makes downstream consumers' keys converge.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use crate::graph::{CodeBlock, DestBranch, OpCode};
+use crate::graph::{CodeBlock, DestBranch, Instruction, OpCode};
+use crate::tag::Port;
+use crate::value::{AluOp, CmpOp, StructRef, Value};
 
+use super::unroll::in_edge_table;
 use super::OptStats;
 
 /// One round of merging. Returns whether anything changed.
 pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     let mut any = false;
     loop {
-        let n = block.instrs.len();
-        // Use-side view, rebuilt per round (merges invalidate it).
-        let mut in_edges: Vec<Vec<(u32, u8, DestBranch)>> = vec![Vec::new(); n];
-        for (i, ins) in block.instrs.iter().enumerate() {
-            for d in &ins.dests {
-                in_edges[d.instr.0 as usize].push((i as u32, d.port.0, d.when));
-            }
-        }
-        let key = |i: usize| -> Option<String> {
-            let ins = &block.instrs[i];
-            if !matches!(
-                ins.op,
-                OpCode::Const(_)
-                    | OpCode::Alu(_)
-                    | OpCode::Cmp(_)
-                    | OpCode::Not
-                    | OpCode::And
-                    | OpCode::Or
-            ) {
-                return None;
-            }
-            if block.params.iter().any(|p| p.0 as usize == i) {
-                return None;
-            }
-            let mut ports: Vec<Vec<(u32, u8, DestBranch)>> =
-                vec![Vec::new(); ins.op.arity() as usize];
-            for &(src, port, when) in &in_edges[i] {
-                if src as usize == i {
-                    return None; // self-loop: not a pure value stream
-                }
-                ports[port as usize].push((src, port, when));
-            }
-            for p in &mut ports {
-                p.sort_by_key(|&(src, _, when)| (src, when_rank(when)));
-            }
-            // Float literals render with a stable Debug form, so a
-            // string key is deterministic and hash-friendly despite
-            // `Value` not implementing `Hash`. Loop-constant operands
-            // are part of the key: two readers that differ only in the
-            // slot they read compute different values.
-            Some(format!(
-                "{:?}|{:?}|{:?}|{ports:?}",
-                ins.op, ins.literal, ins.consts
-            ))
-        };
-
         // First occurrence of a key is the representative; later ones
         // merge into it. A representative can never itself be merged
         // this round (it would have matched an earlier occurrence).
@@ -79,19 +37,33 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         // would make the compiled program's edge order — and with it
         // every order-sensitive downstream measurement (timed-machine
         // makespans, token traces) — vary run to run.
-        let mut table: HashMap<String, usize> = HashMap::new();
-        let mut merged_into: BTreeMap<usize, usize> = BTreeMap::new();
-        for i in 0..n {
-            let Some(k) = key(i) else { continue };
-            match table.get(&k) {
-                None => {
-                    table.insert(k, i);
+        let merged_into = {
+            // Use-side view, rebuilt per round (merges invalidate it).
+            let mut ins_of = in_edge_table(block);
+            ins_of.canonicalize();
+            let mut table: HashMap<Key<'_>, usize> = HashMap::new();
+            let mut merged_into: BTreeMap<usize, usize> = BTreeMap::new();
+            for (i, ins) in block.instrs.iter().enumerate() {
+                let edges = &ins_of[i];
+                if block.params.iter().any(|p| p.0 as usize == i)
+                    || edges.iter().any(|&(src, _, _)| src as usize == i)
+                {
+                    continue; // pinned, or a self-loop: not a pure value stream
                 }
-                Some(&rep) => {
-                    merged_into.insert(i, rep);
+                let Some(k) = Key::of(ins, edges) else {
+                    continue;
+                };
+                match table.entry(k) {
+                    Entry::Vacant(e) => {
+                        e.insert(i);
+                    }
+                    Entry::Occupied(e) => {
+                        merged_into.insert(i, *e.get());
+                    }
                 }
             }
-        }
+            merged_into
+        };
         if merged_into.is_empty() {
             return any;
         }
@@ -114,11 +86,74 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     }
 }
 
-fn when_rank(w: DestBranch) -> u8 {
-    match w {
-        DestBranch::Always => 0,
-        DestBranch::IfTrue => 1,
-        DestBranch::IfFalse => 2,
+/// The structural identity of a pure value instruction: two
+/// instructions with equal keys compute the same value from the same
+/// token streams. Loop-constant operands are part of the key: two
+/// readers that differ only in the slot they read compute different
+/// values.
+#[derive(PartialEq, Eq, Hash)]
+pub(super) struct Key<'a> {
+    op: OpKey,
+    literal: Option<(Port, ValueKey)>,
+    consts: &'a [(Port, u8)],
+    /// The in-edges in canonical order (see `InEdges::canonicalize`).
+    ins: &'a [(u32, u8, DestBranch)],
+}
+
+impl<'a> Key<'a> {
+    /// The key of `ins` given its canonically ordered in-edges, or
+    /// `None` outside the domain (`Const`/`Alu`/`Cmp`/`Not`/`And`/`Or`).
+    pub(super) fn of(ins: &'a Instruction, edges: &'a [(u32, u8, DestBranch)]) -> Option<Self> {
+        let op = match ins.op {
+            OpCode::Const(v) => OpKey::Const(v.into()),
+            OpCode::Alu(op) => OpKey::Alu(op),
+            OpCode::Cmp(op) => OpKey::Cmp(op),
+            OpCode::Not => OpKey::Not,
+            OpCode::And => OpKey::And,
+            OpCode::Or => OpKey::Or,
+            _ => return None,
+        };
+        Some(Key {
+            op,
+            literal: ins.literal.map(|(p, v)| (p, v.into())),
+            consts: &ins.consts,
+            ins: edges,
+        })
+    }
+}
+
+/// The opcodes CSE merges, with their payloads.
+#[derive(PartialEq, Eq, Hash)]
+enum OpKey {
+    Const(ValueKey),
+    Alu(AluOp),
+    Cmp(CmpOp),
+    Not,
+    And,
+    Or,
+}
+
+/// A value by its bits: floats compare bitwise (so `0.0` and `-0.0`
+/// differ), except that every NaN is one value, as in its `Debug` form.
+#[derive(PartialEq, Eq, Hash)]
+enum ValueKey {
+    Unit,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Ptr(StructRef),
+}
+
+impl From<Value> for ValueKey {
+    fn from(v: Value) -> Self {
+        match v {
+            Value::Unit => ValueKey::Unit,
+            Value::Bool(b) => ValueKey::Bool(b),
+            Value::Int(i) => ValueKey::Int(i),
+            Value::Float(x) if x.is_nan() => ValueKey::Float(f64::NAN.to_bits()),
+            Value::Float(x) => ValueKey::Float(x.to_bits()),
+            Value::Ptr(p) => ValueKey::Ptr(p),
+        }
     }
 }
 

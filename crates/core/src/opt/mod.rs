@@ -17,13 +17,15 @@
 //!   with no destinations can never affect the outputs; the pass
 //!   iterates to a fixed point and compacts instruction ids).
 //! * [`OptLevel::O2`] — everything: **loop unrolling/peeling** for the
-//!   `D`/`L`/`D⁻¹` schema the compiler emits, then **loop-constant
-//!   promotion** (invariants become per-activation constants instead of
-//!   circulating; see [`promote`](self)) — both run exactly once, before
-//!   forwarding dissolves the loop-top junctions they pattern-match —
-//!   then a bounded fixpoint of forwarding, **constant folding** (with
-//!   `Switch` resolution and algebraic identities), and **local CSE**,
-//!   followed by the final DCE sweep.
+//!   `D`/`L`/`D⁻¹` schema the compiler emits, then **loop-invariant code
+//!   motion** (an expression of invariants fires once per activation;
+//!   see [`hoist`](self)), then **loop-constant promotion** (invariants
+//!   become per-activation constants instead of circulating; see
+//!   [`promote`](self)) — all three run exactly once, before forwarding
+//!   dissolves the loop-top junctions they pattern-match — then a
+//!   bounded fixpoint of forwarding, **constant folding** (with `Switch`
+//!   resolution and algebraic identities), and **local CSE**, followed
+//!   by the final DCE sweep.
 //!
 //! Every pass preserves the program's *outputs* exactly — the optimizer
 //! test suite and the fuzz oracle re-run every workload at every level
@@ -42,6 +44,7 @@ mod cse;
 mod dce;
 mod fold;
 mod forward;
+mod hoist;
 mod promote;
 mod unroll;
 
@@ -62,9 +65,9 @@ pub enum OptLevel {
     /// Identity forwarding + dead-code elimination.
     #[default]
     O1,
-    /// `O1` plus loop unrolling/peeling, loop-constant promotion,
-    /// constant folding, `Switch` resolution, algebraic identities, and
-    /// local CSE.
+    /// `O1` plus loop unrolling/peeling, loop-invariant code motion,
+    /// loop-constant promotion, constant folding, `Switch` resolution,
+    /// algebraic identities, and local CSE.
     O2,
 }
 
@@ -117,6 +120,9 @@ pub struct OptStats {
     pub loops_unrolled: usize,
     /// Loops whose first iteration was peeled (unknown bounds).
     pub loops_peeled: usize,
+    /// Instructions moved out of a loop body into the code that enters
+    /// the loop (counted once per loop they leave).
+    pub instrs_hoisted: usize,
     /// Loop invariants promoted to per-activation constants.
     pub invariants_promoted: usize,
 }
@@ -174,14 +180,16 @@ impl PassManager {
         }
         let mut b = block.clone();
         if self.level >= OptLevel::O2 {
-            // Unrolling and promotion run exactly once, on the
-            // pristine codegen schema: forwarding would dissolve the
-            // loop-top Identity junctions both recognizers
-            // pattern-match, and re-running unrolling after peeling
-            // would peel the peeled loop again. Promotion comes second
-            // so it sees what unrolling left (a peeled loop keeps its
-            // schema; an unrolled one has no loop left).
+            // The three loop passes run exactly once, on the pristine
+            // codegen schema: forwarding would dissolve the loop-top
+            // Identity junctions they pattern-match, and re-running
+            // unrolling after peeling would peel the peeled loop again.
+            // Hoisting sees what unrolling left (a peeled loop keeps its
+            // schema; an unrolled one has no loop left), and promotion
+            // comes last so the invariants hoisting adds become
+            // constants too.
             unroll::run(&mut b, stats);
+            hoist::run(&mut b, stats);
             promote::run(&mut b, stats);
             for _ in 0..FIXPOINT_ROUNDS {
                 let mut changed = forward::run(&mut b, stats);

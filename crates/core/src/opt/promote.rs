@@ -42,27 +42,19 @@
 //!
 //! [`Instruction::consts`]: crate::Instruction::consts
 
-use std::collections::{BTreeMap, HashSet};
-
 use crate::graph::{CodeBlock, Dest, DestBranch, InstrId, Instruction, OpCode, MAX_LOOP_CONSTS};
 use crate::tag::Port;
 
-use super::unroll::{in_edge_table, machinery, InEdges, LoopShape};
+use super::unroll::{in_edge_table, loop_groups, machinery, remove_variable, InEdges, LoopShape};
 use super::OptStats;
 
 /// Promotes the invariants of every eligible loop in the block.
 pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
-    let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for (i, ins) in block.instrs.iter().enumerate() {
-        if let OpCode::D { loop_id } = ins.op {
-            groups.entry(loop_id).or_default().push(i);
-        }
-    }
     // The compiler and `GraphBuilder::dataflow_loop` number a loop
     // before the loops its body holds, so descending ids visit inner
     // loops first. The order only decides how much is promoted, never
     // whether a promotion is sound.
-    for (loop_id, ds) in groups.into_iter().rev() {
+    for (loop_id, ds) in loop_groups(block).into_iter().rev() {
         // Rebuilt per loop: each promotion rewires edges.
         let ins_of = in_edge_table(block);
         let Some(lp) = machinery(block, &ins_of, &ds) else {
@@ -103,7 +95,7 @@ fn plan(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Plan> {
         if plan.slots.len() == MAX_LOOP_CONSTS {
             break;
         }
-        if lp.next[k] != (lp.body_in[k] as u32, DestBranch::Always) {
+        if !lp.is_invariant(k) {
             continue; // loop-carried
         }
         // The readers: the predicate (through the loop top) and the body
@@ -151,7 +143,6 @@ fn apply(block: &mut CodeBlock, lp: &LoopShape, plan: &Plan, loop_id: u32) {
         loop_id,
         width: plan.slots.len() as u8,
     }));
-    let mut retired: HashSet<usize> = HashSet::new();
     for (slot, &k) in plan.slots.iter().enumerate() {
         let (src, when) = lp.init[k];
         let src = &mut block.instrs[src as usize].dests;
@@ -163,17 +154,7 @@ fn apply(block: &mut CodeBlock, lp: &LoopShape, plan: &Plan, loop_id: u32) {
         feed.instr = InstrId(entry as u32);
         feed.port = Port(slot as u8);
         // ...and, never changing, is also the value the loop exits with.
-        let exits = std::mem::take(&mut block.instrs[lp.dinv[k]].dests);
-        let src = &mut block.instrs[lp.init[k].0 as usize].dests;
-        src.extend(exits.iter().map(|x| Dest { when, ..*x }));
-        retired.extend([
-            lp.d[k],
-            lp.top[k],
-            lp.sw[k],
-            lp.body_in[k],
-            lp.l[k],
-            lp.dinv[k],
-        ]);
+        remove_variable(block, lp, k);
     }
     for &(r, p, slot) in &plan.reads {
         let ins = &mut block.instrs[r];
@@ -193,15 +174,6 @@ fn apply(block: &mut CodeBlock, lp: &LoopShape, plan: &Plan, loop_id: u32) {
             when: DestBranch::Always,
         });
     }
-    for &i in &retired {
-        block.instrs[i].retire();
-    }
-    // The schema pins every in-edge of the retired nodes: each comes
-    // from another retired node, except the init edge (retargeted
-    // above) and the predicate's edge into each gating Switch.
-    block.instrs[lp.pred]
-        .dests
-        .retain(|d| !retired.contains(&(d.instr.0 as usize)));
 }
 
 #[cfg(test)]
@@ -249,6 +221,14 @@ mod tests {
 
     fn promoted(p: &Program) -> usize {
         optimize_at(p, OptLevel::O2).1.invariants_promoted
+    }
+
+    /// Promotions by this pass alone, with no hoisting in front of it.
+    fn promoted_alone(p: &Program) -> usize {
+        let mut block = p.blocks[0].clone();
+        let mut stats = super::OptStats::default();
+        super::run(&mut block, &mut stats);
+        stats.invariants_promoted
     }
 
     fn check_equivalent(p: &Program) {
@@ -320,13 +300,16 @@ mod tests {
     fn a_reader_left_without_a_token_input_keeps_the_invariant_circulating() {
         // `k * n` reads two invariants: promoting both would leave the
         // multiply nothing to fire on, so `n` (first in variable order)
-        // is promoted and `k` keeps circulating.
+        // is promoted and `k` keeps circulating. At O2 the hoist moves
+        // the multiply out of the loop first, and its value and `n` are
+        // both promoted.
         let p = scaled_sum(|g, vars| {
             let m = g.instr(OpCode::Alu(AluOp::Mul));
             g.wire(vars[3], m, 0).wire(vars[2], m, 1);
             m
         });
-        assert_eq!(promoted(&p), 1);
+        assert_eq!(promoted_alone(&p), 1);
+        assert_eq!(promoted(&p), 2);
         check_equivalent(&p);
         // `k * k`: both ports on one invariant.
         let p = scaled_sum(|g, vars| {
@@ -334,7 +317,7 @@ mod tests {
             g.wire(vars[3], m, 0).wire(vars[3], m, 1);
             m
         });
-        assert_eq!(promoted(&p), 1, "only `n`, through the predicate");
+        assert_eq!(promoted_alone(&p), 1, "only `n`, through the predicate");
         check_equivalent(&p);
     }
 

@@ -75,6 +75,14 @@ pub(super) struct LoopShape {
     body: Vec<usize>,
 }
 
+impl LoopShape {
+    /// Whether variable `k` is an invariant: its `L` takes its own body
+    /// input back unchanged.
+    pub(super) fn is_invariant(&self, k: usize) -> bool {
+        self.next[k] == (self.body_in[k] as u32, DestBranch::Always)
+    }
+}
+
 enum Trip {
     /// Statically known and small enough to unroll.
     Known(u64),
@@ -90,13 +98,10 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
     loop {
         // Rebuilt per transform: each apply invalidates edge indexes.
         let ins_of = in_edge_table(block);
-        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, ins) in block.instrs.iter().enumerate() {
-            if let OpCode::D { loop_id } = ins.op {
-                groups.entry(loop_id).or_default().push(i);
-            }
-        }
-        let Some((lid, ds)) = groups.into_iter().find(|(lid, _)| !done.contains(lid)) else {
+        let Some((lid, ds)) = loop_groups(block)
+            .into_iter()
+            .find(|(lid, _)| !done.contains(lid))
+        else {
             return;
         };
         // A peeled loop keeps its `D`s and would re-match the schema;
@@ -134,6 +139,27 @@ impl std::ops::Index<usize> for InEdges {
     fn index(&self, i: usize) -> &Self::Output {
         &self.edges[self.start[i] as usize..self.start[i + 1] as usize]
     }
+}
+
+impl InEdges {
+    /// Puts each instruction's in-edges in [`canonical_order`].
+    pub(super) fn canonicalize(&mut self) {
+        for w in self.start.windows(2) {
+            canonical_order(&mut self.edges[w[0] as usize..w[1] as usize]);
+        }
+    }
+}
+
+/// Sorts in-edges by port, then source, then branch selector: two
+/// instructions whose inputs are the same multiset of edges then have
+/// equal slices.
+pub(super) fn canonical_order(edges: &mut [(u32, u8, DestBranch)]) {
+    let rank = |w: DestBranch| match w {
+        DestBranch::Always => 0u8,
+        DestBranch::IfTrue => 1,
+        DestBranch::IfFalse => 2,
+    };
+    edges.sort_unstable_by_key(|&(src, port, when)| (port, src, rank(when)));
 }
 
 pub(super) fn in_edge_table(block: &CodeBlock) -> InEdges {
@@ -692,36 +718,9 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
 /// ```
 fn apply_peel(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape) {
     let nvars = lp.d.len();
-    let top_var: HashMap<u32, usize> = lp
-        .top
-        .iter()
-        .enumerate()
-        .map(|(k, &t)| (t as u32, k))
-        .collect();
     let bin_var = bin_var_map(lp);
     let body_edges = body_edge_map(ins_of, lp);
-
-    // A fresh copy of the predicate, fed by the init edges exactly as
-    // the original is fed by the loop tops.
-    let pred0 = block.instrs.len();
-    let p = &block.instrs[lp.pred];
-    let pred0_instr = Instruction {
-        op: p.op,
-        nt: p.nt,
-        literal: p.literal,
-        consts: Vec::new(),
-        dests: Vec::new(),
-    };
-    block.instrs.push(pred0_instr);
-    for &(s, port, _) in &ins_of[lp.pred] {
-        let k = top_var[&s];
-        let (isrc, iw) = lp.init[k];
-        block.instrs[isrc as usize].dests.push(Dest {
-            instr: InstrId(pred0 as u32),
-            port: Port(port),
-            when: iw,
-        });
-    }
+    let pred0 = add_pred0(block, ins_of, lp);
 
     // Per variable: a gating switch on the fresh predicate and an exit
     // join that both the false branch and the loop's DInv feed.
@@ -776,6 +775,73 @@ fn apply_peel(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape) {
             when: nw,
         });
     }
+}
+
+/// Adds `pred₀`, a fresh copy of the loop predicate fed by the init
+/// edges exactly as the original is fed by the loop tops — whether an
+/// activation runs any iteration at all — and returns its index.
+pub(super) fn add_pred0(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> usize {
+    let pred0 = block.instrs.len();
+    let p = &block.instrs[lp.pred];
+    let pred0_instr = Instruction {
+        op: p.op,
+        nt: p.nt,
+        literal: p.literal,
+        consts: Vec::new(),
+        dests: Vec::new(),
+    };
+    block.instrs.push(pred0_instr);
+    for &(s, port, _) in &ins_of[lp.pred] {
+        let k = lp
+            .top
+            .iter()
+            .position(|&t| t == s as usize)
+            .expect("fed by a top");
+        let (isrc, iw) = lp.init[k];
+        block.instrs[isrc as usize].dests.push(Dest {
+            instr: InstrId(pred0 as u32),
+            port: Port(port),
+            when: iw,
+        });
+    }
+    pred0
+}
+
+/// Takes variable `k` out of the loop: its exit consumers take the value
+/// that feeds its `D` (an invariant exits with its initial value), the
+/// predicate stops gating it, and its six schema nodes retire. Every
+/// other in-edge of those nodes comes from one of them, except the edge
+/// into its `D`, which the caller retargets or drops.
+pub(super) fn remove_variable(block: &mut CodeBlock, lp: &LoopShape, k: usize) {
+    let (src, when) = lp.init[k];
+    let exits = std::mem::take(&mut block.instrs[lp.dinv[k]].dests);
+    block.instrs[src as usize]
+        .dests
+        .extend(exits.iter().map(|x| Dest { when, ..*x }));
+    block.instrs[lp.pred]
+        .dests
+        .retain(|d| d.instr.0 as usize != lp.sw[k]);
+    for i in [
+        lp.d[k],
+        lp.top[k],
+        lp.sw[k],
+        lp.body_in[k],
+        lp.l[k],
+        lp.dinv[k],
+    ] {
+        block.instrs[i].retire();
+    }
+}
+
+/// The `D` instructions of every loop in the block, grouped by loop id.
+pub(super) fn loop_groups(block: &CodeBlock) -> BTreeMap<u32, Vec<usize>> {
+    let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    for (i, ins) in block.instrs.iter().enumerate() {
+        if let OpCode::D { loop_id } = ins.op {
+            groups.entry(loop_id).or_default().push(i);
+        }
+    }
+    groups
 }
 
 #[cfg(test)]

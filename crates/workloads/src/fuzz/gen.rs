@@ -544,6 +544,9 @@ pub enum NestTerm {
     Var(NestRef),
     /// The product of two variables.
     Mul(NestRef, NestRef),
+    /// The quotient of two variables: a type error on an iteration
+    /// that divides by zero.
+    Div(NestRef, NestRef),
     /// `a[i + 2]`: a read of the array the program's fill loop writes
     /// (`a[k] = x + k`), indexed by the loop's own counter.
     Fetch,
@@ -626,32 +629,39 @@ impl NestEnv<'_> {
     }
 
     /// Runs loop `l` at level `d` the way Id does: every `new` reads
-    /// the values the iteration started with.
-    fn run(&mut self, l: &NestLoop, d: u8) -> i64 {
+    /// the values the iteration started with. `None` when an iteration
+    /// divides by zero: only the iterations that run, and only the
+    /// branch of a conditional term that is taken, divide.
+    fn run(&mut self, l: &NestLoop, d: u8) -> Option<i64> {
         let to = self.get(l.to);
         let (mut s, mut i, mut c) = (0i64, self.get(l.from), 0i64);
         self.levels.push((s, i, c));
         while i <= to {
             self.levels[d as usize] = (s, i, c);
-            let mut t = match l.term {
-                NestTerm::Var(r) => self.get(r),
-                NestTerm::Mul(a, b) => self.get(a).wrapping_mul(self.get(b)),
-                // Cell k holds x + k; the counter stays in -1..=4.
-                NestTerm::Fetch => self.spec.x.wrapping_add(i + 2),
+            let t = match l.cond {
+                Some((k, other)) if i <= self.spec.bounds[k as usize] => self.get(other),
+                _ => match l.term {
+                    NestTerm::Var(r) => self.get(r),
+                    NestTerm::Mul(a, b) => self.get(a).wrapping_mul(self.get(b)),
+                    NestTerm::Div(a, b) => match self.get(b) {
+                        0 => return None,
+                        divisor => self.get(a).wrapping_div(divisor),
+                    },
+                    // Cell k holds x + k; the counter stays in -1..=4.
+                    NestTerm::Fetch => self.spec.x.wrapping_add(i + 2),
+                },
             };
-            if let Some((k, other)) = l.cond {
-                if i <= self.spec.bounds[k as usize] {
-                    t = self.get(other);
-                }
-            }
-            let inner = l.inner.as_ref().map_or(0, |il| self.run(il, d + 1));
+            let inner = match &l.inner {
+                Some(il) => self.run(il, d + 1)?,
+                None => 0,
+            };
             let next_c = l.rebind.map_or(c, |r| self.get(r));
             s = s.wrapping_add(t).wrapping_add(inner);
             c = next_c;
             i += 1;
         }
         self.levels.pop();
-        s.wrapping_add(c).wrapping_add(self.get(l.ret))
+        Some(s.wrapping_add(c).wrapping_add(self.get(l.ret)))
     }
 }
 
@@ -676,6 +686,7 @@ impl LoopNestSpec {
         let term = match l.term {
             NestTerm::Var(r) => r.src(),
             NestTerm::Mul(a, b) => format!("({} * {})", a.src(), b.src()),
+            NestTerm::Div(a, b) => format!("({} / {})", a.src(), b.src()),
             NestTerm::Fetch => format!("a[i{d} + 2]"),
         };
         let term = match l.cond {
@@ -712,8 +723,9 @@ impl LoopNestSpec {
         )
     }
 
-    /// The reference answer.
-    pub fn expected(&self) -> i64 {
+    /// The reference answer, or `None` when the program divides by
+    /// zero (every engine must then fail with a type error).
+    pub fn expected(&self) -> Option<i64> {
         NestEnv {
             spec: self,
             levels: Vec::new(),
@@ -723,12 +735,25 @@ impl LoopNestSpec {
 
     fn gen(rng: &mut SimRng) -> LoopNestSpec {
         let depth = rng.gen_range(1u8..=3);
-        LoopNestSpec {
+        let mut spec = LoopNestSpec {
             x: rng.gen_range(-100i64..=100),
             y: rng.gen_range(-100i64..=100),
             bounds: [0; 3].map(|_| rng.gen_range(-1i64..=4)),
             root: Self::gen_loop(rng, 0, depth),
+        };
+        // Half the products become quotients. Drawn last, so that
+        // whether a term divides never shifts the draws of the rest of
+        // the nest.
+        let mut l = Some(&mut spec.root);
+        while let Some(lp) = l {
+            if let NestTerm::Mul(a, b) = lp.term {
+                if rng.chance(0.5) {
+                    lp.term = NestTerm::Div(a, b);
+                }
+            }
+            l = lp.inner.as_deref_mut();
         }
+        spec
     }
 
     fn gen_loop(rng: &mut SimRng, d: u8, depth: u8) -> NestLoop {
@@ -1012,9 +1037,11 @@ impl Scenario {
         }
     }
 
-    /// Reference answers, one per tenant (the value `main` must output).
-    pub fn expected(&self) -> Vec<i64> {
-        match &self.spec {
+    /// Reference answers, one per tenant (the value `main` must
+    /// output), or `None` when the run must fail with a type error (a
+    /// loop nest that divides by zero).
+    pub fn expected(&self) -> Option<Vec<i64>> {
+        Some(match &self.spec {
             Spec::Expr(s) => vec![s.expected()],
             Spec::HotSkew(s) => vec![s.expected()],
             Spec::DeferChain(s) => vec![s.expected()],
@@ -1022,8 +1049,8 @@ impl Scenario {
             Spec::FanoutJoin(s) => vec![s.expected()],
             Spec::MultiTenant(ts) => ts.iter().map(ExprSpec::expected).collect(),
             Spec::StoreSkew(_) => Vec::new(),
-            Spec::LoopNest(s) => vec![s.expected()],
-        }
+            Spec::LoopNest(s) => vec![s.expected()?],
+        })
     }
 
     /// Strictly simpler candidate scenarios for delta-debug shrinking.
@@ -1305,7 +1332,41 @@ mod tests {
         };
         // i0 = 1: 3 + (12 + 13) + 1; i0 = 2: 3 + (12 + 13 + 14) + 1;
         // c0 ends as x = 10, and the return adds b2 = 2.
-        assert_eq!(nest.expected(), 29 + 43 + 10 + 2);
+        assert_eq!(nest.expected(), Some(29 + 43 + 10 + 2));
+    }
+
+    #[test]
+    fn a_nest_faults_exactly_where_it_divides_by_zero() {
+        // `for i0 from b0 to b2`, adding `x / b1` (or `y` where the
+        // condition `i0 > b2` fails), returning with `x`.
+        let nest = |bounds, cond| LoopNestSpec {
+            x: 7,
+            y: 2,
+            bounds,
+            root: NestLoop {
+                is_for: true,
+                from: NestRef::B(0),
+                to: NestRef::B(2),
+                term: NestTerm::Div(NestRef::X, NestRef::B(1)),
+                cond,
+                store: false,
+                rebind: None,
+                inner: None,
+                ret: NestRef::X,
+            },
+        };
+        assert!(nest([1, 0, 2], None).source().contains("(x / b1)"));
+        // Two iterations of 7 / 3.
+        assert_eq!(nest([1, 3, 2], None).expected(), Some(2 + 2 + 7));
+        // Two iterations that divide by zero.
+        assert_eq!(nest([1, 0, 2], None).expected(), None);
+        // No iteration runs, so nothing divides.
+        assert_eq!(nest([3, 0, 2], None).expected(), Some(7));
+        // Every iteration takes the other branch: `i0 > b2` never holds.
+        assert_eq!(
+            nest([1, 0, 2], Some((2, NestRef::Y))).expected(),
+            Some(2 + 2 + 7)
+        );
     }
 
     #[test]
@@ -1314,6 +1375,7 @@ mod tests {
         // loops, three-deep nests and every flag, and the O2 compiler
         // promotes invariants in most of them.
         let (mut whiles, mut deep, mut zero_trip, mut promoted) = (0, 0, 0, 0);
+        let (mut quotients, mut faults) = (0, 0);
         for seed in 0..40 {
             let Spec::LoopNest(s) = Scenario::generate(Family::LoopNest, seed).spec else {
                 unreachable!()
@@ -1323,9 +1385,11 @@ mod tests {
             while let Some(cur) = l {
                 levels += 1;
                 whiles += usize::from(!cur.is_for);
+                quotients += usize::from(matches!(cur.term, NestTerm::Div(..)));
                 l = cur.inner.as_deref();
             }
             deep += usize::from(levels == 3);
+            faults += usize::from(s.expected().is_none());
             let b = |r: NestRef| match r {
                 NestRef::B(k) => Some(s.bounds[k as usize]),
                 _ => None,
@@ -1342,5 +1406,6 @@ mod tests {
             "{whiles} {deep} {zero_trip}"
         );
         assert!(promoted > 20, "promotion in only {promoted} of 40 nests");
+        assert!(quotients > 5 && faults > 0, "{quotients} {faults}");
     }
 }

@@ -199,10 +199,18 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         }
     }
 
-    // Reference answers: agreement on the wrong value is a compiler bug.
-    match &seq {
-        Ok(s) => {
-            for (slot, want) in sc.expected().into_iter().enumerate() {
+    // Reference answers: agreement on the wrong value, or on success
+    // where the reference divides by zero, is a compiler bug.
+    match (&seq, sc.expected()) {
+        (Ok(s), None) => Outcome::Divergence(format!(
+            "engines agree on {:?} but the reference divides by zero",
+            s.outputs
+        )),
+        (Err(e), None) if !matches!(e, ExecError::Type(_)) => Outcome::Divergence(format!(
+            "the reference divides by zero but the engines agree on another error: {e}"
+        )),
+        (Ok(s), Some(expected)) => {
+            for (slot, want) in expected.into_iter().enumerate() {
                 match s.outputs.get(&(slot as u32)) {
                     Some(Value::Int(got)) if *got == want => {}
                     other => {
@@ -215,7 +223,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             }
             Outcome::Agree
         }
-        Err(e) => Outcome::AgreeError(e.to_string()),
+        (Err(e), _) => Outcome::AgreeError(e.to_string()),
     }
 }
 

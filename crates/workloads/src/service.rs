@@ -120,8 +120,7 @@ pub trait BurstRunner {
 }
 
 /// The standard runner: each burst executes on a fresh sequential
-/// [`Emulator`] (machines accumulate per-run state, so reuse would leak
-/// occupancy between bursts) through the generic [`Machine`] surface.
+/// [`Emulator`] through the generic [`Machine`] surface.
 #[derive(Debug, Clone)]
 pub struct EmulatorRunner<'p> {
     program: &'p Program,

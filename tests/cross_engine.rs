@@ -677,3 +677,39 @@ fn a_pointer_no_allocation_made_is_refused_on_every_engine() {
         assert!(refused(m.run(&forged).map(|r| r.outputs)), "timed, {src}");
     }
 }
+
+#[test]
+fn a_reused_machine_starts_every_run_fresh() {
+    // A second run on the same machine must report what a fresh run
+    // does, and a firing budget that fits one run must fit every run.
+    let p = ttda::idc::compile_optimized(id::fib(), OptLevel::O2).expect("compiles");
+    let inputs = [Value::Int(10)];
+    let fresh = Emulator::new(&p).run(&inputs).expect("runs");
+    let fuel = fresh.instructions + 10;
+
+    let mut seq = Emulator::new(&p).with_fuel(fuel);
+    for run in 1..=2 {
+        let r = seq.run(&inputs).expect("sequential runs");
+        // Every field: outputs, counters, waves and peaks.
+        assert_eq!(r, fresh, "sequential run {run}");
+    }
+    let mut relaxed = Emulator::new(&p).with_threads(2).with_fuel(fuel);
+    for run in 1..=2 {
+        let r = relaxed.run(&inputs).expect("relaxed runs");
+        assert_eq!(confluent_mismatch(&fresh, &r), None, "relaxed x2 run {run}");
+    }
+    let timed = || TimedMachine::ideal(p.clone(), 4, Cycle(3), TimedConfig::default());
+    let want = timed().run(&inputs).expect("timed runs");
+    let mut m = timed().with_fuel(fuel);
+    for run in 1..=2 {
+        let r = m.run(&inputs).expect("timed runs");
+        assert_eq!(r.outputs, fresh.outputs, "timed run {run}");
+        assert_eq!(r.stats.instructions, fresh.instructions, "timed run {run}");
+        assert_eq!(r.stats.contexts, fresh.contexts, "timed run {run}");
+        assert_eq!(
+            format!("{:?}", r.stats),
+            format!("{:?}", want.stats),
+            "timed run {run}"
+        );
+    }
+}
