@@ -66,6 +66,7 @@ examples:
 	cargo run --release --example testbed
 	cargo run --release --example multiprogramming
 	cargo run --release --example id_compiler
+	cargo run --release --example tracing
 
 clean:
 	cargo clean

@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ttda_bench::quickbench::Criterion;
+use ttda_bench::quickbench::Timer;
 use ttda_bench::report::{self, Report, Section};
 use ttda_bench::suites::{Suite, SUITES};
 use ttda_bench::tracecmd::{run_trace, TRACE_SCENARIOS};
@@ -83,6 +83,10 @@ fn quickbench_main(args: &[String]) -> ExitCode {
             }
         }
     }
+    let mut timer = match Timer::from_env() {
+        Ok(timer) => timer,
+        Err(e) => return fail(e),
+    };
     let baseline = match &check {
         None if rebaseline => return fail("--rebaseline needs --check BASELINE".into()),
         None => None,
@@ -130,9 +134,8 @@ fn quickbench_main(args: &[String]) -> ExitCode {
     }
     for (suite, (_, section)) in selected.iter().zip(&mut report.sections) {
         println!("-- suite: {}", suite.name);
-        let mut c = Criterion::default();
-        (suite.targets)(&mut c);
-        section.targets = c.into_stats();
+        (suite.targets)(&mut timer);
+        section.targets = std::mem::take(&mut timer.stats);
     }
     let json = report.to_json();
     // Re-read what we are about to write: a report must be well-formed

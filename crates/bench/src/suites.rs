@@ -21,7 +21,7 @@ use ttda_workloads::id;
 use ttda_workloads::service::{serve, EmulatorRunner, ServiceConfig, TenantSpec};
 use ttda_workloads::vn::chaotic_relaxation;
 
-use crate::quickbench::{BenchmarkId, Criterion};
+use crate::quickbench::Timer;
 use crate::report::{Better, Section};
 
 /// One quickbench suite. Adding a suite is one [`SUITES`] entry.
@@ -34,7 +34,7 @@ pub struct Suite {
     /// from.
     pub compare: Option<fn() -> Section>,
     /// Runs the suite's timed targets.
-    pub targets: fn(&mut Criterion),
+    pub targets: fn(&mut Timer),
 }
 
 /// Every quickbench suite, in the order a full run takes them.
@@ -215,39 +215,29 @@ pub fn matching_throughput(activities: usize, window: usize, reps: usize) -> Sec
 /// The `matching` suite: store-level kernels (reference vs packed on
 /// the same stream) plus the emulator / timed-machine runs that put the
 /// waiting–matching section on every token's path (E10/E13).
-pub fn matching(c: &mut Criterion) {
+pub fn matching(t: &mut Timer) {
     let stream = token_stream(20_000, 512, 0x007a_11ed);
-    c.bench_function("matching/hashmap_stream_20k_w512", |b| {
-        b.iter(|| drive_hashmap(&stream))
+    t.time("matching/hashmap_stream_20k_w512", || {
+        drive_hashmap(&stream)
     });
-    c.bench_function("matching/packed_stream_20k_w512", |b| {
-        b.iter(|| drive_packed(&stream))
-    });
+    t.time("matching/packed_stream_20k_w512", || drive_packed(&stream));
     // The saturated regime (E13: occupancy tracks exposed parallelism).
     let wide = token_stream(20_000, 4096, 0x007a_11ed);
-    c.bench_function("matching/hashmap_stream_20k_w4096", |b| {
-        b.iter(|| drive_hashmap(&wide))
-    });
-    c.bench_function("matching/packed_stream_20k_w4096", |b| {
-        b.iter(|| drive_packed(&wide))
-    });
+    t.time("matching/hashmap_stream_20k_w4096", || drive_hashmap(&wide));
+    t.time("matching/packed_stream_20k_w4096", || drive_packed(&wide));
     let trap = ttda_idc::compile(id::trapezoid()).unwrap();
     let fib = ttda_idc::compile(id::fib()).unwrap();
-    c.bench_function("e10_emulate_trapezoid_n64", |b| {
-        b.iter(|| {
-            Emulator::new(&trap)
-                .run(&[Value::Float(0.0), Value::Float(1.0), Value::Int(64)])
-                .unwrap()
-        })
+    t.time("e10_emulate_trapezoid_n64", || {
+        Emulator::new(&trap)
+            .run(&[Value::Float(0.0), Value::Float(1.0), Value::Int(64)])
+            .unwrap()
     });
-    c.bench_function("e13_emulate_fib_14", |b| {
-        b.iter(|| Emulator::new(&fib).run(&[Value::Int(14)]).unwrap())
+    t.time("e13_emulate_fib_14", || {
+        Emulator::new(&fib).run(&[Value::Int(14)]).unwrap()
     });
-    c.bench_function("e13_timed_fib_12_8pe", |b| {
-        b.iter(|| {
-            let mut m = TimedMachine::ideal(fib.clone(), 8, Cycle(4), TimedConfig::default());
-            m.run(&[Value::Int(12)]).unwrap()
-        })
+    t.time("e13_timed_fib_12_8pe", || {
+        let mut m = TimedMachine::ideal(fib.clone(), 8, Cycle(4), TimedConfig::default());
+        m.run(&[Value::Int(12)]).unwrap()
     });
 }
 
@@ -405,78 +395,70 @@ pub fn istore_throughput(cells: usize, readers_per_cell: usize, reps: usize) -> 
 /// The `istore` suite: enum-vs-packed store kernels over the three
 /// access regimes (read-after-write, heavy-defer, reclaim-sweep), the
 /// E11 defer/release kernel, and the full/empty busy-wait foil (E6).
-pub fn istore(c: &mut Criterion) {
+pub fn istore(t: &mut Timer) {
     // Read-after-write: every read is immediate (defer machinery idle).
     let raw = istore_stream(1024, 8, 0, 0x15_70_7e);
-    c.bench_function("istore/enum_read_after_write", |b| {
-        b.iter(|| drive_enum_istore(1024, &raw))
+    t.time("istore/enum_read_after_write", || {
+        drive_enum_istore(1024, &raw)
     });
-    c.bench_function("istore/packed_read_after_write", |b| {
-        b.iter(|| drive_packed_istore(1024, &raw))
+    t.time("istore/packed_read_after_write", || {
+        drive_packed_istore(1024, &raw)
     });
     // Heavy-defer: every read parks, every write releases a full list.
     let heavy = istore_stream(1024, 8, 100, 0x15_70_7e);
-    c.bench_function("istore/enum_heavy_defer", |b| {
-        b.iter(|| drive_enum_istore(1024, &heavy))
+    t.time("istore/enum_heavy_defer", || {
+        drive_enum_istore(1024, &heavy)
     });
-    c.bench_function("istore/packed_heavy_defer", |b| {
-        b.iter(|| drive_packed_istore(1024, &heavy))
+    t.time("istore/packed_heavy_defer", || {
+        drive_packed_istore(1024, &heavy)
     });
     // Reclaim-sweep: a large, sparsely-written structure reclaimed
     // wholesale — the word-at-a-time bitmap sweep vs the cell walk.
     // The stores live across iterations, so the packed side runs its
     // zero-allocation steady state.
     let mut sparse_enum: EnumIStructure<i64, u32> = EnumIStructure::new(1 << 16);
-    c.bench_function("istore/enum_reclaim_sweep", |b| {
-        b.iter(|| {
-            for i in 0..512usize {
-                sparse_enum.write(Addr(i * 128), i as i64).unwrap();
-            }
-            sparse_enum.reclaim()
-        })
+    t.time("istore/enum_reclaim_sweep", || {
+        for i in 0..512usize {
+            sparse_enum.write(Addr(i * 128), i as i64).unwrap();
+        }
+        sparse_enum.reclaim()
     });
     let mut sparse_packed: IStructure<i64, u32> = IStructure::new(1 << 16);
-    c.bench_function("istore/packed_reclaim_sweep", |b| {
-        b.iter(|| {
-            for i in 0..512usize {
-                sparse_packed.write(Addr(i * 128), i as i64).unwrap();
-            }
-            sparse_packed.reclaim()
-        })
+    t.time("istore/packed_reclaim_sweep", || {
+        for i in 0..512usize {
+            sparse_packed.write(Addr(i * 128), i as i64).unwrap();
+        }
+        sparse_packed.reclaim()
     });
-    c.bench_function("e11_istructure_defer_release", |b| {
-        b.iter(|| {
-            let mut m: IStructure<i64, u32> = IStructure::new(256);
-            for i in 0..256usize {
-                m.read(Addr(i), i as u32).unwrap();
-            }
-            let mut released = 0;
-            for i in 0..256usize {
-                released += m.write(Addr(i), i as i64).unwrap().len();
-            }
-            released
-        })
+    t.time("e11_istructure_defer_release", || {
+        let mut m: IStructure<i64, u32> = IStructure::new(256);
+        for i in 0..256usize {
+            m.read(Addr(i), i as u32).unwrap();
+        }
+        let mut released = 0;
+        for i in 0..256usize {
+            released += m.write(Addr(i), i as i64).unwrap().len();
+        }
+        released
     });
-    c.bench_function("e6_full_empty_busy_wait", |b| {
-        b.iter(|| {
-            let mut m: FullEmptyMemory<i64> = FullEmptyMemory::new(256);
-            // Each consumer polls 4 times before the producer arrives.
-            for _ in 0..4 {
-                for i in 0..256usize {
-                    let _ = m.try_read(Addr(i)).unwrap();
-                }
-            }
+    t.time("e6_full_empty_busy_wait", || {
+        let mut m: FullEmptyMemory<i64> = FullEmptyMemory::new(256);
+        // Each consumer polls 4 times before the producer arrives.
+        for _ in 0..4 {
             for i in 0..256usize {
-                m.try_write(Addr(i), i as i64).unwrap();
+                let _ = m.try_read(Addr(i)).unwrap();
             }
-            let mut got = 0;
-            for i in 0..256usize {
-                if let TryReadOutcome::Value(_) = m.try_read(Addr(i)).unwrap() {
-                    got += 1;
-                }
+        }
+        for i in 0..256usize {
+            m.try_write(Addr(i), i as i64).unwrap();
+        }
+        let mut got = 0;
+        for i in 0..256usize {
+            if let TryReadOutcome::Value(_) = m.try_read(Addr(i)).unwrap() {
+                got += 1;
             }
-            (got, m.retries())
-        })
+        }
+        (got, m.retries())
     });
 }
 
@@ -618,29 +600,25 @@ pub fn service_throughput(requests_per_tenant: u64, reps: usize) -> Section {
 
 /// The `service` suite: full open-loop multi-tenant serve runs (E20) —
 /// batched, serial, and with backpressure engaged.
-pub fn service(c: &mut Criterion) {
+pub fn service(t: &mut Timer) {
     let (program, tenants) = service_scenario(16);
     let batched = ServiceConfig {
         seed: 42,
         ..ServiceConfig::default()
     };
-    c.bench_function("service/serve_2tenant_32req_q8", |b| {
-        b.iter(|| {
-            serve(&tenants, &batched, &mut EmulatorRunner::new(&program))
-                .expect("serves")
-                .bursts
-        })
+    t.time("service/serve_2tenant_32req_q8", || {
+        serve(&tenants, &batched, &mut EmulatorRunner::new(&program))
+            .expect("serves")
+            .bursts
     });
     let serial = ServiceConfig {
         burst_quota: 1,
         ..batched
     };
-    c.bench_function("service/serve_2tenant_32req_q1", |b| {
-        b.iter(|| {
-            serve(&tenants, &serial, &mut EmulatorRunner::new(&program))
-                .expect("serves")
-                .bursts
-        })
+    t.time("service/serve_2tenant_32req_q1", || {
+        serve(&tenants, &serial, &mut EmulatorRunner::new(&program))
+            .expect("serves")
+            .bursts
     });
     // Backpressure engaged: the high-water mark sits well under what a
     // full burst of these DAGs drives the matching window to.
@@ -648,12 +626,10 @@ pub fn service(c: &mut Criterion) {
         high_water: 48,
         ..batched
     };
-    c.bench_function("service/serve_2tenant_32req_hw48", |b| {
-        b.iter(|| {
-            serve(&tenants, &throttling, &mut EmulatorRunner::new(&program))
-                .expect("serves")
-                .throttled
-        })
+    t.time("service/serve_2tenant_32req_hw48", || {
+        serve(&tenants, &throttling, &mut EmulatorRunner::new(&program))
+            .expect("serves")
+            .throttled
     });
 }
 
@@ -718,7 +694,7 @@ pub fn par_throughput(reps: usize) -> Section {
 
 /// The `par` suite: whole-program emulator runs pinning each backend's
 /// per-run cost on the two E16/E21 workloads.
-pub fn par(c: &mut Criterion) {
+pub fn par(t: &mut Timer) {
     let matmul = ttda_idc::compile(id::matmul()).expect("matmul compiles");
     let wave = ttda_idc::compile(id::wavefront()).expect("wavefront compiles");
     let m_in = [Value::Int(5)];
@@ -731,14 +707,12 @@ pub fn par(c: &mut Criterion) {
         ("par/relaxed2_wavefront_n12", &wave, &w_in, 2, relaxed),
     ];
     for (label, program, inputs, threads, mode) in arms {
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                Emulator::new(program)
-                    .with_threads(threads)
-                    .with_mode(mode)
-                    .run(inputs)
-                    .unwrap()
-            })
+        t.time(label, || {
+            Emulator::new(program)
+                .with_threads(threads)
+                .with_mode(mode)
+                .run(inputs)
+                .unwrap()
         });
     }
 }
@@ -807,24 +781,24 @@ pub fn opt_throughput() -> Section {
 /// workload graph, plus emulator runs of the same program compiled at
 /// `O0` and `O2` (the wall-clock payoff whose deterministic twin is the
 /// gated firing ratio).
-pub fn opt(c: &mut Criterion) {
+pub fn opt(t: &mut Timer) {
     let matmul = ttda_idc::compile(id::matmul()).expect("matmul compiles");
-    c.bench_function("opt/pipeline_o2_matmul_n4", |b| {
-        b.iter(|| ttda_core::opt::optimize_at(black_box(&matmul), OptLevel::O2))
+    t.time("opt/pipeline_o2_matmul_n4", || {
+        ttda_core::opt::optimize_at(black_box(&matmul), OptLevel::O2)
     });
     let trap = id::trapezoid();
     let t_in = [Value::Float(0.0), Value::Float(1.0), Value::Int(64)];
     let t0 = ttda_idc::compile_optimized(trap, OptLevel::O0).expect("compiles");
     let t2 = ttda_idc::compile_optimized(trap, OptLevel::O2).expect("compiles");
-    c.bench_function("opt/o0_run_trapezoid_n64", |b| {
-        b.iter(|| Emulator::new(&t0).run(&t_in).unwrap())
+    t.time("opt/o0_run_trapezoid_n64", || {
+        Emulator::new(&t0).run(&t_in).unwrap()
     });
-    c.bench_function("opt/o2_run_trapezoid_n64", |b| {
-        b.iter(|| Emulator::new(&t2).run(&t_in).unwrap())
+    t.time("opt/o2_run_trapezoid_n64", || {
+        Emulator::new(&t2).run(&t_in).unwrap()
     });
     let u2 = ttda_idc::compile_optimized(id::unroll8(), OptLevel::O2).expect("compiles");
-    c.bench_function("opt/o2_run_unroll8", |b| {
-        b.iter(|| Emulator::new(&u2).run(&[Value::Int(5)]).unwrap())
+    t.time("opt/o2_run_unroll8", || {
+        Emulator::new(&u2).run(&[Value::Int(5)]).unwrap()
     });
 }
 
@@ -887,60 +861,50 @@ pub fn sched_throughput() -> Section {
 /// machine (the BucketQueue's own overhead is the fifo-vs-crit delta)
 /// and on the emulator's SoA wave loop, whose deterministic twin is the
 /// gated makespan ratio.
-pub fn sched(c: &mut Criterion) {
+pub fn sched(t: &mut Timer) {
     let trap = ttda_idc::compile_optimized(id::trapezoid(), OptLevel::O2).expect("compiles");
     let t_in = [Value::Float(0.0), Value::Float(1.0), Value::Int(64)];
-    c.bench_function("sched/timed_fifo_trapezoid_n64_2pe", |b| {
-        b.iter(|| {
-            sched_machine(trap.clone(), SchedPolicy::Fifo)
-                .run(&t_in)
-                .unwrap()
-        })
+    t.time("sched/timed_fifo_trapezoid_n64_2pe", || {
+        sched_machine(trap.clone(), SchedPolicy::Fifo)
+            .run(&t_in)
+            .unwrap()
     });
-    c.bench_function("sched/timed_crit_trapezoid_n64_2pe", |b| {
-        b.iter(|| {
-            sched_machine(trap.clone(), SchedPolicy::Crit)
-                .run(&t_in)
-                .unwrap()
-        })
+    t.time("sched/timed_crit_trapezoid_n64_2pe", || {
+        sched_machine(trap.clone(), SchedPolicy::Crit)
+            .run(&t_in)
+            .unwrap()
     });
-    c.bench_function("sched/emu_fifo_trapezoid_n64", |b| {
-        b.iter(|| Emulator::new(&trap).run(&t_in).unwrap())
+    t.time("sched/emu_fifo_trapezoid_n64", || {
+        Emulator::new(&trap).run(&t_in).unwrap()
     });
-    c.bench_function("sched/emu_crit_trapezoid_n64", |b| {
-        b.iter(|| {
-            Emulator::new(&trap)
-                .with_sched(SchedPolicy::Crit)
-                .run(&t_in)
-                .unwrap()
-        })
+    t.time("sched/emu_crit_trapezoid_n64", || {
+        Emulator::new(&trap)
+            .with_sched(SchedPolicy::Crit)
+            .run(&t_in)
+            .unwrap()
     });
 }
 
 /// The `endtoend` suite: whole-machine Cm* relaxation runs (E2/E14).
-pub fn endtoend(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2_cmstar_relaxation");
-    for procs in [4usize, 16] {
-        g.bench_with_input(BenchmarkId::from_parameter(procs), &procs, |b, &n| {
-            b.iter(|| {
-                let per_cluster = 8.min(n);
-                let clusters = n.div_ceil(per_cluster);
-                let cfg = CmStarConfig {
-                    clusters,
-                    per_cluster,
-                    words_per_module: 128,
-                    ..CmStarConfig::default()
-                };
-                let total = clusters * per_cluster;
-                let cores: Vec<Core> = (0..total)
-                    .map(|p| Core::new(chaotic_relaxation(p, total, 8, 4, 128)))
-                    .collect();
-                let mut m = CmStar::new(cores, cfg);
-                m.run().unwrap()
-            })
+pub fn endtoend(t: &mut Timer) {
+    for n in [4usize, 16] {
+        t.time(&format!("e2_cmstar_relaxation/{n}"), || {
+            let per_cluster = 8.min(n);
+            let clusters = n.div_ceil(per_cluster);
+            let cfg = CmStarConfig {
+                clusters,
+                per_cluster,
+                words_per_module: 128,
+                ..CmStarConfig::default()
+            };
+            let total = clusters * per_cluster;
+            let cores: Vec<Core> = (0..total)
+                .map(|p| Core::new(chaotic_relaxation(p, total, 8, 4, 128)))
+                .collect();
+            let mut m = CmStar::new(cores, cfg);
+            m.run().unwrap()
         });
     }
-    g.finish();
 }
 
 #[cfg(test)]

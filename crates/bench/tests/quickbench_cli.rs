@@ -24,11 +24,17 @@ fn scratch(test: &str, baseline: &str) -> PathBuf {
 }
 
 fn quickbench(dir: &Path, args: &[&str]) -> Output {
+    quickbench_env(dir, &[], args)
+}
+
+/// [`quickbench`] with `env` set on top of its two-sample cap.
+fn quickbench_env(dir: &Path, env: &[(&str, &str)], args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
         .arg("quickbench")
         .args(args)
         .current_dir(dir)
         .env("QUICKBENCH_MAX_ITERS", "2")
+        .envs(env.iter().copied())
         .output()
         .expect("the experiments binary runs")
 }
@@ -94,6 +100,16 @@ fn bad_invocations_are_rejected_before_anything_runs() {
         let run = quickbench(&dir, args);
         assert_eq!(run.status.code(), Some(1), "{args:?}");
         assert!(run.stdout.is_empty(), "{args:?} ran something");
+    }
+    // The timer's settings are checked up front too: a cap of 0 would
+    // leave every target without a sample, and a value that is not a
+    // whole number must not fall back to the default.
+    for (name, value) in [("QUICKBENCH_MAX_ITERS", "0"), ("QUICKBENCH_MS", "abc")] {
+        let run = quickbench_env(&dir, &[(name, value)], &["--suites", "opt"]);
+        assert_eq!(run.status.code(), Some(1), "{name}={value}");
+        assert!(run.stdout.is_empty(), "{name}={value} ran something");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(name), "{stderr}");
     }
     assert!(!dir.join("target").exists());
     assert_eq!(read(dir.join("B.json")), BENCH_JSON);

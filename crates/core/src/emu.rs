@@ -294,8 +294,8 @@ impl<'p> Emulator<'p> {
     /// joint completion. Tagged tokens guarantee the jobs cannot
     /// interfere: their activity names differ in `u` from the first wave
     /// on. A job's `tenant` label is accounting metadata for schedulers
-    /// and is ignored here; fuel shares pool into a joint batch budget
-    /// (see [`Job::fuel`]).
+    /// and is ignored here; the whole batch runs under the emulator's
+    /// fuel.
     ///
     /// # Errors
     ///
@@ -303,10 +303,8 @@ impl<'p> Emulator<'p> {
     /// offending job's block.
     ///
     /// [`Job`]: crate::machine::Job
-    /// [`Job::fuel`]: crate::machine::Job::fuel
     pub fn submit(&mut self, jobs: &[crate::machine::Job]) -> Result<EmuResult, ExecError> {
         let threads = self.effective_threads();
-        let fuel = crate::machine::batch_fuel(self.fuel, jobs);
         let mode = match self.mode {
             // k-bounded scheduling is a global, order-sensitive
             // fixpoint; it always runs on the reference interpreter.
@@ -320,7 +318,7 @@ impl<'p> Emulator<'p> {
                 self.program,
                 jobs,
                 threads,
-                fuel,
+                self.fuel,
                 self.sched,
                 self.sink.clone(),
             );
@@ -424,7 +422,7 @@ impl<'p> Emulator<'p> {
                 if let Some((tag, instr)) = self.absorb(wave.token(i), &mut ops)? {
                     fired += 1;
                     self.fire(tag, &ops, instr, &mut next)?;
-                    if self.instructions > fuel {
+                    if self.instructions > self.fuel {
                         return Err(ExecError::OutOfFuel);
                     }
                 }

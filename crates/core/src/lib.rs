@@ -61,7 +61,6 @@ mod tag;
 mod timed;
 mod value;
 mod wave;
-pub mod wire;
 
 pub use builder::{BuildError, GraphBuilder, NodeId};
 pub use context::{ContextManager, ContextRecord};
@@ -70,7 +69,7 @@ pub use graph::{
     CodeBlock, CodeBlockId, Dest, DestBranch, GraphError, InstrId, Instruction, OpCode, Program,
     MAX_LOOP_CONSTS,
 };
-pub use machine::{Job, Machine};
+pub use machine::Job;
 pub use matching::MatchingStore;
 pub use placement::MappingPolicy;
 pub use sched::SchedPolicy;

@@ -27,12 +27,13 @@
 //! order. `tests/properties.rs` drives it against a `HashMap` reference
 //! model to pin that equivalence down.
 //!
-//! The hash here is deliberately *not* the shard hash in the (private)
-//! `par` module: workers are chosen by mix13 over a lossy 48-bit
-//! packing, while slots use fibonacci folds of the full 128-bit name.
-//! If the two agreed, every key routed to one shard would also land in
-//! one probe chain of that shard's table, degenerating to a linked
-//! list. DESIGN.md §8 spells out the argument.
+//! The hash here is deliberately *not* the placement hash of
+//! `MappingPolicy::owner`: a token's relaxed worker or timed PE is
+//! chosen by mix13 over a packing of some of the name's fields, while
+//! slots use fibonacci folds of the full 128-bit name. If the two
+//! agreed, every key routed to one owner would also land in one probe
+//! chain of that owner's table, degenerating to a linked list. DESIGN.md
+//! §8 spells out the argument.
 
 use crate::tag::{ActivityName, Port};
 use crate::value::Value;

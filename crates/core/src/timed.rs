@@ -430,20 +430,17 @@ impl<T: Topology> TimedMachine<T> {
     /// tokens of different jobs interleave freely through the same PEs,
     /// matching stores and network, and can never collide. A job's
     /// `tenant` label is accounting metadata for schedulers and is
-    /// ignored here; fuel shares pool into a joint batch budget (see
-    /// [`Job::fuel`]).
+    /// ignored here; the whole batch runs under the machine's fuel.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TimedMachine::run`].
     ///
     /// [`Job`]: crate::machine::Job
-    /// [`Job::fuel`]: crate::machine::Job::fuel
     pub fn submit(&mut self, jobs: &[crate::machine::Job]) -> Result<TimedResult, ExecError> {
         self.fabric.reset();
         let n = self.pes();
-        let mut cfg = self.config;
-        cfg.fuel = crate::machine::batch_fuel(cfg.fuel, jobs);
+        let cfg = self.config;
         // A local clone keeps the disabled-tracing cost at one branch per
         // event site and sidesteps borrows of `self` held below.
         let sink = self.sink.clone();
@@ -499,7 +496,7 @@ impl<T: Topology> TimedMachine<T> {
 
         while let Some((now, ev)) = fl.events.pop() {
             end = end.max(now);
-            if now > cfg.max_cycles || instructions > cfg.fuel {
+            if now > cfg.max_cycles {
                 return Err(ExecError::OutOfFuel);
             }
             match ev {
@@ -546,6 +543,9 @@ impl<T: Topology> TimedMachine<T> {
                     }
                     if let Some((tag, instr)) = enabled {
                         instructions += 1;
+                        if instructions > cfg.fuel {
+                            return Err(ExecError::OutOfFuel);
+                        }
                         let eff = execute(&self.program, &mut ctx, tag, instr, &ops, &mut scratch)?;
                         busy += cfg.alu_time;
                         if eff.is_alu {

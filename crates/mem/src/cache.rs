@@ -310,11 +310,6 @@ impl CoherentSystem {
         &self.stats
     }
 
-    /// Resets statistics (not cache contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CoherenceStats::default();
-    }
-
     /// True if `proc` currently holds `addr` (any state).
     pub fn is_cached(&self, proc: usize, addr: Addr) -> bool {
         self.caches[proc].peek_state(addr).is_some()

@@ -390,8 +390,8 @@ impl<T: Clone, R> IStructureController<T, R> {
     }
 
     /// Builder-style sink attachment, matching `Fabric::with_sink` and
-    /// the engine `Machine::with_sink`; `module` labels this
-    /// controller's events. Reads, writes, presence-bit transitions and
+    /// the engines' `with_sink`; `module` labels this controller's
+    /// events. Reads, writes, presence-bit transitions and
     /// deferred-list traffic are reported at their completion times.
     pub fn with_sink(mut self, sink: SharedSink, module: u32) -> Self {
         self.sink = Some(sink);

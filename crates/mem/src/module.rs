@@ -88,11 +88,6 @@ impl<T> MemoryModule<T> {
         self.words.len()
     }
 
-    /// The per-access service time.
-    pub fn access_latency(&self) -> Cycle {
-        self.access
-    }
-
     /// The bank serving `addr`.
     pub fn bank_of(&self, addr: Addr) -> usize {
         addr.0 % self.banks

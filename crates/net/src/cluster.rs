@@ -50,14 +50,12 @@ pub enum ClusterLevel {
 pub struct ClusterTree {
     clusters: usize,
     per_cluster: usize,
-    intra_link_latency: Cycle,
-    inter_link_latency: Cycle,
 }
 
 impl ClusterTree {
-    /// Creates a hierarchy of `clusters × per_cluster` modules with the
-    /// default Cm*-like link latencies (intra 1, inter 3 — which combined
-    /// with hop counts yields the published 1 : 3 : 9 reference ratios).
+    /// Creates a hierarchy of `clusters × per_cluster` modules with
+    /// Cm*-like link latencies (intra 1, inter 3 — which combined with
+    /// hop counts yields the published 1 : 3 : 9 reference ratios).
     ///
     /// # Errors
     ///
@@ -71,16 +69,7 @@ impl ClusterTree {
         Ok(ClusterTree {
             clusters,
             per_cluster,
-            intra_link_latency: Cycle(1),
-            inter_link_latency: Cycle(3),
         })
-    }
-
-    /// Overrides the per-link latencies (builder style).
-    pub fn with_latencies(mut self, intra: Cycle, inter: Cycle) -> Self {
-        self.intra_link_latency = intra;
-        self.inter_link_latency = inter;
-        self
     }
 
     /// Number of clusters.
@@ -155,9 +144,9 @@ impl Topology for ClusterTree {
 
     fn link_latency(&self, link: LinkId) -> Cycle {
         if link.0 < 2 * self.ports() {
-            self.intra_link_latency
+            Cycle(1)
         } else {
-            self.inter_link_latency
+            Cycle(3)
         }
     }
 

@@ -158,12 +158,6 @@ impl<T: Topology> Fabric<T> {
         &mut self.topology
     }
 
-    /// Re-sizes internal per-link state after the topology changed shape.
-    pub fn refresh_links(&mut self) {
-        self.link_free.resize(self.topology.links(), Cycle::ZERO);
-        self.link_load.resize(self.topology.links(), 0);
-    }
-
     /// The active configuration.
     pub fn config(&self) -> FabricConfig {
         self.config

@@ -9,8 +9,6 @@
 //!   events, the heart of event-driven models — a 64-slot time wheel
 //!   with O(1) push and pop for events due within 64 cycles of the
 //!   latest pop, backed by a binary heap for the rest;
-//! - [`Engine`]: a convenience driver that pops events and hands them to a
-//!   handler until quiescence or a time limit;
 //! - [`stats`]: counters, utilization trackers, histograms and time-series
 //!   used to produce every number reported in `EXPERIMENTS.md`;
 //! - [`SimRng`]: a seeded, reproducible random-number source;
@@ -50,7 +48,6 @@
 
 mod arrivals;
 pub mod check;
-mod engine;
 mod event;
 mod rng;
 pub mod stats;
@@ -58,7 +55,6 @@ pub mod table;
 mod time;
 
 pub use arrivals::Arrivals;
-pub use engine::{Engine, StepOutcome};
 pub use event::EventQueue;
 pub use rng::{SimRng, Zipf};
 pub use time::Cycle;

@@ -66,11 +66,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit draw (high half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw below `bound` (Lemire-style widening multiply with
     /// rejection, so the draw is exactly uniform).
     fn below(&mut self, bound: u64) -> u64 {

@@ -3,7 +3,7 @@
 
 use ttda_sim::check;
 use ttda_sim::stats::{Histogram, Series};
-use ttda_sim::{Cycle, Engine, SimRng};
+use ttda_sim::{Cycle, SimRng};
 
 #[test]
 fn histogram_totals_match_inputs() {
@@ -62,27 +62,6 @@ fn series_thin_preserves_endpoints_order() {
         for w in thinned.windows(2) {
             assert!(w[0].0 < w[1].0);
         }
-    });
-}
-
-#[test]
-fn engine_time_is_monotone() {
-    check::forall("engine time is monotone", |rng| {
-        let len = rng.gen_range(1usize..100);
-        let delays: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..50)).collect();
-        let mut e: Engine<usize> = Engine::new();
-        for (i, &d) in delays.iter().enumerate() {
-            e.schedule(Cycle(d), i);
-        }
-        let mut last = Cycle::ZERO;
-        let mut seen = 0;
-        e.run(|now, _, _| {
-            assert!(now >= last);
-            last = now;
-            seen += 1;
-        });
-        assert_eq!(seen, delays.len());
-        assert_eq!(e.dispatched(), delays.len() as u64);
     });
 }
 

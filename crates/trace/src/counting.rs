@@ -24,7 +24,6 @@ pub struct CountingSink {
     halt_in_flight: Option<u64>,
     total_hops: u64,
     per_packet_hops: Vec<u32>,
-    peak_match_occupancy: u64,
     peak_defer_depth: u64,
 }
 
@@ -78,11 +77,6 @@ impl CountingSink {
         &self.per_packet_hops
     }
 
-    /// Highest waiting–matching occupancy seen on any single PE.
-    pub fn peak_match_occupancy(&self) -> u64 {
-        self.peak_match_occupancy
-    }
-
     /// Longest deferred list seen on any single cell.
     pub fn peak_defer_depth(&self) -> u64 {
         self.peak_defer_depth
@@ -110,7 +104,6 @@ impl TraceSink for CountingSink {
         self.metrics.counter(ev.kind()).incr();
         match *ev {
             TraceEvent::MatchWait { occupancy, .. } => {
-                self.peak_match_occupancy = self.peak_match_occupancy.max(occupancy);
                 self.metrics
                     .histogram("match_occupancy", 64, 4)
                     .record(occupancy);

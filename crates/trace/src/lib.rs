@@ -214,17 +214,6 @@ pub fn shared<S: TraceSink + 'static>(sink: S) -> SharedSink {
     Rc::new(RefCell::new(sink))
 }
 
-/// A sink that discards everything (useful for measuring sink overhead).
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _at: Cycle, _ev: &TraceEvent) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 /// An owned, order-preserving event buffer — the bridge between worker
 /// threads and a (single-threaded) [`SharedSink`].
 ///
@@ -339,14 +328,6 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), evs.len(), "event kinds must be unique");
-    }
-
-    #[test]
-    fn null_sink_swallows_events() {
-        let sink = shared(NullSink);
-        sink.borrow_mut()
-            .record(Cycle(3), &TraceEvent::TokenEmit { pe: 1 });
-        assert!(sink.borrow().as_any().downcast_ref::<NullSink>().is_some());
     }
 
     #[test]

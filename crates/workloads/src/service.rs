@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 
-use ttda_core::{Emulator, ExecError, Job, Machine, Program, RunMode, Value};
+use ttda_core::{Emulator, ExecError, Job, Program, RunMode, Value};
 use ttda_sim::stats::Histogram;
 use ttda_sim::{Arrivals, SimRng};
 
@@ -120,37 +120,24 @@ pub trait BurstRunner {
 }
 
 /// The standard runner: each burst executes on a fresh sequential
-/// [`Emulator`] through the generic [`Machine`] surface.
+/// [`Emulator`] under its default fuel.
 #[derive(Debug, Clone)]
 pub struct EmulatorRunner<'p> {
     program: &'p Program,
-    fuel: Option<u64>,
 }
 
 impl<'p> EmulatorRunner<'p> {
     /// A runner over `program`.
     pub fn new(program: &'p Program) -> Self {
-        EmulatorRunner {
-            program,
-            fuel: None,
-        }
-    }
-
-    /// Overrides the per-burst firing budget.
-    #[must_use]
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = Some(fuel);
-        self
+        EmulatorRunner { program }
     }
 }
 
 impl BurstRunner for EmulatorRunner<'_> {
     fn run_burst(&mut self, jobs: &[Job]) -> Result<Burst, ExecError> {
-        let mut m = Emulator::new(self.program).with_mode(RunMode::Sequential);
-        if let Some(fuel) = self.fuel {
-            m = Machine::with_fuel(m, fuel);
-        }
-        let r = Machine::submit(&mut m, jobs)?;
+        let r = Emulator::new(self.program)
+            .with_mode(RunMode::Sequential)
+            .submit(jobs)?;
         Ok(Burst {
             instructions: r.instructions,
             peak_matching: r.peak_matching,

@@ -9,8 +9,8 @@
 
 use ttda::core::opt::OptLevel;
 use ttda::core::{
-    Emulator, ExecError, Machine, MappingPolicy, SchedPolicy, StructPlacement, StructRef,
-    TimedConfig, TimedMachine, Value,
+    Emulator, ExecError, MappingPolicy, SchedPolicy, StructPlacement, StructRef, TimedConfig,
+    TimedMachine, Value,
 };
 use ttda::mem::{Addr, IStructureError};
 use ttda::net::{ClusterTree, Crossbar, FabricConfig, Grid2d, Hypercube, Omega};
@@ -266,29 +266,41 @@ fn timed_model_output_is_pinned() {
 }
 
 #[test]
-fn machine_trait_drives_both_engines() {
-    // The unified `Machine` surface: one generic harness configures and
-    // runs either engine — the emulator on its parallel backend, the
-    // timed machine on its event queue — and reads the shared outputs.
-    fn slot0<M: Machine>(m: M, inputs: &[Value]) -> Value {
-        let mut m = m.with_fuel(10_000_000);
-        let r = m.run(inputs).expect("runs");
-        M::outputs(&r)[&0]
+fn every_engine_stops_at_the_same_fuel() {
+    // Fuel is the number of firings a run may make: a run that fires n
+    // instructions completes under fuel n and runs out under n - 1, on
+    // the sequential and relaxed emulators and on the timed machine.
+    let cases: [(&str, i64, u64); 3] = [
+        (id::fib(), 10, 1_859),
+        ("def main(n) = n + 1;", 1, 3),
+        (id::matmul(), 3, 2_841),
+    ];
+    for (src, input, n) in cases {
+        let p = ttda::idc::compile(src).expect("compiles");
+        let inputs = [Value::Int(input)];
+        for fuel in [n - 1, n] {
+            let want = if fuel == n {
+                Ok(n)
+            } else {
+                Err(ExecError::OutOfFuel)
+            };
+            for threads in [1usize, 2] {
+                let got = Emulator::new(&p)
+                    .with_threads(threads)
+                    .with_fuel(fuel)
+                    .run(&inputs)
+                    .map(|r| r.instructions);
+                assert_eq!(got, want, "threads={threads} fuel={fuel}\n{src}");
+            }
+            for pes in [1usize, 4] {
+                let got = TimedMachine::ideal(p.clone(), pes, Cycle(3), TimedConfig::default())
+                    .with_fuel(fuel)
+                    .run(&inputs)
+                    .map(|r| r.stats.instructions);
+                assert_eq!(got, want, "pes={pes} fuel={fuel}\n{src}");
+            }
+        }
     }
-    let p = ttda::idc::compile(id::fib()).expect("compiles");
-    let want = Value::Int(reference::fib(12));
-    assert_eq!(slot0(Emulator::new(&p), &[Value::Int(12)]), want);
-    assert_eq!(
-        slot0(Emulator::new(&p).with_threads(4), &[Value::Int(12)]),
-        want
-    );
-    assert_eq!(
-        slot0(
-            TimedMachine::ideal(p, 4, Cycle(5), TimedConfig::default()),
-            &[Value::Int(12)]
-        ),
-        want
-    );
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! twice the cost of one cell.
 
 use ttda::core::opt::{optimize_at, OptLevel};
-use ttda::core::{Emulator, ExecError, Machine, OpCode, Program, TimedConfig, TimedMachine, Value};
+use ttda::core::{Emulator, ExecError, OpCode, Program, TimedConfig, TimedMachine, Value};
 use ttda::sim::Cycle;
 use ttda::workloads::id;
 
@@ -131,17 +131,15 @@ fn ints(xs: &[i64]) -> Vec<Value> {
 /// `main`'s output on the sequential, relaxed (2 workers) and timed (4
 /// PEs) engines.
 fn on_every_engine(p: &Program, inputs: &[Value]) -> Vec<(&'static str, Result<Value, ExecError>)> {
-    fn slot0<M: Machine>(mut m: M, inputs: &[Value]) -> Result<Value, ExecError> {
-        m.run(inputs).map(|r| M::outputs(&r)[&0])
-    }
-    let timed = TimedMachine::ideal(p.clone(), 4, Cycle(2), TimedConfig::default());
+    let emulate = |threads: usize| {
+        let r = Emulator::new(p).with_threads(threads).run(inputs);
+        r.map(|r| r.outputs[&0])
+    };
+    let timed = TimedMachine::ideal(p.clone(), 4, Cycle(2), TimedConfig::default()).run(inputs);
     vec![
-        ("sequential", slot0(Emulator::new(p), inputs)),
-        (
-            "relaxed x2",
-            slot0(Emulator::new(p).with_threads(2), inputs),
-        ),
-        ("timed", slot0(timed, inputs)),
+        ("sequential", emulate(1)),
+        ("relaxed x2", emulate(2)),
+        ("timed", timed.map(|r| r.outputs[&0])),
     ]
 }
 

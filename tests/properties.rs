@@ -619,54 +619,3 @@ fn event_queue_is_stable_priority_order() {
         assert_eq!(q.pop(), None);
     });
 }
-
-// ---------------------------------------------------------------------
-// Wire-format roundtrip.
-// ---------------------------------------------------------------------
-
-fn gen_value(rng: &mut SimRng) -> ttda::core::Value {
-    use ttda::core::{StructRef, Value as V};
-    match rng.gen_range(0u32..5) {
-        0 => V::Unit,
-        1 => V::Bool(rng.chance(0.5)),
-        2 => V::Int(rng.next_u64() as i64),
-        3 => {
-            // Any finite float; NaN breaks PartialEq so build from bits
-            // and reject the NaN patterns.
-            loop {
-                let f = f64::from_bits(rng.next_u64());
-                if !f.is_nan() {
-                    break V::Float(f);
-                }
-            }
-        }
-        _ => V::Ptr(StructRef {
-            id: rng.next_u32(),
-            len: rng.next_u32(),
-        }),
-    }
-}
-
-#[test]
-fn wire_tokens_roundtrip() {
-    check::forall("wire tokens roundtrip", |rng| {
-        use ttda::core::{wire, ActivityName, CodeBlockId, Ctx, InstrId, Iter, Port, Token};
-        let t = Token::new(
-            ActivityName {
-                u: Ctx(rng.next_u32()),
-                c: CodeBlockId(rng.next_u32()),
-                s: InstrId(rng.next_u32()),
-                i: Iter(rng.next_u32()),
-            },
-            Port(rng.gen_range(0u8..=u8::MAX)),
-            gen_value(rng),
-        );
-        let pe = rng.gen_range(0u16..=u16::MAX);
-        let nt = rng.gen_range(0u8..=u8::MAX);
-        let bytes = wire::encode_token(&t, pe, nt);
-        let (back, bpe, bnt) = wire::decode_token(&bytes).expect("roundtrip");
-        assert_eq!(back, t);
-        assert_eq!(bpe, pe);
-        assert_eq!(bnt, nt);
-    });
-}
