@@ -111,7 +111,6 @@ pub struct Emulator<'p> {
     sched: SchedPolicy,
     instructions: u64,
     alu_ops: u64,
-    peak_matching: usize,
     istore: IsCounts,
     sink: Option<SharedSink>,
     /// Trace timestamp: the current wave index (idealized time).
@@ -152,7 +151,6 @@ impl<'p> Emulator<'p> {
             sched: SchedPolicy::Fifo,
             instructions: 0,
             alu_ops: 0,
-            peak_matching: 0,
             istore: IsCounts::default(),
             sink: None,
             now: Cycle::ZERO,
@@ -171,7 +169,6 @@ impl<'p> Emulator<'p> {
         self.outputs.clear();
         self.instructions = 0;
         self.alu_ops = 0;
-        self.peak_matching = 0;
         self.istore = IsCounts::default();
         self.now = Cycle::ZERO;
     }
@@ -427,7 +424,6 @@ impl<'p> Emulator<'p> {
                     }
                 }
             }
-            self.peak_matching = self.peak_matching.max(self.waiting.len());
             peak_deferred = peak_deferred.max(self.structures.deferred_outstanding());
             if fired > 0 {
                 profile.push(fired);
@@ -455,7 +451,9 @@ impl<'p> Emulator<'p> {
             waves: profile.len() as u64,
             profile,
             contexts: self.ctx.allocated(),
-            peak_matching: self.peak_matching,
+            // The store is fresh for every run and its occupancy only
+            // rises at an insertion, where it takes its high water.
+            peak_matching: self.waiting.high_water(),
             peak_deferred,
             istore_immediate: self.istore.immediate,
             istore_deferred: self.istore.deferred,
@@ -472,7 +470,6 @@ impl<'p> Emulator<'p> {
         ops: &mut Vec<Value>,
     ) -> Result<Option<Enabled<'p>>, ExecError> {
         let r = crate::exec::absorb(self.program, &mut self.waiting, &mut self.ctx, token, ops)?;
-        self.peak_matching = self.peak_matching.max(self.waiting.len());
         if self.sink.is_some() {
             self.trace(TraceEvent::TokenConsume { pe: 0 });
             if r.is_none() {

@@ -207,6 +207,11 @@ fn constants_for<'c, C: ContextOps>(
 /// (`nt = 1`) never touches the store, as in Fig 2-3: its operands are
 /// the token, its literal and its loop constants, read from `ctx` for
 /// the token's activation.
+// Inlined for the reason `execute` is: out of line, the enabled firing
+// came back through memory and the caller's reload stalled (2.9% of
+// `emu-matmul` samples once `execute` was inlined; inlining this too cut
+// `run_ms_best5` by a further 7%, lower in 9 of 10 pairs).
+#[inline]
 pub(crate) fn absorb<'p, C: ContextOps>(
     program: &'p Program,
     waiting: &mut MatchingStore,
@@ -277,6 +282,15 @@ pub(crate) fn absorb<'p, C: ContextOps>(
 /// differ from a sequential run, but they never escape an
 /// [`EmuResult`](crate::EmuResult) (`contexts` is the semantic
 /// allocation count, kept exact by the shared loop memo).
+// Inlined into each engine's loop, the `Result<Effect, _>` stays in
+// registers. Out of line it went through memory: the 80-byte value,
+// stored field by field here and reloaded whole by the caller, stalled
+// store forwarding on every firing (14% of `emu-matmul` samples; the
+// inlining alone cut its `run_ms_best5` by 7%). Plain `#[inline]`
+// inlines it into all three engines. `#[inline(always)]` bought nothing
+// measurable over it (3 s runs, 4–6 pairs: emu-matmul −5%,
+// relaxed-matmul 0%, timed-fib +5%), so the weaker hint stays.
+#[inline]
 pub(crate) fn execute<C: ContextOps>(
     program: &Program,
     ctx: &mut C,

@@ -161,8 +161,7 @@ pub struct MatchingStore {
     spill_free: Vec<Vec<u32>>,
     /// Live (parked) activity count — the occupancy the traces report.
     len: usize,
-    /// Highest `len` ever reached (since the last
-    /// [`MatchingStore::reset_high_water`]).
+    /// Highest `len` ever reached.
     high_water: usize,
 }
 
@@ -204,24 +203,15 @@ impl MatchingStore {
         self.len == 0
     }
 
-    /// Highest occupancy the store has reached since construction (or
-    /// the last [`MatchingStore::reset_high_water`]) — an O(1) counter
-    /// maintained at the single insertion site, so backpressure policies
-    /// (the `ttda-workloads` service scheduler) can poll it instead of
-    /// scanning. Under the parallel backend each shard keeps its own
-    /// store, and `EmuResult::peak_matching` sums the shards' peaks — a
-    /// schedule-dependent approximation; the sequential interpreter
-    /// reports the exact occupancy.
+    /// Highest occupancy the store has reached since construction — an
+    /// O(1) counter maintained at the single insertion site, the only
+    /// place occupancy rises. Every run builds fresh stores, so this is
+    /// the run's `peak_matching`: the sequential interpreter reports its
+    /// store's, and under the parallel backend `EmuResult::peak_matching`
+    /// sums the shards' — a schedule-dependent approximation.
     #[inline]
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Restarts high-water tracking from the current occupancy, so a
-    /// long-lived store can be observed per burst.
-    #[inline]
-    pub fn reset_high_water(&mut self) {
-        self.high_water = self.len;
     }
 
     /// Visits every parked activity name. Replaces the `HashMap::keys`
@@ -748,10 +738,6 @@ mod tests {
             assert_eq!(m.high_water(), model_high);
         }
         assert!(m.high_water() > 0, "stream never parked anything");
-        // Reset restarts tracking from the *current* occupancy.
-        m.reset_high_water();
-        assert_eq!(m.high_water(), m.len());
-        assert!(m.high_water() < model_high || m.len() == model_high);
     }
 
     /// Keys confined to one owner of the engines' placement function

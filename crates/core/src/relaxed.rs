@@ -413,6 +413,7 @@ fn worker(
         w.local.push(w.prio(t.tag), t);
     }
     w.run(&rx);
+    w.out.peak_matching = w.waiting.high_water();
     w.out.stranded = w.waiting.len();
     w.out.deferred_outstanding = w.shard.deferred_outstanding();
     w.out
@@ -602,7 +603,6 @@ impl Worker<'_, '_> {
                 return;
             }
         };
-        self.out.peak_matching = self.out.peak_matching.max(self.waiting.len());
         let Some((tag, instr)) = enabled else {
             let occupancy = self.waiting.len() as u64;
             self.trace(TraceEvent::MatchWait {

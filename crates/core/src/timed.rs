@@ -475,6 +475,9 @@ impl<T: Topology> TimedMachine<T> {
         let mut alu_ops: u64 = 0;
         let mut tokens_delivered: u64 = 0;
         let mut tokens_remote: u64 = 0;
+        // Tokens parked across every PE's store, kept as a running total:
+        // only the serviced PE's occupancy moves.
+        let mut parked: usize = 0;
         let mut peak_matching: usize = 0;
         let mut match_overflows: u64 = 0;
         let mut peak_queue: usize = 0;
@@ -522,6 +525,7 @@ impl<T: Topology> TimedMachine<T> {
                         busy += cfg.match_overflow_penalty;
                         match_overflows += 1;
                     }
+                    let before = pes[pe].waiting.len();
                     let enabled = absorb(
                         &self.program,
                         &mut pes[pe].waiting,
@@ -529,6 +533,7 @@ impl<T: Topology> TimedMachine<T> {
                         token,
                         &mut ops,
                     )?;
+                    parked = parked - before + pes[pe].waiting.len();
                     if sink.is_some() {
                         trace(now, &TraceEvent::TokenConsume { pe: pe as u32 });
                         if enabled.is_none() {
@@ -618,8 +623,7 @@ impl<T: Topology> TimedMachine<T> {
                     } else {
                         pes[pe].busy_until = now + busy;
                     }
-                    let total_waiting: usize = pes.iter().map(|p| p.waiting.len()).sum();
-                    peak_matching = peak_matching.max(total_waiting);
+                    peak_matching = peak_matching.max(parked);
                     let wake_at = pes[pe].busy_until;
                     if pes[pe].queue.is_empty() {
                         pes[pe].wake_scheduled = false;

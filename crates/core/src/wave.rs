@@ -14,8 +14,6 @@
 //! matching store, cross-thread channels); a `Wave` materializes one on
 //! demand.
 
-use std::cmp::Reverse;
-
 use crate::exec::Emit;
 use crate::sched::CritMap;
 use crate::tag::{ActivityName, Port, Token};
@@ -27,6 +25,9 @@ pub(crate) struct Wave {
     tags: Vec<ActivityName>,
     ports: Vec<Port>,
     values: Vec<Value>,
+    /// The sort keys of [`Wave::sort_by_criticality`], kept only so its
+    /// storage is reused from wave to wave.
+    keys: Vec<u64>,
 }
 
 impl Wave {
@@ -121,16 +122,45 @@ impl Wave {
     /// waves, so fib 18 at O2 peaks at 2,471 parked tokens here and at
     /// 1,073 on one worker. Only outputs and the confluent counters
     /// agree.
+    ///
+    /// The sort allocates nothing once the wave's storage has grown: each
+    /// key is the inverted criticality over the token's index, so keys are
+    /// distinct, an in-place unstable sort gives the stable order, and the
+    /// columns are permuted in place, one cycle at a time.
     pub(crate) fn sort_by_criticality(&mut self, crit: &CritMap) {
-        let n = self.len();
-        if n < 2 {
+        if self.len() < 2 {
             return;
         }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| Reverse(crit.criticality(self.tags[i as usize])));
-        self.tags = order.iter().map(|&i| self.tags[i as usize]).collect();
-        self.ports = order.iter().map(|&i| self.ports[i as usize]).collect();
-        self.values = order.iter().map(|&i| self.values[i as usize]).collect();
+        let keys = &mut self.keys;
+        keys.clear();
+        keys.extend(
+            self.tags
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| u64::from(!crit.criticality(t)) << 32 | i as u64),
+        );
+        keys.sort_unstable();
+        // Position `k` takes the token from index `keys[k] as u32`; a
+        // filled position's key becomes `u64::MAX`.
+        for start in 0..keys.len() {
+            if keys[start] == u64::MAX {
+                continue;
+            }
+            let held = (self.tags[start], self.ports[start], self.values[start]);
+            let mut k = start;
+            loop {
+                let from = keys[k] as u32 as usize;
+                keys[k] = u64::MAX;
+                if from == start {
+                    (self.tags[k], self.ports[k], self.values[k]) = held;
+                    break;
+                }
+                self.tags[k] = self.tags[from];
+                self.ports[k] = self.ports[from];
+                self.values[k] = self.values[from];
+                k = from;
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! C.mmp: minicomputers on a crossbar into shared memory (§1.2.1).
 
 use ttda_mem::cache::{CacheConfig, CoherenceStats, CoherentSystem};
-use ttda_mem::{Addr, MemOp, MemoryModule};
+use ttda_mem::{Addr, MemoryModule};
 use ttda_net::{Crossbar, Fabric, FabricConfig, NodeId, Topology};
 use ttda_sim::Cycle;
 use ttda_vn::{Core, CoreError, MemAccess, MemRef, RunConfig};
@@ -64,7 +64,7 @@ impl crate::smp::LatencyModel for CmmpModel {
             match r.op {
                 MemAccess::Atomic => {
                     let arrive = self.fabric.send(now, NodeId(proc), self.mem_port(r.addr));
-                    let done = self.memory.access_time(arrive, r.addr, MemOp::Read);
+                    let done = self.memory.access_time(arrive, r.addr);
                     (done - now) + (arrive - now) // there and back
                 }
                 MemAccess::Load | MemAccess::FeLoad => caches.read(proc, line),
@@ -74,14 +74,7 @@ impl crate::smp::LatencyModel for CmmpModel {
             // Cacheless C.mmp: every reference crosses the crossbar to a
             // memory bank and back.
             let arrive = self.fabric.send(now, NodeId(proc), self.mem_port(r.addr));
-            let served = self.memory.access_time(
-                arrive,
-                r.addr,
-                match r.op {
-                    MemAccess::Store | MemAccess::FeStore => MemOp::Write,
-                    _ => MemOp::Read,
-                },
-            );
+            let served = self.memory.access_time(arrive, r.addr);
             // Return trip mirrors the request path cost.
             let one_way = arrive - now;
             (served - now) + one_way

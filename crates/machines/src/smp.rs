@@ -52,20 +52,6 @@ impl SmpStats {
             total as f64 / denom as f64
         }
     }
-
-    /// Total instructions across processors.
-    pub fn total_instructions(&self) -> u64 {
-        self.instructions.iter().sum()
-    }
-
-    /// Speedup relative to a run that took `baseline` cycles.
-    pub fn speedup_vs(&self, baseline: Cycle) -> f64 {
-        if self.cycles == Cycle::ZERO {
-            0.0
-        } else {
-            baseline.as_u64() as f64 / self.cycles.as_u64() as f64
-        }
-    }
 }
 
 /// An event-driven interleaver for `n` blocking von Neumann processors
@@ -188,7 +174,6 @@ impl Smp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttda_mem::Addr;
     use ttda_vn::{AluOp, Cond, FlatMemory, ProgramBuilder, Reg};
 
     /// Each proc stores its id at slot id, then sums all slots once the
@@ -240,7 +225,6 @@ mod tests {
         }
         assert!(stats.utilization() > 0.0 && stats.utilization() <= 1.0);
         assert_eq!(stats.instructions.len(), n);
-        assert!(stats.total_instructions() > 0);
     }
 
     #[test]
@@ -271,20 +255,5 @@ mod tests {
             .run(&mut |_: usize, _: &MemRef, _: Cycle| Cycle(0))
             .unwrap();
         assert!(!stats.completed);
-    }
-
-    #[test]
-    fn speedup_helper() {
-        let s = SmpStats {
-            cycles: Cycle(50),
-            instructions: vec![1],
-            busy: vec![Cycle(10)],
-            idle: vec![Cycle(40)],
-            mem_refs: vec![0],
-            busy_waits: vec![0],
-            completed: true,
-        };
-        assert_eq!(s.speedup_vs(Cycle(100)), 2.0);
-        let _ = Addr(0); // silence unused import in some cfgs
     }
 }

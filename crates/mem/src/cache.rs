@@ -99,16 +99,6 @@ pub struct CoherenceStats {
 }
 
 impl CoherenceStats {
-    /// Hit ratio over all accesses.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.reads + self.writes;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Coherence messages per access — the paper's "overhead and/or
     /// decreased parallelism", in one number.
     pub fn traffic_per_access(&self) -> f64 {
@@ -565,14 +555,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_ratio_and_traffic_helpers() {
+    fn traffic_helper() {
         let mut sys = CoherentSystem::new(1, cfg());
         sys.read(0, Addr(0));
         sys.read(0, Addr(0));
         let s = sys.stats();
-        assert!((s.hit_ratio() - 0.5).abs() < 1e-9);
         assert!(s.traffic_per_access() > 0.0);
-        assert_eq!(CoherenceStats::default().hit_ratio(), 0.0);
         assert_eq!(CoherenceStats::default().traffic_per_access(), 0.0);
     }
 

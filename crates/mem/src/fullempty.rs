@@ -105,27 +105,6 @@ impl<T: Clone> FullEmptyMemory<T> {
         }
     }
 
-    /// Consuming read: like [`FullEmptyMemory::try_read`] but empties the
-    /// cell on success (HEP's producer/consumer register discipline).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FullEmptyError::OutOfRange`] for a bad address.
-    pub fn try_take(&mut self, addr: Addr) -> Result<TryReadOutcome<T>, FullEmptyError> {
-        let size = self.cells.len();
-        let cell = self
-            .cells
-            .get_mut(addr.0)
-            .ok_or(FullEmptyError::OutOfRange { addr, size })?;
-        match cell.take() {
-            Some(v) => Ok(TryReadOutcome::Value(v)),
-            None => {
-                self.retries += 1;
-                Ok(TryReadOutcome::BusyWait)
-            }
-        }
-    }
-
     /// Write-when-empty: returns `true` if the write landed, `false` if
     /// the cell was full and the writer must retry.
     ///
@@ -176,14 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn take_empties_the_cell() {
-        let mut m: FullEmptyMemory<i64> = FullEmptyMemory::new(1);
-        m.try_write(Addr(0), 7).unwrap();
-        assert_eq!(m.try_take(Addr(0)).unwrap(), TryReadOutcome::Value(7));
-        assert_eq!(m.try_take(Addr(0)).unwrap(), TryReadOutcome::BusyWait);
-    }
-
-    #[test]
     fn write_when_full_retries() {
         let mut m: FullEmptyMemory<i64> = FullEmptyMemory::new(1);
         assert!(m.try_write(Addr(0), 1).unwrap());
@@ -196,7 +167,6 @@ mod tests {
     fn out_of_range() {
         let mut m: FullEmptyMemory<i64> = FullEmptyMemory::new(1);
         assert!(m.try_read(Addr(9)).is_err());
-        assert!(m.try_take(Addr(9)).is_err());
         assert!(m.try_write(Addr(9), 0).is_err());
         let e = FullEmptyError::OutOfRange {
             addr: Addr(9),

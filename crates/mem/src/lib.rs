@@ -41,7 +41,7 @@ pub use fullempty::{FullEmptyError, FullEmptyMemory, TryReadOutcome};
 pub use istore::{
     EnumIStructure, IStructureController, IStructureError, IStructureStats, Presence, ReadOutcome,
 };
-pub use module::{Addr, MemOp, MemoryModule};
+pub use module::{Addr, MemoryModule};
 pub use packed::PackedIStructure;
 pub use shard::{shard_of, IStructureShard};
 

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use ttda_sim::stats::Counter;
 use ttda_sim::Cycle;
 
 /// A word address within one memory element.
@@ -21,15 +20,6 @@ impl From<usize> for Addr {
     }
 }
 
-/// The operation classes a [`MemoryModule`] distinguishes for timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemOp {
-    /// A load.
-    Read,
-    /// A store.
-    Write,
-}
-
 /// One memory element of the abstract multiprocessor (Fig 1-1): a word
 /// array divided into interleaved banks, each bank a FIFO server with a
 /// fixed access time. Requests to distinct banks proceed in parallel;
@@ -43,15 +33,15 @@ pub enum MemOp {
 /// # Example
 ///
 /// ```
-/// use ttda_mem::{Addr, MemOp, MemoryModule};
+/// use ttda_mem::{Addr, MemoryModule};
 /// use ttda_sim::Cycle;
 ///
 /// let mut m: MemoryModule<i64> = MemoryModule::new(1024, 4, Cycle(10));
 /// m.store(Addr(7), 99).unwrap();
 /// assert_eq!(m.load(Addr(7)), Some(&99));
 /// // Timing: two same-bank accesses serialize.
-/// let t1 = m.access_time(Cycle(0), Addr(0), MemOp::Read);
-/// let t2 = m.access_time(Cycle(0), Addr(4), MemOp::Read); // bank 0 again (4 % 4)
+/// let t1 = m.access_time(Cycle(0), Addr(0));
+/// let t2 = m.access_time(Cycle(0), Addr(4)); // bank 0 again (4 % 4)
 /// assert!(t2 > t1);
 /// ```
 #[derive(Debug, Clone)]
@@ -60,8 +50,6 @@ pub struct MemoryModule<T> {
     banks: usize,
     access: Cycle,
     bank_free: Vec<Cycle>,
-    reads: Counter,
-    writes: Counter,
 }
 
 impl<T> MemoryModule<T> {
@@ -78,8 +66,6 @@ impl<T> MemoryModule<T> {
             banks,
             access,
             bank_free: vec![Cycle::ZERO; banks],
-            reads: Counter::new(),
-            writes: Counter::new(),
         }
     }
 
@@ -119,31 +105,12 @@ impl<T> MemoryModule<T> {
     /// cost the same here; I-structure writes cost double at the
     /// controller level (see
     /// [`IStructureController`](crate::IStructureController)), not here.
-    pub fn access_time(&mut self, now: Cycle, addr: Addr, op: MemOp) -> Cycle {
+    pub fn access_time(&mut self, now: Cycle, addr: Addr) -> Cycle {
         let bank = self.bank_of(addr);
         let start = now.max(self.bank_free[bank]);
         let done = start + self.access;
         self.bank_free[bank] = done;
-        match op {
-            MemOp::Read => self.reads.incr(),
-            MemOp::Write => self.writes.incr(),
-        }
         done
-    }
-
-    /// Total timed reads so far.
-    pub fn read_count(&self) -> u64 {
-        self.reads.get()
-    }
-
-    /// Total timed writes so far.
-    pub fn write_count(&self) -> u64 {
-        self.writes.get()
-    }
-
-    /// Clears timing state (bank queues) but not contents.
-    pub fn reset_timing(&mut self) {
-        self.bank_free.iter_mut().for_each(|b| *b = Cycle::ZERO);
     }
 }
 
@@ -164,21 +131,11 @@ mod tests {
     #[test]
     fn distinct_banks_parallel_same_bank_serial() {
         let mut m: MemoryModule<i64> = MemoryModule::new(16, 4, Cycle(10));
-        let a = m.access_time(Cycle(0), Addr(0), MemOp::Read);
-        let b = m.access_time(Cycle(0), Addr(1), MemOp::Read);
+        let a = m.access_time(Cycle(0), Addr(0));
+        let b = m.access_time(Cycle(0), Addr(1));
         assert_eq!(a, b, "different banks serve concurrently");
-        let c = m.access_time(Cycle(0), Addr(8), MemOp::Write); // bank 0
+        let c = m.access_time(Cycle(0), Addr(8)); // bank 0
         assert_eq!(c, Cycle(20), "same bank queues");
-        assert_eq!(m.read_count(), 2);
-        assert_eq!(m.write_count(), 1);
-    }
-
-    #[test]
-    fn reset_timing_clears_queues() {
-        let mut m: MemoryModule<i64> = MemoryModule::new(4, 1, Cycle(10));
-        m.access_time(Cycle(0), Addr(0), MemOp::Read);
-        m.reset_timing();
-        assert_eq!(m.access_time(Cycle(0), Addr(0), MemOp::Read), Cycle(10));
     }
 
     #[test]

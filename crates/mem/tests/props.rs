@@ -2,7 +2,7 @@
 //! `check` harness.
 
 use ttda_mem::cache::{CacheConfig, CoherentSystem, Protocol, WritePolicy};
-use ttda_mem::{Addr, FullEmptyMemory, IStructureController, MemOp, MemoryModule, TryReadOutcome};
+use ttda_mem::{Addr, FullEmptyMemory, IStructureController, MemoryModule, TryReadOutcome};
 use ttda_sim::{check, Cycle};
 
 #[test]
@@ -80,12 +80,7 @@ fn memory_module_bank_times_never_decrease() {
         let accesses = rng.gen_range(1usize..100);
         for _ in 0..accesses {
             let addr = Addr(rng.gen_range(0usize..64));
-            let op = if rng.chance(0.5) {
-                MemOp::Write
-            } else {
-                MemOp::Read
-            };
-            let done = m.access_time(Cycle::ZERO, addr, op);
+            let done = m.access_time(Cycle::ZERO, addr);
             let bank = m.bank_of(addr);
             assert!(done > per_bank[bank]);
             per_bank[bank] = done;

@@ -21,12 +21,11 @@ const DIRS: usize = 4; // E, W, S, N
 ///
 /// let illiac = Grid2d::new(8, 8).unwrap();
 /// assert_eq!(illiac.diameter(), 8);
+/// // Node `y * 8 + x` sits at column x, row y.
 /// // Opposite corner, with wraparound: (0,0) -> (4,4) is the worst case.
-/// let far = illiac.node_at(4, 4);
-/// assert_eq!(illiac.hops(NodeId(0), far).unwrap(), 8);
+/// assert_eq!(illiac.hops(NodeId(0), NodeId(36)).unwrap(), 8);
 /// // Wraparound makes (0,0) -> (7,7) just 2 hops.
-/// let corner = illiac.node_at(7, 7);
-/// assert_eq!(illiac.hops(NodeId(0), corner).unwrap(), 2);
+/// assert_eq!(illiac.hops(NodeId(0), NodeId(63)).unwrap(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Grid2d {
@@ -58,11 +57,6 @@ impl Grid2d {
     /// Grid height.
     pub fn height(&self) -> usize {
         self.h
-    }
-
-    /// The node at column `x`, row `y` (both taken modulo the dimensions).
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
-        NodeId((y % self.h) * self.w + (x % self.w))
     }
 
     /// The `(x, y)` coordinates of `node`.
@@ -137,10 +131,11 @@ mod tests {
 
     #[test]
     fn neighbors_are_one_hop() {
+        // Node `y * 4 + x` sits at column x, row y.
         let g = Grid2d::new(4, 4).unwrap();
-        assert_eq!(g.hops(g.node_at(1, 1), g.node_at(2, 1)).unwrap(), 1);
-        assert_eq!(g.hops(g.node_at(1, 1), g.node_at(1, 2)).unwrap(), 1);
-        assert_eq!(g.hops(g.node_at(0, 0), g.node_at(3, 0)).unwrap(), 1); // wrap
+        assert_eq!(g.hops(NodeId(5), NodeId(6)).unwrap(), 1); // (1,1) -> (2,1)
+        assert_eq!(g.hops(NodeId(5), NodeId(9)).unwrap(), 1); // (1,1) -> (1,2)
+        assert_eq!(g.hops(NodeId(0), NodeId(3)).unwrap(), 1); // (0,0) -> (3,0), wrap
     }
 
     #[test]
@@ -180,7 +175,8 @@ mod tests {
         let g = Grid2d::new(6, 4).unwrap();
         for n in 0..24 {
             let (x, y) = g.coords(NodeId(n));
-            assert_eq!(g.node_at(x, y), NodeId(n));
+            assert!(x < 6 && y < 4);
+            assert_eq!(y * 6 + x, n);
         }
     }
 

@@ -40,11 +40,6 @@ impl Ideal {
     pub fn latency(&self) -> Cycle {
         self.latency
     }
-
-    /// Changes the latency (used by latency sweeps).
-    pub fn set_latency(&mut self, latency: Cycle) {
-        self.latency = latency;
-    }
 }
 
 impl Topology for Ideal {
@@ -92,11 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn latency_is_tunable() {
-        let mut net = Ideal::new(2, Cycle(5));
+    fn latency_is_every_links_latency() {
+        let net = Ideal::new(2, Cycle(5));
         assert_eq!(net.latency(), Cycle(5));
-        net.set_latency(Cycle(100));
-        assert_eq!(net.link_latency(LinkId(0)), Cycle(100));
+        assert_eq!(net.link_latency(LinkId(1)), Cycle(5));
     }
 
     #[test]

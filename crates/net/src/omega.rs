@@ -12,8 +12,7 @@ use crate::topology::{check_node, LinkId, NodeId, Topology, TopologyError};
 /// wire at the same time *conflict* — the congestion that makes hot spots
 /// (every processor touching one shared counter) catastrophic without
 /// combining. The combining of FETCH-AND-ADD packets, which needs to hold
-/// state inside switches, is modelled in `ttda-machines::ultra` on top of
-/// [`Omega::switch_path`].
+/// state inside switches, is modelled in `ttda-machines::ultra`.
 ///
 /// # Example
 ///
@@ -54,11 +53,6 @@ impl Omega {
         self.k
     }
 
-    /// Number of 2×2 switches per stage.
-    pub fn switches_per_stage(&self) -> usize {
-        self.n / 2
-    }
-
     /// The perfect shuffle: rotate the `k`-bit address left by one.
     fn shuffle(&self, p: usize) -> usize {
         ((p << 1) | (p >> (self.k - 1))) & (self.n - 1)
@@ -73,27 +67,6 @@ impl Omega {
             cur = (cur & !1) | bit;
         }
         cur
-    }
-
-    /// The `(stage, switch)` pairs a packet passes through, in order.
-    ///
-    /// Two packets that share a `(stage, switch)` at the same time meet in
-    /// one 2×2 switch — the place where the Ultracomputer combines
-    /// FETCH-AND-ADD packets to the same address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::NodeOutOfRange`] for bad endpoints.
-    pub fn switch_path(
-        &self,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<Vec<(usize, usize)>, TopologyError> {
-        check_node(from, self.n)?;
-        check_node(to, self.n)?;
-        Ok((0..self.k)
-            .map(|s| (s, self.wire_after_stage(from.0, to.0, s) >> 1))
-            .collect())
     }
 }
 
@@ -172,17 +145,6 @@ mod tests {
         // increasing arrival times.
         for w in arrivals.windows(2) {
             assert!(w[1] > w[0]);
-        }
-    }
-
-    #[test]
-    fn switch_path_shape() {
-        let net = Omega::new(8).unwrap();
-        let sp = net.switch_path(NodeId(2), NodeId(6)).unwrap();
-        assert_eq!(sp.len(), 3);
-        for (i, &(stage, sw)) in sp.iter().enumerate() {
-            assert_eq!(stage, i);
-            assert!(sw < net.switches_per_stage());
         }
     }
 

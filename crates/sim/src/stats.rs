@@ -57,7 +57,7 @@ impl fmt::Display for Counter {
 /// Tracks what fraction of elapsed time a resource was busy.
 ///
 /// A resource reports busy intervals with [`Utilization::busy`]; the final
-/// ratio is `busy_cycles / total_cycles`. This is exactly the paper's
+/// ratio is busy cycles over total cycles. This is exactly the paper's
 /// "ALU utilization" metric.
 ///
 /// # Example
@@ -84,11 +84,6 @@ impl Utilization {
     #[inline]
     pub fn busy(&mut self, d: Cycle) {
         self.busy = self.busy.saturating_add(d);
-    }
-
-    /// Total recorded busy time.
-    pub fn busy_cycles(&self) -> Cycle {
-        self.busy
     }
 
     /// Busy fraction over a window of `total` cycles (0 if `total` is 0).
@@ -333,7 +328,6 @@ mod tests {
         u.busy(Cycle(25));
         assert_eq!(u.ratio(Cycle(100)), 0.25);
         assert_eq!(u.ratio(Cycle::ZERO), 0.0);
-        assert_eq!(u.busy_cycles(), Cycle(25));
     }
 
     #[test]

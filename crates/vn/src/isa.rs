@@ -9,9 +9,6 @@ pub struct Reg(pub u8);
 impl Reg {
     /// Size of the architectural register file.
     pub const COUNT: usize = 32;
-
-    /// Register 0 — ordinary (not hardwired to zero).
-    pub const R0: Reg = Reg(0);
 }
 
 impl fmt::Display for Reg {
@@ -305,6 +302,5 @@ mod tests {
     #[test]
     fn reg_display() {
         assert_eq!(Reg(7).to_string(), "r7");
-        assert_eq!(Reg::R0, Reg(0));
     }
 }

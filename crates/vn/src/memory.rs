@@ -105,7 +105,6 @@ pub trait DataMemory {
 pub struct FlatMemory {
     words: Vec<i64>,
     full: Vec<bool>,
-    limit: usize,
 }
 
 impl FlatMemory {
@@ -118,14 +117,7 @@ impl FlatMemory {
         FlatMemory {
             words: vec![0; initial],
             full: vec![false; initial],
-            limit: Self::DEFAULT_LIMIT,
         }
-    }
-
-    /// Overrides the growth bound.
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = limit;
-        self
     }
 
     /// Words currently allocated.
@@ -134,7 +126,7 @@ impl FlatMemory {
     }
 
     fn ensure(&mut self, addr: Addr) -> Result<usize, MemError> {
-        if addr.0 >= self.limit {
+        if addr.0 >= Self::DEFAULT_LIMIT {
             return Err(MemError::BadAddress(addr.0 as i64));
         }
         if addr.0 >= self.words.len() {
@@ -188,9 +180,13 @@ mod tests {
 
     #[test]
     fn limit_enforced() {
-        let mut m = FlatMemory::new(0).with_limit(10);
-        assert!(m.store(Addr(9), 1).is_ok());
-        assert_eq!(m.store(Addr(10), 1), Err(MemError::BadAddress(10)));
+        let limit = FlatMemory::DEFAULT_LIMIT;
+        let mut m = FlatMemory::new(0);
+        assert_eq!(
+            m.store(Addr(limit), 1),
+            Err(MemError::BadAddress(limit as i64))
+        );
+        assert_eq!(m.allocated(), 0, "a refused store allocates nothing");
         assert!(MemError::BadAddress(10).to_string().contains("10"));
     }
 

@@ -83,19 +83,6 @@ pub fn wavefront_corner(n: i64) -> i64 {
     w[n * n - 1]
 }
 
-/// One Jacobi sweep on a `w × h` grid with fixed boundary, used by the
-/// chaotic-relaxation experiments: returns the updated interior.
-pub fn jacobi_sweep(grid: &[f64], w: usize, h: usize) -> Vec<f64> {
-    let mut out = grid.to_vec();
-    for y in 1..h - 1 {
-        for x in 1..w - 1 {
-            let i = y * w + x;
-            out[i] = (grid[i - 1] + grid[i + 1] + grid[i - w] + grid[i + w]) / 4.0;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,17 +125,5 @@ mod tests {
         assert_eq!(wavefront_corner(3), 6);
         assert_eq!(wavefront_corner(4), 20); // C(6,3)
         assert_eq!(wavefront_corner(5), 70); // C(8,4)
-    }
-
-    #[test]
-    fn jacobi_smooths() {
-        let w = 4;
-        let h = 4;
-        let mut g = vec![0.0; w * h];
-        g[5] = 4.0; // one hot interior cell
-        let out = jacobi_sweep(&g, w, h);
-        assert_eq!(out[5], 0.0); // replaced by the average of its cold neighbours
-        assert_eq!(out[6], 1.0); // neighbour picked up a quarter
-        assert_eq!(out[0], 0.0); // boundary untouched
     }
 }

@@ -9,8 +9,8 @@
 
 use ttda::core::opt::OptLevel;
 use ttda::core::{
-    Emulator, ExecError, MappingPolicy, SchedPolicy, StructPlacement, StructRef, TimedConfig,
-    TimedMachine, Value,
+    AluOp, Emulator, ExecError, GraphBuilder, MappingPolicy, OpCode, SchedPolicy, StructPlacement,
+    StructRef, TimedConfig, TimedMachine, Value,
 };
 use ttda::mem::{Addr, IStructureError};
 use ttda::net::{ClusterTree, Crossbar, FabricConfig, Grid2d, Hypercube, Omega};
@@ -723,5 +723,43 @@ fn a_reused_machine_starts_every_run_fresh() {
             format!("{:?}", want.stats),
             "timed run {run}"
         );
+    }
+}
+
+#[test]
+fn an_operand_count_that_disagrees_with_the_opcode_never_panics() {
+    // `nt` is a public field that `validate` does not check against the
+    // opcode, so no engine may trust it to say how many operands a
+    // firing has. An `Add` told it needs fewer tokens than its two
+    // operands fires on each token alone and fails on the `Unit` left in
+    // the other slot; told it needs more, it fires on its two operands.
+    for (nt, want) in [(0, None), (1, None), (3, Some(Value::Int(7)))] {
+        let mut g = GraphBuilder::new("main");
+        let a = g.param();
+        let b = g.param();
+        let add = g.instr(OpCode::Alu(AluOp::Add));
+        let out = g.output(0);
+        g.wire(a, add, 0).wire(b, add, 1).wire(add, out, 0);
+        let mut p = g.finish_program().expect("builds");
+        let main = p.main.0 as usize;
+        p.blocks[main].instrs[add.instr().0 as usize].nt = nt;
+        assert_eq!(p.validate(), Ok(()), "nt = {nt}");
+        let input = [Value::Int(3), Value::Int(4)];
+        let check = |engine: &str, got: Result<Option<Value>, ExecError>| match want {
+            Some(v) => assert_eq!(got, Ok(Some(v)), "{engine}, nt = {nt}"),
+            None => assert!(
+                matches!(got, Err(ExecError::Type(_))),
+                "{engine}, nt = {nt}: {got:?}"
+            ),
+        };
+        let seq = Emulator::new(&p).run(&input);
+        check("sequential", seq.map(|r| r.outputs.get(&0).copied()));
+        let relaxed = Emulator::new(&p).with_threads(2).run(&input);
+        check("relaxed x2", relaxed.map(|r| r.outputs.get(&0).copied()));
+        for pes in [1, 4] {
+            let mut m = TimedMachine::ideal(p.clone(), pes, Cycle(2), TimedConfig::default());
+            let timed = m.run(&input).map(|r| r.outputs.get(&0).copied());
+            check(&format!("timed, {pes} PEs"), timed);
+        }
     }
 }
