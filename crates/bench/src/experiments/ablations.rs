@@ -311,7 +311,7 @@ pub fn a4() -> String {
 
 /// A5: graph optimization — what the schematic junctions cost.
 pub fn a5() -> String {
-    use ttda_core::opt::optimize;
+    use ttda_core::opt::{optimize_at, OptLevel};
     use ttda_core::Emulator;
     let mut out = section(
         "a5",
@@ -341,7 +341,7 @@ pub fn a5() -> String {
     ];
     for (name, src, inputs) in cases {
         let p = ttda_idc::compile(src).expect("compiles");
-        let (opt, _) = optimize(&p);
+        let (opt, _) = optimize_at(&p, OptLevel::O1);
         let a = Emulator::new(&p).run(&inputs).expect("runs");
         let b = Emulator::new(&opt).run(&inputs).expect("runs");
         assert_eq!(a.outputs, b.outputs);

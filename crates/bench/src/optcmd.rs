@@ -108,10 +108,8 @@ pub fn opt_main(args: &[String]) -> ExitCode {
                 (stats.dead_removed, "dce"),
                 (stats.consts_folded, "fold"),
                 (stats.switches_resolved, "switch"),
-                (stats.algebraic_applied, "alg"),
                 (stats.cse_merged, "cse"),
                 (stats.loops_unrolled, "unroll"),
-                (stats.loops_peeled, "peel"),
                 (stats.instrs_hoisted, "hoist"),
                 (stats.invariants_promoted, "promote"),
             ] {

@@ -264,9 +264,9 @@ pub struct CodeBlock {
     /// invocation is delivered to `params[k]` at port 0.
     pub params: Vec<InstrId>,
     /// Per-instruction scheduling criticality: the remaining
-    /// critical-path height of each instruction (see
-    /// [`Analysis::height`](crate::opt::analysis::Analysis::height)),
-    /// attached by [`annotate_criticality`](crate::opt::annotate_criticality)
+    /// critical-path height of each instruction (the longest path below
+    /// it, each loop back edge taken once), attached by
+    /// [`annotate_criticality`](crate::opt::annotate_criticality)
     /// — `compile_optimized` does this for every compiled program.
     /// Empty means "not annotated"; schedulers recompute on demand.
     /// Stale after any graph rewrite, like every other analysis.

@@ -1,22 +1,21 @@
-//! Per-block analyses for the optimizer (and for anyone else who wants
-//! graph structure: the `opt` subcommand of ttda-bench reports critical
-//! paths from here, and later scheduling work can consume per-node
-//! depth as a criticality hint).
+//! Per-block analyses for the optimizer and the schedulers: def-use
+//! edges, critical-path depth and height, and the unconditional set.
+//! Outside this crate only [`critical_path`] is public; the `opt`
+//! subcommand of ttda-bench and E22 report it.
 //!
-//! Everything is computed in one shot by [`Analysis::of`] and is valid
+//! Everything is computed in one shot by `Analysis::of` and is valid
 //! only for the exact block it was computed from: **every rewrite
 //! invalidates every analysis** (DESIGN.md §14), so passes rebuild the
 //! analysis after each sweep instead of patching it.
 
 use crate::graph::{CodeBlock, DestBranch, InstrId, OpCode};
 use crate::tag::Port;
-use crate::value::Value;
 
 /// One incoming edge of an instruction (the use-side view of a
 /// [`Dest`](crate::graph::Dest); together with the forward `dests` lists
 /// these form the block's def-use chains).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InEdge {
+pub(crate) struct InEdge {
     /// The producing instruction.
     pub src: InstrId,
     /// Operand slot at the consumer this edge feeds.
@@ -25,61 +24,11 @@ pub struct InEdge {
     pub when: DestBranch,
 }
 
-/// A conservative value type for an instruction's result.
-///
-/// The lattice is flat: `Int`, `Float`, and `Bool` sit below [`Ty::Any`]
-/// and the join of two distinct concrete types is `Any`. Types are
-/// propagated pessimistically (everything starts at `Any` and is
-/// refined), so a `Ty::Int` verdict is a proof — algebraic rewrites rely
-/// on it because `x + 0` is *not* the identity for a float `x` (integer
-/// literals promote the operation to float arithmetic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ty {
-    /// Provably a 64-bit integer.
-    Int,
-    /// Provably a 64-bit float.
-    Float,
-    /// Provably a boolean.
-    Bool,
-    /// Unknown (parameters, I-structure traffic, cross-block values,
-    /// loop-circulated values).
-    Any,
-}
-
-impl Ty {
-    fn of_value(v: &Value) -> Ty {
-        match v {
-            Value::Int(_) => Ty::Int,
-            Value::Float(_) => Ty::Float,
-            Value::Bool(_) => Ty::Bool,
-            _ => Ty::Any,
-        }
-    }
-
-    fn join(self, other: Ty) -> Ty {
-        if self == other {
-            self
-        } else {
-            Ty::Any
-        }
-    }
-}
-
 /// Everything the rewrite passes want to know about one code block.
 #[derive(Debug, Clone)]
-pub struct Analysis {
+pub(crate) struct Analysis {
     /// Incoming edges per instruction, in source-scan order.
     pub in_edges: Vec<Vec<InEdge>>,
-    /// Whether the instruction is reachable from the block's entries
-    /// (parameters and zero-in-degree instructions).
-    pub reachable: Vec<bool>,
-    /// Immediate dominator per instruction, computed over the dataflow
-    /// graph with the Cooper–Harvey–Kennedy iterative algorithm rooted
-    /// at a virtual entry over all parameters and zero-in-degree
-    /// instructions. `None` means the instruction is an entry itself
-    /// (its only dominator is the virtual root) or unreachable — check
-    /// [`Analysis::reachable`] to tell them apart.
-    pub idom: Vec<Option<InstrId>>,
     /// Critical-path depth: the longest acyclic path (in instructions)
     /// from any entry to this instruction, ignoring loop back edges.
     /// Entries have depth 0; unreachable instructions report 0.
@@ -97,8 +46,6 @@ pub struct Analysis {
     /// it) inherits the loop entry's height instead of the nearly-zero
     /// height a pure DAG view would give it.
     pub height: Vec<u32>,
-    /// Proven result type per instruction (see [`Ty`]).
-    pub ty: Vec<Ty>,
     /// The *unconditional set*: instructions proven to fire exactly once
     /// per block activation, with the activation's own tag. Membership
     /// requires a pure single-token opcode whose every operand is a
@@ -111,7 +58,7 @@ pub struct Analysis {
 
 impl Analysis {
     /// Computes every analysis for `block`.
-    pub fn of(block: &CodeBlock) -> Analysis {
+    pub(crate) fn of(block: &CodeBlock) -> Analysis {
         let n = block.instrs.len();
         let mut in_edges: Vec<Vec<InEdge>> = vec![Vec::new(); n];
         for (i, ins) in block.instrs.iter().enumerate() {
@@ -125,18 +72,13 @@ impl Analysis {
         }
 
         // Entries: parameters plus anything with no incoming edge.
-        let mut is_entry = vec![false; n];
+        let mut is_entry: Vec<bool> = in_edges.iter().map(Vec::is_empty).collect();
         for p in &block.params {
             is_entry[p.0 as usize] = true;
         }
-        for (i, ie) in in_edges.iter().enumerate() {
-            if ie.is_empty() {
-                is_entry[i] = true;
-            }
-        }
         let entries: Vec<usize> = (0..n).filter(|&i| is_entry[i]).collect();
 
-        // DFS from the virtual root: reachability, postorder (for RPO),
+        // DFS from every entry in index order: reachability, postorder,
         // and back-edge marking (edge into a node still on the stack).
         const UNSEEN: u8 = 0;
         const OPEN: u8 = 1;
@@ -187,70 +129,10 @@ impl Analysis {
         }
         let reachable: Vec<bool> = state.iter().map(|&s| s == DONE).collect();
 
-        // Reverse postorder numbering over reachable nodes; the virtual
-        // root gets number 0.
-        let root = n;
-        let mut rpo: Vec<usize> = vec![root];
-        rpo.extend(postorder.iter().rev().copied());
-        let mut rpo_num = vec![usize::MAX; n + 1];
-        for (k, &v) in rpo.iter().enumerate() {
-            rpo_num[v] = k;
-        }
-
-        // Cooper–Harvey–Kennedy iterative dominators.
-        let mut idom_ix: Vec<Option<usize>> = vec![None; n + 1];
-        idom_ix[root] = Some(root);
-        let intersect = |idom_ix: &[Option<usize>], mut a: usize, mut b: usize| {
-            while a != b {
-                while rpo_num[a] > rpo_num[b] {
-                    a = idom_ix[a].expect("processed pred has idom");
-                }
-                while rpo_num[b] > rpo_num[a] {
-                    b = idom_ix[b].expect("processed pred has idom");
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &v in rpo.iter().skip(1) {
-                let mut new_idom: Option<usize> = None;
-                let mut consider = |p: usize, idom_ix: &[Option<usize>]| {
-                    if idom_ix[p].is_none() {
-                        return;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(idom_ix, cur, p),
-                    });
-                };
-                if is_entry[v] {
-                    consider(root, &idom_ix);
-                }
-                for ie in &in_edges[v] {
-                    let p = ie.src.0 as usize;
-                    if reachable[p] {
-                        consider(p, &idom_ix);
-                    }
-                }
-                if new_idom.is_some() && idom_ix[v] != new_idom {
-                    idom_ix[v] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        let idom: Vec<Option<InstrId>> = (0..n)
-            .map(|v| match idom_ix[v] {
-                Some(d) if d != root => Some(InstrId(d as u32)),
-                _ => None,
-            })
-            .collect();
-
         // Critical-path depth over the back-edge-free DAG, in reverse
         // postorder (all non-back predecessors of a node precede it).
         let mut depth = vec![0u32; n];
-        for &v in rpo.iter().skip(1) {
+        for &v in postorder.iter().rev() {
             let mut d = 0u32;
             for (k, ie) in in_edges[v].iter().enumerate() {
                 if back[v].contains(&k) {
@@ -270,7 +152,7 @@ impl Analysis {
         // producers).
         let mut height = vec![0u32; n];
         let dag_pass = |height: &mut Vec<u32>| {
-            for &v in rpo.iter().skip(1).rev() {
+            for &v in &postorder {
                 for (k, ie) in in_edges[v].iter().enumerate() {
                     if back[v].contains(&k) {
                         continue;
@@ -301,56 +183,6 @@ impl Analysis {
         }
         if seeded {
             dag_pass(&mut height);
-        }
-
-        // Pessimistic type refinement to a fixed point.
-        let mut ty = vec![Ty::Any; n];
-        loop {
-            let mut changed = false;
-            for (i, ins) in block.instrs.iter().enumerate() {
-                let operand = |p: u8| -> Ty {
-                    let mut t: Option<Ty> = None;
-                    if let Some((lp, lv)) = &ins.literal {
-                        if lp.0 == p {
-                            t = Some(Ty::of_value(lv));
-                        }
-                    }
-                    for ie in &in_edges[i] {
-                        if ie.port.0 == p {
-                            let s = ty[ie.src.0 as usize];
-                            t = Some(match t {
-                                None => s,
-                                Some(cur) => cur.join(s),
-                            });
-                        }
-                    }
-                    t.unwrap_or(Ty::Any)
-                };
-                let new = match &ins.op {
-                    OpCode::Const(v) => Ty::of_value(v),
-                    OpCode::Cmp(_) | OpCode::Not | OpCode::And | OpCode::Or => Ty::Bool,
-                    OpCode::Alu(_) => match (operand(0), operand(1)) {
-                        (Ty::Int, Ty::Int) => Ty::Int,
-                        (Ty::Int | Ty::Float, Ty::Int | Ty::Float) => Ty::Float,
-                        _ => Ty::Any,
-                    },
-                    OpCode::Identity
-                    | OpCode::Switch
-                    | OpCode::L
-                    | OpCode::LInv
-                    | OpCode::D { .. }
-                    | OpCode::DGated { .. }
-                    | OpCode::DInv => operand(0),
-                    _ => Ty::Any,
-                };
-                if new != ty[i] && ty[i] == Ty::Any {
-                    ty[i] = new;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
         }
 
         // The unconditional set, grown to a fixed point.
@@ -405,21 +237,18 @@ impl Analysis {
 
         Analysis {
             in_edges,
-            reachable,
-            idom,
             depth,
             height,
-            ty,
             uncond,
         }
     }
 }
 
-/// The graph-level critical path of a whole program: the maximum
-/// [`Analysis::depth`] over every block, i.e. the longest chain of
-/// data-dependent instructions within any single activation (a lower
-/// bound on end-to-end latency; inter-block `Apply` chains compose on
-/// top of it).
+/// The graph-level critical path of a whole program: the longest
+/// acyclic path (in instructions, ignoring loop back edges) from an
+/// entry of any block, i.e. the longest chain of data-dependent
+/// instructions within any single activation (a lower bound on
+/// end-to-end latency; inter-block `Apply` chains compose on top of it).
 pub fn critical_path(program: &crate::graph::Program) -> u32 {
     program
         .blocks
@@ -437,8 +266,8 @@ mod tests {
     use crate::Value;
 
     #[test]
-    fn diamond_dominators_and_depth() {
-        // x -> a -> c, x -> b -> c: c's idom is x; depth(c) = 2.
+    fn diamond_depth_and_height() {
+        // x -> a -> c, x -> b -> c: depth(c) = 2.
         let mut g = GraphBuilder::new("t");
         let x = g.param();
         let a = g.instr_lit(OpCode::Alu(AluOp::Add), 1, Value::Int(1));
@@ -452,10 +281,6 @@ mod tests {
         g.wire(c, out, 0);
         let p = g.finish_program().unwrap();
         let an = Analysis::of(&p.blocks[0]);
-        assert!(an.reachable.iter().all(|&r| r));
-        assert_eq!(an.idom[c.id.0 as usize], Some(x.id));
-        assert_eq!(an.idom[a.id.0 as usize], Some(x.id));
-        assert_eq!(an.idom[x.id.0 as usize], None, "entry");
         assert_eq!(an.depth[x.id.0 as usize], 0);
         assert_eq!(an.depth[c.id.0 as usize], 2);
         assert_eq!(an.depth[out.id.0 as usize], 3);
@@ -469,34 +294,6 @@ mod tests {
         assert_eq!(critical_path(&p), 3);
         // Def-use: c has exactly two in-edges, one per port.
         assert_eq!(an.in_edges[c.id.0 as usize].len(), 2);
-    }
-
-    #[test]
-    fn types_prove_const_arithmetic_and_nothing_else() {
-        let mut g = GraphBuilder::new("t");
-        let x = g.param();
-        let c3 = g.lit(Value::Int(3));
-        g.wire(x, c3, 0);
-        let add = g.instr_lit(OpCode::Alu(AluOp::Add), 1, Value::Int(4));
-        g.wire(c3, add, 0);
-        let mixed = g.instr_lit(OpCode::Alu(AluOp::Add), 1, Value::Float(1.0));
-        g.wire(c3, mixed, 0);
-        let unknowable = g.instr_lit(OpCode::Alu(AluOp::Add), 1, Value::Int(1));
-        g.wire(x, unknowable, 0);
-        let cmp = g.instr_lit(OpCode::Cmp(CmpOp::Lt), 1, Value::Int(9));
-        g.wire(add, cmp, 0);
-        let out = g.output(0);
-        g.wire(cmp, out, 0);
-        let s = g.instr(OpCode::Sink);
-        g.wire(mixed, s, 0);
-        let s2 = g.instr(OpCode::Sink);
-        g.wire(unknowable, s2, 0);
-        let p = g.finish_program().unwrap();
-        let an = Analysis::of(&p.blocks[0]);
-        assert_eq!(an.ty[add.id.0 as usize], Ty::Int);
-        assert_eq!(an.ty[mixed.id.0 as usize], Ty::Float);
-        assert_eq!(an.ty[unknowable.id.0 as usize], Ty::Any, "params stay Any");
-        assert_eq!(an.ty[cmp.id.0 as usize], Ty::Bool);
     }
 
     #[test]

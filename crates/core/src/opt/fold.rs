@@ -1,5 +1,4 @@
-//! Constant folding, `Switch` resolution, algebraic identities, and
-//! constant-trigger hoisting.
+//! Constant folding, `Switch` resolution and constant-trigger hoisting.
 //!
 //! Folding on a *dataflow* graph has a firing-safety obligation that
 //! classical CFG folding does not: an instruction's inputs are token
@@ -15,11 +14,10 @@
 //!   every producer is in the unconditional set — then all tokens are
 //!   redundant copies of the same per-activation event, and all but one
 //!   edge can be dropped.
-//! * Rewrites that keep every edge (literal-controlled `Switch`
-//!   resolution, algebraic identities) are safe per-token and need no
-//!   membership proof — that is the `x*0` purity guard: the data edge
-//!   is kept as the trigger so the replacement still fires once per
-//!   incoming token, with that token's tag.
+//! * A rewrite that keeps every edge (literal-controlled `Switch`
+//!   resolution) is safe per-token and needs no membership proof: the
+//!   replacement still fires once per incoming token, with that
+//!   token's tag.
 
 use std::collections::HashMap;
 
@@ -27,7 +25,7 @@ use crate::graph::{CodeBlock, DestBranch, OpCode};
 use crate::tag::Port;
 use crate::value::Value;
 
-use super::analysis::{Analysis, InEdge, Ty};
+use super::analysis::{Analysis, InEdge};
 use super::OptStats;
 
 /// What happens to the edges feeding one rewritten instruction, keyed
@@ -37,7 +35,7 @@ enum PortAct {
     /// Keep the edge as is.
     Keep,
     /// Keep the edge but retarget it to port 0 (the rewritten
-    /// instruction is unary: a `Const` trigger or an `Identity` input).
+    /// instruction is a `Const`, triggered on port 0).
     ToPort0,
     /// Remove the edge (only legal when the producer is unconditional).
     Drop,
@@ -91,42 +89,12 @@ fn edges_at(an: &Analysis, i: usize, port: u8) -> Vec<&InEdge> {
     an.in_edges[i].iter().filter(|e| e.port.0 == port).collect()
 }
 
-/// The proven type of the value stream arriving at `(i, port)`: the
-/// join of the producing instructions' types (and the literal, if the
-/// port is literal-occupied).
-fn port_ty(block: &CodeBlock, an: &Analysis, i: usize, port: u8) -> Ty {
-    let ins = &block.instrs[i];
-    if let Some((lp, lv)) = &ins.literal {
-        if lp.0 == port {
-            return match lv {
-                Value::Int(_) => Ty::Int,
-                Value::Float(_) => Ty::Float,
-                Value::Bool(_) => Ty::Bool,
-                _ => Ty::Any,
-            };
-        }
-    }
-    let mut t: Option<Ty> = None;
-    for e in &an.in_edges[i] {
-        if e.port.0 == port {
-            let s = an.ty[e.src.0 as usize];
-            t = Some(match t {
-                None => s,
-                Some(cur) if cur == s => cur,
-                _ => Ty::Any,
-            });
-        }
-    }
-    t.unwrap_or(Ty::Any)
-}
-
 fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     let an = Analysis::of(block);
     let n = block.instrs.len();
     let mut plans: HashMap<usize, Rewrite> = HashMap::new();
     let mut folded = 0usize;
     let mut resolved = 0usize;
-    let mut algebraic = 0usize;
 
     for i in 0..n {
         let ins = &block.instrs[i];
@@ -148,9 +116,6 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         }
         if let Some(rw) = plan_const_fold(block, &an, i) {
             folded += 1;
-            plans.insert(i, rw);
-        } else if let Some(rw) = plan_algebraic(block, &an, i) {
-            algebraic += 1;
             plans.insert(i, rw);
         }
     }
@@ -211,7 +176,6 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     }
     stats.consts_folded += folded;
     stats.switches_resolved += resolved;
-    stats.algebraic_applied += algebraic;
     true
 }
 
@@ -359,60 +323,6 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
         take,
         acts: [PortAct::Keep, PortAct::Drop],
     })
-}
-
-/// Applies type-guarded algebraic identities. Only rewrites that are
-/// *exact* under the emulator's semantics are attempted: integer
-/// identities require the variable operand proven `Int` (an integer
-/// literal silently promotes a float operand, so `x + 0` is not the
-/// float identity — and `-0.0`/NaN make the float cases unattractive),
-/// and boolean absorption requires a proven `Bool`.
-fn plan_algebraic(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
-    use crate::value::AluOp;
-    let ins = &block.instrs[i];
-    let (lp, lv) = ins.literal.as_ref()?;
-    let lit_port = lp.0;
-    let var_port = 1 - lit_port;
-    let var_edges = edges_at(an, i, var_port);
-    if var_edges.is_empty() || var_edges.iter().any(|e| e.src.0 as usize == i) {
-        return None;
-    }
-    let vty = port_ty(block, an, i, var_port);
-    // `Identity` keeps every data edge (retargeted to port 0), so the
-    // rewrite is per-token safe for any number of edges; same for the
-    // absorbing `Const`, whose data edges become triggers.
-    let identity = Rewrite {
-        op: OpCode::Identity,
-        take: None,
-        acts: if var_port == 0 {
-            [PortAct::Keep; 2]
-        } else {
-            [PortAct::Keep, PortAct::ToPort0]
-        },
-    };
-    let absorb = |v: Value| Rewrite {
-        op: OpCode::Const(v),
-        take: None,
-        acts: if var_port == 0 {
-            [PortAct::Keep; 2]
-        } else {
-            [PortAct::Keep, PortAct::ToPort0]
-        },
-    };
-    match (ins.op, lv) {
-        (OpCode::Alu(op), Value::Int(k)) if vty == Ty::Int => match (op, k, lit_port) {
-            (AluOp::Add, 0, _) | (AluOp::Sub, 0, 1) | (AluOp::Mul, 1, _) | (AluOp::Div, 1, 1) => {
-                Some(identity)
-            }
-            (AluOp::Mul, 0, _) => Some(absorb(Value::Int(0))),
-            _ => None,
-        },
-        (OpCode::And, Value::Bool(true)) if vty == Ty::Bool => Some(identity),
-        (OpCode::Or, Value::Bool(false)) if vty == Ty::Bool => Some(identity),
-        (OpCode::And, Value::Bool(false)) if vty == Ty::Bool => Some(absorb(Value::Bool(false))),
-        (OpCode::Or, Value::Bool(true)) if vty == Ty::Bool => Some(absorb(Value::Bool(true))),
-        _ => None,
-    }
 }
 
 /// Hoists constant triggers: a `Const` triggered by another `Const` is
@@ -573,10 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn algebraic_identity_on_a_proven_int_join() {
-        // Two integer constants fan into one port (two tokens per
-        // activation) — not foldable, but provably Int, so `+ 0`
-        // simplifies to a junction and then disappears.
+    fn a_two_token_join_is_not_folded() {
+        // Two integer constants fan into one port: two tokens per
+        // activation, so `+ 0` is not a constant fold. O2 still removes
+        // the junction.
         let mut g = GraphBuilder::new("t");
         let x = g.param();
         let c3 = g.lit(Value::Int(3));
@@ -591,8 +501,7 @@ mod tests {
         let out = g.output(0);
         g.wire(a, out, 0);
         let p = g.finish_program().unwrap();
-        let (opt, stats) = optimize_at(&p, OptLevel::O2);
-        assert!(stats.algebraic_applied >= 1, "{stats:?}");
+        let (opt, _) = optimize_at(&p, OptLevel::O2);
         assert_equivalent(&p, &opt, &[Value::Int(1)]);
         let a_run = Emulator::new(&p).run(&[Value::Int(1)]).unwrap();
         let b_run = Emulator::new(&opt).run(&[Value::Int(1)]).unwrap();
@@ -600,14 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn float_operands_block_integer_identities() {
-        // 1.5 + 0 must stay an Alu: folding it to Identity would skip
-        // the int→float promotion the emulator's semantics specify.
-        // (Here the operand is a *known* float, so the add folds as a
-        // constant instead — to Float(1.5) — which is exact; the guard
-        // being tested is that the *algebraic* path never fires on a
-        // non-Int. A Float-typed non-constant never proves Int, so the
-        // identity is unreachable for it by construction.)
+    fn an_int_literal_promotes_a_folded_float() {
+        // 1.5 + 0 folds to Float(1.5), not to an integer: the fold
+        // evaluates the add, with the emulator's int→float promotion.
         let mut g = GraphBuilder::new("t");
         let x = g.param();
         let cf = g.lit(Value::Float(1.5));
@@ -617,8 +521,7 @@ mod tests {
         let out = g.output(0);
         g.wire(a, out, 0);
         let p = g.finish_program().unwrap();
-        let (opt, stats) = optimize_at(&p, OptLevel::O2);
-        assert_eq!(stats.algebraic_applied, 0, "{stats:?}");
+        let (opt, _) = optimize_at(&p, OptLevel::O2);
         let r = Emulator::new(&opt).run(&[Value::Int(1)]).unwrap();
         assert_eq!(r.outputs[&0], Value::Float(1.5));
         assert_equivalent(&p, &opt, &[Value::Int(1)]);

@@ -137,7 +137,7 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{optimize, OptLevel, PassManager};
+    use super::super::{optimize_at, OptLevel};
     use crate::builder::GraphBuilder;
     use crate::{Emulator, OpCode, Value};
 
@@ -159,7 +159,7 @@ mod tests {
         let out = g.output(0);
         g.wire(prev, out, 0);
         let p = g.finish_program().unwrap();
-        let (opt, stats) = optimize(&p);
+        let (opt, stats) = optimize_at(&p, OptLevel::O1);
         assert_eq!(stats.identities_collapsed, 10_000);
         assert_eq!(opt.instr_count(), 2, "param and output remain");
         let r = Emulator::new(&opt).run(&[Value::Int(7)]).unwrap();
@@ -183,7 +183,7 @@ mod tests {
         let out = g.output(0);
         g.wire(keep, out, 0);
         let p = g.finish_program().unwrap();
-        let (opt, stats) = PassManager::new(OptLevel::O1).run(&p);
+        let (opt, stats) = optimize_at(&p, OptLevel::O1);
         // `keep` collapses; at least one cycle member must survive as a
         // junction so the circulating tokens still have somewhere to go.
         assert!(stats.identities_collapsed >= 1);

@@ -6,7 +6,7 @@
 //! per junction per activation. Every token the compiler does not emit
 //! is the cheapest token at every layer below: it never hashes into the
 //! waiting–matching store, never crosses a shard channel, never costs a
-//! merge slot. The [`PassManager`] applies the passes a real dataflow
+//! merge slot. [`optimize_at`] applies the passes a real dataflow
 //! compiler would, grouped into levels:
 //!
 //! * [`OptLevel::O0`] — nothing; the program is returned unchanged.
@@ -16,16 +16,17 @@
 //!   [`forward`](self)) and **dead-code elimination** (pure instructions
 //!   with no destinations can never affect the outputs; the pass
 //!   iterates to a fixed point and compacts instruction ids).
-//! * [`OptLevel::O2`] — everything: **loop unrolling/peeling** for the
-//!   `D`/`L`/`D⁻¹` schema the compiler emits, then **loop-invariant code
-//!   motion** (an expression of invariants fires once per activation;
-//!   see [`hoist`](self)), then **loop-constant promotion** (invariants
-//!   become per-activation constants instead of circulating; see
-//!   [`promote`](self)) — all three run exactly once, before forwarding
-//!   dissolves the loop-top junctions they pattern-match — then a
-//!   bounded fixpoint of forwarding, **constant folding** (with `Switch`
-//!   resolution and algebraic identities), and **local CSE**, followed
-//!   by the final DCE sweep.
+//! * [`OptLevel::O2`] — everything: **full unrolling** of the compiler's
+//!   `D`/`L`/`D⁻¹` loop schema when the trip count is static and small,
+//!   then **loop-invariant code motion** (an expression of invariants
+//!   fires once per activation; see [`hoist`](self)), then
+//!   **loop-constant promotion** (invariants become per-activation
+//!   constants instead of circulating; see [`promote`](self)) — all
+//!   three run exactly once, before forwarding dissolves the loop-top
+//!   junctions they pattern-match — then a bounded fixpoint of
+//!   forwarding, **constant folding** (with `Switch` resolution and
+//!   constant-trigger hoisting), and **local CSE**, followed by the
+//!   final DCE sweep.
 //!
 //! Every pass preserves the program's *outputs* exactly — the optimizer
 //! test suite and the fuzz oracle re-run every workload at every level
@@ -35,8 +36,9 @@
 //! exactly what optimization is supposed to change.
 //!
 //! Pass-ordering and rewrite-safety rules are documented in DESIGN.md
-//! §14; per-pass analyses live in [`analysis`] and are rebuilt from
-//! scratch after every rewriting pass (every rewrite invalidates).
+//! §14; the per-block analyses (def-use edges, critical-path depth and
+//! height, the unconditional set) live in [`analysis`] and are rebuilt
+//! from scratch after every rewriting pass (every rewrite invalidates).
 
 pub mod analysis;
 
@@ -49,25 +51,22 @@ mod promote;
 mod unroll;
 
 use std::fmt;
-use std::str::FromStr;
 
 use crate::graph::{CodeBlock, Program};
 
 /// How hard the optimizer works.
 ///
 /// Levels are totally ordered: each level runs everything the previous
-/// one does (plus more), and `O1` reproduces the historical two-pass
-/// behaviour of [`optimize`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// one does (plus more).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptLevel {
     /// No optimization at all; the input is cloned verbatim.
     O0,
     /// Identity forwarding + dead-code elimination.
-    #[default]
     O1,
-    /// `O1` plus loop unrolling/peeling, loop-invariant code motion,
-    /// loop-constant promotion, constant folding, `Switch` resolution,
-    /// algebraic identities, and local CSE.
+    /// `O1` plus full unrolling of static loops, loop-invariant code
+    /// motion, loop-constant promotion, constant folding, `Switch`
+    /// resolution, and local CSE.
     O2,
 }
 
@@ -77,19 +76,6 @@ impl fmt::Display for OptLevel {
             OptLevel::O0 => write!(f, "O0"),
             OptLevel::O1 => write!(f, "O1"),
             OptLevel::O2 => write!(f, "O2"),
-        }
-    }
-}
-
-impl FromStr for OptLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "0" | "O0" | "o0" => Ok(OptLevel::O0),
-            "1" | "O1" | "o1" => Ok(OptLevel::O1),
-            "2" | "O2" | "o2" => Ok(OptLevel::O2),
-            other => Err(format!("unknown opt level {other:?} (want O0/O1/O2)")),
         }
     }
 }
@@ -111,29 +97,15 @@ pub struct OptStats {
     pub consts_folded: usize,
     /// `Switch` instructions whose control input was statically known.
     pub switches_resolved: usize,
-    /// Algebraic identities applied (`x+0`, `x*1`, `x*0`, boolean
-    /// absorption/identity).
-    pub algebraic_applied: usize,
     /// Duplicate instructions merged by local CSE.
     pub cse_merged: usize,
     /// Loops fully unrolled (statically-bounded trip counts).
     pub loops_unrolled: usize,
-    /// Loops whose first iteration was peeled (unknown bounds).
-    pub loops_peeled: usize,
     /// Instructions moved out of a loop body into the code that enters
     /// the loop (counted once per loop they leave).
     pub instrs_hoisted: usize,
     /// Loop invariants promoted to per-activation constants.
     pub invariants_promoted: usize,
-}
-
-/// Drives the optimization pipeline at a chosen [`OptLevel`].
-///
-/// The manager is stateless between runs; analyses are per-block and
-/// rebuilt after every rewriting pass.
-#[derive(Debug, Clone, Copy)]
-pub struct PassManager {
-    level: OptLevel,
 }
 
 /// Upper bound on the `forward`/`fold`/`cse` fixpoint at `O2`. Each
@@ -142,86 +114,63 @@ pub struct PassManager {
 /// safety net, not a tuning knob.
 const FIXPOINT_ROUNDS: usize = 8;
 
-impl PassManager {
-    /// Creates a manager for the given level.
-    pub fn new(level: OptLevel) -> Self {
-        PassManager { level }
-    }
-
-    /// The level this manager runs at.
-    pub fn level(&self) -> OptLevel {
-        self.level
-    }
-
-    /// Optimizes a program; returns the new program and what changed.
-    ///
-    /// The input should be valid (from
-    /// [`GraphBuilder`](crate::GraphBuilder) or
-    /// [`crate::Program::validate`]); the output is revalidated by debug
-    /// assertion.
-    pub fn run(&self, program: &Program) -> (Program, OptStats) {
-        let mut stats = OptStats::default();
-        let blocks = program
-            .blocks
-            .iter()
-            .map(|b| self.run_block(b, &mut stats))
-            .collect();
-        let out = Program {
-            blocks,
-            main: program.main,
-        };
-        debug_assert_eq!(out.validate(), Ok(()), "optimizer broke the graph");
-        (out, stats)
-    }
-
-    fn run_block(&self, block: &CodeBlock, stats: &mut OptStats) -> CodeBlock {
-        if self.level == OptLevel::O0 {
-            return block.clone();
-        }
-        let mut b = block.clone();
-        if self.level >= OptLevel::O2 {
-            // The three loop passes run exactly once, on the pristine
-            // codegen schema: forwarding would dissolve the loop-top
-            // Identity junctions they pattern-match, and re-running
-            // unrolling after peeling would peel the peeled loop again.
-            // Hoisting sees what unrolling left (a peeled loop keeps its
-            // schema; an unrolled one has no loop left), and promotion
-            // comes last so the invariants hoisting adds become
-            // constants too.
-            unroll::run(&mut b, stats);
-            hoist::run(&mut b, stats);
-            promote::run(&mut b, stats);
-            for _ in 0..FIXPOINT_ROUNDS {
-                let mut changed = forward::run(&mut b, stats);
-                changed |= fold::run(&mut b, stats);
-                changed |= cse::run(&mut b, stats);
-                if !changed {
-                    break;
-                }
-            }
-        } else {
-            forward::run(&mut b, stats);
-        }
-        dce::run(&b, stats)
-    }
-}
-
-/// Optimizes a program at the default level ([`OptLevel::O1`] — identity
-/// forwarding + DCE, the historical behaviour of this function).
-pub fn optimize(program: &Program) -> (Program, OptStats) {
-    optimize_at(program, OptLevel::O1)
-}
-
-/// Optimizes a program at an explicit level.
+/// Optimizes a program at `level`; returns the new program and what
+/// changed. Analyses are per block and rebuilt after every rewriting
+/// pass.
+///
+/// The input should be valid (from
+/// [`GraphBuilder`](crate::GraphBuilder) or
+/// [`crate::Program::validate`]); the output is revalidated by debug
+/// assertion.
 pub fn optimize_at(program: &Program, level: OptLevel) -> (Program, OptStats) {
-    PassManager::new(level).run(program)
+    let mut stats = OptStats::default();
+    let blocks = program
+        .blocks
+        .iter()
+        .map(|b| optimize_block(b, level, &mut stats))
+        .collect();
+    let out = Program {
+        blocks,
+        main: program.main,
+    };
+    debug_assert_eq!(out.validate(), Ok(()), "optimizer broke the graph");
+    (out, stats)
+}
+
+fn optimize_block(block: &CodeBlock, level: OptLevel, stats: &mut OptStats) -> CodeBlock {
+    if level == OptLevel::O0 {
+        return block.clone();
+    }
+    let mut b = block.clone();
+    if level >= OptLevel::O2 {
+        // The three loop passes run exactly once, on the pristine
+        // codegen schema: forwarding would dissolve the loop-top
+        // Identity junctions they pattern-match. Hoisting sees what
+        // unrolling left (an unrolled loop is gone), and promotion
+        // comes last so the invariants hoisting adds become constants
+        // too.
+        unroll::run(&mut b, stats);
+        hoist::run(&mut b, stats);
+        promote::run(&mut b, stats);
+        for _ in 0..FIXPOINT_ROUNDS {
+            let mut changed = forward::run(&mut b, stats);
+            changed |= fold::run(&mut b, stats);
+            changed |= cse::run(&mut b, stats);
+            if !changed {
+                break;
+            }
+        }
+    } else {
+        forward::run(&mut b, stats);
+    }
+    dce::run(&b, stats)
 }
 
 /// Attaches per-instruction scheduling criticality to every block: each
 /// block's [`CodeBlock::criticality`](crate::CodeBlock) is set to the
-/// block's [`Analysis::height`](analysis::Analysis::height) — the
-/// remaining critical-path length below each instruction over the
-/// back-edge-free dataflow DAG.
+/// critical-path height of each instruction — the remaining path length
+/// below it over the dataflow graph, with each loop back edge taken
+/// once.
 ///
 /// This is the compile-time half of criticality-aware scheduling
 /// (DESIGN.md §15): it runs *after* the whole pass pipeline (every
@@ -236,14 +185,14 @@ pub fn annotate_criticality(program: &mut Program) {
     }
 }
 
-/// Convenience: compile-quality check that two programs compute the same
-/// outputs on the given inputs (used by tests and by callers who want to
-/// verify an optimization).
+/// Test helper: asserts that two programs compute the same outputs on
+/// the given inputs.
 ///
 /// # Panics
 ///
 /// Panics if either program fails to run.
-pub fn assert_equivalent(a: &Program, b: &Program, inputs: &[crate::Value]) {
+#[cfg(test)]
+fn assert_equivalent(a: &Program, b: &Program, inputs: &[crate::Value]) {
     let ra = crate::Emulator::new(a).run(inputs).expect("program a runs");
     let rb = crate::Emulator::new(b).run(inputs).expect("program b runs");
     assert_eq!(ra.outputs, rb.outputs, "optimization changed results");
@@ -325,7 +274,7 @@ mod tests {
     #[test]
     fn optimized_loop_is_equivalent_and_smaller() {
         let p = sum_loop();
-        let (opt, stats) = optimize(&p);
+        let (opt, stats) = optimize_at(&p, OptLevel::O1);
         assert!(stats.identities_collapsed > 0, "loop tops collapse");
         assert!(opt.instr_count() < p.instr_count());
         for n in [0i64, 1, 10, 100] {
@@ -360,7 +309,7 @@ mod tests {
         g.wire(d1, d2, 0);
         g.wire(d2, d3, 0);
         let p = g.finish_program().unwrap();
-        let (opt, stats) = optimize(&p);
+        let (opt, stats) = optimize_at(&p, OptLevel::O1);
         assert!(stats.dead_removed >= 3, "{stats:?}");
         assert_equivalent(&p, &opt, &[Value::Int(4)]);
     }
@@ -383,7 +332,7 @@ mod tests {
         let out = g.output(0);
         g.wire(f, out, 0);
         let p = g.finish_program().unwrap();
-        let (opt, _) = optimize(&p);
+        let (opt, _) = optimize_at(&p, OptLevel::O1);
         // The store must survive (the fetch depends on it at run time,
         // invisibly to the graph).
         assert!(opt.blocks[0].instrs.iter().any(|i| i.op == OpCode::IStore));
@@ -398,7 +347,7 @@ mod tests {
         let out = g.output(0);
         g.wire(y, out, 0);
         let p = g.finish_program().unwrap();
-        let (opt, _) = optimize(&p);
+        let (opt, _) = optimize_at(&p, OptLevel::O1);
         assert_eq!(opt.blocks[0].params.len(), 2);
         assert_equivalent(&p, &opt, &[Value::Int(1), Value::Int(2)]);
     }
@@ -427,7 +376,7 @@ mod tests {
         let out = g.output(0);
         g.wire(join, out, 0);
         let p = g.finish_program().unwrap();
-        let (opt, stats) = optimize(&p);
+        let (opt, stats) = optimize_at(&p, OptLevel::O1);
         assert!(stats.identities_collapsed >= 3);
         for v in [-5i64, 0, 7] {
             assert_equivalent(&p, &opt, &[Value::Int(v)]);
@@ -460,17 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn o1_matches_the_default_entry_point() {
-        let p = sum_loop();
-        assert_eq!(optimize(&p), optimize_at(&p, OptLevel::O1));
-        assert_eq!(PassManager::new(OptLevel::O1).level(), OptLevel::O1);
-    }
-
-    #[test]
-    fn opt_levels_parse_and_order() {
-        assert_eq!("O2".parse::<OptLevel>().unwrap(), OptLevel::O2);
-        assert_eq!("1".parse::<OptLevel>().unwrap(), OptLevel::O1);
-        assert!("3".parse::<OptLevel>().is_err());
+    fn opt_levels_order_and_display() {
         assert!(OptLevel::O0 < OptLevel::O1 && OptLevel::O1 < OptLevel::O2);
         assert_eq!(OptLevel::O2.to_string(), "O2");
     }
@@ -501,13 +440,11 @@ mod tests {
     }
 
     #[test]
-    fn o2_peels_unknown_bounds() {
+    fn o2_keeps_unknown_bounds_as_loops() {
         let p = sum_loop();
         let (opt, stats) = optimize_at(&p, OptLevel::O2);
-        assert_eq!(stats.loops_peeled, 1, "{stats:?}");
         assert_eq!(stats.loops_unrolled, 0);
-        // n = 0 exercises the zero-trip exit path through the peel
-        // switches; larger n the loop-resumption path.
+        // n = 0 runs no iteration; larger n run the loop.
         for n in [0i64, 1, 2, 5, 50] {
             assert_equivalent(&p, &opt, &[Value::Int(n)]);
         }

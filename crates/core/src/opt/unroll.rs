@@ -1,4 +1,5 @@
-//! Loop unrolling and first-iteration peeling for the codegen schema.
+//! Full loop unrolling for the codegen schema, and the schema matcher
+//! the other loop passes share.
 //!
 //! The Id compiler (and [`GraphBuilder::dataflow_loop`]) emit one fixed
 //! arrangement per loop: each variable enters through a `D` sharing the
@@ -9,26 +10,16 @@
 //! predicate, impure or call-bearing body, nested tag operators) makes
 //! the loop ineligible and nothing is touched.
 //!
-//! Two transforms, both output-preserving:
-//!
-//! * **Full unroll** — when the trip count is statically known (constant
-//!   induction start, constant step on an `Add`, constant bound) and
-//!   small, the body is cloned once per iteration, straight-line, and
-//!   the *entire* tag machinery (`D`/`L`/`D⁻¹`, loop tops, gating
-//!   switches, the predicate) is elided: per iteration that removes the
-//!   per-variable top, switch, and `L` firings plus the predicate — the
-//!   paper's per-iteration tag-manipulation overhead — leaving only the
-//!   body's real arithmetic.
-//! * **Peel** — when the bound is dynamic, the first iteration is
-//!   hoisted in front of the loop behind a fresh predicate + switch
-//!   pair, and exits rejoin through per-variable `Identity` joins. The
-//!   peeled copy sees the loop's *initial* values directly, which is
-//!   exactly where constant folding has leverage; the loop itself
-//!   continues from iteration two unchanged.
-//!
-//! Both transforms insert only per-token operators (no tag ops), so they
-//! compose with enclosing loops or conditionals: every new node fires
-//! once per activation of the enclosing context, whatever its tag.
+//! When the trip count is statically known (constant induction start,
+//! constant step on an `Add`, constant bound) and small, the body is
+//! cloned once per iteration, straight-line, and the *entire* tag
+//! machinery (`D`/`L`/`D⁻¹`, loop tops, gating switches, the predicate)
+//! is elided: per iteration that removes the per-variable top, switch,
+//! and `L` firings plus the predicate — the paper's per-iteration
+//! tag-manipulation overhead — leaving only the body's real arithmetic.
+//! The copies hold only per-token operators (no tag ops), so the
+//! transform composes with enclosing loops or conditionals. A loop
+//! whose trip count is not known, or too long, is left as it is.
 //!
 //! [`GraphBuilder::dataflow_loop`]: crate::GraphBuilder::dataflow_loop
 
@@ -45,13 +36,9 @@ use super::OptStats;
 const MAX_VARS: usize = 8;
 /// Body-size ceiling for full unrolling (clones = body × trips).
 const MAX_BODY_UNROLL: usize = 48;
-/// Body-size ceiling for peeling (one extra clone plus 2 nodes per var).
-const MAX_BODY_PEEL: usize = 24;
-/// Largest statically-known trip count worth unrolling; bigger static
-/// loops are skipped entirely (peeling them buys nothing).
+/// Largest statically-known trip count worth unrolling; the trip-count
+/// simulation stops there, so bigger (or wrapping) loops are left alone.
 const MAX_TRIPS_UNROLL: u64 = 16;
-/// Safety net for the trip-count simulation (wrapping induction).
-const MAX_TRIPS_SIM: u64 = 64;
 
 /// One recognized loop instance (all indexes into `block.instrs`;
 /// vectors are parallel, one entry per circulating variable). Shared
@@ -83,16 +70,7 @@ impl LoopShape {
     }
 }
 
-enum Trip {
-    /// Statically known and small enough to unroll.
-    Known(u64),
-    /// Statically analyzable but too long (or divergent): leave alone.
-    Skip,
-    /// Not statically analyzable: a peel candidate.
-    Unknown,
-}
-
-/// Transforms every eligible loop in the block, at most once each.
+/// Unrolls every eligible loop in the block.
 pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
     let mut done: HashSet<u32> = HashSet::new();
     loop {
@@ -104,22 +82,15 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
         else {
             return;
         };
-        // A peeled loop keeps its `D`s and would re-match the schema;
+        // A loop left alone keeps its `D`s and would be found again;
         // marking the id first makes every loop a one-shot candidate.
         done.insert(lid);
         let Some(lp) = recognize(block, &ins_of, &ds) else {
             continue;
         };
-        match trip_count(block, &ins_of, &lp) {
-            Trip::Known(trips) => {
-                apply_unroll(block, &ins_of, &lp, trips);
-                stats.loops_unrolled += 1;
-            }
-            Trip::Unknown if lp.body.len() <= MAX_BODY_PEEL => {
-                apply_peel(block, &ins_of, &lp);
-                stats.loops_peeled += 1;
-            }
-            _ => {}
+        if let Some(trips) = trip_count(block, &ins_of, &lp) {
+            apply_unroll(block, &ins_of, &lp, trips);
+            stats.loops_unrolled += 1;
         }
     }
 }
@@ -445,11 +416,12 @@ enum Opnd {
 
 /// Simulates the induction variable against the predicate: constant
 /// `Int` start, constant `Int` step on a single `Add`, and every other
-/// predicate operand a loop-invariant constant.
-fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
+/// predicate operand a loop-invariant constant. `None` when the trip
+/// count is not static, or too long to unroll.
+fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<u64> {
     let nvars = lp.d.len();
     let OpCode::Cmp(cmp) = block.instrs[lp.pred].op else {
-        return Trip::Unknown;
+        return None;
     };
     let top_var: HashMap<u32, usize> = lp
         .top
@@ -457,12 +429,7 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
         .enumerate()
         .map(|(k, &t)| (t as u32, k))
         .collect();
-    let bin_var: HashMap<u32, usize> = lp
-        .body_in
-        .iter()
-        .enumerate()
-        .map(|(k, &b)| (b as u32, k))
-        .collect();
+    let bin_var = bin_var_map(lp);
     let invariant: Vec<bool> = (0..nvars)
         .map(|k| lp.next[k].0 as usize == lp.body_in[k])
         .collect();
@@ -483,43 +450,39 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
     for &(s, p, _) in &ins_of[lp.pred] {
         let slot = &mut ops[p as usize];
         if slot.is_some() {
-            return Trip::Unknown; // a join on a predicate port
+            return None; // a join on a predicate port
         }
         *slot = Some(Opnd::Var(top_var[&s]));
     }
-    let (Some(o0), Some(o1)) = (ops[0], ops[1]) else {
-        return Trip::Unknown;
-    };
+    let (o0, o1) = (ops[0]?, ops[1]?);
     // Exactly one varying operand (the induction variable); the rest
     // must be invariant with constant initial values.
     let mut f: Option<usize> = None;
     for o in [o0, o1] {
         if let Opnd::Var(j) = o {
             if invariant[j] {
-                if init_const[j].is_none() {
-                    return Trip::Unknown;
-                }
+                init_const[j]?;
             } else if f != Some(j) {
                 if f.is_some() {
-                    return Trip::Unknown;
+                    return None;
                 }
                 f = Some(j);
             }
         }
     }
-    let Some(f) = f else { return Trip::Unknown };
+    let f = f?;
     let Some(Value::Int(i0)) = init_const[f] else {
-        return Trip::Unknown;
+        return None;
     };
 
     // The induction step: next[f] is an Add of body_in[f] and a constant.
     if lp.next[f].1 != DestBranch::Always {
-        return Trip::Unknown;
+        return None;
     }
     let a_ix = lp.next[f].0 as usize;
     let a = &block.instrs[a_ix];
     if a.op != OpCode::Alu(AluOp::Add) {
-        return Trip::Unknown;
+        return None;
     }
     let mut aops: [Option<Opnd>; 2] = [None, None];
     if let Some((p, v)) = a.literal {
@@ -528,11 +491,10 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
     for &(s, p, _) in &ins_of[a_ix] {
         let slot = &mut aops[p as usize];
         if slot.is_some() {
-            return Trip::Unknown;
+            return None;
         }
-        let Some(&j) = bin_var.get(&s) else {
-            return Trip::Unknown; // fed by another body node: not simple
-        };
+        // Fed by another body node: not simple.
+        let &j = bin_var.get(&s)?;
         *slot = Some(Opnd::Var(j));
     }
     let step_of = |o: Opnd| -> Option<i64> {
@@ -549,10 +511,7 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
         (Some(Opnd::Var(j)), Some(other)) if j == f => step_of(other),
         (Some(other), Some(Opnd::Var(j))) if j == f => step_of(other),
         _ => None,
-    };
-    let Some(step) = step else {
-        return Trip::Unknown;
-    };
+    }?;
 
     // Concrete simulation (wrapping adds mirror the ALU semantics).
     let eval = |o: Opnd, i: i64| -> Value {
@@ -568,22 +527,18 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
         let Ok(Value::Bool(cont)) = cmp.apply(&eval(o0, i), &eval(o1, i)) else {
             // A predicate that errors at runtime errors identically in
             // the untransformed loop; just leave it alone.
-            return Trip::Skip;
+            return None;
         };
         if !cont {
             break;
         }
         trips += 1;
-        if trips > MAX_TRIPS_SIM {
-            return Trip::Skip;
+        if trips > MAX_TRIPS_UNROLL {
+            return None;
         }
         i = i.wrapping_add(step);
     }
-    if trips > MAX_TRIPS_UNROLL {
-        Trip::Skip
-    } else {
-        Trip::Known(trips)
-    }
+    Some(trips)
 }
 
 /// Clones the loop body once, wiring clone-internal edges as in the
@@ -654,10 +609,6 @@ fn bin_var_map(lp: &LoopShape) -> HashMap<u32, usize> {
         .collect()
 }
 
-fn body_edge_map(ins_of: &InEdges, lp: &LoopShape) -> HashMap<usize, Vec<(u32, u8, DestBranch)>> {
-    lp.body.iter().map(|&b| (b, ins_of[b].to_vec())).collect()
-}
-
 /// Replaces the whole loop with `trips` straight-line body copies.
 fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: u64) {
     let exits: Vec<Vec<Dest>> = lp
@@ -666,7 +617,7 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
         .map(|&dv| block.instrs[dv].dests.clone())
         .collect();
     let bin_var = bin_var_map(lp);
-    let body_edges = body_edge_map(ins_of, lp);
+    let body_edges = lp.body.iter().map(|&b| (b, ins_of[b].to_vec())).collect();
 
     let mut cur: Vec<(u32, DestBranch)> = lp.init.clone();
     for _ in 0..trips {
@@ -704,76 +655,6 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
     }
     for ins in &mut block.instrs {
         ins.dests.retain(|dd| !deleted.contains(&dd.instr.0));
-    }
-}
-
-/// Hoists the first iteration in front of the loop:
-///
-/// ```text
-///   init ──▶ pred₀ ──▶ S₀ ── true ──▶ body copy #0 ──▶ D (loop as-is)
-///              ▲        │
-///   init ──────┘        └─ false ──▶ join ◀── D⁻¹ (loop exit)
-///                                      │
-///                                      ▼ old exit consumers
-/// ```
-fn apply_peel(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape) {
-    let nvars = lp.d.len();
-    let bin_var = bin_var_map(lp);
-    let body_edges = body_edge_map(ins_of, lp);
-    let pred0 = add_pred0(block, ins_of, lp);
-
-    // Per variable: a gating switch on the fresh predicate and an exit
-    // join that both the false branch and the loop's DInv feed.
-    let mut s0 = Vec::with_capacity(nvars);
-    for k in 0..nvars {
-        let sk = block.instrs.len();
-        block.instrs.push(Instruction::new(OpCode::Switch));
-        let (isrc, iw) = lp.init[k];
-        block.instrs[isrc as usize].dests.push(Dest {
-            instr: InstrId(sk as u32),
-            port: Port(0),
-            when: iw,
-        });
-        block.instrs[pred0].dests.push(Dest {
-            instr: InstrId(sk as u32),
-            port: Port(1),
-            when: DestBranch::Always,
-        });
-        let jk = block.instrs.len();
-        let mut join = Instruction::new(OpCode::Identity);
-        join.dests = std::mem::take(&mut block.instrs[lp.dinv[k]].dests);
-        block.instrs.push(join);
-        block.instrs[lp.dinv[k]].dests = vec![Dest {
-            instr: InstrId(jk as u32),
-            port: Port(0),
-            when: DestBranch::Always,
-        }];
-        block.instrs[sk].dests.push(Dest {
-            instr: InstrId(jk as u32),
-            port: Port(0),
-            when: DestBranch::IfFalse,
-        });
-        s0.push(sk);
-    }
-
-    // The inits no longer feed the Ds directly...
-    let d_set: HashSet<u32> = lp.d.iter().map(|&i| i as u32).collect();
-    for ins in &mut block.instrs {
-        ins.dests.retain(|dd| !d_set.contains(&dd.instr.0));
-    }
-    // ...the peeled body copy does, with its inputs gated through S₀.
-    let cur: Vec<(u32, DestBranch)> = s0
-        .iter()
-        .map(|&sk| (sk as u32, DestBranch::IfTrue))
-        .collect();
-    let cm = clone_body_once(block, lp, &body_edges, &bin_var, &cur);
-    let next0 = resolve_next(lp, &cm, &bin_var, &cur);
-    for (k, &(ns, nw)) in next0.iter().enumerate() {
-        block.instrs[ns as usize].dests.push(Dest {
-            instr: InstrId(lp.d[k] as u32),
-            port: Port(0),
-            when: nw,
-        });
     }
 }
 
@@ -851,7 +732,8 @@ mod tests {
     use crate::value::{AluOp, CmpOp};
     use crate::{OpCode, Program, Value};
 
-    /// A loop whose body contains an IStore: never transformed.
+    /// A loop of four static trips whose body contains an IStore: never
+    /// unrolled.
     fn impure_loop() -> Program {
         let mut g = GraphBuilder::new("t");
         let n = g.param();
@@ -861,9 +743,11 @@ mod tests {
         let size = g.lit(Value::Int(4));
         g.wire(n, size, 0);
         g.wire(size, arr, 0);
+        let bound = g.lit(Value::Int(4));
+        g.wire(n, bound, 0);
         let exits = g
             .dataflow_loop(
-                &[one, n],
+                &[one, bound],
                 |g, tops| {
                     let c = g.instr(OpCode::Cmp(CmpOp::Le));
                     g.wire(tops[0], c, 0);
@@ -892,20 +776,22 @@ mod tests {
         let p = impure_loop();
         let (_, stats) = optimize_at(&p, OptLevel::O2);
         assert_eq!(stats.loops_unrolled, 0, "{stats:?}");
-        assert_eq!(stats.loops_peeled, 0, "{stats:?}");
     }
 
     #[test]
     fn non_cmp_predicates_are_never_transformed() {
         // A predicate built from And (not a bare Cmp) falls outside the
-        // schema; the loop must be left alone.
+        // schema; the loop must be left alone, though its eight trips
+        // are static.
         let mut g = GraphBuilder::new("t");
         let n = g.param();
         let one = g.lit(Value::Int(1));
         g.wire(n, one, 0);
+        let bound = g.lit(Value::Int(8));
+        g.wire(n, bound, 0);
         let exits = g
             .dataflow_loop(
-                &[one, n],
+                &[one, bound],
                 |g, tops| {
                     let c1 = g.instr_lit(OpCode::Cmp(CmpOp::Le), 1, Value::Int(8));
                     g.wire(tops[0], c1, 0);
@@ -929,6 +815,5 @@ mod tests {
         let p = g.finish_program().unwrap();
         let (_, stats) = optimize_at(&p, OptLevel::O2);
         assert_eq!(stats.loops_unrolled, 0, "{stats:?}");
-        assert_eq!(stats.loops_peeled, 0, "{stats:?}");
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! * [`SchedPolicy::Fifo`] — arrival order, the historical behaviour.
 //! * [`SchedPolicy::Crit`] — longest-remaining-path first: tokens aimed
-//!   at instructions with greater critical-path *height*
-//!   ([`Analysis::height`](crate::opt::analysis::Analysis::height)) go
+//!   at instructions with greater critical-path *height* (the longest
+//!   path below the instruction, each loop back edge taken once; see
+//!   [`annotate_criticality`](crate::opt::annotate_criticality)) go
 //!   first, because they gate longer dependence chains (Navada &
 //!   Krishna's criticality-aware scheduling, applied to a tagged-token
 //!   machine). Ties always break by arrival order, so a sequential run

@@ -60,22 +60,24 @@ pub enum StructPlacement {
     SingleModule,
 }
 
-/// Service times and sizing for a [`TimedMachine`].
+/// Waiting–matching section service per token.
+const MATCH_TIME: Cycle = Cycle(1);
+/// Instruction-fetch + ALU service per firing.
+const ALU_TIME: Cycle = Cycle(1);
+/// Output section service per emitted token (new tag + routing
+/// translation).
+const OUTPUT_TIME: Cycle = Cycle(1);
+/// Delay for a token that stays on its own PE (the PE-internal loopback
+/// path of Fig 2-4).
+const LOCAL_DELAY: Cycle = Cycle(1);
+
+/// Service times and sizing for a [`TimedMachine`]. Matching, the ALU,
+/// each emitted token and the PE-internal loopback cost one cycle each.
 #[derive(Debug, Clone, Copy)]
 pub struct TimedConfig {
-    /// Waiting–matching section service per token.
-    pub match_time: Cycle,
-    /// Instruction-fetch + ALU service per firing.
-    pub alu_time: Cycle,
-    /// Output section service per emitted token (new tag + routing
-    /// translation).
-    pub output_time: Cycle,
     /// Base access time of an I-structure module (reads cost 1×, writes
     /// 2× per §2.1).
     pub istore_access: Cycle,
-    /// Delay for a token that stays on its own PE (the PE-internal
-    /// loopback path of Fig 2-4).
-    pub local_delay: Cycle,
     /// Activity→PE mapping policy.
     pub mapping: MappingPolicy,
     /// Waiting–matching store capacity per PE (0 = unbounded). The real
@@ -104,11 +106,7 @@ pub struct TimedConfig {
 impl Default for TimedConfig {
     fn default() -> Self {
         TimedConfig {
-            match_time: Cycle(1),
-            alu_time: Cycle(1),
-            output_time: Cycle(1),
             istore_access: Cycle(4),
-            local_delay: Cycle(1),
             mapping: MappingPolicy::ByIteration,
             match_capacity: 0,
             match_overflow_penalty: Cycle(4),
@@ -520,7 +518,7 @@ impl<T: Topology> TimedMachine<T> {
                         continue;
                     };
                     let token = fl.tokens.take(token);
-                    let mut busy = cfg.match_time;
+                    let mut busy = MATCH_TIME;
                     if cfg.match_capacity > 0 && pes[pe].waiting.len() >= cfg.match_capacity {
                         busy += cfg.match_overflow_penalty;
                         match_overflows += 1;
@@ -552,13 +550,13 @@ impl<T: Topology> TimedMachine<T> {
                             return Err(ExecError::OutOfFuel);
                         }
                         let eff = execute(&self.program, &mut ctx, tag, instr, &ops, &mut scratch)?;
-                        busy += cfg.alu_time;
+                        busy += ALU_TIME;
                         if eff.is_alu {
                             alu_ops += 1;
-                            pes[pe].alu_busy += cfg.alu_time;
+                            pes[pe].alu_busy += ALU_TIME;
                         }
                         let emit_count = scratch.len() as u64;
-                        busy += cfg.output_time.saturating_mul(emit_count);
+                        busy += OUTPUT_TIME.saturating_mul(emit_count);
                         let done = now + busy;
                         trace(
                             now,
@@ -603,7 +601,7 @@ impl<T: Topology> TimedMachine<T> {
                                     }
                                     let module = self.module_of(ptr, idx);
                                     let arrive = if module == pe {
-                                        done + cfg.local_delay
+                                        done + LOCAL_DELAY
                                     } else {
                                         tokens_remote += 1;
                                         self.send(done, pe, module)?
@@ -720,7 +718,7 @@ impl<T: Topology> TimedMachine<T> {
                     .record(at, &TraceEvent::TokenEmit { pe: pe as u32 });
             }
             let arrive = if pe == from {
-                at + self.config.local_delay
+                at + LOCAL_DELAY
             } else {
                 *tokens_remote += 1;
                 self.send(at, from, pe)?

@@ -2,9 +2,10 @@
 //!
 //! The interesting schemas:
 //!
-//! - **Loops** expand to the paper's Fig 2-2 arrangement through
-//!   [`GraphBuilder::dataflow_loop`]: `D` entry, per-variable `Switch`es
-//!   gated by one predicate, `L` for the next iteration, `D⁻¹` on exit.
+//! - **Loops** expand to the paper's Fig 2-2 arrangement, the shape
+//!   [`GraphBuilder::dataflow_loop`] builds, laid out by hand in
+//!   `compile_loop`: `D` entry, per-variable `Switch`es gated by one
+//!   predicate, `L` for the next iteration, `D⁻¹` on exit.
 //!   Loop-invariant free variables (and the `for` bound and step) are
 //!   *circulated* as extra loop variables, exactly as the boxes riding
 //!   through `L` in the paper's figure. All `new` bindings see the

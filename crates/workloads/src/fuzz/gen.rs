@@ -22,7 +22,7 @@
 //!   reference store and a HEP full/empty memory (no Id program);
 //! - [`Family::LoopNest`]: `for`/`while` nests one to three deep whose
 //!   bodies, predicates, inner-loop bounds and `return` expressions read
-//!   outer variables — the loop schema that unrolling, peeling and
+//!   outer variables — the loop schema that unrolling, hoisting and
 //!   loop-constant promotion rewrite.
 //!
 //! A [`Scenario`] is produced deterministically from `(family, seed)` by

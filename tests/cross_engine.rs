@@ -370,7 +370,7 @@ fn compiled_trapezoid_has_fig22_shape() {
 
 #[test]
 fn optimizer_preserves_every_workload() {
-    use ttda::core::opt::optimize;
+    use ttda::core::opt::{optimize_at, OptLevel};
     let cases: Vec<(&str, Vec<Value>)> = vec![
         (id::fib(), vec![Value::Int(12)]),
         (id::producer_consumer(), vec![Value::Int(18)]),
@@ -384,7 +384,7 @@ fn optimizer_preserves_every_workload() {
     ];
     for (src, inputs) in cases {
         let p = ttda::idc::compile(src).expect("compiles");
-        let (opt, stats) = optimize(&p);
+        let (opt, stats) = optimize_at(&p, OptLevel::O1);
         assert!(
             stats.identities_collapsed > 0,
             "every Id program has junctions"

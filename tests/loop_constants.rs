@@ -162,10 +162,9 @@ fn check_everywhere(src: &str, cases: &[(&[i64], Check)]) {
 fn a_hoisted_expression_fails_only_where_its_loop_runs() {
     // `i / z` is invariant in the inner loop, so O2 computes it before
     // the loop; with `n = 0` the loop runs no iteration and must not
-    // divide by zero. The first inner loop is pure, so O2 also peels
-    // its first iteration; the second reads an I-structure and is not
-    // peeled, so only the hoist's own guard stands between `n = 0` and
-    // the division.
+    // divide by zero. One inner body is pure, the other also reads an
+    // I-structure; in both, only the hoist's own guard stands between
+    // `n = 0` and the division.
     let pure = "def main(n, z) = (initial s = 0 for i from 1 to 3 do \
                 new s = s + (initial t = 0 for k from 1 to n do new t = t + i / z return t) \
                 return s);";
@@ -204,4 +203,30 @@ fn an_if_on_the_iteration_is_never_hoisted_through() {
             (&[7, 1], |r| *r == Ok(Value::Int(12))),
         ],
     );
+}
+
+#[test]
+fn a_loop_with_a_dynamic_bound_is_no_larger_at_o2_than_at_o1() {
+    // Nothing is invariant and the trip count is not static, so O2 has
+    // nothing to unroll, hoist or promote: it must not grow the graph.
+    let src = "def main(n) = (initial s = 0 for i from 1 to n do new s = s + i return s);";
+    let (o1, o2) = (compile(src, OptLevel::O1), compile(src, OptLevel::O2));
+    assert!(
+        o2.instr_count() <= o1.instr_count(),
+        "O2 {} > O1 {}",
+        o2.instr_count(),
+        o1.instr_count()
+    );
+    for level in OptLevel::ALL {
+        let p = compile(src, level);
+        for n in [0, 1, 2, 5, 50] {
+            for (engine, r) in on_every_engine(&p, &ints(&[n])) {
+                assert_eq!(
+                    r,
+                    Ok(Value::Int(n * (n + 1) / 2)),
+                    "{engine} at {level}, n = {n}"
+                );
+            }
+        }
+    }
 }
