@@ -1,7 +1,7 @@
 //! E10 / E11 / E13: the dataflow machine itself (§2.2).
 
 use ttda_core::{Emulator, MappingPolicy, TimedConfig, TimedMachine, Value};
-use ttda_mem::{Addr, IStructureController, ReadOutcome};
+use ttda_mem::{Addr, IStructure, IStructurePort, ReadOutcome};
 use ttda_sim::table::{f3, Table};
 use ttda_sim::Cycle;
 use ttda_workloads::{id, reference};
@@ -141,14 +141,21 @@ pub fn e11() -> String {
          operations take twice as long, however, due to the prefetching of presence \
          bits\" (§2.1)",
     );
+    // One module: the port the timed machine's modules serve through,
+    // in front of the store every engine keeps.
     let access = Cycle(10);
-    let mut c: IStructureController<i64, u32> = IStructureController::new(64, access);
+    let mut port = IStructurePort::new(access);
+    let mut m: IStructure<i64, u32> = IStructure::new(64);
     // Immediate read after write.
-    let (w_done, _) = c.write(Cycle(0), Addr(0), 7).expect("write");
-    let (r_done, out1) = c.read(w_done, Addr(0), 1).expect("read");
+    m.write(Addr(0), 7).expect("write");
+    let w_done = port.serve(Cycle(0), true);
+    let out1 = m.read(Addr(0), 1).expect("read");
+    let r_done = port.serve(w_done, false);
     // Deferred read: arrives before the write.
-    let (d_done, out2) = c.read(r_done, Addr(1), 2).expect("read empty");
-    let (w2_done, released) = c.write(d_done, Addr(1), 9).expect("write releases");
+    let out2 = m.read(Addr(1), 2).expect("read empty");
+    let d_done = port.serve(r_done, false);
+    let released = m.write(Addr(1), 9).expect("write releases");
+    let w2_done = port.serve(d_done, true);
 
     let mut t = Table::new(&["operation", "service cycles", "notes"]);
     t.row_owned(vec![
@@ -268,10 +275,10 @@ mod tests {
 
     #[test]
     fn istructure_price_list() {
-        let mut c: IStructureController<i64, u32> = IStructureController::new(4, Cycle(10));
-        let (w, _) = c.write(Cycle(0), Addr(0), 1).unwrap();
+        let mut port = IStructurePort::new(Cycle(10));
+        let w = port.serve(Cycle(0), true);
         assert_eq!(w, Cycle(20));
-        let (r, _) = c.read(w, Addr(0), 1).unwrap();
+        let r = port.serve(w, false);
         assert_eq!(r - w, Cycle(10));
     }
 

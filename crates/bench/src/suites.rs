@@ -859,7 +859,7 @@ pub fn sched_throughput() -> Section {
 
 /// The `sched` suite: the wall-clock cost of both policies on the timed
 /// machine (the BucketQueue's own overhead is the fifo-vs-crit delta)
-/// and on the emulator's SoA wave loop, whose deterministic twin is the
+/// and on the emulator's wave loop, whose deterministic twin is the
 /// gated makespan ratio.
 pub fn sched(t: &mut Timer) {
     let trap = ttda_idc::compile_optimized(id::trapezoid(), OptLevel::O2).expect("compiles");

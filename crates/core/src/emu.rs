@@ -8,6 +8,13 @@
 //! wave) and the *critical path* (number of waves), the two quantities
 //! the paper's group built a 32–128-processor emulation facility to
 //! measure for "very large application programs".
+//!
+//! A wave is a `Vec<Token>`, the vector the other engines emit into:
+//! each firing appends its output tokens to the next wave, and the two
+//! vectors swap when a wave ends. Everything a run builds (contexts,
+//! the matching store, structures, outputs, counters, the wave vectors
+//! and the trace clock) lives in that run alone, as it does on the
+//! relaxed and timed engines; an [`Emulator`] holds only configuration.
 
 use std::collections::HashMap;
 
@@ -20,11 +27,11 @@ use crate::exec::{
     deliver, execute, load_jobs, structure_op, Enabled, IsCounts, StructAction, Structures,
 };
 use crate::graph::{Instruction, Program};
+use crate::machine::Job;
 use crate::matching::MatchingStore;
-use crate::sched::{CritMap, SchedPolicy};
-use crate::tag::{ActivityName, Token};
+use crate::sched::{sort_by_criticality, CritMap, SchedPolicy};
+use crate::tag::{ActivityName, Ctx, Token};
 use crate::value::{StructRef, Value};
-use crate::wave::Wave;
 use crate::ExecError;
 
 /// Everything a finished emulation run reports.
@@ -95,37 +102,24 @@ pub enum RunMode {
 
 /// The untimed tagged-token interpreter.
 ///
+/// An emulator holds only its configuration: every run builds its own
+/// contexts, matching store, structures and counters, so a reused
+/// emulator reports what a fresh one does.
+///
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Emulator<'p> {
     program: &'p Program,
-    ctx: ContextManager,
-    waiting: MatchingStore,
-    structures: Structures,
-    /// The next structure id to allocate.
-    next_struct: u32,
-    outputs: HashMap<u32, Value>,
     fuel: u64,
     loop_bound: Option<u32>,
     threads: usize,
     mode: Option<RunMode>,
     sched: SchedPolicy,
-    instructions: u64,
-    alu_ops: u64,
-    istore: IsCounts,
     sink: Option<SharedSink>,
-    /// Trace timestamp: the current wave index (idealized time).
-    now: Cycle,
-    /// Whether a sequential run has used the per-run state above, so
-    /// that the next one must clear it first.
-    ran: bool,
 }
 
 impl std::fmt::Debug for Emulator<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Emulator")
-            .field("instructions", &self.instructions)
-            .field("waiting", &self.waiting.len())
-            .field("structures", &self.next_struct)
             .field("loop_bound", &self.loop_bound)
             .field("traced", &self.sink.is_some())
             .finish_non_exhaustive()
@@ -139,38 +133,13 @@ impl<'p> Emulator<'p> {
     pub fn new(program: &'p Program) -> Self {
         Emulator {
             program,
-            ctx: ContextManager::new(program.main),
-            waiting: MatchingStore::new(),
-            structures: Structures::new(),
-            next_struct: 0,
-            outputs: HashMap::new(),
             fuel: 100_000_000,
             loop_bound: None,
             threads: 1,
             mode: None,
             sched: SchedPolicy::Fifo,
-            instructions: 0,
-            alu_ops: 0,
-            istore: IsCounts::default(),
             sink: None,
-            now: Cycle::ZERO,
-            ran: false,
         }
-    }
-
-    /// Clears everything a run leaves behind — contexts, parked tokens,
-    /// structures, outputs, counters, peaks and the trace clock — and
-    /// keeps the configuration.
-    fn reset(&mut self) {
-        self.ctx = ContextManager::new(self.program.main);
-        self.waiting = MatchingStore::new();
-        self.structures = Structures::new();
-        self.next_struct = 0;
-        self.outputs.clear();
-        self.instructions = 0;
-        self.alu_ops = 0;
-        self.istore = IsCounts::default();
-        self.now = Cycle::ZERO;
     }
 
     /// Overrides the firing budget (default 10⁸).
@@ -245,13 +214,6 @@ impl<'p> Emulator<'p> {
         self
     }
 
-    #[inline]
-    fn trace(&self, ev: TraceEvent) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().record(self.now, &ev);
-        }
-    }
-
     /// Enables **k-bounded loops**: at most `k` consecutive iterations of
     /// any loop activation may be in flight at once. Tokens of iteration
     /// `i` are held back until every iteration before `i − k` has drained
@@ -282,7 +244,7 @@ impl<'p> Emulator<'p> {
     ///   unmatched or reads still deferred;
     /// - [`ExecError::OutOfFuel`] past the firing budget.
     pub fn run(&mut self, inputs: &[Value]) -> Result<EmuResult, ExecError> {
-        self.submit(&[crate::machine::Job::new(self.program.main, inputs.to_vec())])
+        self.submit(&[Job::new(self.program.main, inputs.to_vec())])
     }
 
     /// Multiprogramming: launches a batch of independent [`Job`]s — each
@@ -298,9 +260,7 @@ impl<'p> Emulator<'p> {
     ///
     /// Same conditions as [`Emulator::run`]; `InputArity` refers to the
     /// offending job's block.
-    ///
-    /// [`Job`]: crate::machine::Job
-    pub fn submit(&mut self, jobs: &[crate::machine::Job]) -> Result<EmuResult, ExecError> {
+    pub fn submit(&mut self, jobs: &[Job]) -> Result<EmuResult, ExecError> {
         let threads = self.effective_threads();
         let mode = match self.mode {
             // k-bounded scheduling is a global, order-sensitive
@@ -310,44 +270,60 @@ impl<'p> Emulator<'p> {
             None if threads > 1 => RunMode::Relaxed,
             None => RunMode::Sequential,
         };
-        if mode == RunMode::Relaxed {
-            return crate::relaxed::submit(
+        match mode {
+            RunMode::Relaxed => crate::relaxed::submit(
                 self.program,
                 jobs,
                 threads,
                 self.fuel,
                 self.sched,
                 self.sink.clone(),
-            );
+            ),
+            RunMode::Sequential => self.run_sequential(jobs),
         }
-        // Every run starts fresh, as a relaxed or timed one does.
-        if std::mem::replace(&mut self.ran, true) {
-            self.reset();
-        }
+    }
+
+    /// One run of the reference interpreter, from fresh state.
+    fn run_sequential(&self, jobs: &[Job]) -> Result<EmuResult, ExecError> {
+        let mut run = Run {
+            program: self.program,
+            ctx: ContextManager::new(self.program.main),
+            waiting: MatchingStore::new(),
+            structures: Structures::new(),
+            next_struct: 0,
+            outputs: HashMap::new(),
+            instructions: 0,
+            alu_ops: 0,
+            istore: IsCounts::default(),
+            sink: self.sink.clone(),
+            now: Cycle::ZERO,
+        };
         // Built once per run; FIFO never consults it.
         let crit = (self.sched == SchedPolicy::Crit).then(|| CritMap::of(self.program));
-        let mut wave = Wave::new();
-        let ctx = &mut self.ctx;
+        let mut wave: Vec<Token> = Vec::new();
         load_jobs(
             self.program,
             jobs,
-            |block| ctx.new_root(block),
+            |block| run.ctx.new_root(block),
             |t| {
-                wave.push_token(t);
-                if let Some(s) = &self.sink {
+                wave.push(t);
+                if let Some(s) = &run.sink {
                     s.borrow_mut()
-                        .record(self.now, &TraceEvent::TokenEmit { pe: 0 });
+                        .record(run.now, &TraceEvent::TokenEmit { pe: 0 });
                 }
             },
         )?;
 
         // The next wave's storage is reused wave after wave, so a
-        // steady-state firing emits without allocating.
-        let mut next = Wave::new();
+        // steady-state firing emits without allocating; so are the
+        // sort keys, the holding pen and its per-context minima.
+        let mut next: Vec<Token> = Vec::new();
         // One operand buffer serves every firing of the run.
         let mut ops: Vec<Value> = Vec::new();
         let mut profile = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
         let mut held: Vec<Token> = Vec::new();
+        let mut oldest: HashMap<Ctx, u32> = HashMap::new();
         let mut peak_deferred = 0usize;
 
         while !wave.is_empty() || !held.is_empty() {
@@ -356,35 +332,29 @@ impl<'p> Emulator<'p> {
             // iteration of u. Oldest = min over every pending place
             // (this wave, the holding pen, and the matching store).
             if let Some(k) = self.loop_bound {
-                let mut oldest: HashMap<crate::tag::Ctx, u32> = HashMap::new();
+                oldest.clear();
                 let mut note = |tag: &ActivityName| {
                     oldest
                         .entry(tag.u)
                         .and_modify(|m| *m = (*m).min(tag.i.0))
                         .or_insert(tag.i.0);
                 };
-                for tag in wave.tags() {
-                    note(tag);
-                }
-                for t in held.iter() {
+                for t in wave.iter().chain(&held) {
                     note(&t.tag);
                 }
-                self.waiting.for_each_key(|tag| note(&tag));
+                run.waiting.for_each_key(|tag| note(&tag));
                 // Deferred readers are live too: their iteration has not
                 // finished until the datum arrives.
-                self.structures.for_each_deferred(|(tag, _)| note(tag));
-                let eligible = |tag: &ActivityName| tag.i.0 <= oldest[&tag.u].saturating_add(k);
-                wave.retain_or_spill(&eligible, &mut held);
-                let mut released: Vec<Token> = Vec::new();
-                held.retain(|t| {
-                    if eligible(&t.tag) {
-                        released.push(t.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                wave.extend_tokens(released);
+                run.structures.for_each_deferred(|(tag, _)| note(tag));
+                let eligible = |t: &Token| t.tag.i.0 <= oldest[&t.tag.u].saturating_add(k);
+                // The wave keeps its eligible tokens and gains the pen's,
+                // each in order; the pen keeps its ineligible tokens and
+                // gains the wave's.
+                let arrived = wave.len();
+                wave.extend(held.iter().filter(|t| eligible(t)).cloned());
+                held.retain(|t| !eligible(t));
+                held.extend(wave[..arrived].iter().filter(|t| !eligible(t)).cloned());
+                wave.retain(eligible);
                 if wave.is_empty() {
                     if held.is_empty() {
                         break;
@@ -392,16 +362,8 @@ impl<'p> Emulator<'p> {
                     // Nothing eligible: release the oldest held iteration
                     // to guarantee progress.
                     let min_i = held.iter().map(|t| t.tag.i.0).min().expect("nonempty");
-                    let mut released: Vec<Token> = Vec::new();
-                    held.retain(|t| {
-                        if t.tag.i.0 == min_i {
-                            released.push(t.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    wave.extend_tokens(released);
+                    wave.extend(held.iter().filter(|t| t.tag.i.0 == min_i).cloned());
+                    held.retain(|t| t.tag.i.0 != min_i);
                 }
             }
 
@@ -411,54 +373,82 @@ impl<'p> Emulator<'p> {
             // which is what decides transient matching occupancy and
             // the immediate-vs-deferred read split.
             if let Some(crit) = &crit {
-                wave.sort_by_criticality(crit);
+                sort_by_criticality(&mut wave, crit, &mut keys);
             }
 
             let mut fired = 0usize;
-            for i in 0..wave.len() {
-                if let Some((tag, instr)) = self.absorb(wave.token(i), &mut ops)? {
+            for token in &wave {
+                if let Some((tag, instr)) = run.absorb(token.clone(), &mut ops)? {
                     fired += 1;
-                    self.fire(tag, &ops, instr, &mut next)?;
-                    if self.instructions > self.fuel {
+                    run.fire(tag, &ops, instr, &mut next)?;
+                    if run.instructions > self.fuel {
                         return Err(ExecError::OutOfFuel);
                     }
                 }
             }
-            peak_deferred = peak_deferred.max(self.structures.deferred_outstanding());
+            peak_deferred = peak_deferred.max(run.structures.deferred_outstanding());
             if fired > 0 {
                 profile.push(fired);
-                self.trace(TraceEvent::WaveEnd {
+                run.trace(TraceEvent::WaveEnd {
                     fired: fired as u64,
                 });
-                self.now = self.now.saturating_add(Cycle(1));
+                run.now = run.now.saturating_add(Cycle(1));
             }
             std::mem::swap(&mut wave, &mut next);
             next.clear();
         }
 
-        let stranded = self.waiting.len() + self.structures.deferred_outstanding();
+        let stranded = run.waiting.len() + run.structures.deferred_outstanding();
         if stranded > 0 {
             return Err(ExecError::Deadlock { stranded });
         }
         // Clean quiescence: the wave and holding pen are both empty, so
         // nothing is in flight.
-        self.trace(TraceEvent::Halt { in_flight: 0 });
+        run.trace(TraceEvent::Halt { in_flight: 0 });
 
         Ok(EmuResult {
-            outputs: self.outputs.clone(),
-            instructions: self.instructions,
-            alu_ops: self.alu_ops,
+            outputs: run.outputs,
+            instructions: run.instructions,
+            alu_ops: run.alu_ops,
             waves: profile.len() as u64,
             profile,
-            contexts: self.ctx.allocated(),
+            contexts: run.ctx.allocated(),
             // The store is fresh for every run and its occupancy only
             // rises at an insertion, where it takes its high water.
-            peak_matching: self.waiting.high_water(),
+            peak_matching: run.waiting.high_water(),
             peak_deferred,
-            istore_immediate: self.istore.immediate,
-            istore_deferred: self.istore.deferred,
-            istore_writes: self.istore.writes,
+            istore_immediate: run.istore.immediate,
+            istore_deferred: run.istore.deferred,
+            istore_writes: run.istore.writes,
         })
+    }
+}
+
+/// The state of one sequential run: built by
+/// [`Emulator::run_sequential`] and gone when it returns, as a relaxed
+/// or timed run's state is.
+struct Run<'p> {
+    program: &'p Program,
+    ctx: ContextManager,
+    waiting: MatchingStore,
+    structures: Structures,
+    /// The next structure id to allocate.
+    next_struct: u32,
+    outputs: HashMap<u32, Value>,
+    instructions: u64,
+    alu_ops: u64,
+    istore: IsCounts,
+    sink: Option<SharedSink>,
+    /// Trace timestamp: the current wave index (idealized time).
+    now: Cycle,
+}
+
+impl<'p> Run<'p> {
+    #[inline]
+    fn trace(&self, ev: TraceEvent) {
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().record(self.now, &ev);
+        }
     }
 
     /// The waiting–matching section: inserts a token; writes the full
@@ -491,7 +481,7 @@ impl<'p> Emulator<'p> {
         tag: ActivityName,
         ops: &[Value],
         instr: &Instruction,
-        out: &mut Wave,
+        out: &mut Vec<Token>,
     ) -> Result<(), ExecError> {
         self.instructions += 1;
         let out_before = out.len();
@@ -708,22 +698,22 @@ mod tests {
         assert!(r.peak_parallelism() > 8);
     }
 
-    #[test]
-    fn istructure_producer_consumer_defers() {
-        // Alloc a[1]; fetch a[0] *before* storing it; the deferred read
-        // must still deliver.
+    /// Allocates a one-cell structure and fetches cell 0 for `readers`
+    /// outputs, while the store that fills it waits behind a chain of
+    /// five `Identity`s: every reader parks before the write.
+    fn late_store(readers: u32) -> crate::graph::Program {
         let mut g = GraphBuilder::new("t");
         let x = g.param();
         let size = g.lit(Value::Int(1));
         g.wire(x, size, 0);
         let alloc = g.instr(OpCode::IAlloc);
         g.wire(size, alloc, 0);
-        // Fetch immediately (producer delayed through a chain of 5 ids).
         let fetch = g.instr_lit(OpCode::IFetch, 1, Value::Int(0));
         g.wire(alloc, fetch, 0);
-        let out = g.output(0);
-        g.wire(fetch, out, 0);
-        // Slow producer path.
+        for slot in 0..readers {
+            let out = g.output(slot);
+            g.wire(fetch, out, 0);
+        }
         let mut v = x;
         for _ in 0..5 {
             let id = g.instr(OpCode::Identity);
@@ -735,8 +725,26 @@ mod tests {
         g.wire(v, store, 2);
         let sink = g.instr(OpCode::Sink);
         g.wire(store, sink, 0);
+        g.finish_program().expect("build")
+    }
 
-        let r = run(g, &[Value::Int(99)]);
+    /// Runs `p` on 99 with a counting sink attached.
+    fn counted(p: &crate::graph::Program) -> (EmuResult, ttda_trace::SharedSink) {
+        let sink = ttda_trace::shared(ttda_trace::CountingSink::new());
+        let r = Emulator::new(p)
+            .with_sink(sink.clone())
+            .run(&[Value::Int(99)])
+            .expect("run");
+        (r, sink)
+    }
+
+    #[test]
+    fn istructure_producer_consumer_defers() {
+        // The fetch arrives before the store; the deferred read must
+        // still deliver.
+        let r = Emulator::new(&late_store(1))
+            .run(&[Value::Int(99)])
+            .expect("run");
         assert_eq!(r.outputs[&0], Value::Int(99));
         assert_eq!(r.istore_deferred, 1, "the fetch must have been deferred");
         assert_eq!(r.istore_writes, 1);
@@ -744,40 +752,13 @@ mod tests {
 
     #[test]
     fn sink_sees_a_conserved_token_ledger() {
-        use ttda_trace::{shared, CountingSink};
+        use ttda_trace::CountingSink;
 
         // Same producer/consumer graph as above, but traced: every token
         // the emulator creates must be consumed by halt, the deferred
         // read must appear and drain, and the fire count must match the
         // instruction count.
-        let mut g = GraphBuilder::new("t");
-        let x = g.param();
-        let size = g.lit(Value::Int(1));
-        g.wire(x, size, 0);
-        let alloc = g.instr(OpCode::IAlloc);
-        g.wire(size, alloc, 0);
-        let fetch = g.instr_lit(OpCode::IFetch, 1, Value::Int(0));
-        g.wire(alloc, fetch, 0);
-        let out = g.output(0);
-        g.wire(fetch, out, 0);
-        let mut v = x;
-        for _ in 0..5 {
-            let id = g.instr(OpCode::Identity);
-            g.wire(v, id, 0);
-            v = id;
-        }
-        let store = g.instr_lit(OpCode::IStore, 1, Value::Int(0));
-        g.wire(alloc, store, 0);
-        g.wire(v, store, 2);
-        let snk = g.instr(OpCode::Sink);
-        g.wire(store, snk, 0);
-        let p = g.finish_program().expect("build");
-
-        let sink = shared(CountingSink::new());
-        let r = Emulator::new(&p)
-            .with_sink(sink.clone())
-            .run(&[Value::Int(99)])
-            .expect("run");
+        let (r, sink) = counted(&late_store(1));
         let s = sink.borrow();
         let c = s.as_any().downcast_ref::<CountingSink>().unwrap();
         assert!(
@@ -793,6 +774,25 @@ mod tests {
         assert_eq!(m.counter_value("istore_write"), 1);
         assert_eq!(m.counter_value("defer_enqueue"), 1);
         assert_eq!(m.counter_value("defer_release"), 1);
+    }
+
+    #[test]
+    fn sink_sees_every_presence_transition_of_a_shared_cell() {
+        use ttda_trace::CountingSink;
+
+        // Two readers of one fetch park on the cell before its write: the
+        // first turns it from empty to deferred, the second only deepens
+        // its list, and the write turns it present and releases both.
+        let (r, sink) = counted(&late_store(2));
+        assert_eq!(r.outputs[&0], Value::Int(99));
+        assert_eq!(r.outputs[&1], Value::Int(99));
+        assert_eq!(r.istore_deferred, 2);
+        let s = sink.borrow();
+        let c = s.as_any().downcast_ref::<CountingSink>().unwrap();
+        assert_eq!(c.metrics().counter_value("presence"), 2);
+        assert_eq!(c.peak_defer_depth(), 2);
+        assert_eq!(c.deferred_outstanding(), 0);
+        assert!(c.quiescent());
     }
 
     #[test]

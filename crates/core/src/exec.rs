@@ -2,8 +2,8 @@
 //!
 //! [`execute`] implements the instruction-fetch + ALU + output-section
 //! behaviour of one enabled instruction, *independent of timing*: it
-//! writes the output tokens through an [`Emit`] sink and returns any
-//! I-structure action to perform. [`structure_op`] is the one
+//! appends the output tokens to the executor's token vector and returns
+//! any I-structure action to perform. [`structure_op`] is the one
 //! I-structure controller (§2.1, Fig 2-1) that applies a fetch or a
 //! store, and [`load_jobs`] is the one loader that seeds a batch of
 //! jobs. The engines differ only in *where* and *when* they call them:
@@ -26,7 +26,7 @@
 //! the readers from the program with [`continuation`]. Context records
 //! are `Copy` and name the caller's `Apply` instead of copying its
 //! destinations. Errors build their messages only when they occur.
-//! With an [`Emit`] sink whose storage is reused across firings, a
+//! With an output vector whose storage is reused across firings, a
 //! steady-state firing therefore touches no heap at all
 //! (`tests/alloc_free.rs` pins this).
 
@@ -41,20 +41,6 @@ use crate::matching::{MatchingStore, PortOutOfRange, Preset};
 use crate::tag::{ActivityName, Ctx, Iter, Port, Token};
 use crate::value::{as_bool, as_int, as_ptr, StructRef, Value};
 use crate::ExecError;
-
-/// Where a firing's output tokens go. Implementations only append: an
-/// executor that needs the emit count (the timed machine charges output
-/// time per token) compares lengths before and after.
-pub(crate) trait Emit {
-    /// Appends one fully tagged token.
-    fn emit(&mut self, tag: ActivityName, port: Port, value: Value);
-}
-
-impl Emit for Vec<Token> {
-    fn emit(&mut self, tag: ActivityName, port: Port, value: Value) {
-        self.push(Token::new(tag, port, value));
-    }
-}
 
 /// An I-structure operation requested by the firing `tag`. The value it
 /// produces goes to that instruction's [`continuation`].
@@ -112,10 +98,11 @@ pub(crate) struct Effect {
     pub is_alu: bool,
 }
 
-fn retag(tag: ActivityName, dests: &[Dest], want: DestBranch, value: Value, out: &mut impl Emit) {
+fn retag(tag: ActivityName, dests: &[Dest], want: DestBranch, value: Value, out: &mut Vec<Token>) {
     for d in dests {
         if d.when == want {
-            out.emit(ActivityName { s: d.instr, ..tag }, d.port, value);
+            let target = ActivityName { s: d.instr, ..tag };
+            out.push(Token::new(target, d.port, value));
         }
     }
 }
@@ -137,9 +124,9 @@ pub(crate) fn continuation(
 }
 
 /// Sends `value` to every slot of the firing `tag`'s [`continuation`].
-pub(crate) fn deliver(program: &Program, tag: ActivityName, value: Value, out: &mut impl Emit) {
+pub(crate) fn deliver(program: &Program, tag: ActivityName, value: Value, out: &mut Vec<Token>) {
     for (rtag, port) in continuation(program, tag) {
-        out.emit(rtag, port, value);
+        out.push(Token::new(rtag, port, value));
     }
 }
 
@@ -270,8 +257,10 @@ pub(crate) fn absorb<'p, C: ContextOps>(
     }
 }
 
-/// Executes one enabled instruction, writing its output tokens to `out`.
-/// See the module docs. No token is emitted by a firing that fails.
+/// Executes one enabled instruction, appending its output tokens to
+/// `out`. See the module docs. No token is emitted by a firing that
+/// fails; an executor that needs the emit count (the timed machine
+/// charges output time per token) compares lengths before and after.
 ///
 /// Only the loop entries (`D`, `DGated`, `LoopEntry`) and `Apply`
 /// *mutate* the context table (entering a loop or a call); `DInv` and
@@ -297,7 +286,7 @@ pub(crate) fn execute<C: ContextOps>(
     tag: ActivityName,
     instr: &Instruction,
     ops: &[Value],
-    out: &mut impl Emit,
+    out: &mut Vec<Token>,
 ) -> Result<Effect, ExecError> {
     let mut eff = Effect {
         is_alu: instr.op.is_alu_work(),
@@ -361,7 +350,7 @@ pub(crate) fn execute<C: ContextOps>(
                     s: cb.params[k],
                     i: Iter::ONE,
                 };
-                out.emit(param, Port(0), op);
+                out.push(Token::new(param, Port(0), op));
             }
         }
         OpCode::DInv => {
@@ -480,7 +469,7 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
     action: StructAction,
     cell: Addr,
     counts: &mut IsCounts,
-    out: &mut impl Emit,
+    out: &mut Vec<Token>,
     mut trace: Option<(&mut S, Cycle, u32)>,
 ) -> Result<(), ExecError> {
     let (ptr, idx) = action.element();
@@ -513,7 +502,7 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
                 match read.ok_or_else(|| dangling(tag, ptr))?.map_err(global)? {
                     ReadOutcome::Value(v) => {
                         counts.immediate += 1;
-                        out.emit(rtag, port, v);
+                        out.push(Token::new(rtag, port, v));
                         note(TraceEvent::IStoreRead {
                             module,
                             immediate: true,
@@ -548,7 +537,7 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
             // store's zero-allocation release path).
             let released = store
                 .write_with(ptr.id, cell, value, |(rtag, port)| {
-                    out.emit(rtag, port, value)
+                    out.push(Token::new(rtag, port, value))
                 })
                 .ok_or_else(|| dangling(tag, ptr))?
                 .map_err(global)?;

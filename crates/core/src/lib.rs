@@ -60,7 +60,6 @@ mod sched;
 mod tag;
 mod timed;
 mod value;
-mod wave;
 
 pub use builder::{BuildError, GraphBuilder, NodeId};
 pub use context::{ContextManager, ContextRecord};

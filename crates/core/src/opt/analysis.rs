@@ -1,34 +1,86 @@
-//! Per-block analyses for the optimizer and the schedulers: def-use
-//! edges, critical-path depth and height, and the unconditional set.
-//! Outside this crate only [`critical_path`] is public; the `opt`
+//! Per-block analyses for the optimizer and the schedulers: the packed
+//! in-edge table, critical-path depth and height, and the unconditional
+//! set. Outside this crate only [`critical_path`] is public; the `opt`
 //! subcommand of ttda-bench and E22 report it.
 //!
-//! Everything is computed in one shot by `Analysis::of` and is valid
-//! only for the exact block it was computed from: **every rewrite
-//! invalidates every analysis** (DESIGN.md §14), so passes rebuild the
-//! analysis after each sweep instead of patching it.
+//! Each is valid only for the exact block it was computed from: **every
+//! rewrite invalidates every analysis** (DESIGN.md §14), so passes
+//! rebuild what they read after each sweep instead of patching it. A
+//! pass builds only what it reads: the rewrite passes build the in-edge
+//! table (and folding the unconditional set on top of it), while depth
+//! and height (`Analysis`) are for the criticality annotation, the
+//! schedulers and [`critical_path`].
 
-use crate::graph::{CodeBlock, DestBranch, InstrId, OpCode};
-use crate::tag::Port;
+use std::ops::Index;
 
-/// One incoming edge of an instruction (the use-side view of a
-/// [`Dest`](crate::graph::Dest); together with the forward `dests` lists
-/// these form the block's def-use chains).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct InEdge {
-    /// The producing instruction.
-    pub src: InstrId,
-    /// Operand slot at the consumer this edge feeds.
-    pub port: Port,
-    /// Branch selector on the producing side (`Switch` sources).
-    pub when: DestBranch,
+use crate::graph::{CodeBlock, DestBranch, OpCode};
+
+/// Per instruction: its in-edges as `(source, port, selector)`, in
+/// source order, packed into one array (`ins_of[i]` is a slice). The
+/// use-side view of every [`Dest`](crate::graph::Dest): together with
+/// the forward `dests` lists these form the block's def-use chains.
+/// Building it allocates three vectors, not one per instruction.
+pub(super) struct InEdges {
+    start: Vec<u32>,
+    edges: Vec<(u32, u8, DestBranch)>,
 }
 
-/// Everything the rewrite passes want to know about one code block.
+impl Index<usize> for InEdges {
+    type Output = [(u32, u8, DestBranch)];
+
+    fn index(&self, i: usize) -> &Self::Output {
+        &self.edges[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+impl InEdges {
+    /// Puts each instruction's in-edges in [`canonical_order`].
+    pub(super) fn canonicalize(&mut self) {
+        for w in self.start.windows(2) {
+            canonical_order(&mut self.edges[w[0] as usize..w[1] as usize]);
+        }
+    }
+}
+
+/// Sorts in-edges by port, then source, then branch selector: two
+/// instructions whose inputs are the same multiset of edges then have
+/// equal slices.
+pub(super) fn canonical_order(edges: &mut [(u32, u8, DestBranch)]) {
+    let rank = |w: DestBranch| match w {
+        DestBranch::Always => 0u8,
+        DestBranch::IfTrue => 1,
+        DestBranch::IfFalse => 2,
+    };
+    edges.sort_unstable_by_key(|&(src, port, when)| (port, src, rank(when)));
+}
+
+/// The in-edge table of `block`.
+pub(super) fn in_edge_table(block: &CodeBlock) -> InEdges {
+    let n = block.instrs.len();
+    let mut start = vec![0u32; n + 1];
+    for ins in &block.instrs {
+        for d in &ins.dests {
+            start[d.instr.0 as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut next = start.clone();
+    let mut edges = vec![(0, 0, DestBranch::Always); start[n] as usize];
+    for (i, ins) in block.instrs.iter().enumerate() {
+        for d in &ins.dests {
+            let slot = &mut next[d.instr.0 as usize];
+            edges[*slot as usize] = (i as u32, d.port.0, d.when);
+            *slot += 1;
+        }
+    }
+    InEdges { start, edges }
+}
+
+/// Critical-path depth and height of one code block.
 #[derive(Debug, Clone)]
 pub(crate) struct Analysis {
-    /// Incoming edges per instruction, in source-scan order.
-    pub in_edges: Vec<Vec<InEdge>>,
     /// Critical-path depth: the longest acyclic path (in instructions)
     /// from any entry to this instruction, ignoring loop back edges.
     /// Entries have depth 0; unreachable instructions report 0.
@@ -46,33 +98,16 @@ pub(crate) struct Analysis {
     /// it) inherits the loop entry's height instead of the nearly-zero
     /// height a pure DAG view would give it.
     pub height: Vec<u32>,
-    /// The *unconditional set*: instructions proven to fire exactly once
-    /// per block activation, with the activation's own tag. Membership
-    /// requires a pure single-token opcode whose every operand is a
-    /// literal or a single `Always` edge from another member (parameters
-    /// with no extra in-edges seed the set). Members are the only places
-    /// a rewrite may *drop* an edge: a member's token is redundant with
-    /// any other member's token arrival.
-    pub uncond: Vec<bool>,
 }
 
 impl Analysis {
-    /// Computes every analysis for `block`.
+    /// Computes depth and height for `block`.
     pub(crate) fn of(block: &CodeBlock) -> Analysis {
         let n = block.instrs.len();
-        let mut in_edges: Vec<Vec<InEdge>> = vec![Vec::new(); n];
-        for (i, ins) in block.instrs.iter().enumerate() {
-            for d in &ins.dests {
-                in_edges[d.instr.0 as usize].push(InEdge {
-                    src: InstrId(i as u32),
-                    port: d.port,
-                    when: d.when,
-                });
-            }
-        }
+        let ins_of = in_edge_table(block);
 
         // Entries: parameters plus anything with no incoming edge.
-        let mut is_entry: Vec<bool> = in_edges.iter().map(Vec::is_empty).collect();
+        let mut is_entry: Vec<bool> = (0..n).map(|i| ins_of[i].is_empty()).collect();
         for p in &block.params {
             is_entry[p.0 as usize] = true;
         }
@@ -107,12 +142,9 @@ impl Analysis {
                             // the index of the first matching in-edge
                             // not already marked (duplicate parallel
                             // edges are each their own back edge).
-                            let pos = in_edges[t].iter().enumerate().find_map(|(k, ie)| {
-                                (ie.src.0 as usize == node
-                                    && ie.port == d.port
-                                    && ie.when == d.when
-                                    && !back[t].contains(&k))
-                                .then_some(k)
+                            let pos = ins_of[t].iter().enumerate().find_map(|(k, &e)| {
+                                (e == (node as u32, d.port.0, d.when) && !back[t].contains(&k))
+                                    .then_some(k)
                             });
                             if let Some(k) = pos {
                                 back[t].push(k);
@@ -134,11 +166,11 @@ impl Analysis {
         let mut depth = vec![0u32; n];
         for &v in postorder.iter().rev() {
             let mut d = 0u32;
-            for (k, ie) in in_edges[v].iter().enumerate() {
+            for (k, &(src, _, _)) in ins_of[v].iter().enumerate() {
                 if back[v].contains(&k) {
                     continue;
                 }
-                let p = ie.src.0 as usize;
+                let p = src as usize;
                 if reachable[p] {
                     d = d.max(depth[p] + 1);
                 }
@@ -153,11 +185,11 @@ impl Analysis {
         let mut height = vec![0u32; n];
         let dag_pass = |height: &mut Vec<u32>| {
             for &v in &postorder {
-                for (k, ie) in in_edges[v].iter().enumerate() {
+                for (k, &(src, _, _)) in ins_of[v].iter().enumerate() {
                     if back[v].contains(&k) {
                         continue;
                     }
-                    let p = ie.src.0 as usize;
+                    let p = src as usize;
                     if reachable[p] {
                         height[p] = height[p].max(height[v] + 1);
                     }
@@ -174,7 +206,7 @@ impl Analysis {
         let mut seeded = false;
         for v in 0..n {
             for &k in &back[v] {
-                let p = in_edges[v][k].src.0 as usize;
+                let p = ins_of[v][k].0 as usize;
                 if reachable[p] && height[p] < height[v] + 1 {
                     height[p] = height[v] + 1;
                     seeded = true;
@@ -185,63 +217,68 @@ impl Analysis {
             dag_pass(&mut height);
         }
 
-        // The unconditional set, grown to a fixed point.
-        let has_extra_inputs: Vec<bool> = (0..n).map(|i| !in_edges[i].is_empty()).collect();
-        let mut uncond = vec![false; n];
-        for p in &block.params {
-            let i = p.0 as usize;
-            if !has_extra_inputs[i] {
-                uncond[i] = true;
-            }
-        }
-        loop {
-            let mut changed = false;
-            'node: for (i, ins) in block.instrs.iter().enumerate() {
-                if uncond[i] {
-                    continue;
-                }
-                if !matches!(
-                    ins.op,
-                    OpCode::Identity
-                        | OpCode::Const(_)
-                        | OpCode::Alu(_)
-                        | OpCode::Cmp(_)
-                        | OpCode::Not
-                        | OpCode::And
-                        | OpCode::Or
-                ) {
-                    continue;
-                }
-                if block.params.iter().any(|p| p.0 as usize == i) {
-                    continue;
-                }
-                for p in 0..ins.op.arity() {
-                    if ins.literal.as_ref().is_some_and(|(lp, _)| lp.0 == p) {
-                        continue;
-                    }
-                    let mut feeds = in_edges[i].iter().filter(|ie| ie.port.0 == p);
-                    let (Some(ie), None) = (feeds.next(), feeds.next()) else {
-                        continue 'node;
-                    };
-                    if ie.when != DestBranch::Always || !uncond[ie.src.0 as usize] {
-                        continue 'node;
-                    }
-                }
-                uncond[i] = true;
-                changed = true;
-            }
-            if !changed {
-                break;
-            }
-        }
+        Analysis { depth, height }
+    }
+}
 
-        Analysis {
-            in_edges,
-            depth,
-            height,
-            uncond,
+/// The *unconditional set* of `block`, whose in-edge table is `ins_of`:
+/// the instructions proven to fire exactly once per block activation,
+/// with the activation's own tag. Membership requires a pure
+/// single-token opcode whose every operand is a literal or a single
+/// `Always` edge from another member (parameters with no extra in-edges
+/// seed the set). Members are the only places a rewrite may *drop* an
+/// edge: a member's token is redundant with any other member's token
+/// arrival. Grown to a fixed point.
+pub(super) fn unconditional(block: &CodeBlock, ins_of: &InEdges) -> Vec<bool> {
+    let n = block.instrs.len();
+    let mut uncond = vec![false; n];
+    for p in &block.params {
+        let i = p.0 as usize;
+        if ins_of[i].is_empty() {
+            uncond[i] = true;
         }
     }
+    loop {
+        let mut changed = false;
+        'node: for (i, ins) in block.instrs.iter().enumerate() {
+            if uncond[i] {
+                continue;
+            }
+            if !matches!(
+                ins.op,
+                OpCode::Identity
+                    | OpCode::Const(_)
+                    | OpCode::Alu(_)
+                    | OpCode::Cmp(_)
+                    | OpCode::Not
+                    | OpCode::And
+                    | OpCode::Or
+            ) {
+                continue;
+            }
+            if block.params.iter().any(|p| p.0 as usize == i) {
+                continue;
+            }
+            for p in 0..ins.op.arity() {
+                if ins.literal.as_ref().is_some_and(|(lp, _)| lp.0 == p) {
+                    continue;
+                }
+                let mut feeds = ins_of[i].iter().filter(|&&(_, port, _)| port == p);
+                let (Some(&(src, _, when)), None) = (feeds.next(), feeds.next()) else {
+                    continue 'node;
+                };
+                if when != DestBranch::Always || !uncond[src as usize] {
+                    continue 'node;
+                }
+            }
+            uncond[i] = true;
+            changed = true;
+        }
+        if !changed {
+            break;
+        }
+    }
+    uncond
 }
 
 /// The graph-level critical path of a whole program: the longest
@@ -293,7 +330,14 @@ mod tests {
         assert_eq!(an.height[x.id.0 as usize], 3);
         assert_eq!(critical_path(&p), 3);
         // Def-use: c has exactly two in-edges, one per port.
-        assert_eq!(an.in_edges[c.id.0 as usize].len(), 2);
+        let ins_of = in_edge_table(&p.blocks[0]);
+        assert_eq!(
+            ins_of[c.id.0 as usize],
+            [
+                (a.id.0, 0, DestBranch::Always),
+                (b.id.0, 1, DestBranch::Always)
+            ]
+        );
     }
 
     #[test]
@@ -313,11 +357,12 @@ mod tests {
         let out = g.output(0);
         g.wire(join, out, 0);
         let p = g.finish_program().unwrap();
-        let an = Analysis::of(&p.blocks[0]);
-        assert!(an.uncond[x.id.0 as usize], "parameter is unconditional");
-        assert!(an.uncond[c.id.0 as usize], "straight-line compare is");
-        assert!(!an.uncond[sw.id.0 as usize], "Switch is not a member op");
-        assert!(!an.uncond[gated.id.0 as usize], "branch edge disqualifies");
-        assert!(!an.uncond[join.id.0 as usize], "two edges on one port");
+        let b = &p.blocks[0];
+        let uncond = unconditional(b, &in_edge_table(b));
+        assert!(uncond[x.id.0 as usize], "parameter is unconditional");
+        assert!(uncond[c.id.0 as usize], "straight-line compare is");
+        assert!(!uncond[sw.id.0 as usize], "Switch is not a member op");
+        assert!(!uncond[gated.id.0 as usize], "branch edge disqualifies");
+        assert!(!uncond[join.id.0 as usize], "two edges on one port");
     }
 }

@@ -22,7 +22,7 @@ use crate::graph::{CodeBlock, DestBranch, Instruction, OpCode};
 use crate::tag::Port;
 use crate::value::{AluOp, CmpOp, StructRef, Value};
 
-use super::unroll::in_edge_table;
+use super::analysis::in_edge_table;
 use super::OptStats;
 
 /// One round of merging. Returns whether anything changed.

@@ -4,7 +4,7 @@
 //! classical CFG folding does not: an instruction's inputs are token
 //! streams, and a rewrite must preserve not just the value but *when
 //! and how often* tokens flow. The rules, in terms of the
-//! [`uncond`](super::analysis::Analysis::uncond) set:
+//! [unconditional set](super::analysis::unconditional):
 //!
 //! * A candidate with **one** incoming edge (everything else literal)
 //!   may always fold: the surviving edge becomes the trigger of the
@@ -25,7 +25,7 @@ use crate::graph::{CodeBlock, DestBranch, OpCode};
 use crate::tag::Port;
 use crate::value::Value;
 
-use super::analysis::{Analysis, InEdge};
+use super::analysis::{in_edge_table, unconditional, InEdges};
 use super::OptStats;
 
 /// What happens to the edges feeding one rewritten instruction, keyed
@@ -64,33 +64,38 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
 /// The value statically known to arrive at `(i, port)`, if any: a
 /// literal, or the output of a `Const` reached by the port's single
 /// `Always` edge.
-fn known_at(block: &CodeBlock, an: &Analysis, i: usize, port: u8) -> Option<Value> {
+fn known_at(block: &CodeBlock, ins_of: &InEdges, i: usize, port: u8) -> Option<Value> {
     let ins = &block.instrs[i];
     if let Some((lp, lv)) = &ins.literal {
         if lp.0 == port {
             return Some(*lv);
         }
     }
-    let mut feeds = an.in_edges[i].iter().filter(|e| e.port.0 == port);
-    let (Some(e), None) = (feeds.next(), feeds.next()) else {
+    let mut feeds = ins_of[i].iter().filter(|e| e.1 == port);
+    let (Some(&(src, _, when)), None) = (feeds.next(), feeds.next()) else {
         return None;
     };
-    if e.when != DestBranch::Always {
+    if when != DestBranch::Always {
         return None;
     }
-    match block.instrs[e.src.0 as usize].op {
+    match block.instrs[src as usize].op {
         OpCode::Const(v) => Some(v),
         _ => None,
     }
 }
 
-/// Every in-edge of `i` feeding `port`.
-fn edges_at(an: &Analysis, i: usize, port: u8) -> Vec<&InEdge> {
-    an.in_edges[i].iter().filter(|e| e.port.0 == port).collect()
+/// Every in-edge of `i` feeding `port`, as `(source, selector)`.
+fn edges_at(ins_of: &InEdges, i: usize, port: u8) -> Vec<(u32, DestBranch)> {
+    ins_of[i]
+        .iter()
+        .filter(|e| e.1 == port)
+        .map(|&(src, _, when)| (src, when))
+        .collect()
 }
 
 fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
-    let an = Analysis::of(block);
+    let ins_of = in_edge_table(block);
+    let uncond = unconditional(block, &ins_of);
     let n = block.instrs.len();
     let mut plans: HashMap<usize, Rewrite> = HashMap::new();
     let mut folded = 0usize;
@@ -106,7 +111,7 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         match ins.op {
             OpCode::Alu(_) | OpCode::Cmp(_) | OpCode::Not | OpCode::And | OpCode::Or => {}
             OpCode::Switch => {
-                if let Some(rw) = plan_switch(block, &an, i) {
+                if let Some(rw) = plan_switch(block, &ins_of, &uncond, i) {
                     resolved += 1;
                     plans.insert(i, rw);
                 }
@@ -114,7 +119,7 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
             }
             _ => continue,
         }
-        if let Some(rw) = plan_const_fold(block, &an, i) {
+        if let Some(rw) = plan_const_fold(block, &ins_of, &uncond, i) {
             folded += 1;
             plans.insert(i, rw);
         }
@@ -181,25 +186,30 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
 
 /// Folds an ALU/compare/boolean instruction whose every operand is
 /// statically known.
-fn plan_const_fold(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
+fn plan_const_fold(
+    block: &CodeBlock,
+    ins_of: &InEdges,
+    uncond: &[bool],
+    i: usize,
+) -> Option<Rewrite> {
     let ins = &block.instrs[i];
     let arity = ins.op.arity();
     let mut vals: [Option<Value>; 2] = [None, None];
     let mut edged: [bool; 2] = [false, false];
     let mut total_edges = 0usize;
     for p in 0..arity {
-        let es = edges_at(an, i, p);
+        let es = edges_at(ins_of, i, p);
         if es.len() > 1 {
             return None; // multi-token port: fires more than once
         }
-        if let Some(e) = es.first() {
-            if e.src.0 as usize == i {
+        if let Some(&(src, _)) = es.first() {
+            if src as usize == i {
                 return None;
             }
             edged[p as usize] = true;
             total_edges += 1;
         }
-        vals[p as usize] = known_at(block, an, i, p);
+        vals[p as usize] = known_at(block, ins_of, i, p);
         vals[p as usize]?;
     }
     if total_edges == 0 {
@@ -208,8 +218,8 @@ fn plan_const_fold(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite
     // With multiple live edges, dropping any requires every producer to
     // be unconditional (all tokens are the same per-activation event).
     if total_edges >= 2 {
-        for e in &an.in_edges[i] {
-            if !an.uncond[e.src.0 as usize] {
+        for &(src, _, _) in &ins_of[i] {
+            if !uncond[src as usize] {
                 return None;
             }
         }
@@ -257,7 +267,7 @@ fn plan_const_fold(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite
 }
 
 /// Resolves a `Switch` whose control input is statically known.
-fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
+fn plan_switch(block: &CodeBlock, ins_of: &InEdges, uncond: &[bool], i: usize) -> Option<Rewrite> {
     let ins = &block.instrs[i];
     let data_lit = ins
         .literal
@@ -269,8 +279,8 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
         .as_ref()
         .filter(|(lp, _)| lp.0 == 1)
         .map(|(_, v)| *v);
-    let ctl_edges = edges_at(an, i, 1);
-    let data_edges = edges_at(an, i, 0);
+    let ctl_edges = edges_at(ins_of, i, 1);
+    let data_edges = edges_at(ins_of, i, 0);
 
     if let Some(Value::Bool(b)) = ctl_lit {
         // Literal control: every data token is routed the same way;
@@ -290,11 +300,13 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
     // per-activation event, so the data side must be one too (a data
     // stream with other tags would only ever match the one control
     // token — forwarding *all* of it would change behaviour).
-    let &[ctl] = &ctl_edges[..] else { return None };
-    if ctl.when != DestBranch::Always || !an.uncond[ctl.src.0 as usize] {
+    let &[(ctl, ctl_when)] = &ctl_edges[..] else {
+        return None;
+    };
+    if ctl_when != DestBranch::Always || !uncond[ctl as usize] {
         return None;
     }
-    let OpCode::Const(Value::Bool(b)) = block.instrs[ctl.src.0 as usize].op else {
+    let OpCode::Const(Value::Bool(b)) = block.instrs[ctl as usize].op else {
         return None;
     };
     let take = Some(if b {
@@ -312,10 +324,10 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
             acts: [PortAct::Keep, PortAct::ToPort0],
         });
     }
-    let &[data] = &data_edges[..] else {
+    let &[(data, data_when)] = &data_edges[..] else {
         return None;
     };
-    if data.when != DestBranch::Always || !an.uncond[data.src.0 as usize] {
+    if data_when != DestBranch::Always || !uncond[data as usize] {
         return None;
     }
     Some(Rewrite {
@@ -330,27 +342,29 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
 /// skip the intermediate hops (which then die in DCE). `Const` emits
 /// with its trigger token's tag, so hoisting is unconditionally safe.
 fn hoist_const_triggers(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
-    let an = Analysis::of(block);
+    let ins_of = in_edge_table(block);
     let n = block.instrs.len();
-    let single_const_trigger = |i: usize| -> Option<InEdge> {
+    // The one in-edge, as `(source, selector)`, of a `Const` that has
+    // exactly one.
+    let single_const_trigger = |i: usize| -> Option<(u32, DestBranch)> {
         if !matches!(block.instrs[i].op, OpCode::Const(_)) {
             return None;
         }
         if block.params.iter().any(|p| p.0 as usize == i) {
             return None;
         }
-        let &[e] = &an.in_edges[i][..] else {
+        let &[(src, _, when)] = &ins_of[i] else {
             return None;
         };
-        Some(e)
+        Some((src, when))
     };
     // plan: (const instr, old parent, new root, selector at the root)
     let mut moves: Vec<(usize, usize, usize, DestBranch)> = Vec::new();
     for i in 0..n {
-        let Some(e) = single_const_trigger(i) else {
+        let Some((src, _)) = single_const_trigger(i) else {
             continue;
         };
-        let parent = e.src.0 as usize;
+        let parent = src as usize;
         if single_const_trigger(parent).is_none() {
             continue;
         }
@@ -361,13 +375,13 @@ fn hoist_const_triggers(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         let mut hops = 0usize;
         let (root, when) = loop {
             match single_const_trigger(cur) {
-                Some(up) if hops < n => {
-                    let upsrc = up.src.0 as usize;
+                Some((up, up_when)) if hops < n => {
+                    let upsrc = up as usize;
                     if single_const_trigger(upsrc).is_some() {
                         cur = upsrc;
                         hops += 1;
                     } else {
-                        break (upsrc, up.when);
+                        break (upsrc, up_when);
                     }
                 }
                 _ => break (cur, DestBranch::Always),

@@ -53,11 +53,9 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use crate::graph::{CodeBlock, Dest, DestBranch, InstrId, Instruction, OpCode, MAX_LOOP_CONSTS};
 use crate::tag::Port;
 
+use super::analysis::{canonical_order, in_edge_table, InEdges};
 use super::cse::Key;
-use super::unroll::{
-    add_pred0, canonical_order, in_edge_table, loop_groups, machinery, remove_variable, InEdges,
-    LoopShape,
-};
+use super::unroll::{add_pred0, loop_groups, machinery, remove_variable, LoopShape};
 use super::OptStats;
 
 /// Hoists the invariant expressions of every eligible loop.
@@ -235,9 +233,6 @@ fn candidates(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec
     (!order.is_empty()).then_some(order)
 }
 
-/// An in-edge: source, port and branch selector.
-type InEdge = (u32, u8, DestBranch);
-
 /// What moves out of one loop.
 struct Plan {
     /// The candidates, in dependency order.
@@ -262,9 +257,9 @@ impl Plan {
         let mut rep: HashMap<usize, usize> = HashMap::new();
         // Each copied candidate with its in-edges, sources mapped to
         // copied candidates, in canonical order.
-        let mut reps: Vec<(usize, Vec<InEdge>)> = Vec::new();
+        let mut reps: Vec<(usize, Vec<_>)> = Vec::new();
         for &x in &group {
-            let mut edges: Vec<InEdge> = ins_of[x]
+            let mut edges: Vec<(u32, u8, DestBranch)> = ins_of[x]
                 .iter()
                 .map(|&(s, p, w)| (rep.get(&(s as usize)).map_or(s, |&r| r as u32), p, w))
                 .collect();

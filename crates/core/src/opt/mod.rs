@@ -36,9 +36,10 @@
 //! exactly what optimization is supposed to change.
 //!
 //! Pass-ordering and rewrite-safety rules are documented in DESIGN.md
-//! §14; the per-block analyses (def-use edges, critical-path depth and
-//! height, the unconditional set) live in [`analysis`] and are rebuilt
-//! from scratch after every rewriting pass (every rewrite invalidates).
+//! §14; the per-block analyses (the in-edge table, critical-path depth
+//! and height, the unconditional set) live in [`analysis`] and are
+//! rebuilt from scratch after every rewriting pass (every rewrite
+//! invalidates), each pass building only what it reads.
 
 pub mod analysis;
 

@@ -45,7 +45,8 @@
 use crate::graph::{CodeBlock, Dest, DestBranch, InstrId, Instruction, OpCode, MAX_LOOP_CONSTS};
 use crate::tag::Port;
 
-use super::unroll::{in_edge_table, loop_groups, machinery, remove_variable, InEdges, LoopShape};
+use super::analysis::{in_edge_table, InEdges};
+use super::unroll::{loop_groups, machinery, remove_variable, LoopShape};
 use super::OptStats;
 
 /// Promotes the invariants of every eligible loop in the block.

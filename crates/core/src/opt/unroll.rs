@@ -29,6 +29,7 @@ use crate::graph::{CodeBlock, Dest, DestBranch, InstrId, Instruction, OpCode};
 use crate::tag::Port;
 use crate::value::{AluOp, Value};
 
+use super::analysis::{in_edge_table, InEdges};
 use super::OptStats;
 
 /// Schema ceiling: loops with more circulating variables than a human
@@ -93,67 +94,6 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
             stats.loops_unrolled += 1;
         }
     }
-}
-
-/// Per instruction: its in-edges as `(source, port, selector)`, in
-/// source order, packed into one array (`ins_of[i]` is a slice). Built
-/// once per loop by both loop passes, so it allocates three vectors,
-/// not one per instruction.
-pub(super) struct InEdges {
-    start: Vec<u32>,
-    edges: Vec<(u32, u8, DestBranch)>,
-}
-
-impl std::ops::Index<usize> for InEdges {
-    type Output = [(u32, u8, DestBranch)];
-
-    fn index(&self, i: usize) -> &Self::Output {
-        &self.edges[self.start[i] as usize..self.start[i + 1] as usize]
-    }
-}
-
-impl InEdges {
-    /// Puts each instruction's in-edges in [`canonical_order`].
-    pub(super) fn canonicalize(&mut self) {
-        for w in self.start.windows(2) {
-            canonical_order(&mut self.edges[w[0] as usize..w[1] as usize]);
-        }
-    }
-}
-
-/// Sorts in-edges by port, then source, then branch selector: two
-/// instructions whose inputs are the same multiset of edges then have
-/// equal slices.
-pub(super) fn canonical_order(edges: &mut [(u32, u8, DestBranch)]) {
-    let rank = |w: DestBranch| match w {
-        DestBranch::Always => 0u8,
-        DestBranch::IfTrue => 1,
-        DestBranch::IfFalse => 2,
-    };
-    edges.sort_unstable_by_key(|&(src, port, when)| (port, src, rank(when)));
-}
-
-pub(super) fn in_edge_table(block: &CodeBlock) -> InEdges {
-    let n = block.instrs.len();
-    let mut start = vec![0u32; n + 1];
-    for ins in &block.instrs {
-        for d in &ins.dests {
-            start[d.instr.0 as usize + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        start[i + 1] += start[i];
-    }
-    let mut next = start.clone();
-    let mut edges = vec![(0, 0, DestBranch::Always); start[n] as usize];
-    for (i, ins) in block.instrs.iter().enumerate() {
-        for d in &ins.dests {
-            let slot = &mut next[d.instr.0 as usize];
-            edges[*slot as usize] = (i as u32, d.port.0, d.when);
-            *slot += 1;
-        }
-    }
-    InEdges { start, edges }
 }
 
 /// Matches the full codegen schema for one loop-id group, body

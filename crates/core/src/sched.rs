@@ -2,8 +2,9 @@
 //!
 //! Every engine holds ready tokens somewhere — the sequential emulator's
 //! wave vector, the relaxed workers' local queues, the timed machine's
-//! per-PE input queues. This
-//! module decides the *order* those holders release tokens in:
+//! per-PE input queues. This module decides the *order* those holders
+//! release tokens in ([`sort_by_criticality`] reorders a wave,
+//! [`BucketQueue`] orders a queue):
 //!
 //! * [`SchedPolicy::Fifo`] — arrival order, the historical behaviour.
 //! * [`SchedPolicy::Crit`] — longest-remaining-path first: tokens aimed
@@ -22,7 +23,7 @@
 use std::collections::VecDeque;
 
 use crate::graph::Program;
-use crate::tag::ActivityName;
+use crate::tag::{ActivityName, Token};
 
 /// How an engine orders its ready tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,6 +86,54 @@ impl CritMap {
             .and_then(|v| v.get(tag.s.0 as usize))
             .copied()
             .unwrap_or(0)
+    }
+}
+
+/// Stably reorders `tokens` by descending criticality of each token's
+/// target instruction (the sequential emulator's `Crit` wave order).
+/// Stability is the determinism tie-break: equal-criticality tokens keep
+/// their arrival (wave index) order, so a sequential `Crit` run is a
+/// pure function of the graph and its inputs. Other engines order
+/// `Crit` tokens differently: a relaxed worker pops one priority queue
+/// across waves, so fib 18 at O2 peaks at 2,471 parked tokens here and
+/// at 1,073 on one worker. Only outputs and the confluent counters
+/// agree.
+///
+/// The sort allocates nothing once `keys`, which the caller reuses from
+/// wave to wave, has grown: each key is the inverted criticality over
+/// the token's index, so keys are distinct, an in-place unstable sort
+/// gives the stable order, and the tokens are permuted in place, one
+/// cycle at a time.
+pub(crate) fn sort_by_criticality(tokens: &mut [Token], crit: &CritMap, keys: &mut Vec<u64>) {
+    if tokens.len() < 2 {
+        return;
+    }
+    keys.clear();
+    keys.extend(
+        tokens
+            .iter()
+            .enumerate()
+            .map(|(i, t)| u64::from(!crit.criticality(t.tag)) << 32 | i as u64),
+    );
+    keys.sort_unstable();
+    // Position `k` takes the token from index `keys[k] as u32`; a filled
+    // position's key becomes `u64::MAX`.
+    for start in 0..keys.len() {
+        if keys[start] == u64::MAX {
+            continue;
+        }
+        let held = tokens[start].clone();
+        let mut k = start;
+        loop {
+            let from = keys[k] as u32 as usize;
+            keys[k] = u64::MAX;
+            if from == start {
+                tokens[k] = held;
+                break;
+            }
+            tokens[k] = tokens[from].clone();
+            k = from;
+        }
     }
 }
 
@@ -209,6 +258,46 @@ mod tests {
         for k in 0..100 {
             assert_eq!(q.pop(), Some(k));
         }
+    }
+
+    #[test]
+    fn criticality_sort_is_stable_within_equal_heights() {
+        // x -> a -> out: heights x=2, a=1, out=0. Two tokens per target,
+        // pushed interleaved; the sort must group by height descending
+        // while keeping each pair's push order.
+        let mut g = GraphBuilder::new("t");
+        let x = g.param();
+        let a = g.instr_lit(OpCode::Alu(AluOp::Add), 1, Value::Int(1));
+        let out = g.output(0);
+        g.wire(x, a, 0);
+        g.wire(a, out, 0);
+        let p = g.finish_program().unwrap();
+        let crit = CritMap::of(&p);
+        let mut wave: Vec<Token> = [out.instr(), x.instr(), a.instr(), x.instr(), out.instr()]
+            .iter()
+            .enumerate()
+            .map(|(k, &s)| {
+                let tag = ActivityName {
+                    u: crate::tag::Ctx(0),
+                    c: p.main,
+                    s,
+                    i: crate::tag::Iter::ONE,
+                };
+                Token::new(tag, crate::tag::Port(0), Value::Int(k as i64))
+            })
+            .collect();
+        sort_by_criticality(&mut wave, &crit, &mut Vec::new());
+        let order: Vec<(u32, Value)> = wave.iter().map(|t| (t.tag.s.0, t.value)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (x.instr().0, Value::Int(1)),
+                (x.instr().0, Value::Int(3)),
+                (a.instr().0, Value::Int(2)),
+                (out.instr().0, Value::Int(0)),
+                (out.instr().0, Value::Int(4)),
+            ]
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use ttda_mem::Addr;
+use ttda_mem::{Addr, IStructurePort};
 use ttda_net::{Fabric, FabricConfig, Ideal, NodeId, Topology};
 use ttda_sim::{Cycle, EventQueue};
 use ttda_trace::{SharedSink, TraceEvent};
@@ -75,8 +75,9 @@ const LOCAL_DELAY: Cycle = Cycle(1);
 /// each emitted token and the PE-internal loopback cost one cycle each.
 #[derive(Debug, Clone, Copy)]
 pub struct TimedConfig {
-    /// Base access time of an I-structure module (reads cost 1×, writes
-    /// 2× per §2.1).
+    /// Base access time of an I-structure module's port: a read holds
+    /// it for this long and a write for twice as long (§2.1, priced by
+    /// [`IStructurePort`]).
     pub istore_access: Cycle,
     /// Activity→PE mapping policy.
     pub mapping: MappingPolicy,
@@ -99,8 +100,6 @@ pub struct TimedConfig {
     pub fabric: FabricConfig,
     /// Hard wall-clock limit.
     pub max_cycles: Cycle,
-    /// Hard firing limit.
-    pub fuel: u64,
 }
 
 impl Default for TimedConfig {
@@ -114,7 +113,6 @@ impl Default for TimedConfig {
             sched: SchedPolicy::Fifo,
             fabric: FabricConfig::default(),
             max_cycles: Cycle(100_000_000),
-            fuel: 50_000_000,
         }
     }
 }
@@ -292,10 +290,10 @@ struct PeState {
 /// through [`structure_op`], the controller every engine shares; the
 /// module adds the port's timing and the mapping from an element to its
 /// local cell.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ModState {
     store: Structures,
-    port_free: Cycle,
+    port: IStructurePort,
 }
 
 /// The detailed multi-PE tagged-token machine.
@@ -324,12 +322,15 @@ pub struct TimedMachine<T> {
     config: TimedConfig,
     fabric: Fabric<T>,
     sink: Option<SharedSink>,
+    /// Hard firing limit.
+    fuel: u64,
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for TimedMachine<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimedMachine")
             .field("config", &self.config)
+            .field("fuel", &self.fuel)
             .field("fabric", &self.fabric)
             .field("traced", &self.sink.is_some())
             .finish_non_exhaustive()
@@ -354,6 +355,7 @@ impl<T: Topology> TimedMachine<T> {
             config,
             fabric: Fabric::new(topology, config.fabric),
             sink: None,
+            fuel: 50_000_000,
         }
     }
 
@@ -366,9 +368,9 @@ impl<T: Topology> TimedMachine<T> {
         self
     }
 
-    /// Overrides the firing budget ([`TimedConfig::fuel`]).
+    /// Overrides the firing budget (default 5×10⁷).
     pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.config.fuel = fuel;
+        self.fuel = fuel;
         self
     }
 
@@ -439,6 +441,7 @@ impl<T: Topology> TimedMachine<T> {
         self.fabric.reset();
         let n = self.pes();
         let cfg = self.config;
+        let fuel = self.fuel;
         // A local clone keeps the disabled-tracing cost at one branch per
         // event site and sidesteps borrows of `self` held below.
         let sink = self.sink.clone();
@@ -455,7 +458,12 @@ impl<T: Topology> TimedMachine<T> {
         let crit = (cfg.sched == SchedPolicy::Crit).then(|| CritMap::of(&self.program));
         let prio = |t: &Token| crit.as_ref().map_or(0, |c| c.criticality(t.tag));
         let mut pes: Vec<PeState> = (0..n).map(|_| PeState::default()).collect();
-        let mut modules: Vec<ModState> = (0..n).map(|_| ModState::default()).collect();
+        let mut modules: Vec<ModState> = (0..n)
+            .map(|_| ModState {
+                store: Structures::new(),
+                port: IStructurePort::new(cfg.istore_access),
+            })
+            .collect();
         let mut next_struct: u32 = 0;
         let mut outputs = HashMap::new();
         let mut fl = InFlight {
@@ -546,7 +554,7 @@ impl<T: Topology> TimedMachine<T> {
                     }
                     if let Some((tag, instr)) = enabled {
                         instructions += 1;
-                        if instructions > cfg.fuel {
+                        if instructions > fuel {
                             return Err(ExecError::OutOfFuel);
                         }
                         let eff = execute(&self.program, &mut ctx, tag, instr, &ops, &mut scratch)?;
@@ -634,13 +642,8 @@ impl<T: Topology> TimedMachine<T> {
                     let (ptr, idx) = action.element();
                     let (cell, size) = self.local_slot(ptr, idx);
                     let m = &mut modules[module as usize];
-                    // Writes cost 2x: presence-bit prefetch (§2.1).
-                    let access = match action {
-                        StructAction::Store { .. } => cfg.istore_access.saturating_mul(2),
-                        _ => cfg.istore_access,
-                    };
-                    let done = now.max(m.port_free) + access;
-                    m.port_free = done;
+                    let write = matches!(action, StructAction::Store { .. });
+                    let done = m.port.serve(now, write);
                     m.store.ensure(ptr.id, size);
                     let mut guard = sink.as_ref().map(|s| s.borrow_mut());
                     let trace = guard.as_deref_mut().map(|s| (s, done, module));
@@ -910,11 +913,8 @@ mod tests {
     #[test]
     fn fuel_and_horizon_enforced() {
         let (p, _) = sum_loop_program(1000);
-        let cfg = TimedConfig {
-            fuel: 100,
-            ..TimedConfig::default()
-        };
-        let mut m = TimedMachine::ideal(p.clone(), 2, Cycle(1), cfg);
+        let mut m =
+            TimedMachine::ideal(p.clone(), 2, Cycle(1), TimedConfig::default()).with_fuel(100);
         assert_eq!(
             m.run(&[Value::Int(1000)]).unwrap_err(),
             ExecError::OutOfFuel

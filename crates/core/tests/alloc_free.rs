@@ -4,9 +4,9 @@
 //! only the allocations of the thread that asked for them, and only
 //! while it asks. Each check builds its engine first and counts around
 //! `run` alone, so what is left is the per-run set-up (input vectors,
-//! the result's output map, growth of the reused wave, matching-store
-//! and queue storage, one cell array per `IAlloc`) spread over tens of
-//! thousands of firings.
+//! the run's context table, matching store and output map, growth of
+//! the two reused wave vectors and of queue storage, one cell array per
+//! `IAlloc`) spread over tens of thousands of firings.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -1,14 +1,12 @@
-//! I-structure storage: presence bits and deferred read lists (Fig 2-1).
+//! I-structure storage: presence bits and deferred read lists (Fig 2-1),
+//! and the single service port that prices its requests (§2.1).
 
 use std::error::Error;
 use std::fmt;
 
-use ttda_sim::stats::Counter;
 use ttda_sim::Cycle;
-use ttda_trace::{PresenceState, SharedSink, TraceEvent};
 
 use crate::module::Addr;
-use crate::packed::PackedIStructure;
 
 /// The presence bits associated with every I-structure cell.
 ///
@@ -23,17 +21,6 @@ pub enum Presence {
     Present,
     /// Not yet written, but one or more read requests are deferred.
     Deferred,
-}
-
-impl Presence {
-    /// The trace-layer mirror of this state.
-    pub fn as_trace(self) -> PresenceState {
-        match self {
-            Presence::Empty => PresenceState::Empty,
-            Presence::Present => PresenceState::Present,
-            Presence::Deferred => PresenceState::Deferred,
-        }
-    }
 }
 
 /// What an I-structure read produced.
@@ -110,9 +97,8 @@ enum Cell<T, R> {
 /// so the controller can forward them the datum. A second write to any
 /// cell is a detected error.
 ///
-/// This functional core is untimed; [`IStructureController`] adds the
-/// paper's service-time accounting (reads cost one memory cycle, writes
-/// two) on top of the packed engine.
+/// This functional core is untimed; [`IStructurePort`] prices the
+/// requests it serves (reads cost one memory cycle, writes two).
 ///
 /// # Example
 ///
@@ -313,219 +299,56 @@ impl<T: Clone, R> EnumIStructure<T, R> {
     }
 }
 
-/// Counters kept by an [`IStructureController`].
-#[derive(Debug, Clone, Default)]
-pub struct IStructureStats {
-    /// Reads satisfied immediately.
-    pub immediate_reads: u64,
-    /// Reads parked on a deferred list.
-    pub deferred_reads: u64,
-    /// Writes performed.
-    pub writes: u64,
-    /// Deferred readers released by writes.
-    pub releases: u64,
-    /// Longest deferred list ever observed.
-    pub max_deferred_list: usize,
-}
-
-/// A timed I-structure memory controller (the hardware of Heller's
-/// controller design, the paper's reference 12).
+/// The single service port of an I-structure module, priced as §2.1
+/// prices it: "A read operation is as efficient as in a traditional
+/// memory. Write operations take twice as long, however, due to the
+/// prefetching of presence bits."
 ///
-/// Timing follows §2.1 exactly: "A read operation is as efficient as in a
-/// traditional memory. Write operations take twice as long, however, due
-/// to the prefetching of presence bits." The controller owns a single
-/// service port (one request at a time), a base access time, and the
-/// untimed packed store ([`PackedIStructure`](crate::PackedIStructure)).
+/// Requests are served one at a time, in arrival order: a read holds
+/// the port for the base access time and a write for twice that. A
+/// deferred read costs the same as an immediate one; the deferral
+/// itself is free, which is the paper's whole point. The port only
+/// keeps time; the cells it serves live in an untimed store such as
+/// [`IStructure`](crate::IStructure).
 ///
 /// # Example
 ///
 /// ```
-/// use ttda_mem::{Addr, IStructureController, ReadOutcome};
+/// use ttda_mem::IStructurePort;
 /// use ttda_sim::Cycle;
 ///
-/// let mut c: IStructureController<i64, &str> = IStructureController::new(16, Cycle(10));
-/// let (done_w, _) = c.write(Cycle(0), Addr(1), 5).unwrap();
-/// let (done_r, out) = c.read(Cycle(done_w.as_u64()), Addr(1), "rdr").unwrap();
-/// assert_eq!(out, ReadOutcome::Value(5));
-/// assert_eq!(done_w, Cycle(20)); // write: 2x
-/// assert_eq!(done_r - Cycle(20), Cycle(10)); // read: 1x
+/// let mut port = IStructurePort::new(Cycle(10));
+/// let w = port.serve(Cycle(0), true);
+/// assert_eq!(w, Cycle(20)); // write: 2x
+/// // A read arriving while the port is busy waits for it.
+/// assert_eq!(port.serve(Cycle(5), false), Cycle(30)); // read: 1x
 /// ```
-#[derive(Clone)]
-pub struct IStructureController<T, R = u64> {
-    store: PackedIStructure<T, R>,
+#[derive(Debug, Clone)]
+pub struct IStructurePort {
     access: Cycle,
-    port_free: Cycle,
-    stats: IStructureStats,
-    ops: Counter,
-    sink: Option<SharedSink>,
-    module: u32,
+    free: Cycle,
 }
 
-impl<T: fmt::Debug, R: fmt::Debug> fmt::Debug for IStructureController<T, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("IStructureController")
-            .field("store", &self.store)
-            .field("access", &self.access)
-            .field("port_free", &self.port_free)
-            .field("stats", &self.stats)
-            .field("module", &self.module)
-            .field("traced", &self.sink.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Clone, R> IStructureController<T, R> {
-    /// Creates a controller over `size` cells with base access time
-    /// `access`.
-    pub fn new(size: usize, access: Cycle) -> Self {
-        IStructureController {
-            store: PackedIStructure::new(size),
+impl IStructurePort {
+    /// A port with base access time `access`, free from time zero.
+    pub fn new(access: Cycle) -> Self {
+        IStructurePort {
             access,
-            port_free: Cycle::ZERO,
-            stats: IStructureStats::default(),
-            ops: Counter::new(),
-            sink: None,
-            module: 0,
+            free: Cycle::ZERO,
         }
     }
 
-    /// Builder-style sink attachment, matching `Fabric::with_sink` and
-    /// the engines' `with_sink`; `module` labels this controller's
-    /// events. Reads, writes, presence-bit transitions and
-    /// deferred-list traffic are reported at their completion times.
-    pub fn with_sink(mut self, sink: SharedSink, module: u32) -> Self {
-        self.sink = Some(sink);
-        self.module = module;
-        self
-    }
-
-    /// The untimed store (for inspection).
-    pub fn store(&self) -> &PackedIStructure<T, R> {
-        &self.store
-    }
-
-    /// Controller statistics.
-    pub fn stats(&self) -> &IStructureStats {
-        &self.stats
-    }
-
-    /// Total requests serviced.
-    pub fn ops(&self) -> u64 {
-        self.ops.get()
-    }
-
-    fn serve(&mut self, now: Cycle, cost: Cycle) -> Cycle {
-        let start = now.max(self.port_free);
-        let done = start + cost;
-        self.port_free = done;
-        self.ops.incr();
+    /// Serves a request arriving at `now` (a write if `write`, else a
+    /// read) and returns when it completes.
+    pub fn serve(&mut self, now: Cycle, write: bool) -> Cycle {
+        let cost = if write {
+            self.access.saturating_mul(2)
+        } else {
+            self.access
+        };
+        let done = now.max(self.free) + cost;
+        self.free = done;
         done
-    }
-
-    /// Services a read issued at `now`; returns (completion time, outcome).
-    ///
-    /// A deferred read consumes the same port time as an immediate one —
-    /// the deferral itself is free, which is the paper's whole point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IStructureError`] from the store.
-    pub fn read(
-        &mut self,
-        now: Cycle,
-        addr: Addr,
-        reader: R,
-    ) -> Result<(Cycle, ReadOutcome<T>), IStructureError> {
-        let before = self.store.presence(addr)?;
-        let outcome = self.store.read(addr, reader)?;
-        let mut defer_depth = 0;
-        match &outcome {
-            ReadOutcome::Value(_) => self.stats.immediate_reads += 1,
-            ReadOutcome::Deferred => {
-                self.stats.deferred_reads += 1;
-                defer_depth = self.store.deferred_count(addr)?;
-                self.stats.max_deferred_list = self.stats.max_deferred_list.max(defer_depth);
-            }
-        }
-        let done = self.serve(now, self.access);
-        if let Some(sink) = &self.sink {
-            let mut sink = sink.borrow_mut();
-            let immediate = matches!(outcome, ReadOutcome::Value(_));
-            sink.record(
-                done,
-                &TraceEvent::IStoreRead {
-                    module: self.module,
-                    immediate,
-                },
-            );
-            if !immediate {
-                sink.record(
-                    done,
-                    &TraceEvent::DeferEnqueue {
-                        module: self.module,
-                        depth: defer_depth as u64,
-                    },
-                );
-                if before != Presence::Deferred {
-                    sink.record(
-                        done,
-                        &TraceEvent::Presence {
-                            module: self.module,
-                            from: before.as_trace(),
-                            to: PresenceState::Deferred,
-                        },
-                    );
-                }
-            }
-        }
-        Ok((done, outcome))
-    }
-
-    /// Services a write issued at `now`; returns (completion time,
-    /// released readers). Costs 2× the base access time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IStructureError`] from the store — including the
-    /// write-write race.
-    pub fn write(
-        &mut self,
-        now: Cycle,
-        addr: Addr,
-        value: T,
-    ) -> Result<(Cycle, Vec<R>), IStructureError> {
-        let before = self.store.presence(addr)?;
-        let released = self.store.write(addr, value)?;
-        self.stats.writes += 1;
-        self.stats.releases += released.len() as u64;
-        let done = self.serve(now, self.access.saturating_mul(2));
-        if let Some(sink) = &self.sink {
-            let mut sink = sink.borrow_mut();
-            sink.record(
-                done,
-                &TraceEvent::IStoreWrite {
-                    module: self.module,
-                },
-            );
-            sink.record(
-                done,
-                &TraceEvent::Presence {
-                    module: self.module,
-                    from: before.as_trace(),
-                    to: PresenceState::Present,
-                },
-            );
-            if !released.is_empty() {
-                sink.record(
-                    done,
-                    &TraceEvent::DeferRelease {
-                        module: self.module,
-                        released: released.len() as u64,
-                    },
-                );
-            }
-        }
-        Ok((done, released))
     }
 }
 
@@ -608,62 +431,9 @@ mod tests {
     }
 
     #[test]
-    fn controller_timing_read_1x_write_2x() {
-        let mut c: IStructureController<i64> = IStructureController::new(4, Cycle(10));
-        let (t_w, _) = c.write(Cycle(0), Addr(0), 1).unwrap();
-        assert_eq!(t_w, Cycle(20));
-        let (t_r, _) = c.read(Cycle(100), Addr(0), 0).unwrap();
-        assert_eq!(t_r, Cycle(110));
-    }
-
-    #[test]
-    fn controller_port_serializes() {
-        let mut c: IStructureController<i64> = IStructureController::new(4, Cycle(10));
-        let (a, _) = c.read(Cycle(0), Addr(0), 0).unwrap();
-        let (b, _) = c.read(Cycle(0), Addr(1), 1).unwrap();
-        assert_eq!(a, Cycle(10));
-        assert_eq!(b, Cycle(20));
-    }
-
-    #[test]
-    fn controller_stats_track_everything() {
-        let mut c: IStructureController<i64> = IStructureController::new(4, Cycle(1));
-        c.read(Cycle(0), Addr(0), 10).unwrap();
-        c.read(Cycle(0), Addr(0), 11).unwrap();
-        c.write(Cycle(0), Addr(0), 5).unwrap();
-        c.read(Cycle(0), Addr(0), 12).unwrap();
-        let s = c.stats();
-        assert_eq!(s.deferred_reads, 2);
-        assert_eq!(s.immediate_reads, 1);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.releases, 2);
-        assert_eq!(s.max_deferred_list, 2);
-        assert_eq!(c.ops(), 4);
-    }
-
-    #[test]
-    fn controller_sink_sees_lifecycle() {
-        use ttda_trace::{shared, CountingSink};
-
-        let sink = shared(CountingSink::new());
-        let mut c: IStructureController<i64> =
-            IStructureController::new(4, Cycle(1)).with_sink(sink.clone(), 7);
-        c.read(Cycle(0), Addr(0), 10).unwrap(); // deferred
-        c.read(Cycle(0), Addr(0), 11).unwrap(); // deferred, depth 2
-        {
-            let s = sink.borrow();
-            let cs = s.as_any().downcast_ref::<CountingSink>().unwrap();
-            assert_eq!(cs.deferred_outstanding(), 2);
-            assert_eq!(cs.peak_defer_depth(), 2);
-        }
-        c.write(Cycle(0), Addr(0), 5).unwrap(); // releases both
-        c.read(Cycle(0), Addr(0), 12).unwrap(); // immediate
-        let s = sink.borrow();
-        let cs = s.as_any().downcast_ref::<CountingSink>().unwrap();
-        assert_eq!(cs.deferred_outstanding(), 0);
-        assert_eq!(cs.metrics().counter_value("istore_read"), 3);
-        assert_eq!(cs.metrics().counter_value("istore_read_immediate"), 1);
-        assert_eq!(cs.metrics().counter_value("istore_write"), 1);
-        assert_eq!(cs.metrics().counter_value("presence"), 2); // E->D, D->P
+    fn port_prices_a_read_1x_and_a_write_2x() {
+        let mut port = IStructurePort::new(Cycle(10));
+        assert_eq!(port.serve(Cycle(0), true), Cycle(20));
+        assert_eq!(port.serve(Cycle(100), false), Cycle(110));
     }
 }

@@ -38,9 +38,7 @@ mod packed;
 mod shard;
 
 pub use fullempty::{FullEmptyError, FullEmptyMemory, TryReadOutcome};
-pub use istore::{
-    EnumIStructure, IStructureController, IStructureError, IStructureStats, Presence, ReadOutcome,
-};
+pub use istore::{EnumIStructure, IStructureError, IStructurePort, Presence, ReadOutcome};
 pub use module::{Addr, MemoryModule};
 pub use packed::PackedIStructure;
 pub use shard::{shard_of, IStructureShard};

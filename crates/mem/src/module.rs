@@ -102,9 +102,9 @@ impl<T> MemoryModule<T> {
     /// Timing model: when does an access issued at `now` complete?
     ///
     /// Occupies the addressed bank for one service time. Writes and reads
-    /// cost the same here; I-structure writes cost double at the
-    /// controller level (see
-    /// [`IStructureController`](crate::IStructureController)), not here.
+    /// cost the same here; I-structure writes cost double at an
+    /// I-structure module's port (see
+    /// [`IStructurePort`](crate::IStructurePort)), not here.
     pub fn access_time(&mut self, now: Cycle, addr: Addr) -> Cycle {
         let bank = self.bank_of(addr);
         let start = now.max(self.bank_free[bank]);

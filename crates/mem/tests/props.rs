@@ -2,7 +2,7 @@
 //! `check` harness.
 
 use ttda_mem::cache::{CacheConfig, CoherentSystem, Protocol, WritePolicy};
-use ttda_mem::{Addr, FullEmptyMemory, IStructureController, MemoryModule, TryReadOutcome};
+use ttda_mem::{Addr, FullEmptyMemory, IStructurePort, MemoryModule, TryReadOutcome};
 use ttda_sim::{check, Cycle};
 
 #[test]
@@ -89,29 +89,23 @@ fn memory_module_bank_times_never_decrease() {
 }
 
 #[test]
-fn istructure_controller_port_is_fifo() {
-    check::forall("istructure controller port is fifo", |rng| {
-        let mut c: IStructureController<i64, usize> = IStructureController::new(16, Cycle(5));
+fn istructure_port_serves_in_arrival_order() {
+    check::forall("istructure port serves in arrival order", |rng| {
+        let access = Cycle(rng.gen_range(1u64..20));
+        let mut port = IStructurePort::new(access);
         let mut last = Cycle::ZERO;
-        let mut written = [false; 16];
         let ops = rng.gen_range(1usize..80);
-        for i in 0..ops {
-            let addr = rng.gen_range(0usize..16);
-            let done = if rng.chance(0.5) {
-                match c.write(Cycle::ZERO, Addr(addr), i as i64) {
-                    Ok((done, _)) => {
-                        written[addr] = true;
-                        done
-                    }
-                    Err(_) => {
-                        assert!(written[addr], "write-write error only after a write");
-                        continue;
-                    }
-                }
+        for _ in 0..ops {
+            // Every request arrives at time 0, so each waits for the one
+            // before it and then holds the port for its own price.
+            let write = rng.chance(0.5);
+            let done = port.serve(Cycle::ZERO, write);
+            let price = if write {
+                Cycle(2 * access.as_u64())
             } else {
-                c.read(Cycle::ZERO, Addr(addr), i).unwrap().0
+                access
             };
-            assert!(done > last, "port must serialize");
+            assert_eq!(done, last + price, "port must serve one request at a time");
             last = done;
         }
     });

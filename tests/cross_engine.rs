@@ -705,6 +705,25 @@ fn a_reused_machine_starts_every_run_fresh() {
         // Every field: outputs, counters, waves and peaks.
         assert_eq!(r, fresh, "sequential run {run}");
     }
+    // The criticality sort's keys and the k-bounded holding pen are per
+    // run too. The bound needs a loop to act on, which fib lacks.
+    let loops = ttda::idc::compile_optimized(id::matmul(), OptLevel::O2).expect("compiles");
+    let loop_inputs = [Value::Int(4)];
+    for (name, args, mut emu) in [
+        (
+            "crit",
+            &inputs[..],
+            Emulator::new(&p).with_sched(SchedPolicy::Crit),
+        ),
+        (
+            "k=2",
+            &loop_inputs[..],
+            Emulator::new(&loops).with_loop_bound(2),
+        ),
+    ] {
+        let first = emu.run(args).expect("sequential runs");
+        assert_eq!(emu.run(args), Ok(first), "{name}: second run");
+    }
     let mut relaxed = Emulator::new(&p).with_threads(2).with_fuel(fuel);
     for run in 1..=2 {
         let r = relaxed.run(&inputs).expect("relaxed runs");
