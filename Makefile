@@ -1,6 +1,6 @@
 # Convenience targets for the ttda suite.
 
-.PHONY: all test experiments experiments-output quickbench opt sched serve fuzz fuzz-corpus doc examples clean
+.PHONY: all test experiments experiments-output quickbench opt sched serve fuzz fuzz-corpus profile doc examples clean
 
 all: test
 
@@ -55,6 +55,27 @@ fuzz:
 # in debug as part of `cargo test`.
 fuzz-corpus:
 	cargo test --release --test fuzz_corpus
+
+# A sampled line-level profile of one repo-benchmark workload: builds
+# the benchmark with line tables into target/profile (its own target
+# directory, so no other build changes), runs it for SECONDS under the
+# SIGPROF sampler in scripts/sigprof, and prints function and line
+# shares. The kernel tick gives about 250 samples per CPU second, so a
+# share needs a run of about 20 s to settle.
+# Override: make profile WORKLOAD=emu-matmul SECONDS=5
+WORKLOAD ?= timed-fib
+SECONDS ?= 20
+PROFILE_DIR := target/profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	cc -O2 -shared -fPIC -o $(PROFILE_DIR)/sampler.so scripts/sigprof/sampler.c
+	CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release --offline \
+		--manifest-path crates/bench/src/bin/benchmark/Cargo.toml \
+		--target-dir $(PROFILE_DIR)/build
+	SAMPLER_OUT=$(PROFILE_DIR)/$(WORKLOAD).samples LD_PRELOAD=$(abspath $(PROFILE_DIR)/sampler.so) \
+		$(PROFILE_DIR)/build/release/benchmark --workload $(WORKLOAD) --seed 7 \
+		--seconds $(SECONDS) --trace 0 > /dev/null
+	python3 scripts/sigprof/report.py $(PROFILE_DIR)/$(WORKLOAD).samples
 
 doc:
 	cargo doc --workspace --no-deps

@@ -116,7 +116,7 @@ pub enum ExecError {
     },
     /// The timed machine's network has no route between two PEs that
     /// must exchange a token or an I-structure packet (a partitioned or
-    /// faulty topology).
+    /// faulty topology), or no PE at all (reported as PE 0 to PE 0).
     Unroutable {
         /// The sending PE.
         from: usize,

@@ -224,6 +224,7 @@ impl<T: Clone> Slab<T> {
     }
 
     /// Stores `x`, returning its handle.
+    #[inline]
     fn put(&mut self, x: T) -> Handle {
         match self.free.pop() {
             Some(h) => {
@@ -245,6 +246,7 @@ impl<T: Clone> Slab<T> {
     }
 
     /// Copies out the payload behind `h` and frees its slot.
+    #[inline]
     fn take(&mut self, h: Handle) -> T {
         self.free.push(h);
         self.items[h as usize].clone()
@@ -260,6 +262,7 @@ struct InFlight {
 
 impl InFlight {
     /// Schedules `token`'s arrival at `pe`'s input at `at`.
+    #[inline]
     fn deliver(&mut self, at: Cycle, pe: usize, token: Token) {
         let token = self.tokens.put(token);
         self.events.push(
@@ -417,7 +420,8 @@ impl<T: Topology> TimedMachine<T> {
     /// The same error conditions as [`Emulator::run`](crate::Emulator),
     /// plus [`ExecError::OutOfFuel`] when the cycle horizon is exceeded
     /// and [`ExecError::Unroutable`] when the network has no route
-    /// between two PEs that must exchange a token or packet.
+    /// between two PEs that must exchange a token or packet, or has no
+    /// PE at all.
     pub fn run(&mut self, inputs: &[Value]) -> Result<TimedResult, ExecError> {
         let main = self.program.main;
         self.submit(&[crate::machine::Job::new(main, inputs.to_vec())])
@@ -440,6 +444,11 @@ impl<T: Topology> TimedMachine<T> {
     pub fn submit(&mut self, jobs: &[crate::machine::Job]) -> Result<TimedResult, ExecError> {
         self.fabric.reset();
         let n = self.pes();
+        // A topology with no ports (`Ideal::new(0, ..)`) leaves no PE to
+        // route the first token to.
+        if n == 0 {
+            return Err(ExecError::Unroutable { from: 0, to: 0 });
+        }
         let cfg = self.config;
         let fuel = self.fuel;
         // A local clone keeps the disabled-tracing cost at one branch per
@@ -995,6 +1004,17 @@ mod tests {
         };
         assert_ne!(from / 4, to / 4, "{from} -> {to} is inside one half");
         assert!(err.to_string().contains("no route"), "{err}");
+    }
+
+    #[test]
+    fn a_machine_with_no_pes_is_unroutable() {
+        let (p, _) = sum_loop_program(3);
+        let mut m = TimedMachine::ideal(p, 0, Cycle(1), TimedConfig::default());
+        assert_eq!(m.pes(), 0);
+        assert_eq!(
+            m.run(&[Value::Int(3)]).unwrap_err(),
+            ExecError::Unroutable { from: 0, to: 0 }
+        );
     }
 
     #[test]

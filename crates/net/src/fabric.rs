@@ -1,6 +1,6 @@
 //! The link-queueing engine that turns topologies into delivery times.
 
-use ttda_sim::stats::{Counter, Histogram};
+use ttda_sim::stats::Counter;
 use ttda_sim::Cycle;
 use ttda_trace::{SharedSink, TraceEvent};
 
@@ -44,17 +44,19 @@ impl FabricConfig {
     }
 }
 
-/// Aggregate traffic statistics collected by a [`Fabric`].
+/// Aggregate traffic counters collected by a [`Fabric`].
+///
+/// Only the counts every send updates. A packet's latency is its arrival
+/// time, which [`Fabric::send`] returns, less its send time, and an
+/// attached trace sink sees its latency and queueing in a `packet_send`
+/// event: a caller that wants their distribution records it from either
+/// (E12's saturation table does the first).
 #[derive(Debug, Clone)]
 pub struct NetStats {
     /// Packets successfully delivered.
     pub packets: Counter,
     /// Total hops traversed by all packets.
     pub hops: Counter,
-    /// End-to-end packet latency distribution (cycles).
-    pub latency: Histogram,
-    /// Cycles each packet spent waiting for busy links (contention only).
-    pub queueing: Histogram,
 }
 
 impl NetStats {
@@ -62,8 +64,6 @@ impl NetStats {
         NetStats {
             packets: Counter::new(),
             hops: Counter::new(),
-            latency: Histogram::new(64, 8),
-            queueing: Histogram::new(64, 8),
         }
     }
 
@@ -208,8 +208,6 @@ impl<T: Topology> Fabric<T> {
 
         self.stats.packets.incr();
         self.stats.hops.add(self.scratch.len() as u64);
-        self.stats.latency.record((t - now).as_u64());
-        self.stats.queueing.record(queued.as_u64());
         if let Some(sink) = &self.sink {
             sink.borrow_mut().record(
                 now,

@@ -132,6 +132,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` to fire at time `at`.
+    // Inlined, as are `pop` and `wheel_head`: out of line, `push` reloads
+    // whole the small event its caller has just stored field by field,
+    // and that stall was the timed machine's costliest instruction
+    // (DESIGN.md §17).
+    #[inline]
     pub fn push(&mut self, at: Cycle, event: E) {
         if at >= self.base && at.0 - self.base.0 < SLOTS {
             let slot = at.0 % SLOTS;
@@ -149,6 +154,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, if any.
+    // Always: its heap path is large enough that, with two callers in one
+    // codegen unit, a plain `#[inline]` leaves it out of line.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let bucketed = self.wheel_head();
         if let Some(top) = self.heap.peek() {
@@ -172,6 +180,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The due time of the earliest bucketed event.
+    #[inline]
     fn wheel_head(&self) -> Option<Cycle> {
         if self.occupied == 0 {
             return None;
