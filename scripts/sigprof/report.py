@@ -14,7 +14,7 @@ executable, for `objdump -d --start-address`. Build the program with
 line tables (`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`), or every
 line reads `??:0`.
 
-    python3 scripts/sigprof/report.py run.samples [--top N]
+    python3 scripts/sigprof/report.py run.samples
 """
 
 import argparse
@@ -24,6 +24,9 @@ import re
 import struct
 import subprocess
 import sys
+
+# Rows printed per table.
+TOP = 25
 
 # A Rust symbol's trailing disambiguating hash, `::h0123456789abcdef`.
 RUST_HASH = re.compile(r"::h[0-9a-f]{16}$")
@@ -106,16 +109,15 @@ def own_file(chain):
     return "[standard library only]"
 
 
-def print_shares(title, counts, total, top):
+def print_shares(title, counts, total):
     print(f"\n{title}")
-    for name, n in counts.most_common(top):
+    for name, n in counts.most_common(TOP):
         print(f"{100.0 * n / total:6.2f}%  {n:7d}  {name}")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("samples", help="the file sampler.c wrote (SAMPLER_OUT)")
-    ap.add_argument("--top", type=int, default=25, help="rows per table (default 25)")
     args = ap.parse_args()
 
     exe, maps, samples = read_samples(args.samples)
@@ -153,10 +155,10 @@ def main():
     files.update(elsewhere)
 
     print(f"{total} samples of {exe}; {sum(elsewhere.values())} outside it")
-    print_shares("By function (innermost frame):", functions, total, args.top)
-    print_shares("By source file (innermost frame outside std):", files, total, args.top)
-    print_shares("By line (innermost frame):", lines, total, args.top)
-    print_shares("By instruction:", instructions, total, args.top)
+    print_shares("By function (innermost frame):", functions, total)
+    print_shares("By source file (innermost frame outside std):", files, total)
+    print_shares("By line (innermost frame):", lines, total)
+    print_shares("By instruction:", instructions, total)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@
  * source line. Without SAMPLER_OUT the library does nothing.
  *
  * `make profile` builds it, builds the benchmark with line tables and
- * reports one workload. x86-64 and aarch64 Linux only.
+ * reports one workload. x86-64 Linux only.
  */
 #define _GNU_SOURCE
 #include <signal.h>
@@ -40,10 +40,8 @@ static void on_sigprof(int sig, siginfo_t *info, void *context)
     const mcontext_t *mc = &((const ucontext_t *)context)->uc_mcontext;
 #if defined(__x86_64__)
     uint64_t ip = (uint64_t)mc->gregs[REG_RIP];
-#elif defined(__aarch64__)
-    uint64_t ip = (uint64_t)mc->pc;
 #else
-#error "sampler.c reads the interrupted instruction pointer on x86-64 and aarch64 only"
+#error "sampler.c reads the interrupted instruction pointer on x86-64 only"
 #endif
     /* Any thread may take the signal: claim a slot atomically. */
     uint64_t k = __atomic_fetch_add(&taken, 1, __ATOMIC_RELAXED);
