@@ -98,6 +98,10 @@ pub(crate) struct Effect {
     pub is_alu: bool,
 }
 
+// `execute` calls it on nearly every firing and is inlined into each
+// engine's crate; without the hint this, like `deliver`, stayed a call
+// back into ttda-core.
+#[inline]
 fn retag(tag: ActivityName, dests: &[Dest], want: DestBranch, value: Value, out: &mut Vec<Token>) {
     for d in dests {
         if d.when == want {
@@ -124,6 +128,7 @@ pub(crate) fn continuation(
 }
 
 /// Sends `value` to every slot of the firing `tag`'s [`continuation`].
+#[inline]
 pub(crate) fn deliver(program: &Program, tag: ActivityName, value: Value, out: &mut Vec<Token>) {
     for (rtag, port) in continuation(program, tag) {
         out.push(Token::new(rtag, port, value));

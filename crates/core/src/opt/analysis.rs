@@ -5,11 +5,12 @@
 //!
 //! Each is valid only for the exact block it was computed from: **every
 //! rewrite invalidates every analysis** (DESIGN.md §14), so passes
-//! rebuild what they read after each sweep instead of patching it. A
-//! pass builds only what it reads: the rewrite passes build the in-edge
-//! table (and folding the unconditional set on top of it), while depth
-//! and height (`Analysis`) are for the criticality annotation, the
-//! schedulers and [`critical_path`].
+//! rebuild what they read after a rewrite instead of patching it. A
+//! pass builds only what it reads: the rewrite passes share the
+//! in-edge table while the block is unchanged (and folding builds the
+//! unconditional set on top of it), while depth and height
+//! (`Analysis`) are for the criticality annotation, the schedulers and
+//! [`critical_path`].
 
 use std::ops::Index;
 

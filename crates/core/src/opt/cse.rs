@@ -16,33 +16,47 @@
 //! merge makes downstream consumers' keys converge.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::graph::{CodeBlock, DestBranch, Instruction, OpCode};
 use crate::tag::Port;
 use crate::value::{AluOp, CmpOp, StructRef, Value};
 
-use super::analysis::in_edge_table;
+use super::analysis::{in_edge_table, InEdges};
 use super::OptStats;
 
-/// One round of merging. Returns whether anything changed.
-pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
+/// One round of merging. Returns whether anything changed. `table` is
+/// the block's in-edge table, if one is current; merging sorts it into
+/// canonical order.
+pub(super) fn run(
+    block: &mut CodeBlock,
+    table: &mut Option<InEdges>,
+    stats: &mut OptStats,
+) -> bool {
     let mut any = false;
+    // Whether each instruction has been merged away (a victim).
+    let mut victim: Vec<bool> = Vec::new();
     loop {
         // First occurrence of a key is the representative; later ones
         // merge into it. A representative can never itself be merged
         // this round (it would have matched an earlier occurrence).
-        // Victims are kept in index order: the merge loop below extends
-        // the survivors' dest lists, and iterating a hash map there
-        // would make the compiled program's edge order — and with it
-        // every order-sensitive downstream measurement (timed-machine
-        // makespans, token traces) — vary run to run.
-        let merged_into = {
-            // Use-side view, rebuilt per round (merges invalidate it).
-            let mut ins_of = in_edge_table(block);
+        // Merges are listed in victim order: the merge loop below
+        // extends the survivors' dest lists, so this order becomes the
+        // compiled program's edge order, which every order-sensitive
+        // downstream measurement (timed-machine makespans, token
+        // traces) sees.
+        let merges = {
+            // Use-side view, rebuilt after a round that merges.
+            let ins_of = table.get_or_insert_with(|| in_edge_table(block));
             ins_of.canonicalize();
-            let mut table: HashMap<Key<'_>, usize> = HashMap::new();
-            let mut merged_into: BTreeMap<usize, usize> = BTreeMap::new();
+            let keyed = block
+                .instrs
+                .iter()
+                .filter(|ins| Key::of(ins, &[]).is_some());
+            let mut table: HashMap<Key<'_>, usize, BuildHasherDefault<KeyHasher>> =
+                HashMap::with_capacity_and_hasher(keyed.count(), Default::default());
+            let mut merges: Vec<(usize, usize)> = Vec::new();
             for (i, ins) in block.instrs.iter().enumerate() {
                 let edges = &ins_of[i];
                 if block.params.iter().any(|p| p.0 as usize == i)
@@ -57,32 +71,77 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
                     Entry::Vacant(e) => {
                         e.insert(i);
                     }
-                    Entry::Occupied(e) => {
-                        merged_into.insert(i, *e.get());
-                    }
+                    Entry::Occupied(e) => merges.push((i, *e.get())),
                 }
             }
-            merged_into
+            merges
         };
-        if merged_into.is_empty() {
+        if merges.is_empty() {
             return any;
         }
+        *table = None;
         // The survivor absorbs the victim's destinations; every edge
         // into a victim is dropped (sources fire regardless of fan-out,
         // so dropping a delivery to a now-silent duplicate is safe).
-        for (&victim, &rep) in &merged_into {
-            let dests = std::mem::take(&mut block.instrs[victim].dests);
+        victim.resize(block.instrs.len(), false);
+        for &(v, rep) in &merges {
+            victim[v] = true;
+            let dests = std::mem::take(&mut block.instrs[v].dests);
             block.instrs[rep].dests.extend(dests);
             // Neutralize the victim so later rounds cannot key two
             // emptied duplicates against each other; DCE reaps Sinks.
-            block.instrs[victim].retire();
+            block.instrs[v].retire();
         }
         for ins in &mut block.instrs {
-            ins.dests
-                .retain(|d| !merged_into.contains_key(&(d.instr.0 as usize)));
+            ins.dests.retain(|d| !victim[d.instr.0 as usize]);
         }
-        stats.cse_merged += merged_into.len();
+        stats.cse_merged += merges.len();
         any = true;
+    }
+}
+
+/// The hasher of the CSE table: a multiply-and-rotate mix of the key's
+/// small integers. The keys come from the program being compiled, not
+/// from an adversary, so SipHash's collision resistance buys nothing
+/// and its rounds cost more than the rest of a CSE round.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.mix(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.mix(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.mix(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.mix(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table picks buckets by the low bits, which the multiply
+        // leaves weakest.
+        self.0.rotate_left(26)
     }
 }
 

@@ -4,9 +4,7 @@
 //! removing it may strand its producers, so the scan iterates to a
 //! fixed point before the surviving instructions are renumbered.
 
-use std::collections::HashMap;
-
-use crate::graph::{CodeBlock, Dest, InstrId, OpCode};
+use crate::graph::{CodeBlock, InstrId, OpCode};
 
 use super::OptStats;
 
@@ -42,17 +40,20 @@ pub(super) fn is_pure(op: &OpCode) -> bool {
     )
 }
 
-/// Removes dead instructions and compacts ids. Always returns a fresh
-/// block (the pass pipeline runs it last, exactly once).
-pub(super) fn run(block: &CodeBlock, stats: &mut OptStats) -> CodeBlock {
+/// Removes dead instructions and compacts ids in place (the pass
+/// pipeline runs it last, exactly once).
+pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
     let instrs = &block.instrs;
     let params = &block.params;
     let is_param = |id: usize| params.iter().any(|p| p.0 as usize == id);
 
+    // Destinations mostly lie later in the block, so a backward sweep
+    // kills most dead chains in one round; the fixed point does not
+    // depend on the order.
     let mut dead = vec![false; instrs.len()];
     loop {
         let mut changed = false;
-        for (i, ins) in instrs.iter().enumerate() {
+        for (i, ins) in instrs.iter().enumerate().rev() {
             if dead[i] || is_param(i) {
                 continue;
             }
@@ -70,40 +71,41 @@ pub(super) fn run(block: &CodeBlock, stats: &mut OptStats) -> CodeBlock {
             break;
         }
     }
-    stats.dead_removed += dead.iter().filter(|&&d| d).count();
 
-    // Renumber: compact live instructions and remap ids.
-    let mut remap: HashMap<u32, u32> = HashMap::new();
-    let mut new_instrs = Vec::new();
-    for (i, ins) in instrs.iter().enumerate() {
-        if !dead[i] {
-            remap.insert(i as u32, new_instrs.len() as u32);
-            new_instrs.push(ins.clone());
+    // Renumber: live instructions move down over the dead ones and keep
+    // only their edges to live instructions.
+    let mut remap = vec![DEAD; instrs.len()];
+    let mut live = 0u32;
+    for (new, &d) in remap.iter_mut().zip(&dead) {
+        if !d {
+            *new = live;
+            live += 1;
         }
     }
-    for ins in &mut new_instrs {
-        ins.dests = ins
-            .dests
-            .iter()
-            .filter(|d| !dead[d.instr.0 as usize])
-            .map(|d| Dest {
-                instr: InstrId(remap[&d.instr.0]),
-                ..*d
-            })
-            .collect();
+    stats.dead_removed += instrs.len() - live as usize;
+    let mut i = 0;
+    block.instrs.retain_mut(|ins| {
+        let keep = remap[i] != DEAD;
+        i += 1;
+        if keep {
+            ins.dests.retain_mut(|d| {
+                d.instr = InstrId(remap[d.instr.0 as usize]);
+                d.instr.0 != DEAD
+            });
+        }
+        keep
+    });
+    for p in &mut block.params {
+        p.0 = remap[p.0 as usize];
     }
-    let new_params = params.iter().map(|p| InstrId(remap[&p.0])).collect();
-
-    CodeBlock {
-        // Any criticality annotation on the input block describes the
-        // old instruction numbering; drop it (annotation runs after the
-        // whole pipeline, not inside it).
-        criticality: Vec::new(),
-        name: block.name.clone(),
-        instrs: new_instrs,
-        params: new_params,
-    }
+    // Any criticality annotation on the input block describes the old
+    // instruction numbering; drop it (annotation runs after the whole
+    // pipeline, not inside it).
+    block.criticality = Vec::new();
 }
+
+/// [`run`]'s new id of a removed instruction.
+const DEAD: u32 = u32::MAX;
 
 #[cfg(test)]
 mod tests {

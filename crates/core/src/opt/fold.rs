@@ -19,8 +19,6 @@
 //!   replacement still fires once per incoming token, with that
 //!   token's tag.
 
-use std::collections::HashMap;
-
 use crate::graph::{CodeBlock, DestBranch, OpCode};
 use crate::tag::Port;
 use crate::value::Value;
@@ -54,10 +52,17 @@ struct Rewrite {
     acts: [PortAct; 2],
 }
 
-/// Runs one folding sweep. Returns whether anything changed.
-pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
-    let mut changed = hoist_const_triggers(block, stats);
-    changed |= fold_sweep(block, stats);
+/// Runs one folding sweep. Returns whether anything changed. `table`
+/// is the block's in-edge table, if one is current; folding reads only
+/// edge counts and lone edges, so the order of each instruction's
+/// in-edges does not matter to it.
+pub(super) fn run(
+    block: &mut CodeBlock,
+    table: &mut Option<InEdges>,
+    stats: &mut OptStats,
+) -> bool {
+    let mut changed = hoist_const_triggers(block, table, stats);
+    changed |= fold_sweep(block, table, stats);
     changed
 }
 
@@ -84,25 +89,23 @@ fn known_at(block: &CodeBlock, ins_of: &InEdges, i: usize, port: u8) -> Option<V
     }
 }
 
-/// Every in-edge of `i` feeding `port`, as `(source, selector)`.
-fn edges_at(ins_of: &InEdges, i: usize, port: u8) -> Vec<(u32, DestBranch)> {
-    ins_of[i]
-        .iter()
-        .filter(|e| e.1 == port)
-        .map(|&(src, _, when)| (src, when))
-        .collect()
+/// How many in-edges of `i` feed `port`, and the first of them as
+/// `(source, selector)`.
+fn edges_at(ins_of: &InEdges, i: usize, port: u8) -> (usize, Option<(u32, DestBranch)>) {
+    let mut feeds = ins_of[i].iter().filter(|e| e.1 == port);
+    let first = feeds.next().map(|&(src, _, when)| (src, when));
+    (usize::from(first.is_some()) + feeds.count(), first)
 }
 
-fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
-    let ins_of = in_edge_table(block);
-    let uncond = unconditional(block, &ins_of);
+fn fold_sweep(block: &mut CodeBlock, table: &mut Option<InEdges>, stats: &mut OptStats) -> bool {
+    let ins_of = table.get_or_insert_with(|| in_edge_table(block));
+    let uncond = unconditional(block, ins_of);
     let n = block.instrs.len();
-    let mut plans: HashMap<usize, Rewrite> = HashMap::new();
+    let mut plans: Vec<Option<Rewrite>> = vec![None; n];
     let mut folded = 0usize;
     let mut resolved = 0usize;
 
-    for i in 0..n {
-        let ins = &block.instrs[i];
+    for (i, (ins, plan)) in block.instrs.iter().zip(&mut plans).enumerate() {
         // A loop-constant operand is invisible here (no edge, no
         // literal), so an instruction reading one is never rewritten.
         if block.params.iter().any(|p| p.0 as usize == i) || !ins.consts.is_empty() {
@@ -111,34 +114,31 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         match ins.op {
             OpCode::Alu(_) | OpCode::Cmp(_) | OpCode::Not | OpCode::And | OpCode::Or => {}
             OpCode::Switch => {
-                if let Some(rw) = plan_switch(block, &ins_of, &uncond, i) {
-                    resolved += 1;
-                    plans.insert(i, rw);
-                }
+                *plan = plan_switch(block, ins_of, &uncond, i);
+                resolved += usize::from(plan.is_some());
                 continue;
             }
             _ => continue,
         }
-        if let Some(rw) = plan_const_fold(block, &ins_of, &uncond, i) {
-            folded += 1;
-            plans.insert(i, rw);
-        }
+        *plan = plan_const_fold(block, ins_of, &uncond, i);
+        folded += usize::from(plan.is_some());
     }
 
-    if plans.is_empty() {
+    if folded + resolved == 0 {
         return false;
     }
+    *table = None;
 
     // Apply: one sweep over every destination list (composing a
     // resolved Switch's own branch filter with its targets' port
     // actions), then rewrite the planned instructions themselves.
     for i in 0..n {
-        let my_take = plans.get(&i).and_then(|r| r.take);
+        let my_take = plans[i].as_ref().and_then(|r| r.take);
         let needs = my_take.is_some()
             || block.instrs[i]
                 .dests
                 .iter()
-                .any(|d| plans.contains_key(&(d.instr.0 as usize)));
+                .any(|d| plans[d.instr.0 as usize].is_some());
         if !needs {
             continue;
         }
@@ -151,7 +151,7 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
                 }
                 d.when = DestBranch::Always;
             }
-            match plans.get(&(d.instr.0 as usize)) {
+            match &plans[d.instr.0 as usize] {
                 None => nd.push(d),
                 Some(rw) => match rw.acts[d.port.0 as usize] {
                     PortAct::Keep => nd.push(d),
@@ -165,8 +165,10 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         }
         block.instrs[i].dests = nd;
     }
-    for (&i, rw) in &plans {
-        let ins = &mut block.instrs[i];
+    for (ins, rw) in block.instrs.iter_mut().zip(&plans) {
+        let Some(rw) = rw else {
+            continue;
+        };
         ins.op = rw.op;
         ins.nt = 1;
         ins.literal = None;
@@ -198,11 +200,11 @@ fn plan_const_fold(
     let mut edged: [bool; 2] = [false, false];
     let mut total_edges = 0usize;
     for p in 0..arity {
-        let es = edges_at(ins_of, i, p);
-        if es.len() > 1 {
+        let (feeds, first) = edges_at(ins_of, i, p);
+        if feeds > 1 {
             return None; // multi-token port: fires more than once
         }
-        if let Some(&(src, _)) = es.first() {
+        if let Some((src, _)) = first {
             if src as usize == i {
                 return None;
             }
@@ -279,8 +281,6 @@ fn plan_switch(block: &CodeBlock, ins_of: &InEdges, uncond: &[bool], i: usize) -
         .as_ref()
         .filter(|(lp, _)| lp.0 == 1)
         .map(|(_, v)| *v);
-    let ctl_edges = edges_at(ins_of, i, 1);
-    let data_edges = edges_at(ins_of, i, 0);
 
     if let Some(Value::Bool(b)) = ctl_lit {
         // Literal control: every data token is routed the same way;
@@ -300,7 +300,7 @@ fn plan_switch(block: &CodeBlock, ins_of: &InEdges, uncond: &[bool], i: usize) -
     // per-activation event, so the data side must be one too (a data
     // stream with other tags would only ever match the one control
     // token — forwarding *all* of it would change behaviour).
-    let &[(ctl, ctl_when)] = &ctl_edges[..] else {
+    let (1, Some((ctl, ctl_when))) = edges_at(ins_of, i, 1) else {
         return None;
     };
     if ctl_when != DestBranch::Always || !uncond[ctl as usize] {
@@ -324,7 +324,7 @@ fn plan_switch(block: &CodeBlock, ins_of: &InEdges, uncond: &[bool], i: usize) -
             acts: [PortAct::Keep, PortAct::ToPort0],
         });
     }
-    let &[(data, data_when)] = &data_edges[..] else {
+    let (1, Some((data, data_when))) = edges_at(ins_of, i, 0) else {
         return None;
     };
     if data_when != DestBranch::Always || !uncond[data as usize] {
@@ -341,8 +341,12 @@ fn plan_switch(block: &CodeBlock, ins_of: &InEdges, uncond: &[bool], i: usize) -
 /// really triggered by whatever fires the chain's root, so the edge can
 /// skip the intermediate hops (which then die in DCE). `Const` emits
 /// with its trigger token's tag, so hoisting is unconditionally safe.
-fn hoist_const_triggers(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
-    let ins_of = in_edge_table(block);
+fn hoist_const_triggers(
+    block: &mut CodeBlock,
+    table: &mut Option<InEdges>,
+    stats: &mut OptStats,
+) -> bool {
+    let ins_of = table.get_or_insert_with(|| in_edge_table(block));
     let n = block.instrs.len();
     // The one in-edge, as `(source, selector)`, of a `Const` that has
     // exactly one.
@@ -395,6 +399,7 @@ fn hoist_const_triggers(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     if moves.is_empty() {
         return false;
     }
+    *table = None;
     for &(i, parent, root, when) in &moves {
         // Remove the one parent→i edge, then wire root→i as the new
         // trigger.

@@ -42,11 +42,12 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     const DONE: u8 = 2;
     let mut state = vec![UNSEEN; n];
     let mut postorder: Vec<usize> = Vec::new();
+    let mut stack: Vec<(usize, usize)> = Vec::new();
     for start in 0..n {
         if !collapsible[start] || state[start] != UNSEEN {
             continue;
         }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        stack.push((start, 0));
         state[start] = OPEN;
         while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
             if *idx < block.instrs[node].dests.len() {
@@ -70,26 +71,28 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         }
     }
 
-    // Phase 2: flattened destination lists, children before parents.
+    // Phase 2: flattened destination lists, children before parents,
+    // packed into one array (`flat[span[i]]` is junction `i`'s list).
     // An identity's own out-edges are all `Always` (it is not a
     // `Switch`), so the flattening never has branch selectors to
     // compose — the *incoming* edge's selector is applied at rewire
     // time.
-    let mut flat: Vec<Vec<Dest>> = vec![Vec::new(); n];
+    let mut flat: Vec<Dest> = Vec::new();
+    let mut span = vec![0..0; n];
     for &node in &postorder {
         if !collapsible[node] {
             continue;
         }
-        let mut f = Vec::new();
+        let begin = flat.len();
         for d in &block.instrs[node].dests {
             let t = d.instr.0 as usize;
             if collapsible[t] {
-                f.extend(flat[t].iter().copied());
+                flat.extend_from_within(span[t].clone());
             } else {
-                f.push(*d);
+                flat.push(*d);
             }
         }
-        flat[node] = f;
+        span[node] = begin..flat.len();
     }
 
     // Phase 3: one rewiring sweep, composing each incoming edge's
@@ -110,7 +113,7 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         for d in old {
             let t = d.instr.0 as usize;
             if collapsible[t] {
-                nd.extend(flat[t].iter().map(|vd| Dest {
+                nd.extend(flat[span[t].clone()].iter().map(|vd| Dest {
                     instr: vd.instr,
                     port: vd.port,
                     when: d.when,

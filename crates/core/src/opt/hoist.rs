@@ -48,7 +48,7 @@
 //!   invariants: promotion takes them greedily up to that limit, so the
 //!   hoist would cost a promotion.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use crate::graph::{CodeBlock, Dest, DestBranch, InstrId, Instruction, OpCode, MAX_LOOP_CONSTS};
 use crate::tag::Port;
@@ -58,21 +58,22 @@ use super::cse::Key;
 use super::unroll::{add_pred0, loop_groups, machinery, remove_variable, LoopShape};
 use super::OptStats;
 
-/// Hoists the invariant expressions of every eligible loop.
-pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
+/// Hoists the invariant expressions of every eligible loop. `table` is
+/// the block's in-edge table, if one is current.
+pub(super) fn run(block: &mut CodeBlock, table: &mut Option<InEdges>, stats: &mut OptStats) {
     // Inner loops first (descending ids, as in promotion): what an inner
     // loop hoists lands in its parent's body, where the parent's own
     // visit can move it further out.
     for (loop_id, ds) in loop_groups(block).into_iter().rev() {
-        // Rebuilt per loop: each hoist rewires edges.
-        let ins_of = in_edge_table(block);
-        let Some(lp) = machinery(block, &ins_of, &ds) else {
+        // Built again only after a hoist, which rewires edges.
+        let ins_of = table.get_or_insert_with(|| in_edge_table(block));
+        let Some(lp) = machinery(block, ins_of, &ds) else {
             continue;
         };
-        let Some(group) = candidates(block, &ins_of, &lp) else {
+        let Some(group) = candidates(block, ins_of, &lp) else {
             continue;
         };
-        let plan = Plan::of(block, &ins_of, &lp, group);
+        let plan = Plan::of(block, ins_of, &lp, group);
         // Promotion takes invariants greedily, up to the limit: a hoist
         // that pushed the loop past it would cost a promotion.
         let invariants = (0..lp.d.len()).filter(|&k| lp.is_invariant(k)).count();
@@ -80,9 +81,13 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
             continue;
         }
         stats.instrs_hoisted += plan.group.len();
-        apply(block, &ins_of, &lp, &plan, loop_id);
+        apply(block, ins_of, &lp, &plan, loop_id);
+        *table = None;
     }
 }
+
+/// No entry in a dense per-instruction index.
+const NONE: u32 = u32::MAX;
 
 /// On which iterations a candidate fires: every one (empty), or those
 /// on which each `(control, side)` of the switches above it holds.
@@ -102,43 +107,58 @@ fn candidates(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec
         .filter(|&k| lp.is_invariant(k))
         .map(|k| lp.body_in[k])
         .collect();
-    let mut cond: HashMap<usize, Cond> = HashMap::new();
-    let classify = |x: usize, cond: &HashMap<usize, Cond>| -> Class {
+    // Per instruction: its index in `order` once it is a candidate, and
+    // so in `cond`, which holds the condition each candidate fires on.
+    let mut place = vec![NONE; block.instrs.len()];
+    let mut cond: Vec<Cond> = Vec::new();
+    let classify = |x: usize, place: &[u32], cond: &[Cond]| -> Class {
         let ins = instr(x);
         let edges = &ins_of[x];
         if block.params.iter().any(|p| p.0 as usize == x) || !ins.consts.is_empty() {
             return Class::Never;
         }
-        // The condition each operand arrives on.
-        let mut on: Vec<Cond> = Vec::with_capacity(edges.len());
+        // The condition each operand arrives on: the first and second
+        // operands' (a join reads both), and whether all are alike.
+        let (mut first, mut second): (Option<Cond>, Option<Cond>) = (None, None);
+        let mut alike = true;
         for &(s, _, w) in edges {
             let s = s as usize;
             if s == x {
                 return Class::Never;
             }
-            if invariant.contains(&s) {
-                on.push(Cond::new());
-                continue;
-            }
-            let Some(c) = cond.get(&s) else {
-                return Class::Later;
+            let c = if invariant.contains(&s) {
+                Cond::new()
+            } else {
+                let Some(c) = cond.get(place[s] as usize) else {
+                    return Class::Later;
+                };
+                let mut c = c.clone();
+                match (instr(s).op, w) {
+                    (OpCode::Switch, DestBranch::IfTrue | DestBranch::IfFalse) => {
+                        let control = ins_of[s]
+                            .iter()
+                            .find(|e| e.1 == 1)
+                            .expect("a switch candidate");
+                        c.push((control.0, w == DestBranch::IfTrue));
+                    }
+                    (OpCode::Switch, _) | (_, DestBranch::IfTrue | DestBranch::IfFalse) => {
+                        return Class::Never;
+                    }
+                    _ => {}
+                }
+                c
             };
-            let mut c = c.clone();
-            match (instr(s).op, w) {
-                (OpCode::Switch, DestBranch::IfTrue | DestBranch::IfFalse) => {
-                    let control = ins_of[s]
-                        .iter()
-                        .find(|e| e.1 == 1)
-                        .expect("a switch candidate");
-                    c.push((control.0, w == DestBranch::IfTrue));
+            match &first {
+                None => first = Some(c),
+                Some(f) => {
+                    alike &= *f == c;
+                    second.get_or_insert(c);
                 }
-                (OpCode::Switch, _) | (_, DestBranch::IfTrue | DestBranch::IfFalse) => {
-                    return Class::Never;
-                }
-                _ => {}
             }
-            on.push(c);
         }
+        let Some(first) = first else {
+            return Class::Never;
+        };
         // One operand per port, the literal's port included.
         let ports_ok = || {
             (0..ins.op.arity()).all(|p| {
@@ -147,23 +167,22 @@ fn candidates(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec
                 fed + usize::from(lit) == 1
             })
         };
-        let one_cond = || on.windows(2).all(|w| w[0] == w[1]);
         match ins.op {
-            _ if on.is_empty() => Class::Never,
             OpCode::Alu(_)
             | OpCode::Cmp(_)
             | OpCode::Not
             | OpCode::And
             | OpCode::Or
             | OpCode::Switch
-                if ports_ok() && one_cond() =>
+                if ports_ok() && alike =>
             {
-                Class::Candidate(on.swap_remove(0))
+                Class::Candidate(first)
             }
             // A join of both sides of one switch decision fires whenever
             // the decision is made.
             OpCode::Identity if ins.literal.is_none() && edges.len() == 2 => {
-                match (on[0].split_last(), on[1].split_last()) {
+                let second = second.expect("a join has two operands");
+                match (first.split_last(), second.split_last()) {
                     (Some((&(ka, sa), ra)), Some((&(kb, sb), rb)))
                         if ka == kb && sa != sb && ra == rb =>
                     {
@@ -184,13 +203,17 @@ fn candidates(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec
         .iter()
         .flat_map(|&b| instr(b).dests.iter().map(|d| d.instr.0 as usize))
         .collect();
+    let mut sweep = Vec::new();
     loop {
         let mut progress = false;
-        for x in frontier.clone() {
-            match classify(x, &cond) {
+        sweep.clear();
+        sweep.extend(&frontier);
+        for &x in &sweep {
+            match classify(x, &place, &cond) {
                 Class::Candidate(c) => {
-                    cond.insert(x, c);
+                    place[x] = order.len() as u32;
                     order.push(x);
+                    cond.push(c);
                     frontier.remove(&x);
                     frontier.extend(instr(x).dests.iter().map(|d| d.instr.0 as usize));
                     progress = true;
@@ -208,28 +231,28 @@ fn candidates(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec
 
     // Drop what cannot move: a conditional value read outside the
     // group, and anything whose operand stays behind.
-    let mut group: HashSet<usize> = order.iter().copied().collect();
+    let mut kept = vec![true; order.len()];
     loop {
-        let before = group.len();
-        for &x in &order {
-            let conditional = !cond[&x].is_empty() || instr(x).op == OpCode::Switch;
-            let stranded = conditional
-                && instr(x)
-                    .dests
-                    .iter()
-                    .any(|d| !group.contains(&(d.instr.0 as usize)));
-            let orphaned = ins_of[x].iter().any(|&(s, _, _)| {
-                !group.contains(&(s as usize)) && !invariant.contains(&(s as usize))
-            });
-            if stranded || orphaned {
-                group.remove(&x);
+        let mut changed = false;
+        for (g, &x) in order.iter().enumerate() {
+            let in_group = |t: usize| kept.get(place[t] as usize) == Some(&true);
+            let conditional = !cond[g].is_empty() || instr(x).op == OpCode::Switch;
+            let stranded =
+                conditional && instr(x).dests.iter().any(|d| !in_group(d.instr.0 as usize));
+            let orphaned = ins_of[x]
+                .iter()
+                .any(|&(s, _, _)| !in_group(s as usize) && !invariant.contains(&(s as usize)));
+            if (stranded || orphaned) && kept[g] {
+                kept[g] = false;
+                changed = true;
             }
         }
-        if group.len() == before {
+        if !changed {
             break;
         }
     }
-    order.retain(|x| group.contains(x));
+    let mut kept = kept.into_iter();
+    order.retain(|_| kept.next() == Some(true));
     (!order.is_empty()).then_some(order)
 }
 
@@ -237,13 +260,16 @@ fn candidates(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec
 struct Plan {
     /// The candidates, in dependency order.
     group: Vec<usize>,
-    /// Per candidate, the first structurally equal one: only those are
-    /// copied, and one variable carries each in (wavefront computes
-    /// `i * n` twice).
-    rep: HashMap<usize, usize>,
+    /// Per instruction of the block: its index in `group`, or [`NONE`].
+    slot: Vec<u32>,
+    /// Per candidate, the first structurally equal one, as an index into
+    /// `reps`: only those are copied, and one variable carries each in
+    /// (wavefront computes `i * n` twice).
+    rep: Vec<usize>,
     /// The copied candidates, in dependency order.
     reps: Vec<usize>,
-    /// The copied candidates the body still reads.
+    /// The copied candidates the body still reads, as indexes into
+    /// `reps`.
     carried: Vec<usize>,
     /// The invariants the group reads, by variable index.
     read: Vec<usize>,
@@ -253,37 +279,41 @@ struct Plan {
 
 impl Plan {
     fn of(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape, group: Vec<usize>) -> Plan {
-        let in_group: HashSet<usize> = group.iter().copied().collect();
-        let mut rep: HashMap<usize, usize> = HashMap::new();
+        let mut slot = vec![NONE; block.instrs.len()];
+        for (g, &x) in group.iter().enumerate() {
+            slot[x] = g as u32;
+        }
+        let mut rep: Vec<usize> = Vec::with_capacity(group.len());
         // Each copied candidate with its in-edges, sources mapped to
         // copied candidates, in canonical order.
         let mut reps: Vec<(usize, Vec<_>)> = Vec::new();
         for &x in &group {
             let mut edges: Vec<(u32, u8, DestBranch)> = ins_of[x]
                 .iter()
-                .map(|&(s, p, w)| (rep.get(&(s as usize)).map_or(s, |&r| r as u32), p, w))
+                .map(|&(s, p, w)| match rep.get(slot[s as usize] as usize) {
+                    Some(&r) => (reps[r].0 as u32, p, w),
+                    None => (s, p, w),
+                })
                 .collect();
             canonical_order(&mut edges);
             let same = Key::of(&block.instrs[x], &edges).and_then(|k| {
                 reps.iter()
-                    .find(|(y, e)| Key::of(&block.instrs[*y], e).as_ref() == Some(&k))
-                    .map(|&(y, _)| y)
+                    .position(|(y, e)| Key::of(&block.instrs[*y], e).as_ref() == Some(&k))
             });
-            rep.insert(x, same.unwrap_or(x));
+            rep.push(same.unwrap_or(reps.len()));
             if same.is_none() {
                 reps.push((x, edges));
             }
         }
-        let outside = |x: usize| {
-            block.instrs[x]
+        let in_group = |t: usize| slot[t] != NONE;
+        let mut carried: Vec<usize> = Vec::new();
+        for (g, &x) in group.iter().enumerate() {
+            let outside = block.instrs[x]
                 .dests
                 .iter()
-                .any(|d| !in_group.contains(&(d.instr.0 as usize)))
-        };
-        let mut carried: Vec<usize> = Vec::new();
-        for &x in group.iter().filter(|&&x| outside(x)) {
-            if !carried.contains(&rep[&x]) {
-                carried.push(rep[&x]);
+                .any(|d| !in_group(d.instr.0 as usize));
+            if outside && !carried.contains(&rep[g]) {
+                carried.push(rep[g]);
             }
         }
         let mut read: Vec<usize> = Vec::new();
@@ -302,12 +332,13 @@ impl Plan {
             .iter()
             .copied()
             .filter(|&k| {
-                only(lp.body_in[k], &|t| t == lp.l[k] || in_group.contains(&t))
+                only(lp.body_in[k], &|t| t == lp.l[k] || in_group(t))
                     && only(lp.top[k], &|t| t == lp.sw[k])
             })
             .collect();
         Plan {
             group,
+            slot,
             rep,
             reps: reps.into_iter().map(|(x, _)| x).collect(),
             carried,
@@ -319,7 +350,7 @@ impl Plan {
 
 /// Moves `plan`'s group out of the loop (see the module docs).
 fn apply(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, plan: &Plan, loop_id: u32) {
-    let in_group: HashSet<usize> = plan.group.iter().copied().collect();
+    let in_group = |t: u32| plan.slot.get(t as usize).is_some_and(|&g| g != NONE);
     let var_of = |b: u32| lp.body_in.iter().position(|&x| x == b as usize);
 
     // The guard: pred₀, and a switch on it per initial value read.
@@ -340,8 +371,9 @@ fn apply(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, plan: &Plan, l
         guard.push(((src, when), sw));
     }
 
-    // The copies, fed by each other and by the guard's true side.
-    let mut copy: HashMap<usize, usize> = HashMap::new();
+    // The copies, fed by each other and by the guard's true side: the
+    // copy of `plan.reps[j]` is instruction `copies + j`.
+    let copies = block.instrs.len();
     for &x in &plan.reps {
         let o = &block.instrs[x];
         let c = Instruction {
@@ -351,10 +383,9 @@ fn apply(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, plan: &Plan, l
             consts: Vec::new(),
             dests: Vec::new(),
         };
-        copy.insert(x, block.instrs.len());
         block.instrs.push(c);
     }
-    for &x in &plan.reps {
+    for (j, &x) in plan.reps.iter().enumerate() {
         for &(s, p, w) in &ins_of[x] {
             let (src, when) = match var_of(s) {
                 Some(k) => {
@@ -362,29 +393,27 @@ fn apply(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, plan: &Plan, l
                     let &(_, sw) = guard.iter().find(|&&(i, _)| i == init).expect("guarded");
                     (sw, DestBranch::IfTrue)
                 }
-                None => (copy[&plan.rep[&(s as usize)]], w),
+                None => (copies + plan.rep[plan.slot[s as usize] as usize], w),
             };
-            block.instrs[src].dests.push(edge(copy[&x], p, when));
+            block.instrs[src].dests.push(edge(copies + j, p, when));
         }
     }
 
     // What the body still reads enters as a new invariant.
     let dummy = guard[0].1;
-    let body_in: HashMap<usize, usize> = plan
+    let body_in: Vec<usize> = plan
         .carried
         .iter()
-        .map(|&r| (r, add_invariant(block, lp, loop_id, copy[&r], dummy)))
+        .map(|&j| add_invariant(block, lp, loop_id, copies + j, dummy))
         .collect();
-    for &x in &plan.group {
-        let outside = block.instrs[x]
-            .dests
-            .iter()
-            .filter(|d| !in_group.contains(&(d.instr.0 as usize)))
-            .copied()
-            .collect::<Vec<Dest>>();
-        if let Some(&b) = body_in.get(&plan.rep[&x]) {
-            block.instrs[b].dests.extend(outside);
-        }
+    for (g, &x) in plan.group.iter().enumerate() {
+        let Some(c) = plan.carried.iter().position(|&j| j == plan.rep[g]) else {
+            continue;
+        };
+        // The new body input comes after every original.
+        let (originals, added) = block.instrs.split_at_mut(body_in[c]);
+        let outside = originals[x].dests.iter().filter(|d| !in_group(d.instr.0));
+        added[0].dests.extend(outside);
     }
 
     // The originals leave, and so does an invariant nothing reads now.
@@ -394,7 +423,7 @@ fn apply(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, plan: &Plan, l
     for &k in &plan.read {
         block.instrs[lp.body_in[k]]
             .dests
-            .retain(|d| !in_group.contains(&(d.instr.0 as usize)));
+            .retain(|d| !in_group(d.instr.0));
     }
     for &k in &plan.deleted {
         let d = lp.d[k];
@@ -538,7 +567,7 @@ mod tests {
         let mut q = p.clone();
         let mut stats = OptStats::default();
         for b in &mut q.blocks {
-            super::run(b, &mut stats);
+            super::run(b, &mut None, &mut stats);
         }
         assert_eq!(q.validate(), Ok(()));
         (q, stats)

@@ -38,7 +38,7 @@
 //! Pass-ordering and rewrite-safety rules are documented in DESIGN.md
 //! §14; the per-block analyses (the in-edge table, critical-path depth
 //! and height, the unconditional set) live in [`analysis`] and are
-//! rebuilt from scratch after every rewriting pass (every rewrite
+//! rebuilt from scratch after every rewrite (every rewrite
 //! invalidates), each pass building only what it reads.
 
 pub mod analysis;
@@ -116,8 +116,7 @@ pub struct OptStats {
 const FIXPOINT_ROUNDS: usize = 8;
 
 /// Optimizes a program at `level`; returns the new program and what
-/// changed. Analyses are per block and rebuilt after every rewriting
-/// pass.
+/// changed. Analyses are per block and rebuilt after every rewrite.
 ///
 /// The input should be valid (from
 /// [`GraphBuilder`](crate::GraphBuilder) or
@@ -144,19 +143,26 @@ fn optimize_block(block: &CodeBlock, level: OptLevel, stats: &mut OptStats) -> C
     }
     let mut b = block.clone();
     if level >= OptLevel::O2 {
+        // One in-edge table serves the passes while the block stays as
+        // it is: a pass builds it when there is none and drops it when
+        // it rewrites the block.
+        let mut ins_of = None;
         // The three loop passes run exactly once, on the pristine
         // codegen schema: forwarding would dissolve the loop-top
         // Identity junctions they pattern-match. Hoisting sees what
         // unrolling left (an unrolled loop is gone), and promotion
         // comes last so the invariants hoisting adds become constants
         // too.
-        unroll::run(&mut b, stats);
-        hoist::run(&mut b, stats);
-        promote::run(&mut b, stats);
+        unroll::run(&mut b, &mut ins_of, stats);
+        hoist::run(&mut b, &mut ins_of, stats);
+        promote::run(&mut b, &mut ins_of, stats);
         for _ in 0..FIXPOINT_ROUNDS {
             let mut changed = forward::run(&mut b, stats);
-            changed |= fold::run(&mut b, stats);
-            changed |= cse::run(&mut b, stats);
+            if changed {
+                ins_of = None;
+            }
+            changed |= fold::run(&mut b, &mut ins_of, stats);
+            changed |= cse::run(&mut b, &mut ins_of, stats);
             if !changed {
                 break;
             }
@@ -164,7 +170,8 @@ fn optimize_block(block: &CodeBlock, level: OptLevel, stats: &mut OptStats) -> C
     } else {
         forward::run(&mut b, stats);
     }
-    dce::run(&b, stats)
+    dce::run(&mut b, stats);
+    b
 }
 
 /// Attaches per-instruction scheduling criticality to every block: each

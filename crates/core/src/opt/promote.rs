@@ -49,23 +49,25 @@ use super::analysis::{in_edge_table, InEdges};
 use super::unroll::{loop_groups, machinery, remove_variable, LoopShape};
 use super::OptStats;
 
-/// Promotes the invariants of every eligible loop in the block.
-pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
+/// Promotes the invariants of every eligible loop in the block. `table`
+/// is the block's in-edge table, if one is current.
+pub(super) fn run(block: &mut CodeBlock, table: &mut Option<InEdges>, stats: &mut OptStats) {
     // The compiler and `GraphBuilder::dataflow_loop` number a loop
     // before the loops its body holds, so descending ids visit inner
     // loops first. The order only decides how much is promoted, never
     // whether a promotion is sound.
     for (loop_id, ds) in loop_groups(block).into_iter().rev() {
-        // Rebuilt per loop: each promotion rewires edges.
-        let ins_of = in_edge_table(block);
-        let Some(lp) = machinery(block, &ins_of, &ds) else {
+        // Built again only after a promotion, which rewires edges.
+        let ins_of = table.get_or_insert_with(|| in_edge_table(block));
+        let Some(lp) = machinery(block, ins_of, &ds) else {
             continue;
         };
-        let Some(plan) = plan(block, &ins_of, &lp) else {
+        let Some(plan) = plan(block, ins_of, &lp) else {
             continue;
         };
         stats.invariants_promoted += plan.slots.len();
         apply(block, &lp, &plan, loop_id);
+        *table = None;
     }
 }
 
@@ -92,6 +94,7 @@ fn plan(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Plan> {
         reads: Vec::new(),
     };
 
+    let mut reads: Vec<(usize, u8)> = Vec::new();
     for k in 0..lp.d.len() {
         if plan.slots.len() == MAX_LOOP_CONSTS {
             break;
@@ -109,10 +112,12 @@ fn plan(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Plan> {
             .dests
             .iter()
             .filter(|d| d.instr.0 as usize != lp.l[k]);
-        let reads: Vec<(usize, u8)> = top_reads
-            .chain(body_reads)
-            .map(|d| (d.instr.0 as usize, d.port.0))
-            .collect();
+        reads.clear();
+        reads.extend(
+            top_reads
+                .chain(body_reads)
+                .map(|d| (d.instr.0 as usize, d.port.0)),
+        );
         let eligible = reads.iter().all(|&(r, p)| {
             (r == lp.pred || !machinery(r))
                 && !is_param(r)
@@ -228,7 +233,7 @@ mod tests {
     fn promoted_alone(p: &Program) -> usize {
         let mut block = p.blocks[0].clone();
         let mut stats = super::OptStats::default();
-        super::run(&mut block, &mut stats);
+        super::run(&mut block, &mut None, &mut stats);
         stats.invariants_promoted
     }
 

@@ -23,7 +23,8 @@
 //!
 //! [`GraphBuilder::dataflow_loop`]: crate::GraphBuilder::dataflow_loop
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 
 use crate::graph::{CodeBlock, Dest, DestBranch, InstrId, Instruction, OpCode};
 use crate::tag::Port;
@@ -71,27 +72,31 @@ impl LoopShape {
     }
 }
 
-/// Unrolls every eligible loop in the block.
-pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
-    let mut done: HashSet<u32> = HashSet::new();
+/// Unrolls every eligible loop in the block. `table` is the block's
+/// in-edge table, if one is current: the passes of a block share it
+/// until one of them rewrites the block.
+pub(super) fn run(block: &mut CodeBlock, table: &mut Option<InEdges>, stats: &mut OptStats) {
+    // Each loop is a candidate once, in id order: a loop left alone
+    // keeps its `D`s, and an unrolled one is gone. Both tables are built
+    // again only after an unroll, which invalidates them.
+    let mut groups = None;
+    let mut visited = None;
     loop {
-        // Rebuilt per transform: each apply invalidates edge indexes.
-        let ins_of = in_edge_table(block);
-        let Some((lid, ds)) = loop_groups(block)
-            .into_iter()
-            .find(|(lid, _)| !done.contains(lid))
-        else {
+        let loops = groups.get_or_insert_with(|| loop_groups(block));
+        let after = visited.map_or(Unbounded, Excluded);
+        let Some((&lid, ds)) = loops.range((after, Unbounded)).next() else {
             return;
         };
-        // A loop left alone keeps its `D`s and would be found again;
-        // marking the id first makes every loop a one-shot candidate.
-        done.insert(lid);
-        let Some(lp) = recognize(block, &ins_of, &ds) else {
+        visited = Some(lid);
+        let ins_of = table.get_or_insert_with(|| in_edge_table(block));
+        let Some(lp) = recognize(block, ins_of, ds) else {
             continue;
         };
-        if let Some(trips) = trip_count(block, &ins_of, &lp) {
-            apply_unroll(block, &ins_of, &lp, trips);
+        if let Some(trips) = trip_count(block, ins_of, &lp) {
+            apply_unroll(block, ins_of, &lp, trips);
             stats.loops_unrolled += 1;
+            *table = None;
+            groups = None;
         }
     }
 }
@@ -196,9 +201,8 @@ pub(super) fn machinery(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Op
     if !matches!(instr(pred).op, OpCode::Cmp(_)) || is_param(pred) {
         return None;
     }
-    let top_set: HashSet<usize> = top.iter().copied().collect();
     for &(s, _, w) in &ins_of[pred] {
-        if w != DestBranch::Always || !top_set.contains(&(s as usize)) {
+        if w != DestBranch::Always || !top.contains(&(s as usize)) {
             return None;
         }
     }
@@ -276,30 +280,31 @@ pub(super) fn machinery(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Op
 
 /// The body: the dataflow closure from the body_in junctions down to
 /// the L re-entries. Only per-token pure value ops are eligible — a
-/// call, a structure op, or another loop's tag machinery bails.
+/// call, a structure op, or another loop's tag machinery bails, and so
+/// does a closure of more than [`MAX_BODY_UNROLL`] instructions, as soon
+/// as it gets there. Every set here is that small (or the schema's), so
+/// each is a vector searched in place.
 fn pure_body(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec<usize>> {
     let instr = |i: usize| &block.instrs[i];
     let is_param = |i: usize| block.params.iter().any(|p| p.0 as usize == i);
-    let mut machinery: HashSet<usize> = HashSet::new();
-    machinery.extend(lp.d.iter().chain(&lp.top).chain(&lp.l).chain(&lp.sw));
-    machinery.extend(lp.body_in.iter().chain(&lp.dinv));
-    machinery.insert(lp.pred);
-    let l_set: HashSet<usize> = lp.l.iter().copied().collect();
-    let bin_set: HashSet<usize> = lp.body_in.iter().copied().collect();
+    let machinery = |i: usize| {
+        i == lp.pred
+            || [&lp.d, &lp.top, &lp.l, &lp.sw, &lp.body_in, &lp.dinv]
+                .iter()
+                .any(|set| set.contains(&i))
+    };
 
-    let mut body = Vec::new();
-    let mut seen: HashSet<usize> = HashSet::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for &bi in &lp.body_in {
-        for dd in &instr(bi).dests {
-            queue.push_back(dd.instr.0 as usize);
-        }
-    }
+    let mut body: Vec<usize> = Vec::new();
+    let mut queue: VecDeque<usize> = lp
+        .body_in
+        .iter()
+        .flat_map(|&bi| instr(bi).dests.iter().map(|dd| dd.instr.0 as usize))
+        .collect();
     while let Some(x) = queue.pop_front() {
-        if l_set.contains(&x) || seen.contains(&x) {
+        if lp.l.contains(&x) || body.contains(&x) {
             continue;
         }
-        if machinery.contains(&x) || is_param(x) {
+        if machinery(x) || is_param(x) || body.len() == MAX_BODY_UNROLL {
             return None;
         }
         match instr(x).op {
@@ -313,38 +318,26 @@ fn pure_body(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<Vec<
             | OpCode::Switch => {}
             _ => return None,
         }
-        seen.insert(x);
         body.push(x);
         for dd in &instr(x).dests {
             queue.push_back(dd.instr.0 as usize);
         }
     }
-    if body.len() > MAX_BODY_UNROLL {
-        return None;
-    }
     // Closure must be closed: body inputs only from body/body_in, body
     // outputs only into body/L, next values from body/body_in.
+    let inside = |s: u32| body.contains(&(s as usize)) || lp.body_in.contains(&(s as usize));
     for &b in &body {
-        for &(s, _, _) in &ins_of[b] {
-            let s = s as usize;
-            if !seen.contains(&s) && !bin_set.contains(&s) {
-                return None;
-            }
+        if ins_of[b].iter().any(|&(s, _, _)| !inside(s)) {
+            return None;
         }
         for dd in &instr(b).dests {
             let t = dd.instr.0 as usize;
-            if !seen.contains(&t) && !l_set.contains(&t) {
+            if !body.contains(&t) && !lp.l.contains(&t) {
                 return None;
             }
         }
     }
-    for &(ns, _) in &lp.next {
-        let ns = ns as usize;
-        if !seen.contains(&ns) && !bin_set.contains(&ns) {
-            return None;
-        }
-    }
-    Some(body)
+    lp.next.iter().all(|&(ns, _)| inside(ns)).then_some(body)
 }
 
 /// A statically-known predicate operand during trip simulation.
@@ -363,13 +356,6 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<u64
     let OpCode::Cmp(cmp) = block.instrs[lp.pred].op else {
         return None;
     };
-    let top_var: HashMap<u32, usize> = lp
-        .top
-        .iter()
-        .enumerate()
-        .map(|(k, &t)| (t as u32, k))
-        .collect();
-    let bin_var = bin_var_map(lp);
     let invariant: Vec<bool> = (0..nvars)
         .map(|k| lp.next[k].0 as usize == lp.body_in[k])
         .collect();
@@ -392,7 +378,8 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<u64
         if slot.is_some() {
             return None; // a join on a predicate port
         }
-        *slot = Some(Opnd::Var(top_var[&s]));
+        let k = lp.top.iter().position(|&t| t == s as usize);
+        *slot = Some(Opnd::Var(k.expect("the predicate reads loop tops")));
     }
     let (o0, o1) = (ops[0]?, ops[1]?);
     // Exactly one varying operand (the induction variable); the rest
@@ -434,7 +421,7 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<u64
             return None;
         }
         // Fed by another body node: not simple.
-        let &j = bin_var.get(&s)?;
+        let j = lp.body_in.iter().position(|&b| b == s as usize)?;
         *slot = Some(Opnd::Var(j));
     }
     let step_of = |o: Opnd| -> Option<i64> {
@@ -481,72 +468,60 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Option<u64
     Some(trips)
 }
 
-/// Clones the loop body once, wiring clone-internal edges as in the
-/// original and substituting `cur[k]` for each `body_in[k]` source.
-/// Returns original-body-index -> clone-index.
+/// Clones the loop body once at the end of the block (the copy of
+/// `lp.body[j]` is instruction `base + j`), wiring clone-internal edges
+/// as in the original and substituting `cur[k]` for each `body_in[k]`
+/// source. `ins_of` is the table of the block before the first copy.
+/// Returns `base`.
 fn clone_body_once(
     block: &mut CodeBlock,
+    ins_of: &InEdges,
     lp: &LoopShape,
-    body_edges: &HashMap<usize, Vec<(u32, u8, DestBranch)>>,
-    bin_var: &HashMap<u32, usize>,
     cur: &[(u32, DestBranch)],
-) -> HashMap<u32, u32> {
-    let mut cm: HashMap<u32, u32> = HashMap::new();
+) -> usize {
+    let base = block.instrs.len();
     for &b in &lp.body {
-        let (op, nt, literal) = {
-            let o = &block.instrs[b];
-            (o.op, o.nt, o.literal)
-        };
-        let id = block.instrs.len() as u32;
-        block.instrs.push(Instruction {
-            op,
-            nt,
-            literal,
+        let o = &block.instrs[b];
+        let copy = Instruction {
+            op: o.op,
+            nt: o.nt,
+            literal: o.literal,
             consts: Vec::new(),
             dests: Vec::new(),
-        });
-        cm.insert(b as u32, id);
+        };
+        block.instrs.push(copy);
     }
-    for &b in &lp.body {
-        let tgt = cm[&(b as u32)];
-        for &(src, port, when) in &body_edges[&b] {
+    for (j, &b) in lp.body.iter().enumerate() {
+        for &(src, port, when) in &ins_of[b] {
             // A body_in is an Identity, so its out-edge is Always and
             // the substituted edge carries cur's selector instead.
-            let (ns, nw) = match cm.get(&src) {
-                Some(&c) => (c, when),
-                None => cur[bin_var[&src]],
-            };
+            let (ns, nw) = copied(lp, base, cur, (src, when));
             block.instrs[ns as usize].dests.push(Dest {
-                instr: InstrId(tgt),
+                instr: InstrId((base + j) as u32),
                 port: Port(port),
                 when: nw,
             });
         }
     }
-    cm
+    base
 }
 
-fn resolve_next(
+/// Where the value an edge from `src` carried comes from in the copy
+/// at `base`: its copy, or the current value of the variable whose
+/// body input `src` is.
+fn copied(
     lp: &LoopShape,
-    cm: &HashMap<u32, u32>,
-    bin_var: &HashMap<u32, usize>,
+    base: usize,
     cur: &[(u32, DestBranch)],
-) -> Vec<(u32, DestBranch)> {
-    lp.next
-        .iter()
-        .map(|&(ns, nw)| match cm.get(&ns) {
-            Some(&c) => (c, nw),
-            None => cur[bin_var[&ns]],
-        })
-        .collect()
-}
-
-fn bin_var_map(lp: &LoopShape) -> HashMap<u32, usize> {
-    lp.body_in
-        .iter()
-        .enumerate()
-        .map(|(k, &b)| (b as u32, k))
-        .collect()
+    (src, when): (u32, DestBranch),
+) -> (u32, DestBranch) {
+    match lp.body.iter().position(|&b| b == src as usize) {
+        Some(j) => ((base + j) as u32, when),
+        None => {
+            let k = lp.body_in.iter().position(|&b| b == src as usize);
+            cur[k.expect("the body reads only itself and its inputs")]
+        }
+    }
 }
 
 /// Replaces the whole loop with `trips` straight-line body copies.
@@ -556,13 +531,11 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
         .iter()
         .map(|&dv| block.instrs[dv].dests.clone())
         .collect();
-    let bin_var = bin_var_map(lp);
-    let body_edges = lp.body.iter().map(|&b| (b, ins_of[b].to_vec())).collect();
 
     let mut cur: Vec<(u32, DestBranch)> = lp.init.clone();
     for _ in 0..trips {
-        let cm = clone_body_once(block, lp, &body_edges, &bin_var, &cur);
-        cur = resolve_next(lp, &cm, &bin_var, &cur);
+        let base = clone_body_once(block, ins_of, lp, &cur);
+        cur = lp.next.iter().map(|&e| copied(lp, base, &cur, e)).collect();
     }
     // After the last iteration each variable's value feeds the old exit
     // consumers directly (for zero trips, that is the init edge itself).
@@ -577,24 +550,19 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
         }
     }
     // Retire the machinery and the original body; DCE reaps the Sinks.
-    let mut deleted: HashSet<u32> = HashSet::new();
-    for set in [
-        &lp.d,
-        &lp.top,
-        &lp.l,
-        &lp.sw,
-        &lp.body_in,
-        &lp.dinv,
-        &lp.body,
-    ] {
-        deleted.extend(set.iter().map(|&i| i as u32));
-    }
-    deleted.insert(lp.pred as u32);
-    for &i in &deleted {
-        block.instrs[i as usize].retire();
+    let mut deleted = vec![false; block.instrs.len()];
+    let machinery = [&lp.d, &lp.top, &lp.l, &lp.sw, &lp.body_in, &lp.dinv];
+    for &i in machinery
+        .into_iter()
+        .flatten()
+        .chain(&lp.body)
+        .chain([&lp.pred])
+    {
+        deleted[i] = true;
+        block.instrs[i].retire();
     }
     for ins in &mut block.instrs {
-        ins.dests.retain(|dd| !deleted.contains(&dd.instr.0));
+        ins.dests.retain(|dd| !deleted[dd.instr.0 as usize]);
     }
 }
 

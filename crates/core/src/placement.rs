@@ -46,6 +46,9 @@ impl MappingPolicy {
     ///
     /// `n` is at least 1: the timed machine refuses a topology with no
     /// ports before it routes anything.
+    // Not `#[inline]`: hinting it (with `key` and `mix`) made
+    // `relaxed-matmul` slower in two alternating batches of 3 s runs
+    // (median ×1.025 and ×1.027).
     pub(crate) fn owner(self, tag: ActivityName, n: usize) -> usize {
         let (h, n) = (mix(self.key(tag)), n as u64);
         let owner = if n.is_power_of_two() {

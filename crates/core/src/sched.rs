@@ -173,6 +173,9 @@ impl<T> BucketQueue<T> {
     }
 
     /// Enqueues `item` at `prio` (behind earlier same-priority items).
+    // Not `#[inline]`: with hints here and on `pop` (and on the
+    // placement hash) `relaxed-matmul` read ×1.09 and ×1.18 in two
+    // batches of alternating 3 s runs, against ×1.03 without these two.
     pub(crate) fn push(&mut self, prio: u32, item: T) {
         let p = prio as usize;
         if p >= self.buckets.len() {

@@ -6,12 +6,14 @@
 //! `run` alone, so what is left is the per-run set-up (input vectors,
 //! the run's context table, matching store and output map, growth of
 //! the two reused wave vectors and of queue storage, one cell array per
-//! `IAlloc`) spread over tens of thousands of firings.
+//! `IAlloc`) spread over tens of thousands of firings. One more check
+//! counts the optimizer's allocations, which are set-up, not firing
+//! path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ttda_core::opt::OptLevel;
+use ttda_core::opt::{optimize_at, OptLevel};
 use ttda_core::{Emulator, Program, RunMode, SchedPolicy, TimedConfig, TimedMachine, Value};
 use ttda_net::Hypercube;
 use ttda_workloads::{id, reference};
@@ -146,4 +148,21 @@ fn timed_fib_does_not_allocate_per_firing() {
         r.stats.instructions
     );
     assert!(per < 0.1, "{per:.4} allocations per firing");
+}
+
+#[test]
+fn o2_on_matmul_stays_within_its_allocation_budget() {
+    // 772 allocations measured, with about 10% headroom. The copy of
+    // the block that the passes rewrite is about 250 of them; loop
+    // passes that rebuild their tables for every loop, or hash maps
+    // keyed by instruction, go well past it (1,439 when both did).
+    const BUDGET: u64 = 850;
+    let p = ttda_idc::compile(id::matmul()).expect("matmul compiles");
+    let ((o2, _), allocs) = counted(|| optimize_at(&p, OptLevel::O2));
+    eprintln!(
+        "matmul at O2: {allocs} allocations, {} instructions in, {} out",
+        p.instr_count(),
+        o2.instr_count()
+    );
+    assert!(allocs <= BUDGET, "{allocs} allocations, budget {BUDGET}");
 }
