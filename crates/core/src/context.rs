@@ -96,16 +96,26 @@ impl ContextManager {
 
     /// Creates a manager whose root context runs `main`.
     pub fn new(main: CodeBlockId) -> Self {
+        ContextManager::with_capacity(main, 0)
+    }
+
+    /// [`ContextManager::new`], with room for `n` contexts besides the
+    /// root and `n` loop activations before the tables grow.
+    pub(crate) fn with_capacity(main: CodeBlockId, n: usize) -> Self {
+        let mut records = Vec::with_capacity(1 + n);
+        records.push(ContextRecord {
+            parent: Ctx(0),
+            parent_iter: Iter::ONE,
+            block: main,
+            kind: ContextKind::Root,
+        });
+        let mut const_start = Vec::with_capacity(1 + n);
+        const_start.push(0);
         ContextManager {
-            records: vec![ContextRecord {
-                parent: Ctx(0),
-                parent_iter: Iter::ONE,
-                block: main,
-                kind: ContextKind::Root,
-            }],
-            const_start: vec![0],
+            records,
+            const_start,
             consts: Vec::new(),
-            loop_memo: HashMap::new(),
+            loop_memo: HashMap::with_capacity(n),
         }
     }
 

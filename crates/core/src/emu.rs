@@ -24,7 +24,8 @@ use ttda_trace::{SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
 use crate::exec::{
-    deliver, execute, load_jobs, structure_op, Enabled, IsCounts, StructAction, Structures,
+    deliver, execute, load_jobs, size_hint, structure_op, Enabled, IsCounts, StructAction,
+    Structures,
 };
 use crate::graph::{Instruction, Program};
 use crate::machine::Job;
@@ -285,10 +286,14 @@ impl<'p> Emulator<'p> {
 
     /// One run of the reference interpreter, from fresh state.
     fn run_sequential(&self, jobs: &[Job]) -> Result<EmuResult, ExecError> {
+        // Room for one activation of every job, reserved once: a short
+        // run (a service burst) would otherwise spend much of its time
+        // regrowing these buffers from empty.
+        let hint = size_hint(self.program, jobs);
         let mut run = Run {
             program: self.program,
-            ctx: ContextManager::new(self.program.main),
-            waiting: MatchingStore::new(),
+            ctx: ContextManager::with_capacity(self.program.main, hint),
+            waiting: MatchingStore::with_capacity(hint),
             structures: Structures::new(),
             next_struct: 0,
             outputs: HashMap::new(),
@@ -300,7 +305,7 @@ impl<'p> Emulator<'p> {
         };
         // Built once per run; FIFO never consults it.
         let crit = (self.sched == SchedPolicy::Crit).then(|| CritMap::of(self.program));
-        let mut wave: Vec<Token> = Vec::new();
+        let mut wave: Vec<Token> = Vec::with_capacity(hint);
         load_jobs(
             self.program,
             jobs,
@@ -317,10 +322,10 @@ impl<'p> Emulator<'p> {
         // The next wave's storage is reused wave after wave, so a
         // steady-state firing emits without allocating; so are the
         // sort keys, the holding pen and its per-context minima.
-        let mut next: Vec<Token> = Vec::new();
+        let mut next: Vec<Token> = Vec::with_capacity(hint);
         // One operand buffer serves every firing of the run.
-        let mut ops: Vec<Value> = Vec::new();
-        let mut profile = Vec::new();
+        let mut ops: Vec<Value> = Vec::with_capacity(hint);
+        let mut profile = Vec::with_capacity(hint);
         let mut keys: Vec<u64> = Vec::new();
         let mut held: Vec<Token> = Vec::new();
         let mut oldest: HashMap<Ctx, u32> = HashMap::new();

@@ -154,20 +154,26 @@ pub(crate) fn dangling(tag: ActivityName, ptr: StructRef) -> ExecError {
     }
 }
 
+/// The error for element `idx` of `ptr` lying past the end of its
+/// structure. It names the pointer's length, which is the structure's
+/// own unless the pointer was forged.
+pub(crate) fn out_of_range(ptr: StructRef, idx: usize) -> ExecError {
+    ExecError::IStructure(IStructureError::OutOfRange {
+        addr: Addr(idx),
+        size: ptr.len as usize,
+    })
+}
+
 /// Element `idx` of `ptr`, checked against both ends of the structure
 /// here, once, so that every engine reports the same error.
 fn element_index(tag: ActivityName, ptr: StructRef, idx: i64) -> Result<usize, ExecError> {
     let idx = usize::try_from(idx).map_err(|_| ExecError::BadTarget {
         activity: format!("{tag} (negative i-structure index {idx})"),
     })?;
-    let size = ptr.len as usize;
-    if idx < size {
+    if idx < ptr.len as usize {
         Ok(idx)
     } else {
-        Err(ExecError::IStructure(IStructureError::OutOfRange {
-            addr: Addr(idx),
-            size,
-        }))
+        Err(out_of_range(ptr, idx))
     }
 }
 
@@ -485,16 +491,11 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
             sink.record(*at, &ev);
         }
     };
-    let global = |e: IStructureError| {
-        ExecError::IStructure(match e {
-            IStructureError::OutOfRange { .. } => IStructureError::OutOfRange {
-                addr: Addr(idx),
-                size: ptr.len as usize,
-            },
-            IStructureError::AlreadyWritten { .. } => {
-                IStructureError::AlreadyWritten { addr: Addr(idx) }
-            }
-        })
+    let global = |e: IStructureError| match e {
+        IStructureError::OutOfRange { .. } => out_of_range(ptr, idx),
+        IStructureError::AlreadyWritten { .. } => {
+            ExecError::IStructure(IStructureError::AlreadyWritten { addr: Addr(idx) })
+        }
     };
     match action {
         StructAction::Fetch { tag, .. } => {
@@ -571,6 +572,26 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
         StructAction::Alloc { .. } => unreachable!("allocations are resolved where they fire"),
     }
     Ok(())
+}
+
+/// The most a [`size_hint`] asks for: a batch of many jobs reserves no
+/// more than this and grows from there, as every run did before it was
+/// sized.
+const MAX_SIZE_HINT: usize = 4096;
+
+/// How much a run of `jobs` reserves up front in each of its growing
+/// buffers (waves, queues, matching stores, context tables): one
+/// activation of every job, counted as the instructions of the block
+/// it starts in. A job naming no block adds nothing; [`load_jobs`]
+/// refuses it. Sized this way, a short run such as a service burst
+/// does not regrow its buffers from empty, and a one-instruction run
+/// reserves almost nothing.
+pub(crate) fn size_hint(program: &Program, jobs: &[Job]) -> usize {
+    jobs.iter()
+        .filter_map(|job| program.block(job.block))
+        .map(|block| block.instrs.len())
+        .sum::<usize>()
+        .min(MAX_SIZE_HINT)
 }
 
 /// The job loader every engine's `submit` seeds through. For each job,

@@ -177,11 +177,24 @@ impl MatchingStore {
 
     /// An empty store.
     pub fn new() -> Self {
+        MatchingStore::with_capacity(0)
+    }
+
+    /// An empty store that parks `n` activities before it grows: an
+    /// arena and a free list of `n` slots, and a bucket table that
+    /// holds `n` below its 7/8 growth load. Capacity changes only when
+    /// the store allocates, never what it answers.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        // The insertion that brings the load to 7/8 grows the table.
+        let mut buckets = Self::INITIAL_BUCKETS;
+        while n * 8 >= buckets * 7 {
+            buckets *= 2;
+        }
         MatchingStore {
-            table: vec![EMPTY; Self::INITIAL_BUCKETS],
-            mask: Self::INITIAL_BUCKETS - 1,
-            entries: Vec::new(),
-            free: Vec::new(),
+            table: vec![EMPTY; buckets],
+            mask: buckets - 1,
+            entries: Vec::with_capacity(n),
+            free: Vec::with_capacity(n),
             spill: Vec::new(),
             spill_free: Vec::new(),
             len: 0,
@@ -682,19 +695,19 @@ mod tests {
         assert_eq!(m.len(), 0);
     }
 
-    /// The O(1) `high_water` counter must agree with a `HashMap`
-    /// reference model of the store (park on first token, recycle on
-    /// completion) whose running-size maximum is recomputed from scratch
-    /// after every absorb, across a randomized stream of arities,
-    /// literals, repeats and completions.
-    #[test]
-    fn high_water_matches_reference_model() {
-        use std::collections::{HashMap, HashSet};
+    /// Drives `m` with a randomized stream of arities, literals,
+    /// repeats, out-of-range ports and completions, and checks every
+    /// answer (the completed operands included), `len` and
+    /// `high_water` after every absorb against a `HashMap` reference
+    /// model of the store (park on first token, recycle on completion)
+    /// whose running-size maximum is recomputed from scratch. Returns
+    /// the store for the caller's checks.
+    fn replay_reference_stream(mut m: MatchingStore) -> MatchingStore {
+        use std::collections::HashMap;
         let mut rng = ttda_sim::SimRng::seed(0x5eed_5e44);
-        let mut m = MatchingStore::new();
-        let mut model: HashMap<ActivityName, (u8, HashSet<u8>)> = HashMap::new();
+        let mut model: HashMap<ActivityName, Vec<Option<Value>>> = HashMap::new();
         let mut model_high = 0usize;
-        for _ in 0..5000 {
+        for k in 0..5000i64 {
             let t = tag(rng.gen_range(0u32..96), 1, rng.gen_range(0u32..4), 1);
             // Arity and literal are properties of the target instruction,
             // so derive them from the tag, never at random per token.
@@ -713,22 +726,24 @@ mod tests {
                 literal,
                 ..Preset::default()
             };
-            let got = step(&mut m, t, arity, &preset, port.0, Value::Int(1));
+            let value = Value::Int(k);
+            let got = step(&mut m, t, arity, &preset, port.0, value);
             if port.0 >= arity {
                 // Rejected before parking: the model is untouched.
                 assert_eq!(got, Err(PortOutOfRange));
             } else {
                 let parked = model.entry(t).or_insert_with(|| {
-                    let mut f = HashSet::new();
-                    if let Some((p, _)) = literal {
-                        f.insert(p.0);
+                    let mut slots = vec![None; arity as usize];
+                    if let Some((p, lv)) = literal {
+                        slots[p.0 as usize] = Some(lv);
                     }
-                    (arity, f)
+                    slots
                 });
-                parked.1.insert(port.0);
-                if parked.1.len() == parked.0 as usize {
+                parked[port.0 as usize] = Some(value);
+                if parked.iter().all(Option::is_some) {
+                    let want = parked.iter().map(|v| v.expect("filled")).collect();
                     model.remove(&t);
-                    assert!(matches!(got, Ok(Some(_))));
+                    assert_eq!(got, Ok(Some(want)));
                 } else {
                     assert_eq!(got, Ok(None));
                 }
@@ -738,6 +753,41 @@ mod tests {
             assert_eq!(m.high_water(), model_high);
         }
         assert!(m.high_water() > 0, "stream never parked anything");
+        m
+    }
+
+    /// The O(1) `high_water` counter agrees with the reference model.
+    #[test]
+    fn high_water_matches_reference_model() {
+        replay_reference_stream(MatchingStore::new());
+    }
+
+    /// A store sized up front answers exactly as one grown from empty,
+    /// whether the stream stays within its size or grows its table.
+    #[test]
+    fn sizing_never_changes_what_the_store_answers() {
+        let (mut grew, mut held) = (false, false);
+        for n in [0, 1, 7, 64, 1000] {
+            let sized = MatchingStore::with_capacity(n);
+            let buckets = sized.table.len();
+            assert!(
+                n * 8 < buckets * 7,
+                "{n} parked activities overload {buckets} buckets"
+            );
+            assert!(sized.entries.capacity() >= n && sized.free.capacity() >= n);
+            let m = replay_reference_stream(sized);
+            if m.high_water() * 8 >= buckets * 7 {
+                assert!(m.table.len() > buckets, "n = {n}: the table never grew");
+                grew = true;
+            } else {
+                assert_eq!(m.table.len(), buckets, "n = {n}: the table grew");
+                held = true;
+            }
+        }
+        assert!(
+            grew && held,
+            "the stream must outgrow some sizes and not others"
+        );
     }
 
     /// Keys confined to one owner of the engines' placement function

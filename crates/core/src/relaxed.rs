@@ -130,7 +130,8 @@ use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
 use crate::exec::{
-    absorb, deliver, execute, load_jobs, structure_op, IsCounts, StructAction, Structures,
+    absorb, deliver, execute, load_jobs, size_hint, structure_op, IsCounts, StructAction,
+    Structures,
 };
 use crate::graph::Program;
 use crate::matching::MatchingStore;
@@ -200,6 +201,9 @@ struct Shared<'a> {
     /// `Some` under [`SchedPolicy::Crit`]: workers pop their local
     /// queues longest-remaining-path first instead of in arrival order.
     crit: Option<CritMap>,
+    /// What each worker reserves in its matching shard, local queue and
+    /// scratch before it starts (`exec::size_hint`).
+    hint: usize,
 }
 
 /// What one worker hands back when it exits.
@@ -230,6 +234,7 @@ pub(crate) fn submit(
     sink: Option<SharedSink>,
 ) -> Result<EmuResult, ExecError> {
     debug_assert!(threads >= 1, "relaxed backend needs at least one worker");
+    let hint = size_hint(program, jobs);
     let ctxs = SharedContexts::new(program.main);
     // Seed tokens, sharded by matching owner. Roots are allocated here,
     // before any worker exists, so they get the same dense leading ids
@@ -261,6 +266,7 @@ pub(crate) fn submit(
         threads,
         traced: sink.is_some(),
         crit: (sched == SchedPolicy::Crit).then(|| CritMap::of(program)),
+        hint,
     };
 
     // Worker 0 runs on the calling thread, so a run spawns one thread
@@ -384,13 +390,13 @@ fn worker(
     let mut w = Worker {
         shared,
         me,
-        waiting: MatchingStore::new(),
+        waiting: MatchingStore::with_capacity(shared.hint),
         shard: Structures::new(),
         wctx: shared.ctxs.handle(),
         struct_next: 0,
         struct_end: 0,
-        local: BucketQueue::new(),
-        scratch: Vec::new(),
+        local: BucketQueue::with_capacity(shared.hint),
+        scratch: Vec::with_capacity(shared.hint),
         ops: Vec::new(),
         obufs: (0..threads).map(|_| Vec::new()).collect(),
         tbufs: (0..threads).map(|_| Vec::new()).collect(),

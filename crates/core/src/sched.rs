@@ -165,8 +165,18 @@ impl<T> Default for BucketQueue<T> {
 impl<T> BucketQueue<T> {
     /// An empty queue.
     pub(crate) fn new() -> Self {
+        BucketQueue::with_capacity(0)
+    }
+
+    /// An empty queue whose priority-0 ring, where a FIFO queue keeps
+    /// every item, holds `n` items before it grows.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut buckets = Vec::new();
+        if n > 0 {
+            buckets.push(VecDeque::with_capacity(n));
+        }
         BucketQueue {
-            buckets: Vec::new(),
+            buckets,
             len: 0,
             hi: 0,
         }

@@ -37,7 +37,8 @@ use ttda_trace::{SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
 use crate::exec::{
-    absorb, dangling, deliver, execute, load_jobs, structure_op, IsCounts, StructAction, Structures,
+    absorb, dangling, deliver, execute, load_jobs, out_of_range, structure_op, IsCounts,
+    StructAction, Structures,
 };
 use crate::graph::Program;
 use crate::matching::MatchingStore;
@@ -289,10 +290,11 @@ struct PeState {
 
 /// One I-structure storage module: its slice of every structure, held
 /// in the same store the other engines keep and materialized on first
-/// access, plus its single service port. Ops reach the slice only
-/// through [`structure_op`], the controller every engine shares; the
-/// module adds the port's timing and the mapping from an element to its
-/// local cell.
+/// access (sized from the length recorded when the structure was
+/// allocated, never from a pointer), plus its single service port. Ops
+/// reach the slice only through [`structure_op`], the controller every
+/// engine shares; the module adds the port's timing and the mapping
+/// from an element to its local cell.
 #[derive(Debug)]
 struct ModState {
     store: Structures,
@@ -399,17 +401,18 @@ impl<T: Topology> TimedMachine<T> {
     }
 
     /// The owning module's (local cell, local slice size) for element
-    /// `idx` of `ptr`. Interleaved placement strides elements round-robin
-    /// across modules, so a module holds every `pes`-th element and the
-    /// local index is `idx / pes`; a single-module structure maps 1:1.
-    /// `idx` is in bounds: `exec::execute` rejects any other.
-    fn local_slot(&self, ptr: StructRef, idx: usize) -> (Addr, usize) {
+    /// `idx` of a structure of `len` elements. Interleaved placement
+    /// strides elements round-robin across modules, so a module holds
+    /// every `pes`-th element and the local index is `idx / pes`; a
+    /// single-module structure maps 1:1. `idx` is below `len`: the
+    /// firing that asked for it checked.
+    fn local_slot(&self, len: u32, idx: usize) -> (Addr, usize) {
         match self.config.placement {
             StructPlacement::Interleaved => {
                 let n = self.pes();
-                (Addr(idx / n), (ptr.len as usize).div_ceil(n))
+                (Addr(idx / n), (len as usize).div_ceil(n))
             }
-            StructPlacement::SingleModule => (Addr(idx), ptr.len as usize),
+            StructPlacement::SingleModule => (Addr(idx), len as usize),
         }
     }
 
@@ -473,7 +476,8 @@ impl<T: Topology> TimedMachine<T> {
                 port: IStructurePort::new(cfg.istore_access),
             })
             .collect();
-        let mut next_struct: u32 = 0;
+        // The length of every structure allocated so far, by id.
+        let mut lens: Vec<u32> = Vec::new();
         let mut outputs = HashMap::new();
         let mut fl = InFlight {
             events: EventQueue::new(),
@@ -592,11 +596,10 @@ impl<T: Topology> TimedMachine<T> {
                                 StructAction::Alloc { tag, len } => {
                                     // Allocation is a controller (d=2) job
                                     // at the firing PE.
-                                    let ptr = Value::Ptr(StructRef {
-                                        id: next_struct,
-                                        len,
-                                    });
-                                    next_struct += 1;
+                                    let id = u32::try_from(lens.len())
+                                        .expect("fewer than 2^32 structures per run");
+                                    let ptr = Value::Ptr(StructRef { id, len });
+                                    lens.push(len);
                                     deliver(&self.program, tag, ptr, &mut scratch);
                                     self.route_all(
                                         &mut fl,
@@ -612,9 +615,15 @@ impl<T: Topology> TimedMachine<T> {
                                     // first access, so a pointer this run
                                     // never allocated (a forged input) is
                                     // refused here, as the other engines
-                                    // refuse an id no shard holds.
-                                    if ptr.id >= next_struct {
+                                    // refuse an id no shard holds, and so
+                                    // is an element past the end of the
+                                    // allocation that a forged length
+                                    // let through, as their stores do.
+                                    let Some(&len) = lens.get(ptr.id as usize) else {
                                         return Err(dangling(tag, ptr));
+                                    };
+                                    if idx >= len as usize {
+                                        return Err(out_of_range(ptr, idx));
                                     }
                                     let module = self.module_of(ptr, idx);
                                     let arrive = if module == pe {
@@ -649,7 +658,8 @@ impl<T: Topology> TimedMachine<T> {
                 Ev::IsOp { module, action } => {
                     let action = fl.packets.take(action);
                     let (ptr, idx) = action.element();
-                    let (cell, size) = self.local_slot(ptr, idx);
+                    // The firing that sent the packet checked the id.
+                    let (cell, size) = self.local_slot(lens[ptr.id as usize], idx);
                     let m = &mut modules[module as usize];
                     let write = matches!(action, StructAction::Store { .. });
                     let done = m.port.serve(now, write);

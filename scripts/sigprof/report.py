@@ -9,16 +9,20 @@ or not. Samples outside the executable (libc, the vDSO) are grouped by
 the file they fall in. A per-file table attributes each sample to the
 innermost frame that is not the standard library's, so a `VecDeque`
 operation inlined into the event queue counts as the event queue's. The
-last table lists the hottest instructions by their address in the
-executable, for `objdump -d --start-address`. Build the program with
-line tables (`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`), or every
-line reads `??:0`.
+last two tables list the hottest instructions by address, for
+`objdump -d --start-address`: in the executable, and in the files
+outside it, each given as the file and the address in that file's own
+ELF address space (a mapping that is no file, such as the vDSO, gives
+the offset into the mapping). Build the program with line tables
+(`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`), or every line reads
+`??:0`.
 
     python3 scripts/sigprof/report.py run.samples
 """
 
 import argparse
 import collections
+import functools
 import os
 import re
 import struct
@@ -49,13 +53,18 @@ def read_samples(path):
     return exe, maps, samples
 
 
+@functools.cache
 def load_segments(path):
     """(file offset, virtual address, file size) of each PT_LOAD segment
-    of a 64-bit little-endian ELF file."""
-    with open(path, "rb") as f:
+    of a 64-bit little-endian ELF file, or None if `path` is not one."""
+    try:
+        f = open(path, "rb")
+    except OSError:
+        return None
+    with f:
         head = f.read(64)
         if head[:4] != b"\x7fELF" or head[4] != 2 or head[5] != 1:
-            sys.exit(f"report: {path} is not a 64-bit little-endian ELF file")
+            return None
         phoff, = struct.unpack_from("<Q", head, 0x20)
         phentsize, phnum = struct.unpack_from("<HH", head, 0x36)
         f.seek(phoff)
@@ -77,6 +86,19 @@ def link_address(addr, mapping, segments):
         if seg_offset <= file_offset < seg_offset + size:
             return file_offset - seg_offset + seg_vaddr
     return None
+
+
+def foreign_instruction(addr, mapping):
+    """Names the sampled instruction `addr` in a file other than the
+    executable: the file and the address it has in that file's ELF
+    address space, or the mapping and the offset into it when the
+    mapping is no ELF file."""
+    path = mapping[3]
+    segments = load_segments(path)
+    linked = link_address(addr, mapping, segments) if segments else None
+    if linked is None:
+        return f"{path}  +{addr - mapping[0]:#x}"
+    return f"{path}  {linked:#x}"
 
 
 def inline_chains(exe, addresses):
@@ -124,17 +146,20 @@ def main():
     if exe is None or not os.path.exists(exe):
         sys.exit(f"report: the executable {exe!r} named in {args.samples} is gone")
     segments = load_segments(exe)
+    if segments is None:
+        sys.exit(f"report: {exe} is not a 64-bit little-endian ELF file")
     total = sum(n for _, n in samples)
     if total == 0:
         sys.exit("report: no samples")
 
-    in_exe, elsewhere = collections.Counter(), collections.Counter()
+    in_exe, elsewhere, foreign = (collections.Counter() for _ in range(3))
     for addr, n in samples:
         mapping = next((m for m in maps if m[0] <= addr < m[1]), None)
         if mapping is None:
             elsewhere["[no mapping]"] += n
         elif mapping[3] != exe:
             elsewhere[os.path.basename(mapping[3])] += n
+            foreign[foreign_instruction(addr, mapping)] += n
         else:
             linked = link_address(addr, mapping, segments)
             if linked is None:
@@ -159,6 +184,8 @@ def main():
     print_shares("By source file (innermost frame outside std):", files, total)
     print_shares("By line (innermost frame):", lines, total)
     print_shares("By instruction:", instructions, total)
+    print_shares("Outside the executable, by instruction (file, ELF address):",
+                 foreign, total)
 
 
 if __name__ == "__main__":

@@ -691,6 +691,33 @@ fn a_pointer_no_allocation_made_is_refused_on_every_engine() {
 }
 
 #[test]
+fn a_pointer_longer_than_its_structure_is_refused_on_every_engine() {
+    // The input forges the length of the structure the program is about
+    // to allocate, so `execute`'s check against the pointer's length
+    // lets element 5 through. The fetch's index is read back from the
+    // two stores, so the fetch follows the allocation (and, on the timed
+    // machine, the first access to elements 0 and 1). A timed module
+    // that has not seen the structure yet must not size its slice from
+    // the pointer: at 8 PEs element 5's module used to build 13 cells
+    // and park the read forever.
+    let src = "def main(p) = { a = array(2); a[0] <- 1; a[1] <- 4; p[a[0] + a[1]] };";
+    let p = ttda::idc::compile(src).expect("compiles");
+    let forged = [Value::Ptr(StructRef { id: 0, len: 100 })];
+    let want = Err(ExecError::IStructure(IStructureError::OutOfRange {
+        addr: Addr(5),
+        size: 100,
+    }));
+    let seq = Emulator::new(&p).run(&forged).map(|r| r.outputs);
+    assert_eq!(seq, want, "sequential");
+    let relaxed = Emulator::new(&p).with_threads(2).run(&forged);
+    assert_eq!(relaxed.map(|r| r.outputs), want, "relaxed x2");
+    for pes in [1, 4, 8] {
+        let mut m = TimedMachine::ideal(p.clone(), pes, Cycle(2), TimedConfig::default());
+        assert_eq!(m.run(&forged).map(|r| r.outputs), want, "timed, {pes} PEs");
+    }
+}
+
+#[test]
 fn a_reused_machine_starts_every_run_fresh() {
     // A second run on the same machine must report what a fresh run
     // does, and a firing budget that fits one run must fit every run.
