@@ -129,7 +129,6 @@ pub fn a2() -> String {
     for cap in [0usize, 256, 64, 16, 4] {
         let cfg = TimedConfig {
             match_capacity: cap,
-            match_overflow_penalty: Cycle(8),
             ..TimedConfig::default()
         };
         let mut m = TimedMachine::ideal(p.clone(), 4, Cycle(4), cfg);
@@ -379,7 +378,6 @@ mod tests {
         let run = |cap: usize| {
             let cfg = TimedConfig {
                 match_capacity: cap,
-                match_overflow_penalty: Cycle(8),
                 ..TimedConfig::default()
             };
             let mut m = TimedMachine::ideal(p.clone(), 4, Cycle(4), cfg);

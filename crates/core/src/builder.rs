@@ -255,16 +255,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Reserves a fresh loop id for hand-built `D` instructions (every
-    /// `D` of one loop must share an id). [`GraphBuilder::dataflow_loop`]
-    /// allocates its own ids from the same counter, so the two never
-    /// collide.
-    pub fn fresh_loop_id(&mut self) -> u32 {
-        let id = self.next_loop_id;
-        self.next_loop_id += 1;
-        id
-    }
-
     /// Expands the complete tagged-token loop schema around `inits`:
     ///
     /// ```text
@@ -281,7 +271,11 @@ impl GraphBuilder {
     /// `cond` builds the continuation predicate from the loop-top values;
     /// `body` builds the next-iteration values from the switch-gated
     /// variables. Returns the exit nodes (post-`D⁻¹`, tagged back in the
-    /// enclosing context), one per variable.
+    /// enclosing context), one per variable. The schema is the three
+    /// steps [`GraphBuilder::loop_enter`], [`GraphBuilder::loop_gate`]
+    /// and [`GraphBuilder::loop_close`], which a caller that builds its
+    /// predicate and body with more than the builder in hand (a
+    /// compiler) takes itself.
     ///
     /// # Errors
     ///
@@ -294,12 +288,21 @@ impl GraphBuilder {
         cond: impl FnOnce(&mut Self, &[NodeId]) -> NodeId,
         body: impl FnOnce(&mut Self, &[NodeId]) -> Vec<NodeId>,
     ) -> Result<Vec<NodeId>, BuildError> {
+        let tops = self.loop_enter(inits);
+        let p = cond(self, &tops);
+        let (switches, vars) = self.loop_gate(&tops, p);
+        let next = body(self, &vars);
+        self.loop_close(&tops, &switches, &next)
+    }
+
+    /// The loop schema's entry: one `D` per value of `inits`, all
+    /// sharing a fresh loop id, each feeding a loop-top junction
+    /// (`Identity`) that [`GraphBuilder::loop_close`] wires `L` back
+    /// into. Returns the loop tops, one per variable.
+    pub fn loop_enter(&mut self, inits: &[NodeId]) -> Vec<NodeId> {
         let loop_id = self.next_loop_id;
         self.next_loop_id += 1;
-
-        // Entry: one D per variable, all sharing loop_id, feeding a
-        // loop-top junction (Identity) that L also re-enters.
-        let tops: Vec<NodeId> = inits
+        inits
             .iter()
             .map(|&init| {
                 let d = self.instr(OpCode::D { loop_id });
@@ -308,24 +311,49 @@ impl GraphBuilder {
                 self.wire(d, top, 0);
                 top
             })
-            .collect();
+            .collect()
+    }
 
-        let p = cond(self, &tops);
-
-        // One Switch per variable, gated by the shared predicate.
-        let mut vars = Vec::with_capacity(tops.len());
+    /// The loop schema's gate: one `Switch` per loop top, all gated by
+    /// the predicate `pred`, each passing its true side to a body-input
+    /// junction. Returns the switches and the body inputs, one of each
+    /// per variable.
+    pub fn loop_gate(&mut self, tops: &[NodeId], pred: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
         let mut switches = Vec::with_capacity(tops.len());
-        for &top in &tops {
+        let mut vars = Vec::with_capacity(tops.len());
+        for &top in tops {
             let sw = self.instr(OpCode::Switch);
             self.wire(top, sw, 0);
-            self.wire(p, sw, 1);
+            self.wire(pred, sw, 1);
             let body_in = self.instr(OpCode::Identity);
             self.wire_true(sw, body_in, 0);
             switches.push(sw);
             vars.push(body_in);
         }
+        (switches, vars)
+    }
 
-        let next = body(self, &vars);
+    /// Closes the loop schema: each of `next` (one next-iteration value
+    /// per variable) goes through `L` back to its loop top, and each
+    /// switch's false side leaves through `D⁻¹`. Returns the exit nodes,
+    /// tagged back in the enclosing context, one per variable.
+    ///
+    /// # Errors
+    ///
+    /// Records and returns [`BuildError::LoopArity`] if `next` has not
+    /// one value per loop top.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `switches` has not one switch per loop top: they come
+    /// from [`GraphBuilder::loop_gate`] over the same tops.
+    pub fn loop_close(
+        &mut self,
+        tops: &[NodeId],
+        switches: &[NodeId],
+        next: &[NodeId],
+    ) -> Result<Vec<NodeId>, BuildError> {
+        assert_eq!(switches.len(), tops.len(), "one switch per loop top");
         if next.len() != tops.len() {
             let err = BuildError::LoopArity {
                 vars: tops.len(),
@@ -334,15 +362,13 @@ impl GraphBuilder {
             self.errors.push(err.clone());
             return Err(err);
         }
-
-        // Iterate: L back to the tops; exit: D⁻¹ from the false branches.
         let mut exits = Vec::with_capacity(tops.len());
-        for (k, &nv) in next.iter().enumerate() {
+        for ((&nv, &top), &sw) in next.iter().zip(tops).zip(switches) {
             let l = self.instr(OpCode::L);
             self.wire(nv, l, 0);
-            self.wire(l, tops[k], 0);
+            self.wire(l, top, 0);
             let dinv = self.instr(OpCode::DInv);
-            self.wire_false(switches[k], dinv, 0);
+            self.wire_false(sw, dinv, 0);
             exits.push(dinv);
         }
         Ok(exits)

@@ -18,7 +18,6 @@
 
 use std::collections::HashMap;
 
-use ttda_mem::Addr;
 use ttda_sim::Cycle;
 use ttda_trace::{SharedSink, TraceEvent};
 
@@ -511,14 +510,13 @@ impl<'p> Run<'p> {
                 deliver(self.program, tag, Value::Ptr(StructRef { id, len }), out);
             }
             Some(action) => {
-                let (ptr, idx) = action.element();
+                let (ptr, _) = action.element();
                 let mut sink = self.sink.as_ref().map(|s| s.borrow_mut());
                 let trace = sink.as_deref_mut().map(|s| (s, self.now, ptr.id));
                 structure_op(
                     self.program,
                     &mut self.structures,
                     action,
-                    Addr(idx),
                     &mut self.istore,
                     out,
                     trace,

@@ -11,10 +11,13 @@
 //! next wave and applies structure ops inline; the relaxed parallel
 //! backend ships each op to the worker whose shard owns the structure;
 //! the [`TimedMachine`](crate::TimedMachine) turns it into a `d=1`
-//! packet that travels the network to the I-structure module holding
-//! the element, and applies it there at the module's port time. Keeping
-//! one copy of the semantics guarantees the executors can never
-//! disagree on *what* a program computes, only on *when*.
+//! packet that travels the network to the I-structure module serving
+//! the element, and applies it at that module's port time. The
+//! sequential and timed engines keep the same two stores, one
+//! [`MatchingStore`] and one [`Structures`] per run, and address a
+//! structure by the element index. Keeping one copy of the semantics
+//! and of the state guarantees the executors can never disagree on
+//! *what* a program computes, only on *when*.
 //!
 //! # The firing path does not allocate
 //!
@@ -461,9 +464,7 @@ pub(crate) struct IsCounts {
 pub(crate) type Structures = IStructureShard<Value, (ActivityName, Port)>;
 
 /// The I-structure controller (§2.1, Fig 2-1) every engine applies a
-/// fetch or a store through. `cell` is the cell of `store` that holds
-/// the element the action names: the element index itself, except on
-/// the timed machine, whose modules each hold a slice of a structure.
+/// fetch or a store through, to the element the action names.
 ///
 /// A fetch reads once per reader of the requesting firing's
 /// [`continuation`]: a present value goes straight to the reader, an
@@ -471,19 +472,20 @@ pub(crate) type Structures = IStructureShard<Value, (ActivityName, Port)>;
 /// the parked readers with its value, in arrival order, then signals
 /// its own continuation. Tokens go to `out` and counts to `counts`;
 /// when `trace` names a sink, each event is recorded at its time and
-/// names its module label. Errors give the element index the program
-/// used, not the cell.
+/// names its module label. An element past the end of the structure is
+/// reported with the pointer's length, as the firing that checked the
+/// index reports it.
 #[inline]
 pub(crate) fn structure_op<S: TraceSink + ?Sized>(
     program: &Program,
     store: &mut Structures,
     action: StructAction,
-    cell: Addr,
     counts: &mut IsCounts,
     out: &mut Vec<Token>,
     mut trace: Option<(&mut S, Cycle, u32)>,
 ) -> Result<(), ExecError> {
     let (ptr, idx) = action.element();
+    let cell = Addr(idx);
     let traced = trace.is_some();
     let module = trace.as_ref().map_or(0, |t| t.2);
     let mut note = |ev: TraceEvent| {
@@ -491,11 +493,9 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
             sink.record(*at, &ev);
         }
     };
-    let global = |e: IStructureError| match e {
+    let exec_err = |e: IStructureError| match e {
         IStructureError::OutOfRange { .. } => out_of_range(ptr, idx),
-        IStructureError::AlreadyWritten { .. } => {
-            ExecError::IStructure(IStructureError::AlreadyWritten { addr: Addr(idx) })
-        }
+        e => ExecError::IStructure(e),
     };
     match action {
         StructAction::Fetch { tag, .. } => {
@@ -505,7 +505,7 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
             }
             for (rtag, port) in continuation(program, tag) {
                 let read = store.read(ptr.id, cell, (rtag, port));
-                match read.ok_or_else(|| dangling(tag, ptr))?.map_err(global)? {
+                match read.ok_or_else(|| dangling(tag, ptr))?.map_err(exec_err)? {
                     ReadOutcome::Value(v) => {
                         counts.immediate += 1;
                         out.push(Token::new(rtag, port, v));
@@ -518,7 +518,7 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
                         counts.deferred += 1;
                         if traced {
                             let st = store.store(ptr.id).expect("a reader just parked here");
-                            let depth = st.deferred_count(cell).map_err(global)? as u64;
+                            let depth = st.deferred_count(cell).map_err(exec_err)? as u64;
                             note(TraceEvent::IStoreRead {
                                 module,
                                 immediate: false,
@@ -546,7 +546,7 @@ pub(crate) fn structure_op<S: TraceSink + ?Sized>(
                     out.push(Token::new(rtag, port, value))
                 })
                 .ok_or_else(|| dangling(tag, ptr))?
-                .map_err(global)?;
+                .map_err(exec_err)?;
             counts.writes += 1;
             // A write succeeds only on an empty cell or on a deferred one,
             // and a deferred cell holds at least one reader.

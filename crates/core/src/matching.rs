@@ -28,12 +28,12 @@
 //! model to pin that equivalence down.
 //!
 //! The hash here is deliberately *not* the placement hash of
-//! `MappingPolicy::owner`: a token's relaxed worker or timed PE is
-//! chosen by mix13 over a packing of some of the name's fields, while
-//! slots use fibonacci folds of the full 128-bit name. If the two
-//! agreed, every key routed to one owner would also land in one probe
-//! chain of that owner's table, degenerating to a linked list. DESIGN.md
-//! §8 spells out the argument.
+//! `MappingPolicy::owner`: a token's relaxed worker is chosen by mix13
+//! over a packing of some of the name's fields, while slots use
+//! fibonacci folds of the full 128-bit name. If the two agreed, every
+//! key routed to one worker would also land in one probe chain of that
+//! worker's table, degenerating to a linked list. DESIGN.md §8 spells
+//! out the argument.
 
 use crate::tag::{ActivityName, Port};
 use crate::value::Value;
@@ -92,8 +92,8 @@ impl PackedName {
 /// The slot hash: fibonacci multiplies fold the two words, a mix13-style
 /// finalizer avalanches the result. Structurally unrelated to
 /// `MappingPolicy::owner` (mix13 over a packing of some of the name's
-/// fields), so the set of keys one relaxed worker or timed PE owns still
-/// spreads over its store's buckets.
+/// fields), so the set of keys one relaxed worker owns still spreads
+/// over its store's buckets.
 #[inline]
 fn slot_hash(key: PackedName) -> u64 {
     let mut x = key.hi.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
@@ -219,9 +219,10 @@ impl MatchingStore {
     /// Highest occupancy the store has reached since construction — an
     /// O(1) counter maintained at the single insertion site, the only
     /// place occupancy rises. Every run builds fresh stores, so this is
-    /// the run's `peak_matching`: the sequential interpreter reports its
-    /// store's, and under the parallel backend `EmuResult::peak_matching`
-    /// sums the shards' — a schedule-dependent approximation.
+    /// the run's `peak_matching`: the sequential interpreter and the
+    /// timed machine report their one store's, and under the parallel
+    /// backend `EmuResult::peak_matching` sums the shards' — a
+    /// schedule-dependent approximation.
     #[inline]
     pub fn high_water(&self) -> usize {
         self.high_water

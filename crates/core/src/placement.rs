@@ -2,7 +2,7 @@
 //! plus some mapping information uniquely define the runtime tag and
 //! processing element number".
 //!
-//! Both engines that own matching state per place call one function,
+//! Both engines that place tokens call one function,
 //! [`MappingPolicy::owner`]: the timed machine maps a token to a PE under
 //! its configured policy, and the relaxed emulator maps it to a worker
 //! under [`MappingPolicy::ByIteration`] — the policy ablation A1 found

@@ -123,7 +123,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
 
-use ttda_mem::{shard_of, Addr};
+use ttda_mem::shard_of;
 use ttda_sim::Cycle;
 use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
 
@@ -548,7 +548,7 @@ impl Worker<'_, '_> {
     /// produced tokens (fetched values, released readers, the store's
     /// completion signal).
     fn apply_op(&mut self, action: StructAction) {
-        let (ptr, idx) = action.element();
+        let (ptr, _) = action.element();
         let trace = self
             .shared
             .traced
@@ -557,7 +557,6 @@ impl Worker<'_, '_> {
             self.shared.program,
             &mut self.shard,
             action,
-            Addr(idx),
             &mut self.out.istore,
             &mut self.scratch,
             trace,

@@ -1,12 +1,24 @@
 //! The detailed machine model (the *simulation* prong of Fig 3-1).
 //!
 //! A [`TimedMachine`] is `n` processing elements — each with its own
-//! waiting–matching store, ALU, output section and attached I-structure
-//! module — connected by any [`Topology`] from `ttda-net`. The model
-//! charges explicit service times to each pipeline section (Fig 2-4) and
-//! routes every inter-PE token and every `d=1` I-structure packet through
-//! the network, so it "accounts for communication as well as processing
-//! simulated time".
+//! waiting–matching section, ALU, output section and attached
+//! I-structure module — connected by any [`Topology`] from `ttda-net`.
+//! The model charges explicit service times to each pipeline section
+//! (Fig 2-4) and routes every inter-PE token and every `d=1` I-structure
+//! packet through the network, so it "accounts for communication as well
+//! as processing simulated time".
+//!
+//! # Timing here, state in the emulator's stores
+//!
+//! A PE and a module keep only their timing: queues, busy-until times
+//! and ports. What a program computes lives where the sequential
+//! emulator keeps it, in one [`MatchingStore`] and one I-structure store
+//! per run, driven by the same [`absorb`] and [`structure_op`]. Every
+//! token of an activity routes to one PE under every [`MappingPolicy`],
+//! so the keys different PEs park never collide, and a PE's occupancy
+//! is the count of activities it has parked. An `IAlloc` creates the whole
+//! structure at its true length; a module's share of it is only which
+//! element packets it serves.
 //!
 //! The headline measurements are ALU utilization
 //! ([`MachineStats::alu_utilization`]) and the latency-tolerance
@@ -30,7 +42,7 @@
 
 use std::collections::HashMap;
 
-use ttda_mem::{Addr, IStructurePort};
+use ttda_mem::IStructurePort;
 use ttda_net::{Fabric, FabricConfig, Ideal, NodeId, Topology};
 use ttda_sim::{Cycle, EventQueue};
 use ttda_trace::{SharedSink, TraceEvent};
@@ -48,14 +60,14 @@ use crate::tag::{ActivityName, Token};
 use crate::value::{StructRef, Value};
 use crate::ExecError;
 
-/// Where an I-structure's elements live.
+/// Which I-structure module serves each element's fetches and stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StructPlacement {
-    /// Element `i` of structure `s` lives on module `(s + i) mod n`: the
-    /// TTDA arrangement, spreading one structure's traffic across every
-    /// module.
+    /// Element `i` of structure `s` is served by module `(s + i) mod n`:
+    /// the TTDA arrangement, spreading one structure's traffic across
+    /// every module.
     Interleaved,
-    /// All of structure `s` lives on module `s mod n`: simpler
+    /// All of structure `s` is served by module `s mod n`: simpler
     /// controllers, but a heavily shared structure turns its home module
     /// into a hot spot (ablation A3).
     SingleModule,
@@ -71,9 +83,16 @@ const OUTPUT_TIME: Cycle = Cycle(1);
 /// Delay for a token that stays on its own PE (the PE-internal loopback
 /// path of Fig 2-4).
 const LOCAL_DELAY: Cycle = Cycle(1);
+/// Extra service time per token handled while the PE's waiting–matching
+/// section holds [`TimedConfig::match_capacity`] activities or more.
+const MATCH_OVERFLOW_PENALTY: Cycle = Cycle(8);
+/// Simulated-time horizon: a run still going past it ends with
+/// [`ExecError::OutOfFuel`].
+const MAX_CYCLES: Cycle = Cycle(100_000_000);
 
 /// Service times and sizing for a [`TimedMachine`]. Matching, the ALU,
-/// each emitted token and the PE-internal loopback cost one cycle each.
+/// each emitted token and the PE-internal loopback cost one cycle each;
+/// a run ends with [`ExecError::OutOfFuel`] past 10⁸ cycles.
 #[derive(Debug, Clone, Copy)]
 pub struct TimedConfig {
     /// Base access time of an I-structure module's port: a read holds
@@ -84,13 +103,9 @@ pub struct TimedConfig {
     pub mapping: MappingPolicy,
     /// Waiting–matching store capacity per PE (0 = unbounded). The real
     /// machine's associative store was finite; entries beyond capacity
-    /// overflow to a slower backing store, modelled as
-    /// [`TimedConfig::match_overflow_penalty`] extra cycles per access
-    /// that lands while the store is over capacity.
+    /// overflow to a slower backing store, modelled as 8 extra cycles
+    /// per access that lands while the store is over capacity.
     pub match_capacity: usize,
-    /// Extra service time per token handled while the PE's
-    /// waiting–matching store is over capacity.
-    pub match_overflow_penalty: Cycle,
     /// I-structure element placement across modules.
     pub placement: StructPlacement,
     /// How each PE orders its input queue: FIFO (arrival order) or
@@ -99,8 +114,6 @@ pub struct TimedConfig {
     pub sched: SchedPolicy,
     /// Network queueing parameters.
     pub fabric: FabricConfig,
-    /// Hard wall-clock limit.
-    pub max_cycles: Cycle,
 }
 
 impl Default for TimedConfig {
@@ -109,11 +122,9 @@ impl Default for TimedConfig {
             istore_access: Cycle(4),
             mapping: MappingPolicy::ByIteration,
             match_capacity: 0,
-            match_overflow_penalty: Cycle(4),
             placement: StructPlacement::Interleaved,
             sched: SchedPolicy::Fifo,
             fabric: FabricConfig::default(),
-            max_cycles: Cycle(100_000_000),
         }
     }
 }
@@ -141,8 +152,8 @@ pub struct MachineStats {
     pub contexts: usize,
     /// Peak total waiting–matching occupancy across PEs.
     pub peak_matching: usize,
-    /// Tokens serviced while their PE's matching store was over its
-    /// configured capacity (each paid the overflow penalty).
+    /// Tokens serviced while their PE had its configured matching
+    /// capacity parked (each paid the overflow penalty).
     pub match_overflows: u64,
     /// Peak PE input-queue depth (token backlog).
     pub peak_queue: usize,
@@ -282,23 +293,11 @@ struct PeState {
     /// [`SchedPolicy::Fifo`] (everything arrives at priority 0), a
     /// criticality-bucketed priority queue under [`SchedPolicy::Crit`].
     queue: BucketQueue<Handle>,
-    waiting: MatchingStore,
+    /// Activities this PE has parked in the run's matching store.
+    parked: usize,
     busy_until: Cycle,
     wake_scheduled: bool,
     alu_busy: Cycle,
-}
-
-/// One I-structure storage module: its slice of every structure, held
-/// in the same store the other engines keep and materialized on first
-/// access (sized from the length recorded when the structure was
-/// allocated, never from a pointer), plus its single service port. Ops
-/// reach the slice only through [`structure_op`], the controller every
-/// engine shares; the module adds the port's timing and the mapping
-/// from an element to its local cell.
-#[derive(Debug)]
-struct ModState {
-    store: Structures,
-    port: IStructurePort,
 }
 
 /// The detailed multi-PE tagged-token machine.
@@ -400,22 +399,6 @@ impl<T: Topology> TimedMachine<T> {
         }
     }
 
-    /// The owning module's (local cell, local slice size) for element
-    /// `idx` of a structure of `len` elements. Interleaved placement
-    /// strides elements round-robin across modules, so a module holds
-    /// every `pes`-th element and the local index is `idx / pes`; a
-    /// single-module structure maps 1:1. `idx` is below `len`: the
-    /// firing that asked for it checked.
-    fn local_slot(&self, len: u32, idx: usize) -> (Addr, usize) {
-        match self.config.placement {
-            StructPlacement::Interleaved => {
-                let n = self.pes();
-                (Addr(idx / n), (len as usize).div_ceil(n))
-            }
-            StructPlacement::SingleModule => (Addr(idx), len as usize),
-        }
-    }
-
     /// Executes the program on `inputs`.
     ///
     /// # Errors
@@ -435,7 +418,7 @@ impl<T: Topology> TimedMachine<T> {
     /// [`Program::merge`]) under
     /// fresh root contexts and runs the machine to joint quiescence —
     /// tokens of different jobs interleave freely through the same PEs,
-    /// matching stores and network, and can never collide. A job's
+    /// matching store and network, and can never collide. A job's
     /// `tenant` label is accounting metadata for schedulers and is
     /// ignored here; the whole batch runs under the machine's fuel.
     ///
@@ -470,14 +453,10 @@ impl<T: Topology> TimedMachine<T> {
         let crit = (cfg.sched == SchedPolicy::Crit).then(|| CritMap::of(&self.program));
         let prio = |t: &Token| crit.as_ref().map_or(0, |c| c.criticality(t.tag));
         let mut pes: Vec<PeState> = (0..n).map(|_| PeState::default()).collect();
-        let mut modules: Vec<ModState> = (0..n)
-            .map(|_| ModState {
-                store: Structures::new(),
-                port: IStructurePort::new(cfg.istore_access),
-            })
-            .collect();
-        // The length of every structure allocated so far, by id.
-        let mut lens: Vec<u32> = Vec::new();
+        let mut modules = vec![IStructurePort::new(cfg.istore_access); n];
+        let mut waiting = MatchingStore::new();
+        let mut structures = Structures::new();
+        let mut next_struct: u32 = 0;
         let mut outputs = HashMap::new();
         let mut fl = InFlight {
             events: EventQueue::new(),
@@ -494,10 +473,6 @@ impl<T: Topology> TimedMachine<T> {
         let mut alu_ops: u64 = 0;
         let mut tokens_delivered: u64 = 0;
         let mut tokens_remote: u64 = 0;
-        // Tokens parked across every PE's store, kept as a running total:
-        // only the serviced PE's occupancy moves.
-        let mut parked: usize = 0;
-        let mut peak_matching: usize = 0;
         let mut match_overflows: u64 = 0;
         let mut peak_queue: usize = 0;
         let mut istore = IsCounts::default();
@@ -518,7 +493,7 @@ impl<T: Topology> TimedMachine<T> {
 
         while let Some((now, ev)) = fl.events.pop() {
             end = end.max(now);
-            if now > cfg.max_cycles {
+            if now > MAX_CYCLES {
                 return Err(ExecError::OutOfFuel);
             }
             match ev {
@@ -540,19 +515,15 @@ impl<T: Topology> TimedMachine<T> {
                     };
                     let token = fl.tokens.take(token);
                     let mut busy = MATCH_TIME;
-                    if cfg.match_capacity > 0 && pes[pe].waiting.len() >= cfg.match_capacity {
-                        busy += cfg.match_overflow_penalty;
+                    if cfg.match_capacity > 0 && pes[pe].parked >= cfg.match_capacity {
+                        busy += MATCH_OVERFLOW_PENALTY;
                         match_overflows += 1;
                     }
-                    let before = pes[pe].waiting.len();
-                    let enabled = absorb(
-                        &self.program,
-                        &mut pes[pe].waiting,
-                        &mut ctx,
-                        token,
-                        &mut ops,
-                    )?;
-                    parked = parked - before + pes[pe].waiting.len();
+                    // Only this PE's activities enter or leave the store
+                    // here: every token of an activity routes to its PE.
+                    let before = waiting.len();
+                    let enabled = absorb(&self.program, &mut waiting, &mut ctx, token, &mut ops)?;
+                    pes[pe].parked = pes[pe].parked + waiting.len() - before;
                     if sink.is_some() {
                         trace(now, &TraceEvent::TokenConsume { pe: pe as u32 });
                         if enabled.is_none() {
@@ -560,7 +531,7 @@ impl<T: Topology> TimedMachine<T> {
                                 now,
                                 &TraceEvent::MatchWait {
                                     pe: pe as u32,
-                                    occupancy: pes[pe].waiting.len() as u64,
+                                    occupancy: pes[pe].parked as u64,
                                 },
                             );
                         }
@@ -596,10 +567,10 @@ impl<T: Topology> TimedMachine<T> {
                                 StructAction::Alloc { tag, len } => {
                                     // Allocation is a controller (d=2) job
                                     // at the firing PE.
-                                    let id = u32::try_from(lens.len())
-                                        .expect("fewer than 2^32 structures per run");
+                                    let id = next_struct;
+                                    next_struct += 1;
+                                    structures.create(id, len as usize);
                                     let ptr = Value::Ptr(StructRef { id, len });
-                                    lens.push(len);
                                     deliver(&self.program, tag, ptr, &mut scratch);
                                     self.route_all(
                                         &mut fl,
@@ -611,18 +582,16 @@ impl<T: Topology> TimedMachine<T> {
                                 }
                                 StructAction::Fetch { tag, ptr, idx }
                                 | StructAction::Store { tag, ptr, idx, .. } => {
-                                    // A module materializes a structure on
-                                    // first access, so a pointer this run
-                                    // never allocated (a forged input) is
-                                    // refused here, as the other engines
-                                    // refuse an id no shard holds, and so
-                                    // is an element past the end of the
-                                    // allocation that a forged length
-                                    // let through, as their stores do.
-                                    let Some(&len) = lens.get(ptr.id as usize) else {
+                                    // A pointer this run never allocated (a
+                                    // forged input), or an element past the
+                                    // end that a forged length let through,
+                                    // is refused before any packet leaves,
+                                    // with the errors the other engines
+                                    // give.
+                                    let Some(st) = structures.store(ptr.id) else {
                                         return Err(dangling(tag, ptr));
                                     };
-                                    if idx >= len as usize {
+                                    if idx >= st.size() {
                                         return Err(out_of_range(ptr, idx));
                                     }
                                     let module = self.module_of(ptr, idx);
@@ -647,7 +616,6 @@ impl<T: Topology> TimedMachine<T> {
                     } else {
                         pes[pe].busy_until = now + busy;
                     }
-                    peak_matching = peak_matching.max(parked);
                     let wake_at = pes[pe].busy_until;
                     if pes[pe].queue.is_empty() {
                         pes[pe].wake_scheduled = false;
@@ -657,20 +625,14 @@ impl<T: Topology> TimedMachine<T> {
                 }
                 Ev::IsOp { module, action } => {
                     let action = fl.packets.take(action);
-                    let (ptr, idx) = action.element();
-                    // The firing that sent the packet checked the id.
-                    let (cell, size) = self.local_slot(lens[ptr.id as usize], idx);
-                    let m = &mut modules[module as usize];
                     let write = matches!(action, StructAction::Store { .. });
-                    let done = m.port.serve(now, write);
-                    m.store.ensure(ptr.id, size);
+                    let done = modules[module as usize].serve(now, write);
                     let mut guard = sink.as_ref().map(|s| s.borrow_mut());
                     let trace = guard.as_deref_mut().map(|s| (s, done, module));
                     structure_op(
                         &self.program,
-                        &mut m.store,
+                        &mut structures,
                         action,
-                        cell,
                         &mut istore,
                         &mut scratch,
                         trace,
@@ -684,11 +646,7 @@ impl<T: Topology> TimedMachine<T> {
 
         // Quiescent: verify nothing is stranded. Deferred *readers* are
         // counted (not deferred cells), matching the emulator's figure.
-        let stranded: usize = pes.iter().map(|p| p.waiting.len()).sum::<usize>()
-            + modules
-                .iter()
-                .map(|m| m.store.deferred_outstanding())
-                .sum::<usize>();
+        let stranded = waiting.len() + structures.deferred_outstanding();
         if stranded > 0 {
             return Err(ExecError::Deadlock { stranded });
         }
@@ -711,7 +669,9 @@ impl<T: Topology> TimedMachine<T> {
                 tokens_delivered,
                 tokens_remote,
                 contexts: ctx.allocated(),
-                peak_matching,
+                // The store is fresh for every run and its occupancy only
+                // rises at an insertion, where it takes its high water.
+                peak_matching: waiting.high_water(),
                 match_overflows,
                 peak_queue,
                 istore_immediate: istore.immediate,
@@ -939,11 +899,8 @@ mod tests {
             ExecError::OutOfFuel
         );
 
-        let cfg = TimedConfig {
-            max_cycles: Cycle(50),
-            ..TimedConfig::default()
-        };
-        let mut m = TimedMachine::ideal(p, 2, Cycle(1), cfg);
+        // One network hop outlasts the 10⁸-cycle horizon.
+        let mut m = TimedMachine::ideal(p, 2, Cycle(200_000_000), TimedConfig::default());
         assert_eq!(
             m.run(&[Value::Int(1000)]).unwrap_err(),
             ExecError::OutOfFuel

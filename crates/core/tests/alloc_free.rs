@@ -152,10 +152,13 @@ fn sequential_fib_does_not_allocate_per_firing() {
 #[test]
 fn timed_fib_does_not_allocate_per_firing() {
     // The timed-fib configuration of the repository benchmark: an 8-PE
-    // hypercube with criticality scheduling. Measured at 0.0121
-    // allocations per firing (659 over 54,347 firings): growth of the
-    // event queue's 64 wheel buckets, the token and packet slabs, the
-    // PE queues and the network's link state.
+    // hypercube with criticality scheduling. Measured at 555 allocations
+    // over 54,347 firings: growth of the event queue's 64 wheel buckets,
+    // the token and packet slabs, the PE queues, the run's matching and
+    // structure stores and the network's link state. A matching store
+    // and a structure table per PE took 672; the budget leaves about 8%
+    // of headroom.
+    const BUDGET: u64 = 600;
     let config = TimedConfig {
         sched: SchedPolicy::Crit,
         ..TimedConfig::default()
@@ -170,7 +173,7 @@ fn timed_fib_does_not_allocate_per_firing() {
         "timed fib 18: {allocs} allocations, {} firings, {per:.4} per firing",
         r.stats.instructions
     );
-    assert!(per < 0.1, "{per:.4} allocations per firing");
+    assert!(allocs <= BUDGET, "{allocs} allocations, budget {BUDGET}");
 }
 
 #[test]

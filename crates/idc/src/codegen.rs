@@ -3,9 +3,11 @@
 //! The interesting schemas:
 //!
 //! - **Loops** expand to the paper's Fig 2-2 arrangement, the shape
-//!   [`GraphBuilder::dataflow_loop`] builds, laid out by hand in
-//!   `compile_loop`: `D` entry, per-variable `Switch`es gated by one
-//!   predicate, `L` for the next iteration, `D⁻¹` on exit.
+//!   [`GraphBuilder::dataflow_loop`] builds, through the builder's
+//!   three steps of it: `D` entry ([`GraphBuilder::loop_enter`]),
+//!   per-variable `Switch`es gated by one predicate
+//!   ([`GraphBuilder::loop_gate`]), `L` for the next iteration and `D⁻¹`
+//!   on exit ([`GraphBuilder::loop_close`]).
 //!   Loop-invariant free variables (and the `for` bound and step) are
 //!   *circulated* as extra loop variables, exactly as the boxes riding
 //!   through `L` in the paper's figure. All `new` bindings see the
@@ -449,22 +451,9 @@ impl Cg {
             .filter(|b| matches!(b, Binding::Store { .. }))
             .collect();
 
-        // Expand the Fig 2-2 schema inline (the builder's `dataflow_loop`
-        // helper takes closures over the builder alone; codegen needs the
-        // whole compiler in scope, so it lays out the same shape by hand).
-        let loop_id = self.g.fresh_loop_id();
-
-        // Entry: D per variable, joined at a loop-top junction.
-        let tops: Vec<NodeId> = init_nodes
-            .iter()
-            .map(|&init| {
-                let d = self.g.instr(OpCode::D { loop_id });
-                self.g.wire(init, d, 0);
-                let top = self.g.instr(OpCode::Identity);
-                self.g.wire(d, top, 0);
-                top
-            })
-            .collect();
+        // The Fig 2-2 schema, in the builder's three steps around the
+        // predicate and body compiled here.
+        let tops = self.g.loop_enter(&init_nodes);
 
         // Predicate from the loop-top values: `i <= #to` (step must be
         // positive), ANDed with any while-condition.
@@ -492,19 +481,7 @@ impl Cg {
             });
         }
         let pred = pred.expect("parser guarantees for or while");
-
-        // One switch per variable, gated by the shared predicate.
-        let mut vars = Vec::with_capacity(tops.len());
-        let mut switches = Vec::with_capacity(tops.len());
-        for &top in &tops {
-            let sw = self.g.instr(OpCode::Switch);
-            self.g.wire(top, sw, 0);
-            self.g.wire(pred, sw, 1);
-            let body_in = self.g.instr(OpCode::Identity);
-            self.g.wire_true(sw, body_in, 0);
-            switches.push(sw);
-            vars.push(body_in);
-        }
+        let (switches, vars) = self.g.loop_gate(&tops, pred);
 
         // Trigger selection matters for parallelism: constants (and thus
         // nested-loop launches) inside the body fire when the trigger
@@ -540,16 +517,10 @@ impl Cg {
             }
         }
 
-        // Iterate: L back to the tops; exit: D⁻¹ from the false branches.
-        let mut exits = Vec::with_capacity(tops.len());
-        for (k, &nv) in next.iter().enumerate() {
-            let l = self.g.instr(OpCode::L);
-            self.g.wire(nv, l, 0);
-            self.g.wire(l, tops[k], 0);
-            let dinv = self.g.instr(OpCode::DInv);
-            self.g.wire_false(switches[k], dinv, 0);
-            exits.push(dinv);
-        }
+        let exits = self
+            .g
+            .loop_close(&tops, &switches, &next)
+            .map_err(|e| CompileError::Codegen(e.to_string()))?;
 
         // The return expression sees the exit values plus the outer scope.
         let mut ret_scope = scope.clone();

@@ -49,7 +49,7 @@ impl Default for CmmpConfig {
 
 struct CmmpModel {
     fabric: Fabric<Crossbar>,
-    memory: MemoryModule<()>,
+    memory: MemoryModule,
     caches: Option<CoherentSystem>,
     line_words: usize,
     procs: usize,
@@ -148,7 +148,7 @@ impl Cmmp {
         let xbar = Crossbar::new(self.config.procs).expect("procs > 0");
         let mut model = CmmpModel {
             fabric: Fabric::new(xbar, self.config.fabric),
-            memory: MemoryModule::new(0, self.config.banks, self.config.mem_access),
+            memory: MemoryModule::new(self.config.banks, self.config.mem_access),
             caches: self
                 .config
                 .caches

@@ -20,15 +20,13 @@ impl From<usize> for Addr {
     }
 }
 
-/// One memory element of the abstract multiprocessor (Fig 1-1): a word
-/// array divided into interleaved banks, each bank a FIFO server with a
+/// One memory element of the abstract multiprocessor (Fig 1-1), as a
+/// timing model: interleaved banks, each bank a FIFO server with a
 /// fixed access time. Requests to distinct banks proceed in parallel;
 /// requests to one bank serialize — the "bandwidth of each memory element
-/// (bits per second per port)" bound of §1.1.
-///
-/// The module is generic over the stored word type so the same timing
-/// model backs the von Neumann machines (`i64` words) and the dataflow
-/// machine's program/structure stores.
+/// (bits per second per port)" bound of §1.1. It holds no words: the
+/// von Neumann machines keep theirs in `ttda_vn::FlatMemory`, and the
+/// C.mmp model prices its shared-memory accesses here.
 ///
 /// # Example
 ///
@@ -36,67 +34,38 @@ impl From<usize> for Addr {
 /// use ttda_mem::{Addr, MemoryModule};
 /// use ttda_sim::Cycle;
 ///
-/// let mut m: MemoryModule<i64> = MemoryModule::new(1024, 4, Cycle(10));
-/// m.store(Addr(7), 99).unwrap();
-/// assert_eq!(m.load(Addr(7)), Some(&99));
+/// let mut m = MemoryModule::new(4, Cycle(10));
 /// // Timing: two same-bank accesses serialize.
 /// let t1 = m.access_time(Cycle(0), Addr(0));
 /// let t2 = m.access_time(Cycle(0), Addr(4)); // bank 0 again (4 % 4)
 /// assert!(t2 > t1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MemoryModule<T> {
-    words: Vec<Option<T>>,
+pub struct MemoryModule {
     banks: usize,
     access: Cycle,
     bank_free: Vec<Cycle>,
 }
 
-impl<T> MemoryModule<T> {
-    /// Creates a module of `size` words in `banks` interleaved banks with
-    /// the given per-access service time.
+impl MemoryModule {
+    /// Creates a module of `banks` interleaved banks with the given
+    /// per-access service time.
     ///
     /// # Panics
     ///
     /// Panics if `banks == 0`.
-    pub fn new(size: usize, banks: usize, access: Cycle) -> Self {
+    pub fn new(banks: usize, access: Cycle) -> Self {
         assert!(banks > 0, "memory module needs at least one bank");
         MemoryModule {
-            words: std::iter::repeat_with(|| None).take(size).collect(),
             banks,
             access,
             bank_free: vec![Cycle::ZERO; banks],
         }
     }
 
-    /// Capacity in words.
-    pub fn size(&self) -> usize {
-        self.words.len()
-    }
-
     /// The bank serving `addr`.
     pub fn bank_of(&self, addr: Addr) -> usize {
         addr.0 % self.banks
-    }
-
-    /// Functional read; `None` if out of range or never written.
-    pub fn load(&self, addr: Addr) -> Option<&T> {
-        self.words.get(addr.0).and_then(|w| w.as_ref())
-    }
-
-    /// Functional write.
-    ///
-    /// # Errors
-    ///
-    /// Returns the value back if `addr` is out of range.
-    pub fn store(&mut self, addr: Addr, value: T) -> Result<(), T> {
-        match self.words.get_mut(addr.0) {
-            Some(slot) => {
-                *slot = Some(value);
-                Ok(())
-            }
-            None => Err(value),
-        }
     }
 
     /// Timing model: when does an access issued at `now` complete?
@@ -119,18 +88,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn store_load_roundtrip() {
-        let mut m: MemoryModule<&str> = MemoryModule::new(4, 2, Cycle(5));
-        assert_eq!(m.load(Addr(0)), None);
-        m.store(Addr(0), "hi").unwrap();
-        assert_eq!(m.load(Addr(0)), Some(&"hi"));
-        assert!(m.store(Addr(99), "nope").is_err());
-        assert_eq!(m.load(Addr(99)), None);
-    }
-
-    #[test]
     fn distinct_banks_parallel_same_bank_serial() {
-        let mut m: MemoryModule<i64> = MemoryModule::new(16, 4, Cycle(10));
+        let mut m = MemoryModule::new(4, Cycle(10));
         let a = m.access_time(Cycle(0), Addr(0));
         let b = m.access_time(Cycle(0), Addr(1));
         assert_eq!(a, b, "different banks serve concurrently");
@@ -147,6 +106,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bank")]
     fn zero_banks_panics() {
-        let _: MemoryModule<i64> = MemoryModule::new(4, 0, Cycle(1));
+        let _ = MemoryModule::new(0, Cycle(1));
     }
 }

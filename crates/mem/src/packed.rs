@@ -89,8 +89,8 @@ impl DeferList {
 /// outcomes, same FIFO release order — different constant factors.
 ///
 /// `ttda_mem` re-exports this type as `IStructure`, so the three engines
-/// (sequential emulator, parallel shards, timed memory modules) all run
-/// on it without naming it specially.
+/// (sequential emulator, parallel shards, timed machine) all run on it
+/// without naming it specially.
 ///
 /// # Example
 ///

@@ -6,12 +6,12 @@
 //! independent storage modules; [`IStructureShard`] is the software
 //! analogue: each worker thread owns the shard of structures whose ids
 //! hash to it, so operations on different shards proceed with no shared
-//! state at all. (A sequential engine keeps one shard holding every
-//! structure; a timed machine's module keeps its slice of each.) A
-//! shard also maintains its *outstanding deferred read* count
-//! incrementally, so a coordinator can compute the machine-wide figure
-//! (for peak-deferred statistics and deadlock detection) by summing
-//! per-shard counters instead of walking every cell.
+//! state at all. (The sequential engine and the timed machine each keep
+//! one shard holding every structure of a run.) A shard also maintains
+//! its *outstanding deferred read* count incrementally, so a coordinator
+//! can compute the machine-wide figure (for peak-deferred statistics and
+//! deadlock detection) by summing per-shard counters instead of walking
+//! every cell.
 //!
 //! Determinism note: operations on *distinct* structures commute, so a
 //! coordinator that routes each operation to its owning shard and keeps
@@ -72,26 +72,13 @@ impl<T, R> IStructureShard<T, R> {
     /// Panics if `id` is already present: allocation ids are unique per
     /// run, so a collision is a coordinator bug, not a program error.
     pub fn create(&mut self, id: u32, size: usize) {
-        let slot = self.slot(id);
-        assert!(slot.is_none(), "duplicate i-structure allocation id {id}");
-        *slot = Some(IStructure::new(size));
-    }
-
-    /// Adds a structure of `size` cells under `id` if it is not already
-    /// present. Used by engines that materialize a module's slice of a
-    /// structure lazily on first access (the timed machine's memory
-    /// modules), where "already created" is the common case, not a bug.
-    pub fn ensure(&mut self, id: u32, size: usize) {
-        self.slot(id).get_or_insert_with(|| IStructure::new(size));
-    }
-
-    /// The table entry for `id`, growing the table to reach it.
-    fn slot(&mut self, id: u32) -> &mut Option<IStructure<T, R>> {
         let i = id as usize;
         if i >= self.stores.len() {
             self.stores.resize_with(i + 1, || None);
         }
-        &mut self.stores[i]
+        let slot = &mut self.stores[i];
+        assert!(slot.is_none(), "duplicate i-structure allocation id {id}");
+        *slot = Some(IStructure::new(size));
     }
 
     /// Shared access to a structure, if this shard owns it.

@@ -75,7 +75,7 @@ fn coherence_no_stale_read_hits() {
 #[test]
 fn memory_module_bank_times_never_decrease() {
     check::forall("memory module bank times never decrease", |rng| {
-        let mut m: MemoryModule<i64> = MemoryModule::new(64, 4, Cycle(7));
+        let mut m = MemoryModule::new(4, Cycle(7));
         let mut per_bank: [Cycle; 4] = [Cycle::ZERO; 4];
         let accesses = rng.gen_range(1usize..100);
         for _ in 0..accesses {

@@ -2,8 +2,7 @@
 //!
 //! The paper's central figure of merit is **ALU utilization / idle time**
 //! (§1.2), so [`Utilization`] is the workhorse here; [`Histogram`] captures
-//! latency distributions, and [`Series`] captures parallelism profiles over
-//! time (e.g. tokens in flight per cycle).
+//! latency distributions.
 
 use std::fmt;
 
@@ -233,82 +232,6 @@ impl Histogram {
     }
 }
 
-/// A time-series sampler: records `(time, value)` observations, e.g. the
-/// number of enabled instructions per cycle (the "parallelism profile").
-///
-/// # Example
-///
-/// ```
-/// use ttda_sim::{stats::Series, Cycle};
-/// let mut s = Series::new();
-/// s.record(Cycle(0), 1.0);
-/// s.record(Cycle(10), 5.0);
-/// assert_eq!(s.len(), 2);
-/// assert_eq!(s.peak(), Some(5.0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Series {
-    points: Vec<(Cycle, f64)>,
-}
-
-impl Series {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Series { points: Vec::new() }
-    }
-
-    /// Appends an observation.
-    pub fn record(&mut self, at: Cycle, value: f64) {
-        self.points.push((at, value));
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The largest recorded value.
-    pub fn peak(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Unweighted mean of recorded values.
-    pub fn mean(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            None
-        } else {
-            Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
-        }
-    }
-
-    /// The raw observations.
-    pub fn points(&self) -> &[(Cycle, f64)] {
-        &self.points
-    }
-
-    /// Downsamples to at most `n` evenly spaced points (for printing).
-    pub fn thin(&self, n: usize) -> Vec<(Cycle, f64)> {
-        if n == 0 || self.points.is_empty() {
-            return Vec::new();
-        }
-        if self.points.len() <= n {
-            return self.points.clone();
-        }
-        let step = self.points.len() as f64 / n as f64;
-        (0..n)
-            .map(|i| self.points[(i as f64 * step) as usize])
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,18 +324,5 @@ mod tests {
     fn histogram_merge_shape_mismatch_panics() {
         let mut a = Histogram::new(8, 5);
         a.merge(&Histogram::new(8, 6));
-    }
-
-    #[test]
-    fn series_stats_and_thin() {
-        let mut s = Series::new();
-        for i in 0..100u64 {
-            s.record(Cycle(i), i as f64);
-        }
-        assert_eq!(s.peak(), Some(99.0));
-        assert_eq!(s.mean(), Some(49.5));
-        assert_eq!(s.thin(10).len(), 10);
-        assert_eq!(s.thin(1000).len(), 100);
-        assert!(Series::new().peak().is_none());
     }
 }

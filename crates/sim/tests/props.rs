@@ -2,8 +2,8 @@
 //! `check` harness.
 
 use ttda_sim::check;
-use ttda_sim::stats::{Histogram, Series};
-use ttda_sim::{Cycle, SimRng};
+use ttda_sim::stats::Histogram;
+use ttda_sim::SimRng;
 
 #[test]
 fn histogram_totals_match_inputs() {
@@ -43,24 +43,6 @@ fn histogram_percentiles_monotone() {
             let v = h.percentile(p).unwrap();
             assert!(v >= last, "p{p} = {v} < previous {last}");
             last = v;
-        }
-    });
-}
-
-#[test]
-fn series_thin_preserves_endpoints_order() {
-    check::forall("series thin preserves order", |rng| {
-        let len = rng.gen_range(2usize..300);
-        let n = rng.gen_range(1usize..50);
-        let mut s = Series::new();
-        for i in 0..len {
-            s.record(Cycle(i as u64), rng.f64() * 100.0);
-        }
-        let thinned = s.thin(n);
-        assert!(thinned.len() <= n.max(len.min(n)));
-        // Times stay strictly increasing.
-        for w in thinned.windows(2) {
-            assert!(w[0].0 < w[1].0);
         }
     });
 }
