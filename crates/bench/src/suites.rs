@@ -642,8 +642,9 @@ pub fn service(t: &mut Timer) {
 /// even when the absolute firings/sec do not. The headline is the
 /// one-worker overhead `relaxed_ratio_1w`, sequential firings/sec over
 /// relaxed-1-worker firings/sec (lower is better): the price of the
-/// parallel protocol itself (a worker thread, shard routing, the
-/// termination detector).
+/// parallel protocol itself (the worker loop's flush and fuel checks,
+/// its channels and the termination detector; one worker fires through
+/// the sequential step and routes nothing).
 ///
 /// Measures the sequential and relaxed (1/2/4 workers) engines on one
 /// identical workload, with the same protocol as

@@ -14,6 +14,10 @@
 //! fires, before the context id appears in any token, and never change
 //! afterwards; call and root contexts carry none.
 //!
+//! The relaxed backend's workers share one table, `SharedContexts`, and
+//! each keeps its own loop memo: every entry of one loop activation
+//! fires on the same worker.
+//!
 //! [`OpCode::LoopEntry`]: crate::OpCode::LoopEntry
 
 use std::collections::HashMap;
@@ -299,9 +303,6 @@ impl ContextOps for ContextManager {
 const CTX_CHUNK: usize = 256;
 /// Ids handed to a worker per lease refill.
 const CTX_LEASE: u32 = 64;
-/// Loop-memo lock shards (racing `D` firings of *different* activations
-/// rarely contend).
-const MEMO_SHARDS: usize = 16;
 
 /// One published context: its record and its constants (loop
 /// activations entered by a `LoopEntry` only; `len` is 0 otherwise).
@@ -345,11 +346,12 @@ type Chunk = [OnceLock<Published>; CTX_CHUNK];
 /// is the **semantic allocation count** (tracked exactly, including the
 /// loop-memo dedup), and tag values are internal.
 ///
-/// Loop-activation memoization uses a lock-the-shard-first protocol:
-/// the winner of a racing `D` pair allocates and inserts while holding
-/// the memo shard lock, the loser observes the winner's context — so no
-/// leased id is wasted on a lost race and the allocation count matches a
-/// sequential run exactly.
+/// The loop-activation memo is not shared: each [`WorkerCtx`] keeps its
+/// own, and takes no lock to consult it. The relaxed placement is a
+/// function of a token's `(u, i)` alone, so every `D`, `DGated` and
+/// `LoopEntry` of one parent activation fires on one worker, and two
+/// workers never race into one activation. The allocation count
+/// therefore matches a sequential run exactly.
 pub(crate) struct SharedContexts {
     chunks: RwLock<Vec<Arc<Chunk>>>,
     /// Next unleased id; also guards chunk growth.
@@ -357,12 +359,7 @@ pub(crate) struct SharedContexts {
     /// Semantic allocations (root + loop activations + calls) — the
     /// number a sequential run would report.
     allocated: AtomicUsize,
-    memo: [MemoShard; MEMO_SHARDS],
 }
-
-/// One lock-striped shard of the loop-activation memo, keyed by
-/// `(parent context, iteration, code block)`.
-type MemoShard = Mutex<HashMap<(Ctx, Iter, u32), Ctx>>;
 
 impl SharedContexts {
     /// A shared manager whose root context (id 0) runs `main`.
@@ -371,7 +368,6 @@ impl SharedContexts {
             chunks: RwLock::new(Vec::new()),
             next: Mutex::new(0),
             allocated: AtomicUsize::new(0),
-            memo: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         };
         let root = sc.sequential_id();
         debug_assert_eq!(root, ContextManager::ROOT);
@@ -458,22 +454,8 @@ impl SharedContexts {
             shared: self,
             lease: CtxLease { next: 0, end: 0 },
             chunks: Vec::new(),
+            memo: HashMap::new(),
         }
-    }
-
-    fn memo_shard(
-        &self,
-        parent: Ctx,
-        iter: Iter,
-        loop_id: u32,
-    ) -> &Mutex<HashMap<(Ctx, Iter, u32), Ctx>> {
-        // Cheap deterministic mix; only lock spread depends on it.
-        let h = (parent.0 as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(iter.0 as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(loop_id as u64);
-        &self.memo[(h >> 32) as usize % MEMO_SHARDS]
     }
 }
 
@@ -492,6 +474,10 @@ pub(crate) struct WorkerCtx<'a> {
     shared: &'a SharedContexts,
     lease: CtxLease,
     chunks: Vec<Arc<Chunk>>,
+    /// The loop activations this worker entered, keyed by `(parent
+    /// context, iteration, loop)` (see [`SharedContexts`] on why no
+    /// other worker enters them).
+    memo: HashMap<(Ctx, Iter, u32), Ctx>,
 }
 
 impl WorkerCtx<'_> {
@@ -533,9 +519,7 @@ impl ContextOps for WorkerCtx<'_> {
         block: CodeBlockId,
         consts: &[Value],
     ) -> Ctx {
-        let shard = self.shared.memo_shard(parent, iter, loop_id);
-        let mut memo = shard.lock().expect("loop memo poisoned");
-        if let Some(&c) = memo.get(&(parent, iter, loop_id)) {
+        if let Some(&c) = self.memo.get(&(parent, iter, loop_id)) {
             return c;
         }
         let c = self.take_id();
@@ -550,7 +534,7 @@ impl ContextOps for WorkerCtx<'_> {
             consts,
         );
         self.shared.allocated.fetch_add(1, Ordering::Relaxed);
-        memo.insert((parent, iter, loop_id), c);
+        self.memo.insert((parent, iter, loop_id), c);
         c
     }
 
@@ -656,8 +640,9 @@ mod tests {
             .collect();
         for &(c, k) in &made {
             assert_eq!(w2.constants(c), &[Value::Int(k)]);
+            // The gated Ds of an activation fire where its entry did.
             assert_eq!(
-                w2.enter_loop(Ctx(0), Iter(k as u32 + 1), 5, CodeBlockId(0), &[]),
+                w1.enter_loop(Ctx(0), Iter(k as u32 + 1), 5, CodeBlockId(0), &[]),
                 c,
                 "a gated D joins the entry's activation"
             );

@@ -9,24 +9,27 @@
 //! the paper's group built a 32–128-processor emulation facility to
 //! measure for "very large application programs".
 //!
-//! A wave is a `Vec<Token>`, the vector the other engines emit into:
-//! each firing appends its output tokens to the next wave, and the two
-//! vectors swap when a wave ends. Everything a run builds (contexts,
-//! the matching store, structures, outputs, counters, the wave vectors
-//! and the trace clock) lives in that run alone, as it does on the
-//! relaxed and timed engines; an [`Emulator`] holds only configuration.
+//! A wave is a `Vec<Token>`: each firing appends its output tokens to
+//! the next wave, and the two vectors swap when a wave ends. A firing is
+//! one call of `Run::step`, the step every relaxed worker fires through
+//! too, compiled once per engine for its context table and its `Host`
+//! (trace target and structure store). Everything a run builds
+//! (contexts, the matching store, structures, outputs, counters, the
+//! wave vectors and the trace clock) lives in that run alone, as it does
+//! on the relaxed and timed engines; an [`Emulator`] holds only
+//! configuration.
 
 use std::collections::HashMap;
 
 use ttda_sim::Cycle;
 use ttda_trace::{SharedSink, TraceEvent};
 
-use crate::context::ContextManager;
+use crate::context::{ContextManager, ContextOps};
 use crate::exec::{
-    deliver, execute, load_jobs, size_hint, structure_op, Enabled, IsCounts, StructAction,
+    absorb, deliver, execute, load_jobs, size_hint, structure_op, IsCounts, StructAction,
     Structures,
 };
-use crate::graph::{Instruction, Program};
+use crate::graph::Program;
 use crate::machine::Job;
 use crate::matching::MatchingStore;
 use crate::sched::{sort_by_criticality, CritMap, SchedPolicy};
@@ -152,7 +155,7 @@ impl<'p> Emulator<'p> {
     /// interpreter; `n > 1` runs the relaxed parallel backend
     /// ([`RunMode::Relaxed`]) on `n` scoped worker threads with the
     /// waiting–matching store and the structure table sharded between
-    /// them; `0` means one worker per available core.
+    /// them. `0` runs one worker, as `1` does.
     ///
     /// The relaxed backend agrees with the sequential one on outputs and
     /// the confluent counters, not on wave structure or peaks (see
@@ -192,17 +195,6 @@ impl<'p> Emulator<'p> {
     pub fn with_sched(mut self, policy: SchedPolicy) -> Self {
         self.sched = policy;
         self
-    }
-
-    /// The resolved worker count: `0` → available cores.
-    fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
     }
 
     /// Attaches a trace sink. The emulator reports every token's emit
@@ -261,7 +253,7 @@ impl<'p> Emulator<'p> {
     /// Same conditions as [`Emulator::run`]; `InputArity` refers to the
     /// offending job's block.
     pub fn submit(&mut self, jobs: &[Job]) -> Result<EmuResult, ExecError> {
-        let threads = self.effective_threads();
+        let threads = self.threads.max(1);
         let mode = match self.mode {
             // k-bounded scheduling is a global, order-sensitive
             // fixpoint; it always runs on the reference interpreter.
@@ -289,19 +281,18 @@ impl<'p> Emulator<'p> {
         // run (a service burst) would otherwise spend much of its time
         // regrowing these buffers from empty.
         let hint = size_hint(self.program, jobs);
-        let mut run = Run {
-            program: self.program,
-            ctx: ContextManager::with_capacity(self.program.main, hint),
-            waiting: MatchingStore::with_capacity(hint),
-            structures: Structures::new(),
-            next_struct: 0,
-            outputs: HashMap::new(),
-            instructions: 0,
-            alu_ops: 0,
-            istore: IsCounts::default(),
-            sink: self.sink.clone(),
-            now: Cycle::ZERO,
-        };
+        let mut run = Run::new(
+            self.program,
+            ContextManager::with_capacity(self.program.main, hint),
+            hint,
+            Whole {
+                structures: Structures::new(),
+                next_struct: 0,
+                istore: IsCounts::default(),
+                sink: self.sink.clone(),
+                now: Cycle::ZERO,
+            },
+        );
         // Built once per run; FIFO never consults it.
         let crit = (self.sched == SchedPolicy::Crit).then(|| CritMap::of(self.program));
         let mut wave: Vec<Token> = Vec::with_capacity(hint);
@@ -311,9 +302,9 @@ impl<'p> Emulator<'p> {
             |block| run.ctx.new_root(block),
             |t| {
                 wave.push(t);
-                if let Some(s) = &run.sink {
+                if let Some(s) = &run.host.sink {
                     s.borrow_mut()
-                        .record(run.now, &TraceEvent::TokenEmit { pe: 0 });
+                        .record(run.host.now, &TraceEvent::TokenEmit { pe: 0 });
                 }
             },
         )?;
@@ -322,8 +313,6 @@ impl<'p> Emulator<'p> {
         // steady-state firing emits without allocating; so are the
         // sort keys, the holding pen and its per-context minima.
         let mut next: Vec<Token> = Vec::with_capacity(hint);
-        // One operand buffer serves every firing of the run.
-        let mut ops: Vec<Value> = Vec::with_capacity(hint);
         let mut profile = Vec::with_capacity(hint);
         let mut keys: Vec<u64> = Vec::new();
         let mut held: Vec<Token> = Vec::new();
@@ -349,7 +338,7 @@ impl<'p> Emulator<'p> {
                 run.waiting.for_each_key(|tag| note(&tag));
                 // Deferred readers are live too: their iteration has not
                 // finished until the datum arrives.
-                run.structures.for_each_deferred(|(tag, _)| note(tag));
+                run.host.structures.for_each_deferred(|(tag, _)| note(tag));
                 let eligible = |t: &Token| t.tag.i.0 <= oldest[&t.tag.u].saturating_add(k);
                 // The wave keeps its eligible tokens and gains the pen's,
                 // each in order; the pen keeps its ineligible tokens and
@@ -382,33 +371,32 @@ impl<'p> Emulator<'p> {
 
             let mut fired = 0usize;
             for token in &wave {
-                if let Some((tag, instr)) = run.absorb(token.clone(), &mut ops)? {
+                if run.step(token.clone(), &mut next)? {
                     fired += 1;
-                    run.fire(tag, &ops, instr, &mut next)?;
                     if run.instructions > self.fuel {
                         return Err(ExecError::OutOfFuel);
                     }
                 }
             }
-            peak_deferred = peak_deferred.max(run.structures.deferred_outstanding());
+            peak_deferred = peak_deferred.max(run.host.structures.deferred_outstanding());
             if fired > 0 {
                 profile.push(fired);
-                run.trace(TraceEvent::WaveEnd {
+                run.host.record(TraceEvent::WaveEnd {
                     fired: fired as u64,
                 });
-                run.now = run.now.saturating_add(Cycle(1));
+                run.host.now = run.host.now.saturating_add(Cycle(1));
             }
             std::mem::swap(&mut wave, &mut next);
             next.clear();
         }
 
-        let stranded = run.waiting.len() + run.structures.deferred_outstanding();
+        let stranded = run.waiting.len() + run.host.structures.deferred_outstanding();
         if stranded > 0 {
             return Err(ExecError::Deadlock { stranded });
         }
         // Clean quiescence: the wave and holding pen are both empty, so
         // nothing is in flight.
-        run.trace(TraceEvent::Halt { in_flight: 0 });
+        run.host.record(TraceEvent::Halt { in_flight: 0 });
 
         Ok(EmuResult {
             outputs: run.outputs,
@@ -421,114 +409,178 @@ impl<'p> Emulator<'p> {
             // rises at an insertion, where it takes its high water.
             peak_matching: run.waiting.high_water(),
             peak_deferred,
-            istore_immediate: run.istore.immediate,
-            istore_deferred: run.istore.deferred,
-            istore_writes: run.istore.writes,
+            istore_immediate: run.host.istore.immediate,
+            istore_deferred: run.host.istore.deferred,
+            istore_writes: run.host.istore.writes,
         })
     }
 }
 
-/// The state of one sequential run: built by
-/// [`Emulator::run_sequential`] and gone when it returns, as a relaxed
-/// or timed run's state is.
-struct Run<'p> {
-    program: &'p Program,
-    ctx: ContextManager,
-    waiting: MatchingStore,
-    structures: Structures,
-    /// The next structure id to allocate.
-    next_struct: u32,
-    outputs: HashMap<u32, Value>,
-    instructions: u64,
-    alu_ops: u64,
-    istore: IsCounts,
-    sink: Option<SharedSink>,
-    /// Trace timestamp: the current wave index (idealized time).
-    now: Cycle,
+/// What an untimed engine supplies to [`Run::step`]: its trace target
+/// and its I-structure store, which the sequential run keeps whole and
+/// a relaxed worker shards. Each engine's host is a concrete type, so
+/// the step is compiled once per engine and calls no function pointer.
+pub(crate) trait Host {
+    /// The PE label of this engine's trace events, or `None` when the
+    /// run is not traced.
+    fn tracing(&self) -> Option<u32>;
+    /// Records `ev`; the step calls it only while [`Host::tracing`].
+    fn record(&mut self, ev: TraceEvent);
+    /// Creates a structure of `len` cells and returns its id.
+    fn alloc(&mut self, len: u32) -> u32;
+    /// Carries out a fetch or a store, emitting what it produces into
+    /// `out`, or sends it where its structure is kept.
+    fn apply(
+        &mut self,
+        program: &Program,
+        action: StructAction,
+        out: &mut Vec<Token>,
+    ) -> Result<(), ExecError>;
 }
 
-impl<'p> Run<'p> {
-    #[inline]
-    fn trace(&self, ev: TraceEvent) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().record(self.now, &ev);
+/// The state one untimed run fires through: its matching store, its
+/// context table `C`, its outputs and counters, and its engine's
+/// [`Host`]. The sequential run holds one, and so does each relaxed
+/// worker; both are built when a run starts and gone when it returns.
+pub(crate) struct Run<'p, C, H> {
+    pub(crate) program: &'p Program,
+    pub(crate) waiting: MatchingStore,
+    pub(crate) ctx: C,
+    /// The operand set of the firing in progress (the storage is
+    /// reused).
+    ops: Vec<Value>,
+    pub(crate) outputs: HashMap<u32, Value>,
+    pub(crate) instructions: u64,
+    pub(crate) alu_ops: u64,
+    pub(crate) host: H,
+}
+
+impl<'p, C: ContextOps, H: Host> Run<'p, C, H> {
+    /// A run with room for `hint` parked tokens and operands.
+    pub(crate) fn new(program: &'p Program, ctx: C, hint: usize, host: H) -> Self {
+        Run {
+            program,
+            waiting: MatchingStore::with_capacity(hint),
+            ctx,
+            ops: Vec::with_capacity(hint),
+            outputs: HashMap::new(),
+            instructions: 0,
+            alu_ops: 0,
+            host,
         }
     }
 
-    /// The waiting–matching section: inserts a token; writes the full
-    /// operand set into `ops` and returns the instruction when it
-    /// becomes enabled.
-    fn absorb(
-        &mut self,
-        token: Token,
-        ops: &mut Vec<Value>,
-    ) -> Result<Option<Enabled<'p>>, ExecError> {
-        let r = crate::exec::absorb(self.program, &mut self.waiting, &mut self.ctx, token, ops)?;
-        if self.sink.is_some() {
-            self.trace(TraceEvent::TokenConsume { pe: 0 });
-            if r.is_none() {
-                self.trace(TraceEvent::MatchWait {
-                    pe: 0,
+    /// The firing step of both untimed engines: absorbs `token` into the
+    /// waiting–matching section and, if that enables its instruction,
+    /// executes it through the shared semantics in [`crate::exec`],
+    /// counts it, records its output and its trace events, and emits
+    /// its tokens into `out`, the caller's next wave. Returns whether
+    /// the token fired an instruction.
+    #[inline]
+    pub(crate) fn step(&mut self, token: Token, out: &mut Vec<Token>) -> Result<bool, ExecError> {
+        let program = self.program;
+        let tracing = self.host.tracing();
+        let enabled = absorb(
+            program,
+            &mut self.waiting,
+            &mut self.ctx,
+            token,
+            &mut self.ops,
+        )?;
+        if let Some(pe) = tracing {
+            self.host.record(TraceEvent::TokenConsume { pe });
+        }
+        let Some((tag, instr)) = enabled else {
+            if let Some(pe) = tracing {
+                self.host.record(TraceEvent::MatchWait {
+                    pe,
                     occupancy: self.waiting.len() as u64,
                 });
             }
-        }
-        Ok(r)
-    }
-
-    /// The instruction-fetch + ALU + output sections: executes one
-    /// enabled instruction via the shared semantics in [`crate::exec`],
-    /// emitting straight into the next wave and applying I-structure
-    /// actions inline.
-    fn fire(
-        &mut self,
-        tag: ActivityName,
-        ops: &[Value],
-        instr: &Instruction,
-        out: &mut Vec<Token>,
-    ) -> Result<(), ExecError> {
+            return Ok(false);
+        };
         self.instructions += 1;
         let out_before = out.len();
-        let eff = execute(self.program, &mut self.ctx, tag, instr, ops, out)?;
+        let eff = execute(program, &mut self.ctx, tag, instr, &self.ops, out)?;
         if eff.is_alu {
             self.alu_ops += 1;
         }
-        self.trace(TraceEvent::MatchFire {
-            pe: 0,
-            alu: eff.is_alu,
-            busy: 0,
-        });
+        if let Some(pe) = tracing {
+            self.host.record(TraceEvent::MatchFire {
+                pe,
+                alu: eff.is_alu,
+                busy: 0,
+            });
+        }
         if let Some((slot, v)) = eff.output {
             self.outputs.insert(slot, v);
         }
         match eff.action {
             None => {}
             Some(StructAction::Alloc { tag, len }) => {
-                let id = self.next_struct;
-                self.next_struct += 1;
-                self.structures.create(id, len as usize);
-                deliver(self.program, tag, Value::Ptr(StructRef { id, len }), out);
+                let id = self.host.alloc(len);
+                deliver(program, tag, Value::Ptr(StructRef { id, len }), out);
             }
-            Some(action) => {
-                let (ptr, _) = action.element();
-                let mut sink = self.sink.as_ref().map(|s| s.borrow_mut());
-                let trace = sink.as_deref_mut().map(|s| (s, self.now, ptr.id));
-                structure_op(
-                    self.program,
-                    &mut self.structures,
-                    action,
-                    &mut self.istore,
-                    out,
-                    trace,
-                )?;
-            }
+            Some(action) => self.host.apply(program, action, out)?,
         }
-        if self.sink.is_some() {
+        if let Some(pe) = tracing {
             for _ in out_before..out.len() {
-                self.trace(TraceEvent::TokenEmit { pe: 0 });
+                self.host.record(TraceEvent::TokenEmit { pe });
             }
         }
-        Ok(())
+        Ok(true)
+    }
+}
+
+/// The sequential run's [`Host`]: one structure store with dense ids,
+/// and the session's sink, stamped with the wave index.
+struct Whole {
+    structures: Structures,
+    /// The next structure id to allocate.
+    next_struct: u32,
+    istore: IsCounts,
+    sink: Option<SharedSink>,
+    /// Trace timestamp: the current wave index (idealized time).
+    now: Cycle,
+}
+
+impl Host for Whole {
+    fn tracing(&self) -> Option<u32> {
+        self.sink.as_ref().map(|_| 0)
+    }
+
+    #[inline]
+    fn record(&mut self, ev: TraceEvent) {
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().record(self.now, &ev);
+        }
+    }
+
+    fn alloc(&mut self, len: u32) -> u32 {
+        let id = self.next_struct;
+        self.next_struct += 1;
+        self.structures.create(id, len as usize);
+        id
+    }
+
+    #[inline]
+    fn apply(
+        &mut self,
+        program: &Program,
+        action: StructAction,
+        out: &mut Vec<Token>,
+    ) -> Result<(), ExecError> {
+        let (ptr, _) = action.element();
+        let mut sink = self.sink.as_ref().map(|s| s.borrow_mut());
+        let trace = sink.as_deref_mut().map(|s| (s, self.now, ptr.id));
+        structure_op(
+            program,
+            &mut self.structures,
+            action,
+            &mut self.istore,
+            out,
+            trace,
+        )
     }
 }
 
@@ -886,6 +938,28 @@ mod tests {
         let err = Emulator::new(&p).run(&[Value::Int(3)]).unwrap_err();
         assert!(matches!(err, ExecError::Type(_)));
         assert!(err.to_string().contains("boolean"));
+    }
+
+    #[test]
+    fn zero_threads_run_one_worker() {
+        let mut g = GraphBuilder::new("t");
+        let x = g.param();
+        let out = g.output(0);
+        g.wire(x, out, 0);
+        let p = g.finish_program().unwrap();
+        let run = |mut e: Emulator| e.run(&[Value::Int(7)]).unwrap();
+        let seq = run(Emulator::new(&p).with_threads(0));
+        assert_eq!(seq, run(Emulator::new(&p)));
+        assert_eq!(
+            seq.waves, 2,
+            "left to choose, zero runs the sequential engine"
+        );
+        let one = |t| {
+            run(Emulator::new(&p)
+                .with_threads(t)
+                .with_mode(RunMode::Relaxed))
+        };
+        assert_eq!(one(0), one(1), "pinned to relaxed, zero runs one worker");
     }
 
     #[test]

@@ -138,11 +138,6 @@ pub(crate) fn deliver(program: &Program, tag: ActivityName, value: Value, out: &
     }
 }
 
-/// A firing the waiting–matching section just enabled: its activity
-/// name and the instruction it names (the operands are in the buffer
-/// passed to [`absorb`]).
-pub(crate) type Enabled<'p> = (ActivityName, &'p Instruction);
-
 fn bad_target(tag: ActivityName) -> ExecError {
     ExecError::BadTarget {
         activity: tag.to_string(),
@@ -204,7 +199,7 @@ fn constants_for<'c, C: ContextOps>(
 /// The waiting–matching section, shared by every executor: inserts a
 /// token into `waiting`; when the target instruction becomes enabled,
 /// writes its complete operand set, in port order, into `ops` and
-/// returns the instruction. An instruction that needs exactly one token
+/// returns the firing's activity name and instruction. An instruction that needs exactly one token
 /// (`nt = 1`) never touches the store, as in Fig 2-3: its operands are
 /// the token, its literal and its loop constants, read from `ctx` for
 /// the token's activation.
@@ -219,7 +214,7 @@ pub(crate) fn absorb<'p, C: ContextOps>(
     ctx: &mut C,
     token: Token,
     ops: &mut Vec<Value>,
-) -> Result<Option<Enabled<'p>>, ExecError> {
+) -> Result<Option<(ActivityName, &'p Instruction)>, ExecError> {
     let tag = token.tag;
     let instr = program
         .block(tag.c)
@@ -284,7 +279,7 @@ pub(crate) fn absorb<'p, C: ContextOps>(
 /// [`crate::context::SharedContexts`] table — context id *values* then
 /// differ from a sequential run, but they never escape an
 /// [`EmuResult`](crate::EmuResult) (`contexts` is the semantic
-/// allocation count, kept exact by the shared loop memo).
+/// allocation count, kept exact by each worker's loop memo).
 // Inlined into each engine's loop, the `Result<Effect, _>` stays in
 // registers. Out of line it went through memory: the 80-byte value,
 // stored field by field here and reloaded whole by the caller, stalled

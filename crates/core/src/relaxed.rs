@@ -12,6 +12,18 @@
 //! bit-identical to the sequential interpreter is what
 //! [`RunMode::Sequential`](crate::RunMode::Sequential) is for.
 //!
+//! # Waves
+//!
+//! A worker fires through the sequential interpreter's step,
+//! [`Run::step`], in waves as that interpreter does: it walks the
+//! current wave, every firing emits into the next, and at each wave
+//! boundary the two swap and, under [`SchedPolicy::Crit`], the new wave
+//! is sorted. A peer-owned token waits in the next wave until the worker
+//! hands it to its owner's batch, at every flush and wave boundary;
+//! batches leave only at a flush, every [`FLUSH_EVERY`] tokens and
+//! before the worker parks. One worker routes nothing and fires exactly
+//! as the sequential run under either policy.
+//!
 //! # Placement
 //!
 //! A token's owner is [`MappingPolicy::ByIteration`] over its tag — the
@@ -23,7 +35,11 @@
 //! sent half of them. The price is that a program with no loop and no
 //! call — one activation, one iteration — runs on one worker, as it
 //! would on one PE of the timed machine. The causality and termination
-//! arguments below hold for any function of the tag.
+//! arguments below hold for any function of the tag, but the placement
+//! must stay a function of `(u, i)` alone: every `D`, `DGated` and
+//! `LoopEntry` of one parent activation then fires on one worker, which
+//! is what lets each worker keep its own loop memo, with no lock (see
+//! [`SharedContexts`]).
 //!
 //! # What is still guaranteed
 //!
@@ -31,8 +47,9 @@
 //! depend on execution order, only the order itself does. Concretely,
 //! for any program, a relaxed run agrees with a sequential run on:
 //!
-//! - program **outputs** (for [`Value::Ptr`] up to the structure *id* —
-//!   relaxed ids come from leased blocks and are not dense);
+//! - program **outputs** (for [`Value::Ptr`](crate::Value::Ptr) up to
+//!   the structure *id* — relaxed ids come from leased blocks and are
+//!   not dense);
 //! - the **error discriminant** when the program faults;
 //! - `instructions`, `alu_ops`, `contexts`, `istore_writes`, the total
 //!   `istore_immediate + istore_deferred`, and the stranded-token count
@@ -41,9 +58,11 @@
 //! while `waves`/`profile` are reported as `0`/empty (there are no
 //! waves to count), and `peak_matching`, `peak_deferred` and the
 //! immediate/deferred *split* become schedule-dependent approximations
-//! (sums of per-shard observations). The differential fuzz oracle and
-//! the property suite check exactly this contract against the
-//! sequential engine.
+//! (sums of per-shard observations; a shard's deferred readers are
+//! sampled at its worker's wave boundaries, as the sequential run
+//! samples them at its own, and after each batch of ops). The
+//! differential fuzz oracle and the property suite check exactly this
+//! contract against the sequential engine.
 //!
 //! # Quiescence and errors
 //!
@@ -55,8 +74,8 @@
 //! - a worker adds one *before* it sends a batch;
 //! - a busy worker that takes a batch from its channel subtracts one
 //!   (the message is consumed, the worker was already counted);
-//! - a worker whose local queue is drained and whose batches are all
-//!   flushed subtracts one for itself, then parks in a blocking `recv`.
+//! - a worker whose waves are empty and whose batches are all flushed
+//!   subtracts one for itself, then parks in a blocking `recv`.
 //!   A batch that wakes it costs nothing: the message's unit now stands
 //!   for the busy worker.
 //!
@@ -71,9 +90,10 @@
 //! The first error (in real time, not program order — this is the
 //! relaxation) lands in a shared slot and poisons the run; the first
 //! worker to poison also sends every peer a stop message, so a fault
-//! never leaves a peer parked. Busy workers read the poison flag once
-//! per flush, not per token. Fuel is counted privately: each worker
-//! publishes its firings against `fuel` in blocks of [`FUEL_BLOCK`], and
+//! never leaves a peer parked. A worker whose own firing fails returns
+//! at once; the others read the poison flag once per flush, not per
+//! token. Fuel is counted privately: each worker publishes its
+//! firings against `fuel` in blocks of [`FUEL_BLOCK`], and
 //! a published total above `fuel` poisons the run with `OutOfFuel` —
 //! published firings are firings the program needed, so that is never
 //! premature. At quiescence the caller sums the exact per-worker counts
@@ -103,8 +123,10 @@
 //! causally depends on it (`IAlloc` before a fetch through the pointer,
 //! `IStore` before a fetch released by its completion signal). Workers
 //! therefore send, in every flush, **ops to every peer first, tokens
-//! second**, and dispatch a firing's own op before routing its tokens.
-//! Each hop is an mpsc send, and sends ordered by happens-before
+//! second**. A firing's op is batched as the firing runs, and its
+//! tokens are handed off no earlier than the next flush or wave
+//! boundary, so the op is always queued before them. Each hop is an
+//! mpsc send, and sends ordered by happens-before
 //! enqueue in that order at the receiver, so the create is always
 //! applied before the dependent fetch arrives. The owning shard applies
 //! each fetch and store through `exec::structure_op`, the controller
@@ -128,28 +150,23 @@ use ttda_sim::Cycle;
 use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
-use crate::emu::EmuResult;
-use crate::exec::{
-    absorb, deliver, execute, load_jobs, size_hint, structure_op, IsCounts, StructAction,
-    Structures,
-};
+use crate::emu::{EmuResult, Host, Run};
+use crate::exec::{load_jobs, size_hint, structure_op, IsCounts, StructAction, Structures};
 use crate::graph::Program;
-use crate::matching::MatchingStore;
 use crate::placement::MappingPolicy;
-use crate::sched::{BucketQueue, CritMap, SchedPolicy};
-use crate::tag::{ActivityName, Token};
-use crate::value::{StructRef, Value};
+use crate::sched::{sort_by_criticality, CritMap, SchedPolicy};
+use crate::tag::Token;
 use crate::ExecError;
 
 /// Structure ids a worker takes per refill of its private lease. Ids
 /// are *not* dense (unused tail ids are simply never created) — they
-/// escape only inside [`Value::Ptr`], whose id the relaxed contract
+/// escape only inside [`Value::Ptr`](crate::Value::Ptr), whose id the relaxed contract
 /// does not promise.
 const STRUCT_LEASE: u32 = 64;
 
 /// Tokens a busy worker processes between flushes of its outbound
 /// batches. Streaming keeps peers fed while the producer is still
-/// busy; holding batches until the local queue drains would idle a
+/// busy; holding batches until the worker's waves drain would idle a
 /// peer that owns half of the tokens.
 const FLUSH_EVERY: u32 = 64;
 
@@ -198,29 +215,12 @@ struct Shared<'a> {
     first_err: Mutex<Option<ExecError>>,
     threads: usize,
     traced: bool,
-    /// `Some` under [`SchedPolicy::Crit`]: workers pop their local
-    /// queues longest-remaining-path first instead of in arrival order.
+    /// `Some` under [`SchedPolicy::Crit`]: workers sort each wave
+    /// longest-remaining-path first instead of keeping arrival order.
     crit: Option<CritMap>,
-    /// What each worker reserves in its matching shard, local queue and
-    /// scratch before it starts (`exec::size_hint`).
+    /// What each worker reserves in its matching shard, operand buffer
+    /// and waves before it starts (`exec::size_hint`).
     hint: usize,
-}
-
-/// What one worker hands back when it exits.
-struct WorkerOut {
-    outputs: HashMap<u32, Value>,
-    /// Successful firings on this worker (exact; summed at quiescence).
-    fired: u64,
-    alu_ops: u64,
-    /// Peak occupancy of this worker's matching shard.
-    peak_matching: usize,
-    /// Tokens stranded in this worker's matching shard at quiescence.
-    stranded: usize,
-    /// Peak and final deferred-reader counts of this worker's shard.
-    peak_deferred: usize,
-    deferred_outstanding: usize,
-    istore: IsCounts,
-    traces: EventBuffer,
 }
 
 /// Entry point: the relaxed equivalent of `Emulator::submit`. `fuel` is
@@ -271,7 +271,7 @@ pub(crate) fn submit(
 
     // Worker 0 runs on the calling thread, so a run spawns one thread
     // fewer and a one-worker run spawns none.
-    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
+    let runs: Vec<_> = std::thread::scope(|scope| {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..threads).map(|_| channel::<Msg>()).unzip();
         let mut workers = rxs.into_iter().zip(seeds).enumerate();
         let (_, (rx0, seed0)) = workers.next().expect("at least one worker");
@@ -292,23 +292,22 @@ pub(crate) fn submit(
             .collect()
     });
 
-    if let Some(e) = shared.first_err.into_inner().expect("error slot poisoned") {
+    if let Some(e) = shared.first_err.lock().expect("error slot poisoned").take() {
         return Err(e);
     }
     // The exact fuel check: block publishing only ever undercounts.
-    let instructions = outs.iter().map(|o| o.fired).sum::<u64>();
+    let instructions = runs.iter().map(|r| r.instructions).sum::<u64>();
     if instructions > fuel {
         return Err(ExecError::OutOfFuel);
     }
-    let stranded = outs
+    let stranded = runs
         .iter()
-        .map(|o| o.stranded + o.deferred_outstanding)
+        .map(|r| r.waiting.len() + r.host.shard.deferred_outstanding())
         .sum::<usize>();
     if stranded > 0 {
         return Err(ExecError::Deadlock { stranded });
     }
 
-    let mut outputs = HashMap::new();
     let mut result = EmuResult {
         outputs: HashMap::new(),
         instructions,
@@ -322,19 +321,18 @@ pub(crate) fn submit(
         istore_deferred: 0,
         istore_writes: 0,
     };
-    for mut o in outs {
-        outputs.extend(o.outputs.drain());
-        result.alu_ops += o.alu_ops;
-        result.peak_matching += o.peak_matching;
-        result.peak_deferred += o.peak_deferred;
-        result.istore_immediate += o.istore.immediate;
-        result.istore_deferred += o.istore.deferred;
-        result.istore_writes += o.istore.writes;
+    for mut r in runs {
+        result.outputs.extend(r.outputs);
+        result.alu_ops += r.alu_ops;
+        result.peak_matching += r.waiting.high_water();
+        result.peak_deferred += r.host.peak_deferred;
+        result.istore_immediate += r.host.istore.immediate;
+        result.istore_deferred += r.host.istore.deferred;
+        result.istore_writes += r.host.istore.writes;
         if let Some(s) = &sink {
-            o.traces.replay_into(s);
+            r.host.traces.replay_into(s);
         }
     }
-    result.outputs = outputs;
     if let Some(s) = &sink {
         s.borrow_mut()
             .record(Cycle::ZERO, &TraceEvent::Halt { in_flight: 0 });
@@ -342,27 +340,24 @@ pub(crate) fn submit(
     Ok(result)
 }
 
-/// Everything one relaxed worker owns.
+/// One relaxed worker's [`Host`]: its structure shard and id lease,
+/// its outbound batches and its peers' channels, and its trace buffer.
+/// The rest of its state — matching shard, context handle, outputs and
+/// counters — is the [`Run`] it fires through.
 struct Worker<'a, 'p> {
     shared: &'a Shared<'p>,
     me: usize,
-    waiting: MatchingStore,
     shard: Structures,
-    wctx: WorkerCtx<'a>,
+    istore: IsCounts,
+    /// Peak deferred-reader count of the shard, sampled at each wave
+    /// boundary and after each batch of ops.
+    peak_deferred: usize,
     /// Private structure-id lease, refilled from the shared counter.
     struct_next: u32,
     struct_end: u32,
-    /// Tokens owned by this worker's matching shard, pending
-    /// absorption. FIFO under [`SchedPolicy::Fifo`] (everything lands
-    /// at priority 0); a criticality-bucketed priority queue under
-    /// [`SchedPolicy::Crit`].
-    local: BucketQueue<Token>,
-    /// Tokens of the firing or structure op in progress, routed before
-    /// the next one emits (the storage is reused).
-    scratch: Vec<Token>,
-    /// The operand set of the firing in progress (the storage is
-    /// reused).
-    ops: Vec<Value>,
+    /// How many leading tokens of the next wave are known to be this
+    /// worker's own; the rest have not been handed off yet.
+    routed: usize,
     /// Outbound batches, one slot per peer (own slots stay empty — own
     /// work is dispatched inline).
     obufs: Vec<Vec<ShardOp>>,
@@ -374,111 +369,186 @@ struct Worker<'a, 'p> {
     spare_ops: Vec<Vec<ShardOp>>,
     spare_tokens: Vec<Vec<Token>>,
     peers: Vec<Sender<Msg>>,
-    out: WorkerOut,
+    traces: EventBuffer,
 }
 
-/// One relaxed worker: absorb and fire tokens from the local queue,
-/// streaming outbound batches, until the run stops.
-fn worker(
-    shared: &Shared<'_>,
+/// One relaxed worker: fires its seeds and everything they lead to, in
+/// waves, streaming outbound batches, until the run stops; then hands
+/// back what it fired through.
+fn worker<'a, 'p>(
+    shared: &'a Shared<'p>,
     me: usize,
     seeds: Vec<Token>,
     rx: Receiver<Msg>,
     peers: Vec<Sender<Msg>>,
-) -> WorkerOut {
+) -> Run<'p, WorkerCtx<'a>, Worker<'a, 'p>> {
     let threads = shared.threads;
-    let mut w = Worker {
-        shared,
-        me,
-        waiting: MatchingStore::with_capacity(shared.hint),
-        shard: Structures::new(),
-        wctx: shared.ctxs.handle(),
-        struct_next: 0,
-        struct_end: 0,
-        local: BucketQueue::with_capacity(shared.hint),
-        scratch: Vec::with_capacity(shared.hint),
-        ops: Vec::new(),
-        obufs: (0..threads).map(|_| Vec::new()).collect(),
-        tbufs: (0..threads).map(|_| Vec::new()).collect(),
-        spare_ops: Vec::new(),
-        spare_tokens: Vec::new(),
-        peers,
-        out: WorkerOut {
-            outputs: HashMap::new(),
-            fired: 0,
-            alu_ops: 0,
-            peak_matching: 0,
-            stranded: 0,
-            peak_deferred: 0,
-            deferred_outstanding: 0,
+    let mut run = Run::new(
+        shared.program,
+        shared.ctxs.handle(),
+        shared.hint,
+        Worker {
+            shared,
+            me,
+            shard: Structures::new(),
             istore: IsCounts::default(),
+            peak_deferred: 0,
+            struct_next: 0,
+            struct_end: 0,
+            // The seeds were placed on their owner.
+            routed: seeds.len(),
+            obufs: (0..threads).map(|_| Vec::new()).collect(),
+            tbufs: (0..threads).map(|_| Vec::new()).collect(),
+            spare_ops: Vec::new(),
+            spare_tokens: Vec::new(),
+            peers,
             traces: EventBuffer::new(),
         },
-    };
-    for t in seeds {
-        w.local.push(w.prio(t.tag), t);
-    }
-    w.run(&rx);
-    w.out.peak_matching = w.waiting.high_water();
-    w.out.stranded = w.waiting.len();
-    w.out.deferred_outstanding = w.shard.deferred_outstanding();
-    w.out
+    );
+    let mut next = seeds;
+    next.reserve(shared.hint);
+    drive(&mut run, &rx, next);
+    run
 }
 
-impl Worker<'_, '_> {
-    /// The worker loop: busy while it has tokens or batches, parked in
-    /// `recv` otherwise, and returning on a stop message, on poison, or
-    /// when its own decrement brings the detector to zero.
-    fn run(&mut self, rx: &Receiver<Msg>) {
-        let active = &self.shared.active;
-        loop {
-            let mut since_flush = 0;
-            while let Some(t) = self.local.pop() {
-                self.process_token(t);
+/// The worker loop: fires wave after wave while it holds tokens (see
+/// the module docs on waves; a wave boundary hands tokens off but sends
+/// nothing, since sending there too measured slower at two workers).
+/// With no tokens left it flushes, takes a batch if one is waiting, and
+/// otherwise parks in `recv`; it returns on a stop message, on an
+/// error, or when its own decrement brings the detector to zero.
+fn drive(
+    run: &mut Run<'_, WorkerCtx<'_>, Worker<'_, '_>>,
+    rx: &Receiver<Msg>,
+    mut next: Vec<Token>,
+) {
+    let shared = run.host.shared;
+    let mut wave: Vec<Token> = Vec::with_capacity(shared.hint);
+    let mut keys: Vec<u64> = Vec::new();
+    let mut since_flush = 0;
+    loop {
+        run.host.hand_off(&mut next);
+        if !next.is_empty() {
+            std::mem::swap(&mut wave, &mut next);
+            run.host.routed = 0;
+            if let Some(crit) = &shared.crit {
+                sort_by_criticality(&mut wave, crit, &mut keys);
+            }
+            for token in &wave {
+                let fired = match run.step(token.clone(), &mut next) {
+                    Ok(fired) => fired,
+                    Err(e) => {
+                        run.host.fail(e);
+                        return;
+                    }
+                };
+                if fired && run.instructions.is_multiple_of(FUEL_BLOCK) && !run.host.publish() {
+                    return;
+                }
                 since_flush += 1;
                 if since_flush == FLUSH_EVERY {
                     since_flush = 0;
-                    if !self.flush() {
+                    if !run.host.flush(&mut next) {
                         return;
                     }
                 }
             }
-            if !self.flush() {
-                return;
+            wave.clear();
+            run.host.note_deferred();
+            continue;
+        }
+        if !run.host.flush(&mut next) {
+            return;
+        }
+        let batch = match rx.try_recv() {
+            Ok(Msg::Stop) | Err(TryRecvError::Disconnected) => return,
+            Ok(batch) => {
+                shared.active.fetch_sub(1, Ordering::AcqRel);
+                batch
             }
-            match rx.try_recv() {
-                Ok(Msg::Stop) | Err(TryRecvError::Disconnected) => return,
-                Ok(batch) => {
-                    active.fetch_sub(1, Ordering::AcqRel);
-                    self.handle(batch);
-                    continue;
+            Err(TryRecvError::Empty) => {
+                if shared.active.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    run.host.stop_peers();
+                    return;
                 }
-                Err(TryRecvError::Empty) => {}
+                match rx.recv() {
+                    Ok(Msg::Stop) | Err(_) => return,
+                    Ok(batch) => batch,
+                }
             }
-            if active.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.stop_peers();
-                return;
-            }
-            match rx.recv() {
-                Ok(Msg::Stop) | Err(_) => return,
-                Ok(batch) => self.handle(batch),
-            }
+        };
+        if let Err(e) = run.host.handle(run.program, batch, &mut next) {
+            run.host.fail(e);
+            return;
         }
     }
+}
 
-    fn trace(&mut self, ev: TraceEvent) {
-        if self.shared.traced {
-            self.out.traces.push(Cycle::ZERO, ev);
+impl Host for Worker<'_, '_> {
+    fn tracing(&self) -> Option<u32> {
+        self.shared.traced.then_some(self.me as u32)
+    }
+
+    fn record(&mut self, ev: TraceEvent) {
+        self.traces.push(Cycle::ZERO, ev);
+    }
+
+    /// Takes an id from the private lease, refilling it from the shared
+    /// counter when exhausted, and registers the structure with its
+    /// owning shard.
+    fn alloc(&mut self, len: u32) -> u32 {
+        if self.struct_next == self.struct_end {
+            self.struct_next = self
+                .shared
+                .next_struct
+                .fetch_add(STRUCT_LEASE, Ordering::SeqCst);
+            self.struct_end = self.struct_next + STRUCT_LEASE;
         }
+        let id = self.struct_next;
+        self.struct_next += 1;
+        let owner = shard_of(id, self.shared.threads);
+        if owner == self.me {
+            self.shard.create(id, len as usize);
+        } else {
+            self.obufs[owner].push(ShardOp::Create { id, len });
+        }
+        id
     }
 
-    /// Local-queue priority of a token: its target's remaining
-    /// critical-path height under `Crit`, a constant 0 under `Fifo`
-    /// (which makes [`BucketQueue`] exactly a FIFO ring).
-    fn prio(&self, tag: ActivityName) -> u32 {
-        self.shared.crit.as_ref().map_or(0, |c| c.criticality(tag))
+    /// Batches the op for the worker that owns the structure — before
+    /// any token of the firing can leave (see the module docs on
+    /// causality) — or, when that is this worker, applies it to the
+    /// local shard, emitting what it produces (fetched values, released
+    /// readers, the store's completion signal) into `out`.
+    #[inline]
+    fn apply(
+        &mut self,
+        program: &Program,
+        action: StructAction,
+        out: &mut Vec<Token>,
+    ) -> Result<(), ExecError> {
+        let (ptr, _) = action.element();
+        let owner = shard_of(ptr.id, self.shared.threads);
+        if owner != self.me {
+            self.obufs[owner].push(ShardOp::Op(action));
+            return Ok(());
+        }
+        let trace = self
+            .shared
+            .traced
+            .then_some((&mut self.traces, Cycle::ZERO, ptr.id));
+        structure_op(
+            program,
+            &mut self.shard,
+            action,
+            &mut self.istore,
+            out,
+            trace,
+        )
     }
+}
 
+impl Worker<'_, '_> {
     /// Records `e` as the run's error if it is the first, and poisons
     /// the run; the first worker to poison it stops every peer.
     fn fail(&self, e: ExecError) {
@@ -493,6 +563,19 @@ impl Worker<'_, '_> {
         }
     }
 
+    /// Publishes a block of firings against the fuel; once the published
+    /// total passes it, poisons the run with `OutOfFuel` and returns
+    /// `false`.
+    fn publish(&self) -> bool {
+        let shared = self.shared;
+        let over =
+            shared.published.fetch_add(FUEL_BLOCK, Ordering::Relaxed) + FUEL_BLOCK > shared.fuel;
+        if over {
+            self.fail(ExecError::OutOfFuel);
+        }
+        !over
+    }
+
     fn stop_peers(&self) {
         for (w, tx) in self.peers.iter().enumerate() {
             if w != self.me {
@@ -502,185 +585,38 @@ impl Worker<'_, '_> {
         }
     }
 
-    /// Routes a freshly produced token to its matching shard's owner.
-    fn route(&mut self, t: Token) {
-        self.trace(TraceEvent::TokenEmit { pe: self.me as u32 });
-        let w = PLACEMENT.owner(t.tag, self.shared.threads);
-        if w == self.me {
-            self.local.push(self.prio(t.tag), t);
-        } else {
-            self.tbufs[w].push(t);
-        }
+    fn note_deferred(&mut self) {
+        self.peak_deferred = self.peak_deferred.max(self.shard.deferred_outstanding());
     }
 
-    /// Routes and empties [`Worker::scratch`], keeping its storage.
-    fn route_scratch(&mut self) {
-        let mut tokens = std::mem::take(&mut self.scratch);
-        for t in tokens.drain(..) {
-            self.route(t);
-        }
-        self.scratch = tokens;
-    }
-
-    /// Dispatches a structure op to its owning shard — inline when this
-    /// worker owns the structure, batched otherwise.
-    fn dispatch_op(&mut self, action: StructAction) {
-        let (ptr, _) = action.element();
-        let owner = shard_of(ptr.id, self.shared.threads);
-        if owner == self.me {
-            self.apply_op(action);
-        } else {
-            self.obufs[owner].push(ShardOp::Op(action));
-        }
-    }
-
-    /// Registers a newly allocated structure with its owning shard.
-    fn dispatch_create(&mut self, id: u32, len: u32) {
-        let owner = shard_of(id, self.shared.threads);
-        if owner == self.me {
-            self.shard.create(id, len as usize);
-        } else {
-            self.obufs[owner].push(ShardOp::Create { id, len });
-        }
-    }
-
-    /// Applies one fetch/store against the local shard, routing any
-    /// produced tokens (fetched values, released readers, the store's
-    /// completion signal).
-    fn apply_op(&mut self, action: StructAction) {
-        let (ptr, _) = action.element();
-        let trace = self
-            .shared
-            .traced
-            .then_some((&mut self.out.traces, Cycle::ZERO, ptr.id));
-        let res = structure_op(
-            self.shared.program,
-            &mut self.shard,
-            action,
-            &mut self.out.istore,
-            &mut self.scratch,
-            trace,
-        );
-        match res {
-            Ok(()) => {
-                self.route_scratch();
-                self.out.peak_deferred = self
-                    .out
-                    .peak_deferred
-                    .max(self.shard.deferred_outstanding());
-            }
-            Err(e) => {
-                self.scratch.clear();
-                self.fail(e);
-            }
-        }
-    }
-
-    /// Takes a structure id from the private lease, refilling it from
-    /// the shared counter when exhausted.
-    fn take_struct_id(&mut self) -> u32 {
-        if self.struct_next == self.struct_end {
-            self.struct_next = self
-                .shared
-                .next_struct
-                .fetch_add(STRUCT_LEASE, Ordering::SeqCst);
-            self.struct_end = self.struct_next + STRUCT_LEASE;
-        }
-        let id = self.struct_next;
-        self.struct_next += 1;
-        id
-    }
-
-    /// Absorbs one token into the local matching shard and executes the
-    /// firing it enables, if any.
-    fn process_token(&mut self, token: Token) {
-        self.trace(TraceEvent::TokenConsume { pe: self.me as u32 });
-        let enabled = match absorb(
-            self.shared.program,
-            &mut self.waiting,
-            &mut self.wctx,
-            token,
-            &mut self.ops,
-        ) {
-            Ok(enabled) => enabled,
-            Err(e) => {
-                self.fail(e);
-                return;
-            }
-        };
-        let Some((tag, instr)) = enabled else {
-            let occupancy = self.waiting.len() as u64;
-            self.trace(TraceEvent::MatchWait {
-                pe: self.me as u32,
-                occupancy,
-            });
+    /// Moves the peer-owned tokens of `next` past [`Worker::routed`] to
+    /// their owners' outbound batches, keeping this worker's own in
+    /// order. One worker owns every token, so it skips the scan.
+    fn hand_off(&mut self, next: &mut Vec<Token>) {
+        let threads = self.shared.threads;
+        if threads == 1 {
             return;
-        };
-        let program = self.shared.program;
-        let eff = match execute(
-            program,
-            &mut self.wctx,
-            tag,
-            instr,
-            &self.ops,
-            &mut self.scratch,
-        ) {
-            Ok(eff) => eff,
-            Err(e) => {
-                self.fail(e);
-                return;
-            }
-        };
-        self.out.fired += 1;
-        if self.out.fired.is_multiple_of(FUEL_BLOCK) {
-            let published = self
-                .shared
-                .published
-                .fetch_add(FUEL_BLOCK, Ordering::Relaxed)
-                + FUEL_BLOCK;
-            if published > self.shared.fuel {
-                self.scratch.clear();
-                self.fail(ExecError::OutOfFuel);
-                return;
+        }
+        let mut keep = self.routed;
+        for k in self.routed..next.len() {
+            let w = PLACEMENT.owner(next[k].tag, threads);
+            if w == self.me {
+                next.swap(keep, k);
+                keep += 1;
+            } else {
+                self.tbufs[w].push(next[k].clone());
             }
         }
-        if eff.is_alu {
-            self.out.alu_ops += 1;
-        }
-        self.trace(TraceEvent::MatchFire {
-            pe: self.me as u32,
-            alu: eff.is_alu,
-            busy: 0,
-        });
-        if let Some((slot, v)) = eff.output {
-            self.out.outputs.insert(slot, v);
-        }
-        // Dispatch the structure op *before* routing any token of this
-        // firing: a consumer reached through a token may issue a
-        // dependent op, and the dependency must already be in the
-        // owner's queue (see the module docs on causality).
-        match eff.action {
-            None => {}
-            Some(StructAction::Alloc { tag, len }) => {
-                let id = self.take_struct_id();
-                self.dispatch_create(id, len);
-                deliver(
-                    program,
-                    tag,
-                    Value::Ptr(StructRef { id, len }),
-                    &mut self.scratch,
-                );
-            }
-            Some(action) => self.dispatch_op(action),
-        }
-        self.route_scratch();
+        next.truncate(keep);
+        self.routed = keep;
     }
 
-    /// Sends outbound batches — ops to every peer first, then tokens,
-    /// the order the causality argument rests on — each counted by the
-    /// detector before it is sent. Returns `false` once the run is
-    /// poisoned.
-    fn flush(&mut self) -> bool {
+    /// Hands off the peer-owned tokens of `next`, then sends outbound
+    /// batches — ops to every peer first, then tokens, the order the
+    /// causality argument rests on — each counted by the detector before
+    /// it is sent. Returns `false` once the run is poisoned.
+    fn flush(&mut self, next: &mut Vec<Token>) -> bool {
+        self.hand_off(next);
         for w in 0..self.shared.threads {
             if !self.obufs[w].is_empty() {
                 let fresh = self.spare_ops.pop().unwrap_or_default();
@@ -705,31 +641,45 @@ impl Worker<'_, '_> {
         let _ = self.peers[w].send(batch);
     }
 
-    /// Applies a received batch: ops against the local shard, tokens
-    /// onto the local queue. The drained buffer joins the spares.
-    fn handle(&mut self, batch: Msg) {
+    /// Applies a received batch to an empty `next` wave: ops against the
+    /// local shard, emitting what they produce, and tokens, which are
+    /// all this worker's own, appended as they are. The drained buffer
+    /// joins the spares.
+    fn handle(
+        &mut self,
+        program: &Program,
+        batch: Msg,
+        next: &mut Vec<Token>,
+    ) -> Result<(), ExecError> {
+        debug_assert!(next.is_empty());
         let threads = self.shared.threads;
         match batch {
             Msg::Ops(mut ops) => {
                 for op in ops.drain(..) {
                     match op {
                         ShardOp::Create { id, len } => self.shard.create(id, len as usize),
-                        ShardOp::Op(op) => self.apply_op(op),
+                        ShardOp::Op(op) => self.apply(program, op, next)?,
                     }
                 }
+                if let Some(pe) = self.tracing() {
+                    for _ in 0..next.len() {
+                        self.record(TraceEvent::TokenEmit { pe });
+                    }
+                }
+                self.note_deferred();
                 if self.spare_ops.len() < threads {
                     self.spare_ops.push(ops);
                 }
             }
             Msg::Tokens(mut ts) => {
-                for t in ts.drain(..) {
-                    self.local.push(self.prio(t.tag), t);
-                }
+                next.append(&mut ts);
+                self.routed = next.len();
                 if self.spare_tokens.len() < threads {
                     self.spare_tokens.push(ts);
                 }
             }
             Msg::Stop => unreachable!("the worker loop handles stop messages"),
         }
+        Ok(())
     }
 }

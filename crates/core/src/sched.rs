@@ -1,10 +1,10 @@
 //! Token scheduling policy: FIFO vs criticality-aware (DESIGN.md §15).
 //!
 //! Every engine holds ready tokens somewhere — the sequential emulator's
-//! wave vector, the relaxed workers' local queues, the timed machine's
-//! per-PE input queues. This module decides the *order* those holders
-//! release tokens in ([`sort_by_criticality`] reorders a wave,
-//! [`BucketQueue`] orders a queue):
+//! and each relaxed worker's wave vectors, the timed machine's per-PE
+//! input queues. This module decides the *order* those holders release
+//! tokens in ([`sort_by_criticality`] reorders a wave, [`BucketQueue`]
+//! orders a PE's queue):
 //!
 //! * [`SchedPolicy::Fifo`] — arrival order, the historical behaviour.
 //! * [`SchedPolicy::Crit`] — longest-remaining-path first: tokens aimed
@@ -90,14 +90,13 @@ impl CritMap {
 }
 
 /// Stably reorders `tokens` by descending criticality of each token's
-/// target instruction (the sequential emulator's `Crit` wave order).
+/// target instruction (the `Crit` wave order of both untimed engines).
 /// Stability is the determinism tie-break: equal-criticality tokens keep
 /// their arrival (wave index) order, so a sequential `Crit` run is a
-/// pure function of the graph and its inputs. Other engines order
-/// `Crit` tokens differently: a relaxed worker pops one priority queue
-/// across waves, so fib 18 at O2 peaks at 2,471 parked tokens here and
-/// at 1,073 on one worker. Only outputs and the confluent counters
-/// agree.
+/// pure function of the graph and its inputs. A relaxed worker sorts
+/// each of its own waves the same way, so one worker fires exactly as
+/// the sequential run; with more, a worker's waves hold only the tokens
+/// it owns, and only outputs and the confluent counters agree.
 ///
 /// The sort allocates nothing once `keys`, which the caller reuses from
 /// wave to wave, has grown: each key is the inverted criticality over
@@ -146,8 +145,9 @@ pub(crate) fn sort_by_criticality(tokens: &mut [Token], crit: &CritMap, keys: &m
 /// queue is a vector of rings indexed by priority plus a high-watermark:
 /// push is O(1), pop is O(1) amortized (the watermark only walks down
 /// over levels that were actually occupied). With every priority 0 this
-/// is exactly a `VecDeque` — the FIFO engines pay one extra indirection,
-/// nothing else.
+/// is exactly a `VecDeque`, so a FIFO PE pays one extra indirection,
+/// nothing else. Only the timed machine's PE queues use it: the untimed
+/// engines hold their tokens in waves.
 #[derive(Debug, Clone)]
 pub(crate) struct BucketQueue<T> {
     buckets: Vec<VecDeque<T>>,
@@ -165,18 +165,8 @@ impl<T> Default for BucketQueue<T> {
 impl<T> BucketQueue<T> {
     /// An empty queue.
     pub(crate) fn new() -> Self {
-        BucketQueue::with_capacity(0)
-    }
-
-    /// An empty queue whose priority-0 ring, where a FIFO queue keeps
-    /// every item, holds `n` items before it grows.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        let mut buckets = Vec::new();
-        if n > 0 {
-            buckets.push(VecDeque::with_capacity(n));
-        }
         BucketQueue {
-            buckets,
+            buckets: Vec::new(),
             len: 0,
             hi: 0,
         }

@@ -150,6 +150,31 @@ fn sequential_fib_does_not_allocate_per_firing() {
 }
 
 #[test]
+fn one_relaxed_worker_allocates_as_a_sequential_run_does() {
+    // One relaxed worker runs on the calling thread, fires through the
+    // sequential run's step into its own two waves and routes nothing,
+    // so it allocates as a sequential run does: measured at 87
+    // allocations over 28,558 firings on matmul 12, the sequential
+    // run's count. A worker that pushed every token through a queue of
+    // its own took 128; one that allocated per token would take tens
+    // of thousands. The budget leaves about 15% of headroom.
+    const BUDGET: u64 = 100;
+    let p = compile(id::matmul());
+    let mut emu = Emulator::new(&p)
+        .with_mode(RunMode::Relaxed)
+        .with_threads(1)
+        .with_sched(SchedPolicy::Fifo);
+    let (r, allocs) = counted(|| emu.run(&[Value::Int(12)]));
+    let r = r.expect("run");
+    assert_eq!(r.outputs[&0], Value::Int(reference::matmul_checksum(12)));
+    eprintln!(
+        "one relaxed worker, matmul 12: {allocs} allocations, {} firings",
+        r.instructions
+    );
+    assert!(allocs <= BUDGET, "{allocs} allocations, budget {BUDGET}");
+}
+
+#[test]
 fn timed_fib_does_not_allocate_per_firing() {
     // The timed-fib configuration of the repository benchmark: an 8-PE
     // hypercube with criticality scheduling. Measured at 555 allocations

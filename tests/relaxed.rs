@@ -137,11 +137,10 @@ fn relaxed_matches_sequential_outputs_on_workloads() {
 
 #[test]
 fn one_relaxed_worker_in_fifo_order_matches_the_sequential_run() {
-    // One worker under FIFO fires in the sequential run's order, so the
-    // schedule-dependent peaks and the I-structure read split agree too,
-    // not just the confluent counters. Under `Crit` they differ (fib 18
-    // at O2 peaks at 2,471 parked tokens sequentially, 1,073 on one
-    // worker), so only FIFO is pinned.
+    // One worker fires through the sequential run's step, in its waves,
+    // under FIFO and under `Crit` alike, so the schedule-dependent peaks
+    // and the I-structure read split agree too, not just the confluent
+    // counters.
     let dag = ttda::workloads::id::request_dag(4, 3);
     let cases: [(&str, &str, i64); 5] = [
         ("matmul", ttda::workloads::id::matmul(), 6),
@@ -157,25 +156,31 @@ fn one_relaxed_worker_in_fifo_order_matches_the_sequential_run() {
     for (name, src, n) in cases {
         for level in [OptLevel::O0, OptLevel::O2] {
             let p = ttda::idc::compile_optimized(src, level).expect("workload compiles");
-            let run = |mode| {
-                Emulator::new(&p)
-                    .with_mode(mode)
-                    .with_threads(1)
-                    .with_sched(SchedPolicy::Fifo)
-                    .run(&[Value::Int(n)])
-                    .unwrap_or_else(|e| panic!("{name} {level} {mode:?}: {e}"))
-            };
-            let (seq, one) = (run(RunMode::Sequential), run(RunMode::Relaxed));
-            assert_eq!(confluent_mismatch(&seq, &one), None, "{name} {level}");
-            let peaks = |r: &EmuResult| {
-                (
-                    r.peak_matching,
-                    r.istore_immediate,
-                    r.istore_deferred,
-                    r.peak_deferred,
-                )
-            };
-            assert_eq!(peaks(&one), peaks(&seq), "{name} {level}");
+            for sched in [SchedPolicy::Fifo, SchedPolicy::Crit] {
+                let run = |mode| {
+                    Emulator::new(&p)
+                        .with_mode(mode)
+                        .with_threads(1)
+                        .with_sched(sched)
+                        .run(&[Value::Int(n)])
+                        .unwrap_or_else(|e| panic!("{name} {level} {sched} {mode:?}: {e}"))
+                };
+                let (seq, one) = (run(RunMode::Sequential), run(RunMode::Relaxed));
+                assert_eq!(
+                    confluent_mismatch(&seq, &one),
+                    None,
+                    "{name} {level} {sched}"
+                );
+                let peaks = |r: &EmuResult| {
+                    (
+                        r.peak_matching,
+                        r.istore_immediate,
+                        r.istore_deferred,
+                        r.peak_deferred,
+                    )
+                };
+                assert_eq!(peaks(&one), peaks(&seq), "{name} {level} {sched}");
+            }
         }
     }
 }

@@ -20,10 +20,10 @@ use ttda::workloads::{id, reference};
 
 #[test]
 fn crit_is_confluent_across_thread_counts() {
-    // The confluence property: under `Crit` the relaxed backend pops
-    // each worker's local queue by criticality, which changes firing
-    // order only — outputs, firing and ALU counts, contexts and
-    // structure traffic stay those of the sequential `Crit` run.
+    // The confluence property: under `Crit` the relaxed backend sorts
+    // each worker's waves by criticality, which changes firing order
+    // only — outputs, firing and ALU counts, contexts and structure
+    // traffic stay those of the sequential `Crit` run.
     let cases: Vec<(&str, Vec<Value>)> = vec![
         (id::fib(), vec![Value::Int(12)]),
         (id::matmul(), vec![Value::Int(4)]),
